@@ -191,9 +191,7 @@ let runs key =
       key.p key.g key.l key.delta
       (List.length d.Datasets.instances);
     (* One task per instance. Results come back in instance order, so
-       every aggregation below is independent of the jobs count; the
-       lazy DAG caches are forced before the DAGs cross domains. *)
-    List.iter (fun inst -> Dag.warm_caches inst.Datasets.dag) d.Datasets.instances;
+       every aggregation below is independent of the jobs count. *)
     let result =
       Par.map
         (fun inst ->
@@ -357,7 +355,6 @@ let table3 () =
 let init_wins () =
   let d = dataset "training" in
   let base = bench_limits () in
-  List.iter (fun inst -> Dag.warm_caches inst.Datasets.dag) d.Datasets.instances;
   List.concat
   @@ Par.map
     (fun inst ->

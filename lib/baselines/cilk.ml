@@ -120,11 +120,9 @@ let run dag ~p ~seed =
       let q = proc.(v) in
       busy.(q) <- false;
       incr finished;
-      Array.iter
-        (fun w ->
+      Dag.iter_succ dag v (fun w ->
           remaining.(w) <- remaining.(w) - 1;
-          if remaining.(w) = 0 then Deque.push_top stacks.(q) w)
-        (Dag.succ dag v);
+          if remaining.(w) = 0 then Deque.push_top stacks.(q) w);
       dispatch_all time
   done;
   if !finished <> n then failwith "Cilk.run: simulation stalled (cyclic input?)";

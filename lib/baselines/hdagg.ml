@@ -16,9 +16,7 @@ let assign_wavefront dag ~p ~proc nodes =
   List.iter
     (fun v ->
       let score = Array.make p 0 in
-      Array.iter
-        (fun u -> score.(proc.(u)) <- score.(proc.(u)) + Dag.comm dag u)
-        (Dag.pred dag v);
+      Dag.iter_pred dag v (fun u -> score.(proc.(u)) <- score.(proc.(u)) + Dag.comm dag u);
       (* Preferred processor: largest predecessor affinity among those
          with remaining capacity; fall back to the least-loaded one. *)
       let best = ref (-1) in

@@ -27,14 +27,12 @@ let run variant machine dag =
   done;
   let est v q =
     let data_ready =
-      Array.fold_left
-        (fun acc u ->
+      Dag.fold_pred dag v ~init:0.0 (fun acc u ->
           let arrival =
             if proc.(u) = q then finish.(u)
             else finish.(u) +. comm_delay machine dag u
           in
           Float.max acc arrival)
-        0.0 (Dag.pred dag v)
     in
     Float.max proc_avail.(q) data_ready
   in
@@ -56,11 +54,9 @@ let run variant machine dag =
     finish.(v) <- t +. float_of_int (Dag.work dag v);
     proc_avail.(q) <- finish.(v);
     ready := List.filter (fun x -> x <> v) !ready;
-    Array.iter
-      (fun w ->
+    Dag.iter_succ dag v (fun w ->
         remaining.(w) <- remaining.(w) - 1;
         if remaining.(w) = 0 then ready := w :: !ready)
-      (Dag.succ dag v)
   in
   let pick_bl_est () =
     match !ready with

@@ -44,10 +44,6 @@ let checked name machine sched =
 
 let evaluate options machine dag =
   let p = machine.Machine.p in
-  (* Instances are evaluated in parallel by the bench harness, and the
-     multilevel sweep below fans out per ratio: make the shared DAG's
-     lazy caches read-only first. *)
-  Dag.warm_caches dag;
   let trivial = checked "trivial" machine (Schedule.trivial dag) in
   let cilk = checked "cilk" machine (Cilk.schedule dag ~p ~seed:options.seed) in
   let bl_est =

@@ -137,7 +137,6 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
      candidate's init→HC→HCcs chain is one [Par] task; the fold below
      reads them in submission order with a strict [<], so the winner is
      identical for every jobs count. *)
-  Dag.warm_caches dag;
   let candidates =
     Par.map
       (fun (name, f) ->
@@ -311,8 +310,6 @@ let base_solver limits machine dag =
   in
   Schedule.with_lazy_comm sched
 
-let default_solver_limits limits = limits
-
 let polish_comm limits machine sched =
   let hccs_budget = stage_budget limits limits.hccs_evals in
   let hccs, _ =
@@ -331,7 +328,7 @@ let polish_comm limits machine sched =
   else hccs
 
 let run_multilevel_ratio ?(limits = default_limits) ?solver_limits ~ratio machine dag =
-  let solver_limits = Option.value ~default:(default_solver_limits limits) solver_limits in
+  let solver_limits = Option.value ~default:limits solver_limits in
   let ml_budget = stage_budget limits limits.hc_evals in
   let sched =
     Obs.Metrics.with_span ~budget:ml_budget (Printf.sprintf "multilevel:%g" ratio)
@@ -350,7 +347,6 @@ let run_multilevel ?(limits = default_limits) ?solver_limits
     ?(config = Multilevel.default_config) machine dag =
   if config.Multilevel.ratios = [] then
     invalid_arg "Pipeline.run_multilevel: no ratios configured";
-  Dag.warm_caches dag;
   Par.best_of
     ~cmp:(fun a b -> compare (cost machine a) (cost machine b))
     (fun ratio -> run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag)
@@ -367,7 +363,6 @@ let run_auto ?(limits = default_limits) ?solver_limits ?threshold machine dag =
        base pipeline and the multilevel ratio sweep are independent the
        moment it fires — run them as one parallel portfolio: the base
        pipeline is task 0, one task per coarsening ratio after it. *)
-    Dag.warm_caches dag;
     let tasks =
       (fun () -> `Base (run ~limits machine dag))
       :: List.map

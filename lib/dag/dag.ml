@@ -7,10 +7,10 @@
    The topological order and rank caches are computed eagerly at
    construction, so a built value is deeply immutable — sharing a DAG
    across domains involves no lazy initialisation and therefore no data
-   race by construction ({!warm_caches} is a no-op kept for
-   compatibility). The flat layout also keeps the local-search hot
-   loops on two contiguous int arrays per direction instead of chasing
-   a pointer per node. *)
+   race by construction. Adjacency is read only through the
+   zero-allocation iterators or the raw offsets/targets arrays, which
+   keeps the hot loops on two contiguous int arrays per direction
+   instead of chasing a pointer per node. *)
 
 type t = {
   n : int;
@@ -32,11 +32,6 @@ let comm g v = g.comm.(v)
 
 let in_degree g v = g.pred_off.(v + 1) - g.pred_off.(v)
 let out_degree g v = g.succ_off.(v + 1) - g.succ_off.(v)
-
-(* Cold-path accessors: each call allocates a fresh slice. Hot loops use
-   the iterators below or the raw offsets/targets arrays directly. *)
-let succ g v = Array.sub g.succ_tgt g.succ_off.(v) (out_degree g v)
-let pred g v = Array.sub g.pred_tgt g.pred_off.(v) (in_degree g v)
 
 let succ_offsets g = g.succ_off
 let succ_targets g = g.succ_tgt
@@ -404,11 +399,6 @@ let is_acyclic_edges ~n edges =
 let topological_order g = g.topo
 let topological_rank g = g.rank
 
-(* Caches are eager since the CSR refactor; kept so call sites guarding
-   cross-domain sharing need no change (and as documentation of the
-   sharing discipline). *)
-let warm_caches (_ : t) = ()
-
 let wavefronts g =
   let level = Array.make g.n 0 in
   Array.iter
@@ -544,9 +534,8 @@ let structural_hash g =
 let pp fmt g =
   Format.fprintf fmt "@[<v>dag: %d nodes, %d edges@," g.n (num_edges g);
   for u = 0 to g.n - 1 do
-    Format.fprintf fmt "  %d (w=%d c=%d) -> %a@," u g.work.(u) g.comm.(u)
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " ")
-         Format.pp_print_int)
-      (Array.to_list (succ g u))
+    Format.fprintf fmt "  %d (w=%d c=%d) ->" u g.work.(u) g.comm.(u);
+    iter_succ g u (Format.fprintf fmt " %d");
+    Format.fprintf fmt "@,"
   done;
   Format.fprintf fmt "@]"

@@ -18,9 +18,9 @@
     segment sorted ascending — and the topological order/rank caches
     are computed eagerly at construction (DESIGN.md Section 5f). A
     built value therefore contains no mutable state at all and can be
-    shared freely across domains. Hot loops should use the zero-
-    allocation iterators ({!iter_succ} and friends) or the raw CSR
-    accessors; {!succ}/{!pred} allocate a fresh slice per call. *)
+    shared freely across domains. Adjacency is read only through the
+    zero-allocation iterators ({!iter_succ} and friends) or the raw CSR
+    accessors; neighbours are always visited in ascending id order. *)
 
 type t
 
@@ -68,14 +68,6 @@ val work : t -> int -> int
 
 val comm : t -> int -> int
 (** [comm g v] is [c v]. *)
-
-val succ : t -> int -> int array
-(** Direct successors of a node, sorted ascending. Allocates a fresh
-    slice per call — fine on cold paths, use {!iter_succ} in hot loops. *)
-
-val pred : t -> int -> int array
-(** Direct predecessors of a node, sorted ascending. Allocates a fresh
-    slice per call — fine on cold paths, use {!iter_pred} in hot loops. *)
 
 val in_degree : t -> int -> int
 val out_degree : t -> int -> int
@@ -131,13 +123,6 @@ val topological_order : t -> int array
 
 val topological_rank : t -> int array
 (** [rank.(v)] is the position of [v] in {!topological_order}. *)
-
-val warm_caches : t -> unit
-(** No-op. The topological order and rank are computed eagerly at
-    construction since the CSR refactor, so a DAG is always safe to
-    share across domains. Kept so existing call sites guarding [Par]
-    fan-outs keep compiling (and as documentation of why no warming is
-    needed). *)
 
 val wavefronts : t -> int array
 (** [wavefronts g] assigns each node its earliest level: sources are

@@ -1,24 +1,18 @@
 let to_buffer buf g =
   let n = Dag.n g in
   Buffer.add_string buf "% hyperDAG: one hyperedge per non-sink node; first pin is the source\n";
-  let hyperedges = ref [] in
-  let num_pins = ref 0 in
-  for u = n - 1 downto 0 do
-    let s = Dag.succ g u in
-    if Array.length s > 0 then begin
-      hyperedges := (u, s) :: !hyperedges;
-      num_pins := !num_pins + 1 + Array.length s
+  let hyperedges = n - List.length (Dag.sinks g) in
+  Printf.bprintf buf "%d %d %d\n" hyperedges n (hyperedges + Dag.num_edges g);
+  let e = ref 0 in
+  for u = 0 to n - 1 do
+    if Dag.out_degree g u > 0 then begin
+      Printf.bprintf buf "%d %d\n" !e u;
+      Dag.iter_succ g u (fun v -> Printf.bprintf buf "%d %d\n" !e v);
+      incr e
     end
   done;
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d %d\n" (List.length !hyperedges) n !num_pins);
-  List.iteri
-    (fun e (u, s) ->
-      Buffer.add_string buf (Printf.sprintf "%d %d\n" e u);
-      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" e v)) s)
-    !hyperedges;
   for v = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "%d %d %d\n" v (Dag.work g v) (Dag.comm g v))
+    Printf.bprintf buf "%d %d %d\n" v (Dag.work g v) (Dag.comm g v)
   done
 
 let to_string g =
@@ -66,7 +60,14 @@ let of_string text =
       | [ h; n; p ] -> (h, n, p)
       | _ -> failwith "Hyperdag_io: header must be <hyperedges> <nodes> <pins>"
     in
-    if List.length rest < num_p + num_n then failwith "Hyperdag_io: truncated file";
+    (* Every count is checked against the input before any allocation
+       is sized by it: each pin and weight takes a line of its own, and
+       every hyperedge has at least its source pin. *)
+    if num_h < 0 || num_n < 0 || num_p < 0 then failwith "Hyperdag_io: negative count in header";
+    if num_h > num_p then failwith "Hyperdag_io: more hyperedges than pins";
+    let available = List.length rest in
+    if num_p > available || num_n > available - num_p then
+      failwith "Hyperdag_io: truncated file";
     let pins, weight_lines =
       let rec split i acc = function
         | rest when i = num_p -> (List.rev acc, rest)
@@ -246,6 +247,22 @@ let read_varint src what =
   in
   go 0 0
 
+(* [count] untrusted varints. The array starts small and doubles as
+   values arrive, so a huge declared count with little input behind it
+   allocates in proportion to the bytes actually read (each varint takes
+   at least one). *)
+let read_varints src what count =
+  let a = ref (Array.make (min count 4096) 0) in
+  for i = 0 to count - 1 do
+    if i = Array.length !a then begin
+      let grown = Array.make (min count (2 * i)) 0 in
+      Array.blit !a 0 grown 0 i;
+      a := grown
+    end;
+    !a.(i) <- read_varint src what
+  done;
+  !a
+
 let check_magic src =
   String.iter
     (fun c ->
@@ -262,8 +279,8 @@ let decode_binary ?(magic_consumed = false) src =
   let n = read_varint src "node count" in
   let m = read_varint src "edge count" in
   if n < 0 then fail "Hyperdag_io (binary): negative node count";
-  let work = Array.init n (fun _ -> read_varint src "work weight") in
-  let comm = Array.init n (fun _ -> read_varint src "comm weight") in
+  let work = read_varints src "work weight" n in
+  let comm = read_varints src "comm weight" n in
   let edges = ref [] in
   let total = ref 0 in
   for v = 0 to n - 1 do

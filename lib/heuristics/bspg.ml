@@ -23,17 +23,21 @@ let schedule machine dag =
     (* ChooseNode score (Appendix A.2): for each predecessor u of the
        candidate with u or one of u's direct successors already on q, add
        c(u)/outdeg(u) — the expected saving from never communicating u. *)
+    let succ_off = Dag.succ_offsets dag and succ_tgt = Dag.succ_targets dag in
+    let pred_off = Dag.pred_offsets dag and pred_tgt = Dag.pred_targets dag in
     let score q v =
-      Array.fold_left
-        (fun acc u ->
-          let near =
-            proc.(u) = q
-            || Array.exists (fun w -> proc.(w) = q) (Dag.succ dag u)
-          in
-          if near then
-            acc +. (float_of_int (Dag.comm dag u) /. float_of_int (Dag.out_degree dag u))
-          else acc)
-        0.0 (Dag.pred dag v)
+      let acc = ref 0.0 in
+      for i = pred_off.(v) to pred_off.(v + 1) - 1 do
+        let u = pred_tgt.(i) in
+        let near = ref (proc.(u) = q) and j = ref succ_off.(u) in
+        while (not !near) && !j < succ_off.(u + 1) do
+          near := proc.(succ_tgt.(!j)) = q;
+          incr j
+        done;
+        if !near then
+          acc := !acc +. (float_of_int (Dag.comm dag u) /. float_of_int (Dag.out_degree dag u))
+      done;
+      !acc
     in
     let choose_node q =
       let candidates =
@@ -83,21 +87,15 @@ let schedule machine dag =
       running.(q) <- (-1);
       finish_time.(q) <- max_int;
       free.(q) <- true;
-      Array.iter
-        (fun u ->
+      Dag.iter_succ dag v (fun u ->
           remaining.(u) <- remaining.(u) - 1;
           if remaining.(u) = 0 then begin
             ready := Int_set.add u !ready;
             (* u joins q's private pool when every predecessor is on q or
                in an earlier superstep. *)
-            let local =
-              Array.for_all
-                (fun u0 -> proc.(u0) = q || step.(u0) < !superstep)
-                (Dag.pred dag u)
-            in
-            if local then ready_p.(q) <- Int_set.add u ready_p.(q)
+            if Dag.for_all_pred dag u (fun u0 -> proc.(u0) = q || step.(u0) < !superstep)
+            then ready_p.(q) <- Int_set.add u ready_p.(q)
           end)
-        (Dag.succ dag v)
     in
     while !unassigned > 0 do
       if not !end_step then assignment_round ();

@@ -30,9 +30,7 @@ let schedule machine dag =
     done;
     !acc
   in
-  let release v =
-    Array.iter (fun u -> remaining.(u) <- remaining.(u) - 1) (Dag.succ dag v)
-  in
+  let release v = Dag.iter_succ dag v (fun u -> remaining.(u) <- remaining.(u) - 1) in
   while !unassigned > 0 do
     let sources = current_sources () in
     if !superstep = 0 then begin
@@ -42,12 +40,10 @@ let schedule machine dag =
       let owner = Hashtbl.create 64 in
       List.iter
         (fun v ->
-          Array.iter
-            (fun w ->
+          Dag.iter_succ dag v (fun w ->
               match Hashtbl.find_opt owner w with
               | Some u -> Union_find.union uf u v
-              | None -> Hashtbl.add owner w v)
-            (Dag.succ dag v))
+              | None -> Hashtbl.add owner w v))
         sources;
       let clusters = Hashtbl.create 64 in
       List.iter
@@ -83,19 +79,14 @@ let schedule machine dag =
        the same superstep. *)
     List.iter
       (fun v ->
-        Array.iter
-          (fun u ->
+        Dag.iter_succ dag v (fun u ->
             if proc.(u) < 0 then begin
               let q = proc.(v) in
-              let all_here =
-                Array.for_all (fun u0 -> proc.(u0) = q) (Dag.pred dag u)
-              in
-              if all_here then begin
+              if Dag.for_all_pred dag u (fun u0 -> proc.(u0) = q) then begin
                 assign u q;
                 release u
               end
-            end)
-          (Dag.succ dag v))
+            end))
       sources;
     List.iter release sources;
     incr superstep

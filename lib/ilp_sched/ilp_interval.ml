@@ -26,11 +26,9 @@ let comp_key spec v p s =
 (* Lazy first-need of the value of [u] on processor [q], restricted to a
    class of consumers; max_int when never needed there. *)
 let first_need_over dag step proc ~keep u q =
-  Array.fold_left
-    (fun acc w ->
+  Dag.fold_succ dag u ~init:max_int (fun acc w ->
       if keep w && step.(w) >= 0 && proc.(w) = q && step.(w) < acc then step.(w)
       else acc)
-    max_int (Dag.succ dag u)
 
 let validate spec =
   if spec.s_lo < 0 || spec.s_hi < spec.s_lo then
@@ -41,11 +39,9 @@ let validate spec =
     (fun v ->
       if spec.step.(v) >= 0 && (spec.step.(v) < spec.s_lo || spec.step.(v) > spec.s_hi)
       then invalid_arg "Ilp_interval: assigned v0 node outside the window";
-      Array.iter
-        (fun u ->
+      Dag.iter_pred spec.dag v (fun u ->
           if (not in_v0.(u)) && spec.step.(u) < 0 then
-            invalid_arg "Ilp_interval: predecessor of a v0 node is unassigned")
-        (Dag.pred spec.dag v))
+            invalid_arg "Ilp_interval: predecessor of a v0 node is unassigned"))
     spec.v0;
   (* Fixed nodes must not sit inside the window: the model's work rows
      only account for v0. *)
@@ -110,10 +106,7 @@ let build spec =
   let pre_nodes =
     let tbl = Hashtbl.create 64 in
     List.iter
-      (fun v ->
-        Array.iter
-          (fun u -> if not in_v0.(u) then Hashtbl.replace tbl u ())
-          (Dag.pred dag v))
+      (fun v -> Dag.iter_pred dag v (fun u -> if not in_v0.(u) then Hashtbl.replace tbl u ()))
       v0;
     Hashtbl.fold (fun u () acc -> u :: acc) tbl []
     |> List.sort compare
@@ -151,8 +144,7 @@ let build spec =
   (* Precedence constraints for edges into v0. *)
   List.iter
     (fun v ->
-      Array.iter
-        (fun u ->
+      Dag.iter_pred dag v (fun u ->
           List.iter
             (fun s ->
               for q = 0 to p - 1 do
@@ -193,8 +185,7 @@ let build spec =
                   Ilp.add_le model ((comp_var v q s, 1.0) :: arrivals) 0.0
                 end
               done)
-            window)
-        (Dag.pred dag v))
+            window))
     v0;
   (* Communication validity: the value must be present at the sender. *)
   Hashtbl.iter
@@ -225,10 +216,8 @@ let build spec =
   List.iter
     (fun v ->
       let dests = Hashtbl.create 4 in
-      Array.iter
-        (fun w ->
-          if (not in_v0.(w)) && step.(w) >= 0 then Hashtbl.replace dests proc.(w) ())
-        (Dag.succ dag v);
+      Dag.iter_succ dag v (fun w ->
+          if (not in_v0.(w)) && step.(w) >= 0 then Hashtbl.replace dests proc.(w) ());
       Hashtbl.iter
         (fun dst () ->
           let terms =

@@ -1,8 +1,7 @@
 type t = {
   dag : Dag.t;
-  (* Aliases of the DAG's CSR adjacency arrays: with the flat
-     representation, [Dag.succ]/[Dag.pred] allocate a slice per call, so
-     every hot loop below walks offsets/targets directly instead. *)
+  (* Aliases of the DAG's CSR adjacency arrays, so every hot loop
+     below walks offsets/targets directly. *)
   soff : int array;
   stgt : int array;
   poff : int array;

@@ -19,9 +19,7 @@ let to_bsp dag { proc; seq } =
        for i = !start to n - 1 do
          let v = order.(i) in
          let blocked =
-           Array.exists
-             (fun u -> (not assigned.(u)) && proc.(u) <> proc.(v))
-             (Dag.pred dag v)
+           Dag.exists_pred dag v (fun u -> (not assigned.(u)) && proc.(u) <> proc.(v))
          in
          if blocked then begin
            cut := i;
@@ -48,9 +46,7 @@ let makespan dag { proc; seq } =
   let finish = Array.make n 0 in
   Array.iter
     (fun v ->
-      let ready =
-        Array.fold_left (fun acc u -> max acc finish.(u)) 0 (Dag.pred dag v)
-      in
+      let ready = Dag.fold_pred dag v ~init:0 (fun acc u -> max acc finish.(u)) in
       let begin_time = max ready proc_free.(proc.(v)) in
       finish.(v) <- begin_time + Dag.work dag v;
       proc_free.(proc.(v)) <- finish.(v))

@@ -155,19 +155,37 @@ let test_hyperdag_excess_weight_lines_rejected () =
     check_bool "names the surplus" true
       (msg = "Hyperdag_io: 2 lines after the 4 declared weight lines")
 
-(* Since the CSR refactor the topological order and rank are computed
-   eagerly at construction, so warm_caches has nothing left to do: it
-   must not change anything observable, and a freshly built DAG is
-   safe to read from another domain without any warm-up call. *)
-let test_warm_caches_noop () =
+(* Hostile headers fail with [Failure] (the error the CLI and the
+   daemon report) before any allocation is sized by a declared count.
+   Each header is followed by two well-formed weight lines. *)
+let raises_failure header =
+  match Hyperdag_io.of_string (header ^ "\n0 1 1\n1 1 1\n") with
+  | _ -> false
+  | exception Failure _ -> true
+
+let test_hyperdag_negative_count () =
+  check_bool "negative hyperedge count" true (raises_failure "-5 2 0");
+  check_bool "negative node count" true (raises_failure "0 -2 0");
+  check_bool "negative pin count" true (raises_failure "0 2 -1")
+
+let test_hyperdag_oversized_count () =
+  check_bool "more hyperedges than pins" true (raises_failure "4000000000000 2 0");
+  check_bool "more pins than lines" true (raises_failure "1 2 4000000000000");
+  check_bool "more nodes than lines" true (raises_failure "0 4000000000000 0")
+
+(* The topological order and rank are computed eagerly at
+   construction, so a freshly built DAG is safe to read from another
+   domain without any warm-up call, and every domain sees the same
+   caches. *)
+let test_eager_topo_cross_domain () =
   let g = Test_util.diamond () in
-  let topo_before = Array.copy (Dag.topological_order g) in
-  let rank_before = Array.copy (Dag.topological_rank g) in
-  let edges_before = Dag.edges g in
-  Dag.warm_caches g;
-  Alcotest.(check (array int)) "topo unchanged" topo_before (Dag.topological_order g);
-  Alcotest.(check (array int)) "rank unchanged" rank_before (Dag.topological_rank g);
-  Alcotest.(check (list (pair int int))) "edges unchanged" edges_before (Dag.edges g);
+  let d =
+    Domain.spawn (fun () ->
+        (Array.copy (Dag.topological_order g), Array.copy (Dag.topological_rank g)))
+  in
+  let topo, rank = Domain.join d in
+  Alcotest.(check (array int)) "topo seen cross-domain" (Dag.topological_order g) topo;
+  Alcotest.(check (array int)) "rank seen cross-domain" (Dag.topological_rank g) rank;
   let c = Test_util.chain 6 in
   let d = Domain.spawn (fun () -> (Dag.topological_order c).(5)) in
   check "eager topo readable cross-domain" 5 (Domain.join d)
@@ -200,12 +218,10 @@ let prop_has_path =
       let order = Dag.topological_order g in
       for i = n - 1 downto 0 do
         let u = order.(i) in
-        Array.iter
-          (fun w ->
+        Dag.iter_succ g u (fun w ->
             for x = 0 to n - 1 do
               if reach.(w).(x) then reach.(u).(x) <- true
             done)
-          (Dag.succ g u)
       done;
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -309,15 +325,18 @@ let prop_csr_matches_model =
         && Array.length stgt = Dag.num_edges g
         && Array.length ptgt = Dag.num_edges g;
       for v = 0 to n - 1 do
-        (* Allocating slices vs the reference model (sorted ascending). *)
-        ok := !ok && Array.to_list (Dag.succ g v) = succ_ref.(v);
-        ok := !ok && Array.to_list (Dag.pred g v) = pred_ref.(v);
         ok := !ok && Dag.out_degree g v = List.length succ_ref.(v);
         ok := !ok && Dag.in_degree g v = List.length pred_ref.(v);
-        (* Zero-allocation iterators visit the same elements in order. *)
+        (* Zero-allocation iterators visit the reference neighbours in
+           ascending order, in both directions. *)
         let via_iter = ref [] in
         Dag.iter_succ g v (fun w -> via_iter := w :: !via_iter);
         ok := !ok && List.rev !via_iter = succ_ref.(v);
+        let via_iter = ref [] in
+        Dag.iter_pred g v (fun u -> via_iter := u :: !via_iter);
+        ok := !ok && List.rev !via_iter = pred_ref.(v);
+        let via_fold = Dag.fold_succ g v ~init:[] (fun acc w -> w :: acc) in
+        ok := !ok && List.rev via_fold = succ_ref.(v);
         let via_fold = Dag.fold_pred g v ~init:[] (fun acc u -> u :: acc) in
         ok := !ok && List.rev via_fold = pred_ref.(v);
         (* Raw CSR segments are the same slices. *)
@@ -362,8 +381,13 @@ let () =
           Alcotest.test_case "hyperdag tabs + CRLF" `Quick test_hyperdag_tabs_and_crlf;
           Alcotest.test_case "hyperdag excess weight lines" `Quick
             test_hyperdag_excess_weight_lines_rejected;
+          Alcotest.test_case "hyperdag negative header count" `Quick
+            test_hyperdag_negative_count;
+          Alcotest.test_case "hyperdag header count beyond the input" `Quick
+            test_hyperdag_oversized_count;
           Alcotest.test_case "is_acyclic_edges" `Quick test_is_acyclic_edges;
-          Alcotest.test_case "warm_caches is a no-op" `Quick test_warm_caches_noop;
+          Alcotest.test_case "eager topo order shared across domains" `Quick
+            test_eager_topo_cross_domain;
         ] );
       ( "property",
         [

@@ -85,6 +85,78 @@ let prop_bspg_sane_cost =
       let worst = Dag.total_work dag + (Dag.n dag * m.Machine.l) + (m.Machine.g * Dag.total_comm dag * Machine.max_lambda m * m.Machine.p) in
       Bsp_cost.total m s <= max worst 1)
 
+(* Golden outputs: the exact [Schedule_io.to_string] text of every
+   initialiser and baseline on two generated DAGs, pinned as an MD5
+   digest next to the BSP cost. Adjacency must be visited in ascending
+   id order: BSPg's score sums floats in predecessor order and its
+   tie-break depends on the exact sum, so a change of visiting order or
+   of any tie-break shows up here. *)
+let golden_dags =
+  [
+    ( "spmv",
+      Finegrained.generate_sized (Rng.create 16) ~family:Finegrained.Spmv
+        ~shape:Finegrained.Wide ~target:400 );
+    ( "exp",
+      Finegrained.generate_sized (Rng.create 16) ~family:Finegrained.Exp
+        ~shape:Finegrained.Wide ~target:400 );
+  ]
+
+let golden_machines =
+  [
+    ("p4", Machine.uniform ~p:4 ~g:3 ~l:5);
+    ("p8-numa", Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:2);
+  ]
+
+let golden_algorithms =
+  [
+    ("bspg", Bspg.schedule);
+    ("source", Source_heuristic.schedule);
+    ("cilk", fun m dag -> Cilk.schedule dag ~p:m.Machine.p ~seed:1);
+    ("hdagg", fun m dag -> Hdagg.schedule m dag);
+    ("bl-est", List_scheduler.schedule List_scheduler.Bl_est);
+    ("etf", List_scheduler.schedule List_scheduler.Etf);
+  ]
+
+let golden =
+  [
+    ("spmv", "p4", "bspg", 277, "067a650674b93941482b6cb6a0bd9048");
+    ("spmv", "p4", "source", 235, "ab65e4983039d51982a7c6cdc7c90be9");
+    ("spmv", "p4", "cilk", 460, "7f68aca4f4c5c02a0da8434e7591e8c2");
+    ("spmv", "p4", "hdagg", 285, "b384cb050ef3332ad2679428448b9a26");
+    ("spmv", "p4", "bl-est", 427, "6e026f125d33b1d20bc8ab4e28340e65");
+    ("spmv", "p4", "etf", 402, "8c6e3ba66f3991a75d8d216e5db9a7b2");
+    ("spmv", "p8-numa", "bspg", 178, "da385c90b9ae503804be4ae1c22fa0d2");
+    ("spmv", "p8-numa", "source", 155, "237d5b068ff47782546622706e313f3b");
+    ("spmv", "p8-numa", "cilk", 370, "a318e98df585ee90bc360bd7a71d705d");
+    ("spmv", "p8-numa", "hdagg", 177, "d293d332fd11df09eb694add5ac75a71");
+    ("spmv", "p8-numa", "bl-est", 283, "55231297740a216c4fab1a6f6944dae7");
+    ("spmv", "p8-numa", "etf", 296, "701110aa6f8a98e7e585c2fc669f3eff");
+    ("exp", "p4", "bspg", 361, "41fe68ecf1a5d8367eec78823eeab932");
+    ("exp", "p4", "source", 394, "d6c78b60a2827c8926f0b238c392a726");
+    ("exp", "p4", "cilk", 615, "4a5d8fd29d64c9e6317520ca7443afc0");
+    ("exp", "p4", "hdagg", 389, "90e3eef5aa201cf4c69aa01d59f029ec");
+    ("exp", "p4", "bl-est", 537, "bb796a136aa1264a973a5808395e8612");
+    ("exp", "p4", "etf", 577, "adad9e00ad0a2e079f6d2762841252b0");
+    ("exp", "p8-numa", "bspg", 261, "5c4a8ca6b90c1f072c44ae49e24527ef");
+    ("exp", "p8-numa", "source", 279, "d9810bc4e82fc6ccf71da0b2461ad3ca");
+    ("exp", "p8-numa", "cilk", 462, "ed51c75021640d0b9ddcc1dfa115d519");
+    ("exp", "p8-numa", "hdagg", 248, "01b1d5f96d20b4449841c5cdeb51b420");
+    ("exp", "p8-numa", "bl-est", 406, "1d7e6cd0a97e479298b13ad9c6226424");
+    ("exp", "p8-numa", "etf", 424, "fde8d50644ab58efc9712bbd21283052");
+  ]
+
+let test_golden_schedules () =
+  List.iter
+    (fun (dn, mn, an, cost, digest) ->
+      let dag = List.assoc dn golden_dags and m = List.assoc mn golden_machines in
+      let s = (List.assoc an golden_algorithms) m dag in
+      let name = Printf.sprintf "%s %s %s" dn mn an in
+      check (name ^ " cost") cost (Bsp_cost.total m s);
+      Alcotest.(check string)
+        (name ^ " schedule digest") digest
+        (Digest.to_hex (Digest.string (Schedule_io.to_string s))))
+    golden
+
 let () =
   Alcotest.run "heuristics"
     [
@@ -103,4 +175,6 @@ let () =
           Alcotest.test_case "round robin balances" `Quick test_source_round_robin_balances;
         ] );
       ("property", [ prop_heuristics_valid; prop_bspg_sane_cost ]);
+      ( "golden",
+        [ Alcotest.test_case "schedule text pinned" `Quick test_golden_schedules ] );
     ]

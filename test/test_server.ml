@@ -100,6 +100,16 @@ let test_binary_garbage () =
   in
   check_bool "corrupted header is not silently accepted" false same
 
+(* A header declaring 2^40 nodes over one byte of payload must fail on
+   the missing bytes, having allocated in proportion to what it read
+   rather than to the declared count. *)
+let test_binary_huge_node_count () =
+  let b = Hyperdag_io.binary_magic ^ "\x80\x80\x80\x80\x80\x20" ^ "\x00" ^ "\x01" in
+  let before = Gc.allocated_bytes () in
+  check_bool "rejected" true (fails (fun () -> Hyperdag_io.of_binary_string b));
+  check_bool "allocation bounded by the input" true
+    (Gc.allocated_bytes () -. before < 1e6)
+
 let test_binary_compact () =
   (* sanity: the binary form of a chain is much smaller than the text *)
   let g = Test_util.chain 500 in
@@ -441,6 +451,30 @@ let test_daemon_stdio () =
           check_str "identical inline schedules" (str_field "schedule" r1)
             (str_field "schedule" r2)))
 
+(* A request whose inline hyperDAG has a hostile header is answered with
+   an error frame, and the session goes on to answer the next request. *)
+let test_daemon_stdio_survives_hostile_header () =
+  with_tmp_dir "stdio-hostile" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let request dag = "algorithm bspg\np 2\ng 1\nl 2\nhyperdag\n" ^ dag in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      Out_channel.with_open_bin inp (fun oc ->
+          Server.Daemon.write_frame oc (request "-5 2 0\n0 1 1\n1 1 1\n");
+          Server.Daemon.write_frame oc (request "4000000000000 2 0\n0 1 1\n1 1 1\n");
+          Server.Daemon.write_frame oc
+            (request (Hyperdag_io.to_string (Test_util.diamond ()))));
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Server.Daemon.run_stdio ~cache_dir ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          let next () = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+          let r1 = next () in
+          let r2 = next () in
+          let r3 = next () in
+          check_str "negative count errors" "error" (str_field "status" r1);
+          check_str "oversized count errors" "error" (str_field "status" r2);
+          check_str "next request answered" "ok" (str_field "status" r3)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats probes: live telemetry over both transports.                   *)
 
@@ -555,6 +589,8 @@ let () =
             test_binary_file_roundtrip;
           prop_binary_truncation;
           Alcotest.test_case "garbage rejected" `Quick test_binary_garbage;
+          Alcotest.test_case "huge declared node count rejected" `Quick
+            test_binary_huge_node_count;
           Alcotest.test_case "binary is compact" `Quick test_binary_compact;
         ] );
       ( "atomic-write",
@@ -597,6 +633,8 @@ let () =
           Alcotest.test_case "queue: miss, coalesce, hit, error, metrics" `Quick
             test_daemon_once;
           Alcotest.test_case "stdio session" `Quick test_daemon_stdio;
+          Alcotest.test_case "stdio session survives a hostile header" `Quick
+            test_daemon_stdio_survives_hostile_header;
           Alcotest.test_case "stats round-trip, jobs 1" `Quick
             (run_stats_roundtrip ~jobs:1);
           Alcotest.test_case "stats round-trip, jobs 4" `Quick
