@@ -88,7 +88,10 @@ let local_search ?(label = "init") limits machine sched =
         Hc.improve ~check:limits.hc_check ~budget:hc_budget ~shards:limits.hc_shards
           machine sched)
   in
-  let hc = Superstep_merge.greedy machine (Schedule.compact hc) in
+  let hc =
+    Obs.Metrics.with_span ("merge:" ^ label) (fun () ->
+        Superstep_merge.greedy machine (Schedule.compact hc))
+  in
   let hccs_budget = stage_budget limits limits.hccs_evals in
   let hccs, _ =
     Obs.Metrics.with_span ~budget:hccs_budget ("hccs:" ^ label) (fun () ->

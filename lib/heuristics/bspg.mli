@@ -18,6 +18,25 @@
     computation phase closes and a new superstep begins.
 
     The output is the assignment [(pi, tau)] completed with the lazy
-    communication schedule. *)
+    communication schedule.
+
+    {b Complexity.} Scores are maintained incrementally rather than
+    rescanned. A flat [n * P] byte map holds [near u q] ("[u] or a
+    direct successor of [u] is on [q]"), which only ever turns on, when
+    a node is assigned. Assigning [v] to [q] turns it on for [v]'s
+    predecessors [u], and only the ready successors of a [u] whose flag
+    flipped are rescored, for [q] alone. Candidates sit in per-processor
+    binary max-heaps over flat arrays ordered by (score descending, id
+    ascending), with lazy deletion: one heap per private pool, one per
+    processor over the [ready_all] members it scores positively, and a
+    shared one over all of [ready_all], ordered by id, for the
+    zero-score rest. A run sums O(P * sum_v indeg(v)^2) score terms
+    and pushes O((n + m) P) heap entries of O(log n) each, which is
+    linear for bounded degrees. Its extra memory is O(n) words, the
+    [n * P] bytes of the map, and the heap entries pushed since the
+    current superstep opened (the quadratic rescan it replaced is kept
+    as a test oracle). A rescore sums the predecessor terms from
+    scratch in ascending id order, so every float, every tie-break and
+    hence every schedule is identical to the full rescan. *)
 
 val schedule : Machine.t -> Dag.t -> Schedule.t

@@ -380,9 +380,20 @@ let run_stdio ~cache_dir ic oc =
   in
   let t0 = Obs.Clock.now () in
   let count = ref 0 in
+  let error_reply ~id msg =
+    Obs.Metrics.counter "server.errors" 1;
+    error_json ~id msg
+  in
   let rec loop () =
     match read_frame ic with
     | None -> ()
+    | exception Failure msg ->
+      (* A truncated or oversized frame leaves no frame boundary to
+         resynchronise on: answer it once and end the session. *)
+      incr count;
+      Obs.Metrics.counter "server.requests" 1;
+      let id = Printf.sprintf "stdio-%d" !count in
+      write_frame oc (Obs.Json.to_string_compact (error_reply ~id msg))
     | Some payload ->
       incr count;
       let fallback_id = Printf.sprintf "stdio-%d" !count in
@@ -394,28 +405,29 @@ let run_stdio ~cache_dir ic oc =
         | Request.Schedule req ->
           Obs.Metrics.counter "server.requests" 1;
           let t_start = Obs.Clock.now () in
-          let res =
-            Obs.Metrics.with_span "server/request" (fun () ->
-                Engine.handle ~cache_dir req)
-          in
-          let dt = Obs.Clock.now () -. t_start in
-          Obs.Metrics.counter
-            (counter_of_label (Engine.status_label res.Engine.status))
-            1;
-          Obs.Metrics.histogram "server.request_seconds" dt;
-          ok_json ~id:req.Request.id
-            ~cache:(Engine.status_label res.Engine.status)
-            ~key:res.Engine.key ~cost:res.Engine.cost
-            ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
-            ~seconds:dt
-            [
-              ( "schedule",
-                Obs.Json.String (Schedule_io.to_string res.Engine.schedule) );
-            ]
+          (match
+             Obs.Metrics.with_span "server/request" (fun () ->
+                 Engine.handle ~cache_dir req)
+           with
+           | exception (Failure msg | Sys_error msg) -> error_reply ~id:req.Request.id msg
+           | res ->
+             let dt = Obs.Clock.now () -. t_start in
+             Obs.Metrics.counter
+               (counter_of_label (Engine.status_label res.Engine.status))
+               1;
+             Obs.Metrics.histogram "server.request_seconds" dt;
+             ok_json ~id:req.Request.id
+               ~cache:(Engine.status_label res.Engine.status)
+               ~key:res.Engine.key ~cost:res.Engine.cost
+               ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
+               ~seconds:dt
+               [
+                 ( "schedule",
+                   Obs.Json.String (Schedule_io.to_string res.Engine.schedule) );
+               ])
         | exception (Failure msg | Sys_error msg) ->
           Obs.Metrics.counter "server.requests" 1;
-          Obs.Metrics.counter "server.errors" 1;
-          error_json ~id:fallback_id msg
+          error_reply ~id:fallback_id msg
       in
       write_frame oc (Obs.Json.to_string_compact json);
       loop ()

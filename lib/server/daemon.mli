@@ -99,4 +99,6 @@ val run_stdio : cache_dir:string -> in_channel -> out_channel -> unit
 (** Serve frames from the input channel until EOF, answering on the
     output channel. Requests are handled one at a time in arrival
     order (batching happens across the {!Par} pool only in the
-    directory queue). *)
+    directory queue). A request that fails to parse or that the engine
+    rejects gets an error reply and the session goes on; a truncated or
+    oversized frame gets one error reply and ends the session. *)

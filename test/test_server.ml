@@ -475,6 +475,46 @@ let test_daemon_stdio_survives_hostile_header () =
           check_str "oversized count errors" "error" (str_field "status" r2);
           check_str "next request answered" "ok" (str_field "status" r3)))
 
+(* A request the engine rejects (here an unknown algorithm, which the
+   parser accepts) is answered with an error frame, and the next request
+   is still served. *)
+let test_daemon_stdio_survives_engine_error () =
+  with_tmp_dir "stdio-engine" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let request algo =
+        Printf.sprintf "algorithm %s\np 2\ng 1\nl 2\nhyperdag\n%s" algo
+          (Hyperdag_io.to_string (Test_util.diamond ()))
+      in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      Out_channel.with_open_bin inp (fun oc ->
+          Server.Daemon.write_frame oc (request "nosuch");
+          Server.Daemon.write_frame oc (request "bspg"));
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Server.Daemon.run_stdio ~cache_dir ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          let next () = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+          let r1 = next () in
+          let r2 = next () in
+          check_bool "no third frame" true (Server.Daemon.read_frame ic = None);
+          check_str "unknown algorithm errors" "error" (str_field "status" r1);
+          check_str "next request answered" "ok" (str_field "status" r2)))
+
+(* A frame header announcing 4 bytes with no payload behind it gets one
+   error reply, and the session ends without raising. *)
+let test_daemon_stdio_truncated_frame () =
+  with_tmp_dir "stdio-truncated" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      Out_channel.with_open_bin inp (fun oc -> output_string oc "\x00\x00\x00\x04");
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Server.Daemon.run_stdio ~cache_dir ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          let r = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+          check_bool "one reply only" true (Server.Daemon.read_frame ic = None);
+          check_str "truncated frame errors" "error" (str_field "status" r)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats probes: live telemetry over both transports.                   *)
 
@@ -635,6 +675,10 @@ let () =
           Alcotest.test_case "stdio session" `Quick test_daemon_stdio;
           Alcotest.test_case "stdio session survives a hostile header" `Quick
             test_daemon_stdio_survives_hostile_header;
+          Alcotest.test_case "stdio session survives an engine error" `Quick
+            test_daemon_stdio_survives_engine_error;
+          Alcotest.test_case "stdio truncated frame gets an error reply" `Quick
+            test_daemon_stdio_truncated_frame;
           Alcotest.test_case "stats round-trip, jobs 1" `Quick
             (run_stats_roundtrip ~jobs:1);
           Alcotest.test_case "stats round-trip, jobs 4" `Quick
