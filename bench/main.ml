@@ -123,17 +123,17 @@ let huge_limits () =
   | Datasets.Full ->
     { Pipeline.fast_limits with Pipeline.hc_evals = 5_000_000; stage_seconds = Some 1800.0 }
 
-(* ILPinit is only competitive for P = 4 (Appendix C.1) and our batched
-   substrate only pays off on smaller instances. HC budgets scale with
-   the instance so that large DAGs still get several complete
-   neighbourhood passes. *)
-let limits_for ~p ~n base =
+(* ILPinit runs where [Pipeline.ilp_init_pays] (P = 4, small DAGs). HC
+   budgets scale with the instance so that large DAGs still get several
+   complete neighbourhood passes. *)
+let limits_for machine dag base =
+  let p = machine.Machine.p and n = Dag.n dag in
   let use_ilp = base.Pipeline.use_ilp && n <= ilp_node_cap () in
   let passes = match !scale with Datasets.Smoke -> 4 | Datasets.Default -> 6 | Datasets.Full -> 25 in
   {
     base with
     Pipeline.use_ilp;
-    use_ilp_init = (p = 4 && n <= 600 && use_ilp);
+    use_ilp_init = Pipeline.ilp_init_pays machine dag && use_ilp;
     hc_evals = max base.Pipeline.hc_evals (passes * n * 3 * p);
   }
 
@@ -195,7 +195,7 @@ let runs key =
     let result =
       Par.map
         (fun inst ->
-          let limits = limits_for ~p:key.p ~n:(Dag.n inst.Datasets.dag) base in
+          let limits = limits_for machine inst.Datasets.dag base in
           let options =
             {
               Experiment.default_options with

@@ -69,6 +69,11 @@ type stage_costs = {
   ilp_full_optimal : bool;
 }
 
+(* The paper runs ILPinit only for P = 4 and small DAGs (Appendix C.1,
+   Tables 4-5). Outside that policy its candidate never strictly won in
+   any measured run, and as the last candidate it loses every tie. *)
+let ilp_init_pays machine dag = machine.Machine.p = 4 && Dag.n dag <= 600
+
 let stage_budget limits evals =
   match limits.stage_seconds with
   | None -> Budget.steps evals
@@ -102,10 +107,12 @@ let local_search ?(label = "init") limits machine sched =
 let cost machine s = Bsp_cost.total machine s
 
 let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
+  (* Each candidate is (name, step cap of its own budget if it takes
+     one, initialiser given that budget). *)
   let inits =
     [
-      ("bspg", fun () -> Bspg.schedule machine dag);
-      ("source", fun () -> Source_heuristic.schedule machine dag);
+      ("bspg", None, fun _ -> Bspg.schedule machine dag);
+      ("source", None, fun _ -> Source_heuristic.schedule machine dag);
     ]
     @ (if with_trivial_init then
          (* The trivial single-processor schedule as a safety net: in
@@ -116,17 +123,16 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
             excludes it: hill climbing cannot leave a single-superstep
             schedule (no neighbouring superstep exists), so it would trap
             the refinement phase. *)
-         [ ("trivial", fun () -> Schedule.trivial dag) ]
+         [ ("trivial", None, fun _ -> Schedule.trivial dag) ]
        else [])
     @
     if limits.use_ilp && limits.use_ilp_init then
       [
         ( "ilp-init",
-          fun () ->
-            Ilp_schedulers.init
-              ~budget:(stage_budget limits limits.ilp_init_nodes)
-              ~max_vars:limits.ilp_init_max_vars ~max_nodes:limits.ilp_init_nodes
-              machine dag );
+          Some limits.ilp_init_nodes,
+          fun budget ->
+            Ilp_schedulers.init ?budget ~max_vars:limits.ilp_init_max_vars
+              ~max_nodes:limits.ilp_init_nodes machine dag );
       ]
     else []
   in
@@ -142,8 +148,12 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
      identical for every jobs count. *)
   let candidates =
     Par.map
-      (fun (name, f) ->
-        let init = Obs.Metrics.with_span ("init:" ^ name) f in
+      (fun (name, steps, f) ->
+        (* The budget is made inside the task, so its deadline clock
+           starts when the candidate does, and handed to the span, so
+           its B&B nodes count as the span's [steps_used]. *)
+        let budget = Option.map (stage_budget limits) steps in
+        let init = Obs.Metrics.with_span ?budget ("init:" ^ name) (fun () -> f budget) in
         let init_cost = cost machine init in
         Obs.Metrics.series_point "pipeline.init_cost" ~label:name
           (float_of_int init_cost);
@@ -297,7 +307,8 @@ let run_warm ?(limits = default_limits) ?(with_trivial_init = true) ~warm machin
   let extra_inits =
     [
       ( "warm",
-        fun () -> Schedule.with_lazy_comm (Schedule.drop_replicas warm) );
+        None,
+        fun _ -> Schedule.with_lazy_comm (Schedule.drop_replicas warm) );
     ]
   in
   Obs.Metrics.with_span "pipeline" (fun () ->

@@ -32,9 +32,9 @@ type limits = {
   ilp_cs_nodes : int;
   use_ilp : bool;  (** disable all ILP stages (huge dataset runs) *)
   use_ilp_init : bool;
-      (** run the ILPinit initialiser; the experiments enable it only for
-          [P = 4], where the training runs showed it competitive
-          (Appendix C.1) *)
+      (** run the ILPinit initialiser; the experiments and the CLI
+          enable it only where {!ilp_init_pays} ([P = 4], small DAGs),
+          where the training runs showed it competitive (Appendix C.1) *)
   stage_seconds : float option;  (** optional wall-clock cap per stage *)
   hc_check : bool;
       (** run HC with its delta-vs-apply cross-validation assertions
@@ -54,6 +54,14 @@ type limits = {
           changes wall-clock, never results. Normally set to the jobs
           count. *)
 }
+
+val ilp_init_pays : Machine.t -> Dag.t -> bool
+(** The ILPinit policy: [true] when [P = 4] and the DAG has at most 600
+    nodes, where the paper runs ILPinit (Appendix C.1, Tables 4-5).
+    [Engine.schedule] sets [use_ilp_init] from it for the
+    top-level pipeline. Multilevel coarse solves do not consult it:
+    they run without the trivial candidate, and ILPinit's near-serial
+    result is often their best start (DESIGN.md Section 5). *)
 
 val default_limits : limits
 (** Balanced limits for the benchmark harness. *)

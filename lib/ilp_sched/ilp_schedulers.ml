@@ -163,16 +163,24 @@ let init ?budget ?(max_vars = 400) ?max_nodes machine dag =
     in
     idx := !idx + List.length batch;
     let s_lo = !base and s_hi = !base + 2 in
-    let spec = { Ilp_interval.dag; machine; proc; step; v0 = batch; s_lo; s_hi } in
-    let model, built = Ilp_interval.build spec in
-    let outcome = Branch_bound.solve ?budget ?max_nodes model in
-    (match outcome.Branch_bound.solution with
-     | Some x ->
+    (* Once the budget is spent the solve could only return [None], so
+       skip the O(n) model build and go straight to the fallback. *)
+    let solution =
+      if Option.fold ~none:false ~some:Budget.exhausted budget then None
+      else begin
+        let spec = { Ilp_interval.dag; machine; proc; step; v0 = batch; s_lo; s_hi } in
+        let model, built = Ilp_interval.build spec in
+        let outcome = Branch_bound.solve ?budget ?max_nodes model in
+        Option.map (Ilp_interval.extract built) outcome.Branch_bound.solution
+      end
+    in
+    (match solution with
+     | Some updates ->
        List.iter
          (fun (v, q, s) ->
            proc.(v) <- q;
            step.(v) <- s)
-         (Ilp_interval.extract built x)
+         updates
      | None ->
        (* Fallback: the whole batch on one processor in one superstep is
           always feasible (cross-batch predecessors sit strictly

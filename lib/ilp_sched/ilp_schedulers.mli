@@ -60,8 +60,9 @@ val init :
 (** ILPinit: build an initial schedule by batching a topological order;
     each batch is assigned within 3 fresh supersteps by an interval ILP
     ([|V0| * 3 * P^2 <= max_vars], default 400); a batch whose solve
-    yields nothing falls back to a single processor. The result is
-    compacted. *)
+    yields nothing falls back to a single processor. Once [budget] is
+    exhausted, every remaining batch takes that fallback without
+    building its model. The result is compacted. *)
 
 val comm_schedule :
   ?budget:Budget.t ->

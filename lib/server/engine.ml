@@ -22,9 +22,17 @@ let is_algorithm a = List.mem a algorithm_names
    seed), so a cached baseline answer is final and never refreshed. *)
 let budget_sensitive = function "pipeline" | "multilevel" -> true | _ -> false
 
+(* A NaN budget never expires and an infinite or non-positive one
+   makes no sense as a deadline; the CLI and the daemon both reach
+   this check. *)
+let check_seconds seconds =
+  if not (Float.is_finite seconds && seconds > 0.0) then
+    failwith (Printf.sprintf "Engine: seconds must be finite and positive, got %g" seconds)
+
 let schedule ?warm ~seconds ~seed ~replicate ~algorithm machine dag =
   if not (is_algorithm algorithm) then
     failwith ("Engine: unknown algorithm: " ^ algorithm);
+  check_seconds seconds;
   let limits =
     { Pipeline.thorough_limits with Pipeline.stage_seconds = Some (seconds /. 6.0) }
   in
@@ -33,7 +41,13 @@ let schedule ?warm ~seconds ~seed ~replicate ~algorithm machine dag =
         match algorithm with
         | "pipeline" ->
           (* the pipeline runs replication as its own final stage *)
-          let limits = { limits with Pipeline.replicate } in
+          let limits =
+            {
+              limits with
+              Pipeline.replicate;
+              use_ilp_init = Pipeline.ilp_init_pays machine dag;
+            }
+          in
           (match warm with
            | None -> fst (Pipeline.run ~limits machine dag)
            | Some warm -> fst (Pipeline.run_warm ~limits ~warm machine dag))
@@ -107,6 +121,7 @@ let compute_and_store ~cache_dir ~key ~cached (req : Request.t) =
 let handle ~cache_dir (req : Request.t) =
   if not (is_algorithm req.algorithm) then
     failwith ("Engine: unknown algorithm: " ^ req.algorithm);
+  check_seconds req.seconds;
   let key = request_key req in
   match Cache.lookup ~dir:cache_dir ~dag:req.dag key with
   | Some e

@@ -30,8 +30,11 @@ val schedule :
     seeds the base pipeline with an existing schedule
     ({!Pipeline.run_warm}); it is ignored by every other algorithm.
     With [replicate] set, non-pipeline algorithms get the replication
-    post-pass, kept only when strictly cheaper. Raises [Failure] on an
-    unknown algorithm name. *)
+    post-pass, kept only when strictly cheaper. The top-level pipeline
+    runs ILPinit only where {!Pipeline.ilp_init_pays}; multilevel's
+    coarse solves always run it. Raises [Failure] on an unknown
+    algorithm name and on a [seconds] that is not finite and
+    positive. *)
 
 val request_key : Request.t -> string
 (** The request's content address ({!Cache.key}) — what the daemon uses
@@ -54,5 +57,7 @@ type result = { status : status; key : string; cost : int; schedule : Schedule.t
 val handle : cache_dir:string -> Request.t -> result
 (** Serve one request through the cache: look up the content address,
     return the cached schedule on a hit, otherwise compute, store
-    atomically, and return. Raises [Failure] on an unknown algorithm or
-    an internal validity failure; IO errors propagate. *)
+    atomically, and return. Raises [Failure] on an unknown algorithm, a
+    [seconds] that is not finite and positive (checked before the
+    cache, so a hit cannot hide it) or an internal validity failure; IO
+    errors propagate. *)

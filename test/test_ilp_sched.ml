@@ -57,6 +57,74 @@ let test_init_zero_budget_fallback () =
   let s = Ilp_schedulers.init ~budget:(Budget.steps 0) m dag in
   check_bool "valid" true (Validity.is_valid m s)
 
+(* Golden outputs of ILPinit: the exact [Schedule_io.to_string] text,
+   pinned as an MD5 digest next to the BSP cost, for step budgets that
+   run out at once (0), after one or a few B&B nodes (1, 6) or
+   part-way through (120), and for one that never runs out (10,000, on
+   40-node DAGs with one B&B node per batch: on 400 nodes it takes
+   minutes). Once the budget is spent every later batch must take the
+   same fallback whether or not its model is built. *)
+let golden_dag family target =
+  Finegrained.generate_sized (Rng.create 16) ~family ~shape:Finegrained.Wide ~target
+
+let golden_dags =
+  [
+    ("spmv-400", golden_dag Finegrained.Spmv 400);
+    ("exp-400", golden_dag Finegrained.Exp 400);
+    ("spmv-40", golden_dag Finegrained.Spmv 40);
+    ("exp-40", golden_dag Finegrained.Exp 40);
+  ]
+
+let golden_machines =
+  [
+    ("p4", Machine.uniform ~p:4 ~g:3 ~l:5);
+    ("p8-numa", Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:2);
+  ]
+
+(* (dag, machine, step budget, B&B nodes per batch, cost, digest) *)
+let golden =
+  [
+    ("spmv-400", "p4", 0, 120, 1112, "2c862064aa32bc9dac92a9db14c7c67d");
+    ("spmv-400", "p4", 1, 120, 1112, "2c862064aa32bc9dac92a9db14c7c67d");
+    ("spmv-400", "p4", 120, 120, 1128, "29a4ede0143d0dcab67e605ddf776c8f");
+    ("spmv-400", "p8-numa", 0, 120, 2437, "c0da74a50cbcc87ee05c01201a3f934e");
+    ("spmv-400", "p8-numa", 1, 120, 2437, "c0da74a50cbcc87ee05c01201a3f934e");
+    ("spmv-400", "p8-numa", 6, 120, 2437, "c0da74a50cbcc87ee05c01201a3f934e");
+    ("exp-400", "p4", 0, 120, 1216, "35b3094e25006f5b38adb4cd9be454da");
+    ("exp-400", "p4", 1, 120, 1216, "35b3094e25006f5b38adb4cd9be454da");
+    ("exp-400", "p4", 120, 120, 1222, "fc38fec6c4fa84f23266eabbb5393833");
+    ("exp-400", "p8-numa", 0, 120, 2636, "02c48a417e77036346c94cab87b34e74");
+    ("exp-400", "p8-numa", 1, 120, 2636, "02c48a417e77036346c94cab87b34e74");
+    ("exp-400", "p8-numa", 6, 120, 2636, "02c48a417e77036346c94cab87b34e74");
+    ("spmv-40", "p4", 10_000, 1, 112, "986904eb18d963f4d146bf7b6a60d73b");
+    ("exp-40", "p4", 10_000, 1, 111, "252742a7070357385c84f79c487b3030");
+  ]
+
+let test_init_golden () =
+  List.iter
+    (fun (dn, mn, steps, max_nodes, cost, digest) ->
+      let dag = List.assoc dn golden_dags and m = List.assoc mn golden_machines in
+      let s =
+        Ilp_schedulers.init ~budget:(Budget.steps steps) ~max_vars:160 ~max_nodes m dag
+      in
+      let name = Printf.sprintf "%s %s budget %d" dn mn steps in
+      check (name ^ " cost") cost (Bsp_cost.total m s);
+      Alcotest.(check string)
+        (name ^ " schedule digest") digest
+        (Digest.to_hex (Digest.string (Schedule_io.to_string s))))
+    golden
+
+(* A spent budget skips every batch's model: not one B&B solve runs. *)
+let test_init_spent_budget_solves_nothing () =
+  let r = Obs.Metrics.create () in
+  let _ =
+    Obs.Metrics.with_registry r (fun () ->
+        Ilp_schedulers.init ~budget:(Budget.steps 0) ~max_vars:160 ~max_nodes:120
+          (List.assoc "p8-numa" golden_machines)
+          (List.assoc "exp-400" golden_dags))
+  in
+  check "no solves" 0 (Obs.Metrics.counter_value r "bb.solves")
+
 let test_comm_schedule_monotone () =
   let rng = Rng.create 31 in
   let dag = Finegrained.exp (Sparse_matrix.random rng ~n:10 ~q:0.2) ~k:3 in
@@ -131,6 +199,12 @@ let () =
           Alcotest.test_case "ilpcs monotone" `Quick test_comm_schedule_monotone;
           Alcotest.test_case "ilpcs finds hccs gain" `Quick
             test_comm_schedule_matches_hccs_space;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "ilpinit schedule text pinned" `Quick test_init_golden;
+          Alcotest.test_case "ilpinit spent budget solves nothing" `Quick
+            test_init_spent_budget_solves_nothing;
         ] );
       ("property", [ prop_part_safe; prop_comm_schedule_safe ]);
     ]

@@ -481,12 +481,11 @@ let accounting_instance () =
   let rng = Rng.create 7 in
   (Machine.uniform ~p:3 ~g:2 ~l:4, Finegrained.exp (Sparse_matrix.random rng ~n:5 ~q:0.3) ~k:2)
 
-let test_pipeline_steps_accounting () =
+let test_pipeline_steps_accounting limits () =
   let machine, dag = accounting_instance () in
   let r = Obs.Metrics.create () in
   let _sched, _stage =
-    Obs.Metrics.with_registry r (fun () ->
-        Pipeline.run ~limits:accounting_limits machine dag)
+    Obs.Metrics.with_registry r (fun () -> Pipeline.run ~limits machine dag)
   in
   (* Every budget tick in the pipeline is one HC evaluation, one HCcs
      evaluation, or one branch-and-bound node, and each stage budget is
@@ -631,7 +630,10 @@ let () =
       ( "pipeline",
         [
           Alcotest.test_case "steps accounting exact" `Quick
-            test_pipeline_steps_accounting;
+            (test_pipeline_steps_accounting accounting_limits);
+          Alcotest.test_case "steps accounting exact with ILPinit" `Quick
+            (test_pipeline_steps_accounting
+               { accounting_limits with Pipeline.use_ilp_init = true });
           Alcotest.test_case "metrics json valid" `Quick test_pipeline_metrics_json_valid;
           Alcotest.test_case "instrumentation differential" `Quick
             test_pipeline_instrumentation_differential;

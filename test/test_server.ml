@@ -284,6 +284,71 @@ let test_engine_rejects_unknown_algorithm () =
                (request ~id:"a" ~algorithm:"simulated-annealing"
                   (Test_util.diamond ())))))
 
+(* A NaN budget never expires, so the engine refuses every seconds that
+   is not finite and positive, before the cache as well. *)
+let test_engine_rejects_bad_seconds () =
+  let dag = Test_util.diamond () in
+  List.iter
+    (fun seconds ->
+      check_bool
+        (Printf.sprintf "schedule rejects %g" seconds)
+        true
+        (fails (fun () ->
+             Server.Engine.schedule ~seconds ~seed:1 ~replicate:false
+               ~algorithm:"bspg" small_machine dag)))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0 ];
+  with_tmp_dir "cache" (fun cache_dir ->
+      let req = request ~id:"a" ~algorithm:"source" dag in
+      ignore (Server.Engine.handle ~cache_dir req : Server.Engine.result);
+      check_bool "a cache hit does not hide an infinite budget" true
+        (fails (fun () ->
+             Server.Engine.handle ~cache_dir { req with Server.Request.seconds = infinity })))
+
+(* Golden pipeline outputs above ILPinit's 600-node limit, at p=4 and at
+   p=8: the [Schedule_io.to_string] digests are those of the pipeline
+   that still ran ILPinit there, whose candidate tied and so lost. *)
+let test_engine_pipeline_golden () =
+  List.iter
+    (fun (p, cost, digest) ->
+      let dag =
+        Finegrained.generate_sized (Rng.create 16) ~family:Finegrained.Spmv
+          ~shape:Finegrained.Wide ~target:700
+      in
+      let m = Machine.uniform ~p ~g:3 ~l:5 in
+      let s =
+        Server.Engine.schedule ~seconds:600.0 ~seed:1 ~replicate:false
+          ~algorithm:"pipeline" m dag
+      in
+      let name = Printf.sprintf "spmv-%d p=%d" (Dag.n dag) p in
+      check (name ^ " cost") cost (Bsp_cost.total m s);
+      check_str (name ^ " schedule digest") digest
+        (Digest.to_hex (Digest.string (sched_bytes s))))
+    [
+      (4, 374, "ec2f50aade6b32d090b4e3d9c3fae8d3");
+      (8, 244, "3224f6236963aa98222ba7d508bf7ef9");
+    ]
+
+(* Multilevel's coarse solves keep ILPinit at every p: they run without
+   the trivial candidate, and ILPinit's near-serial schedule is often
+   their best start. *)
+let test_engine_multilevel_keeps_ilp_init () =
+  let dag = Test_util.random_dag (Rng.create 5) ~n:40 ~edge_prob:0.15 ~max_w:4 ~max_c:3 in
+  let r = Obs.Metrics.create () in
+  let _ =
+    Obs.Metrics.with_registry r (fun () ->
+        Server.Engine.schedule ~seconds:0.6 ~seed:1 ~replicate:false
+          ~algorithm:"multilevel" (Machine.uniform ~p:8 ~g:3 ~l:5) dag)
+  in
+  let ilp_init_calls =
+    List.fold_left
+      (fun acc (s : Obs.Metrics.span_stats) ->
+        if String.ends_with ~suffix:"init:ilp-init" s.Obs.Metrics.path then
+          acc + s.Obs.Metrics.calls
+        else acc)
+      0 (Obs.Metrics.span_list r)
+  in
+  check_bool "coarse solves open init:ilp-init spans" true (ilp_init_calls > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Request parsing.                                                    *)
 
@@ -500,6 +565,30 @@ let test_daemon_stdio_survives_engine_error () =
           check_str "unknown algorithm errors" "error" (str_field "status" r1);
           check_str "next request answered" "ok" (str_field "status" r2)))
 
+(* A request whose budget the engine refuses ([Request.parse] accepts
+   [inf]) gets an error frame, and the next request is still served. *)
+let test_daemon_stdio_survives_bad_seconds () =
+  with_tmp_dir "stdio-seconds" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let request seconds =
+        Printf.sprintf "algorithm bspg\nseconds %s\np 2\ng 1\nl 2\nhyperdag\n%s" seconds
+          (Hyperdag_io.to_string (Test_util.diamond ()))
+      in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      Out_channel.with_open_bin inp (fun oc ->
+          Server.Daemon.write_frame oc (request "inf");
+          Server.Daemon.write_frame oc (request "1"));
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Server.Daemon.run_stdio ~cache_dir ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          let next () = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+          let r1 = next () in
+          let r2 = next () in
+          check_bool "no third frame" true (Server.Daemon.read_frame ic = None);
+          check_str "infinite seconds errors" "error" (str_field "status" r1);
+          check_str "next request answered" "ok" (str_field "status" r2)))
+
 (* A frame header announcing 4 bytes with no payload behind it gets one
    error reply, and the session ends without raising. *)
 let test_daemon_stdio_truncated_frame () =
@@ -656,6 +745,12 @@ let () =
             test_cache_self_heals;
           Alcotest.test_case "unknown algorithm rejected" `Quick
             test_engine_rejects_unknown_algorithm;
+          Alcotest.test_case "non-finite or non-positive seconds rejected" `Quick
+            test_engine_rejects_bad_seconds;
+          Alcotest.test_case "pipeline above the ILPinit limit pinned" `Quick
+            test_engine_pipeline_golden;
+          Alcotest.test_case "multilevel coarse solves keep ILPinit" `Quick
+            test_engine_multilevel_keeps_ilp_init;
         ] );
       ( "request",
         [
@@ -677,6 +772,8 @@ let () =
             test_daemon_stdio_survives_hostile_header;
           Alcotest.test_case "stdio session survives an engine error" `Quick
             test_daemon_stdio_survives_engine_error;
+          Alcotest.test_case "stdio session survives a refused budget" `Quick
+            test_daemon_stdio_survives_bad_seconds;
           Alcotest.test_case "stdio truncated frame gets an error reply" `Quick
             test_daemon_stdio_truncated_frame;
           Alcotest.test_case "stats round-trip, jobs 1" `Quick
