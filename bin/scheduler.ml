@@ -194,9 +194,10 @@ let flight_record =
         ~doc:
           "Enable the per-domain flight recorder (Obs.Events) and write its wall-clock \
            Chrome trace_event timeline to $(docv): one track per domain with task runs \
-           split from queue waits, batch claims and GC counter samples. Written on \
-           completion and, as crash insurance, from an at_exit hook. Open in \
-           ui.perfetto.dev.")
+           split from queue waits, batch claims, GC counter samples, and a slice per \
+           pipeline stage span (under $(b,serve), also one $(b,server:request) slice \
+           per scheduling request). Written on completion and, as crash insurance, \
+           from an at_exit hook. Open in ui.perfetto.dev.")
 
 let jobs =
   Arg.(
@@ -223,7 +224,7 @@ let replicate =
 (* serve subcommand *)
 
 let serve queue_dir cache_dir poll once stdio metrics_file no_metrics prometheus_file
-    flight_record request_trace trace jobs =
+    flight_record trace jobs =
   Par.set_jobs jobs;
   let registry = Obs.Metrics.create () in
   Obs.Metrics.install registry;
@@ -282,7 +283,6 @@ let serve queue_dir cache_dir poll once stdio metrics_file no_metrics prometheus
              Some
                (Option.value ~default:(Filename.concat queue_dir "metrics.prom")
                   prometheus_file));
-        request_trace_file = request_trace;
       }
     in
     Server.Daemon.run config;
@@ -357,16 +357,6 @@ let serve_prometheus =
            after every batch — point a node_exporter textfile collector or any \
            file-scraping agent at it.")
 
-let request_trace =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "request-trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace_event timeline of the request loop (one slice per \
-           served request, cache status attached) at shutdown. Open in \
-           ui.perfetto.dev.")
-
 let serve_trace =
   Arg.(
     value & flag
@@ -378,7 +368,7 @@ let serve_cmd =
     (Cmd.info "scheduler serve" ~doc)
     Term.(
       const serve $ queue_dir $ cache_dir_arg $ poll $ once $ stdio $ serve_metrics
-      $ no_metrics $ serve_prometheus $ flight_record $ request_trace $ serve_trace
+      $ no_metrics $ serve_prometheus $ flight_record $ serve_trace
       $ jobs)
 
 let run_cmd =

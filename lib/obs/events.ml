@@ -31,31 +31,33 @@ let phase_of_tag = function
   | _ -> Sample
 
 (* ------------------------------------------------------------------ *)
-(* Kind registry: global, append-only, tiny. Registration happens at
-   module-initialisation time (instrumented modules register their
-   kinds once); the record path never touches it. *)
+(* Kind registry: global, append-only, tiny. Lookups of a known name
+   read one atomic snapshot without locking, so a span can intern its
+   name on every call; only the first use of a name takes the lock. *)
+
+module Names = Map.Make (String)
+
+type kinds = { names : string array; ids : kind Names.t }
 
 let kinds_m = Mutex.create ()
-let kinds : string array Atomic.t = Atomic.make [||]
+let kinds : kinds Atomic.t = Atomic.make { names = [||]; ids = Names.empty }
 
 let register_kind name =
-  Mutex.lock kinds_m;
-  let arr = Atomic.get kinds in
-  let n = Array.length arr in
-  let rec find i = if i >= n then -1 else if arr.(i) = name then i else find (i + 1) in
-  let id =
-    let i = find 0 in
-    if i >= 0 then i
-    else begin
-      Atomic.set kinds (Array.append arr [| name |]);
-      n
-    end
-  in
-  Mutex.unlock kinds_m;
-  id
+  match Names.find_opt name (Atomic.get kinds).ids with
+  | Some k -> k
+  | None ->
+    Mutex.protect kinds_m (fun () ->
+        let r = Atomic.get kinds in
+        match Names.find_opt name r.ids with
+        | Some k -> k
+        | None ->
+          let k = Array.length r.names in
+          Atomic.set kinds
+            { names = Array.append r.names [| name |]; ids = Names.add name k r.ids };
+          k)
 
 let kind_name k =
-  let arr = Atomic.get kinds in
+  let arr = (Atomic.get kinds).names in
   if k >= 0 && k < Array.length arr then arr.(k) else Printf.sprintf "kind%d" k
 
 (* ------------------------------------------------------------------ *)
@@ -99,7 +101,7 @@ let enable ?(capacity = default_capacity) () =
          st_gen = !gen_counter;
          st_capacity = cap;
          st_mask = cap - 1;
-         st_t0 = Clock.now ();
+         st_t0 = Time_source.now ();
          st_m = Mutex.create ();
          st_buffers = [];
        });
@@ -141,25 +143,27 @@ let record_at st ts tag kind arg =
   b.b_arg.(i) <- arg;
   Atomic.set b.b_head (h + 1)
 
-let begin_ ?(arg = 0) k =
-  match Atomic.get state with
-  | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_begin k arg
+let stamp = function Some ts -> ts | None -> Time_source.now ()
 
-let end_ ?(arg = 0) k =
+let begin_ ?(arg = 0) ?ts k =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_end k arg
+  | Some st -> record_at st (stamp ts) ph_begin k arg
+
+let end_ ?(arg = 0) ?ts k =
+  match Atomic.get state with
+  | None -> ()
+  | Some st -> record_at st (stamp ts) ph_end k arg
 
 let instant ?(arg = 0) k =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_instant k arg
+  | Some st -> record_at st (Time_source.now ()) ph_instant k arg
 
 let sample k v =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Clock.now ()) ph_sample k v
+  | Some st -> record_at st (Time_source.now ()) ph_sample k v
 
 let span_at ?(arg = 0) k ~start ~stop =
   match Atomic.get state with

@@ -22,15 +22,18 @@
     Obs.Events.write_chrome_trace "flight.json"
     v}
 
-    Event kinds are small integers interned once at module-init time
-    through {!register_kind}; timestamps come from {!Clock.now}. *)
+    Event kinds are small integers interned through {!register_kind}:
+    instrumented modules intern fixed kinds once at module-init time,
+    and [Obs.Metrics.with_span] interns each span name on first use.
+    Timestamps come from [Time_source.now]. *)
 
 type kind
 (** An interned event-kind identifier. *)
 
 val register_kind : string -> kind
 (** Intern a kind by name (idempotent: the same name yields the same
-    kind). Call once at module initialisation, not on hot paths. *)
+    kind). A known name is a lock-free map lookup; only a name's first
+    registration takes a lock. Keep it off inner loops all the same. *)
 
 val kind_name : kind -> string
 
@@ -51,10 +54,13 @@ val enabled : unit -> bool
 (** {1 Recording}
 
     All no-ops while the recorder is disabled. [arg] is a free-form
-    integer attached to the event (task index, claim size, ...). *)
+    integer attached to the event (task index, claim size, ...). [ts]
+    stamps a begin or end with a clock reading the caller already took
+    (default: [Time_source.now ()]), so a span timed for another sink
+    records the same bounds here. *)
 
-val begin_ : ?arg:int -> kind -> unit
-val end_ : ?arg:int -> kind -> unit
+val begin_ : ?arg:int -> ?ts:float -> kind -> unit
+val end_ : ?arg:int -> ?ts:float -> kind -> unit
 val instant : ?arg:int -> kind -> unit
 
 val sample : kind -> int -> unit

@@ -179,25 +179,42 @@ let span_record t path =
     Hashtbl.add t.span_table path s;
     s
 
-let span ?budget t name f =
-  let path = String.concat "/" (List.rev (name :: t.stack)) in
-  t.stack <- name :: t.stack;
-  let t0 = Clock.now () in
+(* One span, two sinks: the registry [reg] (when given) and the flight
+   recorder under [kind] (when given). A single clock reading at each
+   end feeds both, so a recorder slice lasts exactly the seconds the
+   registry adds for it, and the one [finally] closes both, so an
+   exception still ends the slice. *)
+let span ?budget ?kind reg name f =
+  let path =
+    match reg with
+    | None -> name
+    | Some t ->
+      let path = String.concat "/" (List.rev (name :: t.stack)) in
+      t.stack <- name :: t.stack;
+      path
+  in
+  let t0 = Time_source.now () in
+  (match kind with Some k -> Events.begin_ ~ts:t0 k | None -> ());
   let steps0 = match budget with None -> 0 | Some b -> Budget.used_steps b in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Clock.now () -. t0 in
-      let dsteps =
-        match budget with None -> 0 | Some b -> Budget.used_steps b - steps0
-      in
-      (match t.stack with _ :: rest -> t.stack <- rest | [] -> ());
-      let s = span_record t path in
-      s.calls <- s.calls + 1;
-      s.seconds <- s.seconds +. dt;
-      s.steps <- s.steps + dsteps;
-      match t.on_span_close with
-      | Some g -> g ~path ~seconds:dt ~steps:dsteps
-      | None -> ())
+      let t1 = Time_source.now () in
+      (match kind with Some k -> Events.end_ ~ts:t1 k | None -> ());
+      match reg with
+      | None -> ()
+      | Some t ->
+        let dt = t1 -. t0 in
+        let dsteps =
+          match budget with None -> 0 | Some b -> Budget.used_steps b - steps0
+        in
+        (match t.stack with _ :: rest -> t.stack <- rest | [] -> ());
+        let s = span_record t path in
+        s.calls <- s.calls + 1;
+        s.seconds <- s.seconds +. dt;
+        s.steps <- s.steps + dsteps;
+        (match t.on_span_close with
+         | Some g -> g ~path ~seconds:dt ~steps:dsteps
+         | None -> ()))
     f
 
 (* ------------------------------------------------------------------ *)
@@ -233,8 +250,12 @@ let series_point name ~label v =
 
 let histogram name v = match current () with None -> () | Some t -> observe t name v
 
+(* The recorder-off path costs one atomic load on top of the registry
+   lookup; with neither sink the body runs bare. *)
 let with_span ?budget name f =
-  match current () with None -> f () | Some t -> span ?budget t name f
+  let reg = current () in
+  if Events.enabled () then span ?budget ~kind:(Events.register_kind name) reg name f
+  else match reg with None -> f () | Some _ -> span ?budget reg name f
 
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out support: per-task child registries and their

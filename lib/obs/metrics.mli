@@ -22,13 +22,16 @@
       reflects dynamic nesting ("pipeline/hc:bspg"). A span opened with
       its stage's {!Budget.t} also records the steps that budget
       consumed inside the span, so per-stage step accounting and timing
-      come from a single source of truth. Wall-clock time is read
-      through {!Clock}, so tests can make span durations exact.
+      come from a single source of truth. The same {!with_span} also
+      feeds the flight recorder ({!Events}) while it is enabled.
+      Wall-clock time is read through [Time_source], so tests can make
+      span durations exact.
 
     Instrumented modules record through the ambient entry points
     ({!counter}, {!gauge}, {!histogram}, {!with_span}, ...), which are
-    no-ops unless a registry is {!install}ed — default runs pay one
-    pointer load per stage and nothing per inner-loop iteration. *)
+    no-ops unless a registry is {!install}ed (or, for spans, the
+    recorder is enabled) — default runs pay one pointer load and one
+    atomic load per stage and nothing per inner-loop iteration. *)
 
 type t
 
@@ -68,12 +71,6 @@ val observe : t -> string -> float -> unit
 (** Record one value into histogram [name]. Non-positive values land in
     the lowest bucket, oversized ones in the highest; [min]/[max]/[sum]
     always reflect the exact values observed. *)
-
-val span : ?budget:Budget.t -> t -> string -> (unit -> 'a) -> 'a
-(** [span t name f] runs [f], accumulating wall-clock time (via
-    {!Clock.now}; and, when [budget] is given, the budget steps
-    consumed by [f]) under the path formed by the enclosing spans and
-    [name]. Exceptions propagate; the span still closes. *)
 
 val on_span_close : t -> (path:string -> seconds:float -> steps:int -> unit) -> unit
 (** Invoke a callback every time a span closes — the [--trace] CLI flag
@@ -141,8 +138,21 @@ val histogram : string -> float -> unit
 (** Ambient {!observe}; no-op without an installed registry. *)
 
 val with_span : ?budget:Budget.t -> string -> (unit -> 'a) -> 'a
-(** Like {!span} on the ambient registry; just runs the callback when no
-    registry is installed. *)
+(** [with_span name f] runs [f] as a span named [name] — the one span
+    entry point, with two sinks:
+
+    - the ambient registry, when one is installed: wall-clock time
+      (and, when [budget] is given, the budget steps consumed by [f])
+      accumulates under the path formed by the enclosing spans and
+      [name];
+    - the flight recorder, while {!Events.enabled}: a begin/end pair
+      under the kind interned for [name] ({!Events.register_kind}), on
+      the calling domain's track.
+
+    Both sinks share one clock reading at each end, so a slice's
+    duration equals the seconds the registry adds. Exceptions
+    propagate; the span still closes in both. With neither sink the
+    callback just runs. *)
 
 (** {1 Reading and reporting} *)
 

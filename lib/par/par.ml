@@ -372,10 +372,10 @@ type 'b cell = Pending | Done of 'b | Raised of exn * Printexc.raw_backtrace
    jobs=1 nothing ever waits. Uninstrumented runs (no registry, no
    recorder) skip every clock read. *)
 let timed_task ~index f x =
-  let t_start = Obs.Clock.now () in
+  let t_start = Time_source.now () in
   Obs.Events.begin_ ~arg:index k_task;
   let finish () =
-    let t_stop = Obs.Clock.now () in
+    let t_stop = Time_source.now () in
     Obs.Events.end_ ~arg:index k_task;
     Obs.Metrics.histogram "par.task_seconds" (t_stop -. t_start)
   in
@@ -402,7 +402,7 @@ let run_batch (f : 'a -> 'b) (inputs : 'a array) : 'b array =
     tune_gc ();
     let parent = Obs.Metrics.current () in
     let instrumented = parent <> None || Obs.Events.enabled () in
-    let submit_ts = if instrumented then Obs.Clock.now () else 0.0 in
+    let submit_ts = if instrumented then Time_source.now () else 0.0 in
     if instrumented then Obs.Events.instant ~arg:n k_batch;
     let children = Array.init n (fun _ -> Option.map Obs.Metrics.create_child parent) in
     let results = Array.make n Pending in
@@ -416,7 +416,7 @@ let run_batch (f : 'a -> 'b) (inputs : 'a array) : 'b array =
           (* The queue wait is known exactly once the task starts:
              backfill it as a span from batch submission to now, then
              time the run itself. *)
-          let t_start = Obs.Clock.now () in
+          let t_start = Time_source.now () in
           Obs.Events.span_at ~arg:i k_queue_wait ~start:submit_ts ~stop:t_start;
           Obs.Metrics.histogram "par.queue_wait_seconds" (t_start -. submit_ts);
           timed_task ~index:i exec ()

@@ -5,7 +5,6 @@ type config = {
   once : bool;
   metrics_file : string option;
   prometheus_file : string option;
-  request_trace_file : string option;
 }
 
 let default_config ~queue_dir =
@@ -16,7 +15,6 @@ let default_config ~queue_dir =
     once = false;
     metrics_file = Some (Filename.concat queue_dir "metrics.json");
     prometheus_file = Some (Filename.concat queue_dir "metrics.prom");
-    request_trace_file = None;
   }
 
 let incoming_dir cfg = Filename.concat cfg.queue_dir "incoming"
@@ -90,7 +88,7 @@ let stats_json ~registry ~t0 ~id =
       ("id", Obs.Json.String id);
       ("status", Obs.Json.String "ok");
       ("type", Obs.Json.String "stats");
-      ("uptime_seconds", Obs.Json.Float (Obs.Clock.now () -. t0));
+      ("uptime_seconds", Obs.Json.Float (Time_source.now () -. t0));
       ("cache_hit_ratio", Obs.Json.Float hit_ratio);
       ("counters", section "counters");
       ("gauges", section "gauges");
@@ -120,36 +118,20 @@ let counter_of_label = function
   | "coalesced" -> "server.cache_coalesced"
   | other -> "server.cache_" ^ other
 
-type trace_event = {
-  ev_id : string;
-  ev_cache : string;
-  ev_ts : float;  (** µs since daemon start *)
-  ev_dur : float;  (** µs *)
-}
-
-let write_request_trace path events =
-  let json =
-    Obs.Json.Obj
-      [
-        ( "traceEvents",
-          Obs.Json.List
-            (List.map
-               (fun e ->
-                 Obs.Json.Obj
-                   [
-                     ("name", Obs.Json.String e.ev_id);
-                     ("cat", Obs.Json.String "request");
-                     ("ph", Obs.Json.String "X");
-                     ("ts", Obs.Json.Float e.ev_ts);
-                     ("dur", Obs.Json.Float e.ev_dur);
-                     ("pid", Obs.Json.Int 0);
-                     ("tid", Obs.Json.Int 0);
-                     ("args", Obs.Json.Obj [ ("cache", Obs.Json.String e.ev_cache) ]);
-                   ])
-               events) );
-      ]
+(* One scheduling request as both transports handle it: the
+   [server:request] span (a flight-recorder slice when the recorder is
+   on) around [Engine.handle], and the latency [dt] that feeds the
+   [server.request_seconds] histogram. *)
+let handle ~cache_dir req =
+  let t_start = Time_source.now () in
+  let outcome =
+    match
+      Obs.Metrics.with_span "server:request" (fun () -> Engine.handle ~cache_dir req)
+    with
+    | r -> Ok r
+    | exception (Failure msg | Sys_error msg) -> Error msg
   in
-  Atomic_file.write_string path (Obs.Json.to_string json ^ "\n")
+  (outcome, Time_source.now () -. t_start)
 
 (* One queue batch: parse everything, coalesce duplicate content
    addresses, run one Engine task per distinct address on the Par pool,
@@ -158,7 +140,7 @@ let write_request_trace path events =
    request queued for reprocessing, which the cache then answers, or
    fully answered; never half-answered). Stats probes are answered
    inline from the live registry before the scheduling work runs. *)
-let process_batch cfg ~registry ~t0 ~trace_events names =
+let process_batch cfg ~registry ~t0 names =
   Obs.Metrics.counter "server.batches" 1;
   Obs.Metrics.gauge_max "server.queue_depth_peak" (float_of_int (List.length names));
   let incoming = incoming_dir cfg and finished = done_dir cfg in
@@ -190,24 +172,11 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
     parsed;
   let results =
     Par.map
-      (fun (key, req) ->
-        let t_start = Obs.Clock.now () in
-        let outcome =
-          match
-            Obs.Metrics.with_span "server/request" (fun () ->
-                Engine.handle ~cache_dir:cfg.cache_dir req)
-          with
-          | r -> Ok r
-          | exception (Failure msg | Sys_error msg) -> Error msg
-        in
-        (key, outcome, t_start, Obs.Clock.now () -. t_start))
+      (fun (key, req) -> (key, handle ~cache_dir:cfg.cache_dir req))
       (List.rev !leaders)
   in
   let result_of_key = Hashtbl.create 16 in
-  List.iter
-    (fun (key, outcome, t_start, dt) ->
-      Hashtbl.replace result_of_key key (outcome, t_start, dt))
-    results;
+  List.iter (fun (key, result) -> Hashtbl.replace result_of_key key result) results;
   let respond_error ~base ~id msg =
     Obs.Metrics.counter "server.errors" 1;
     Atomic_file.write_string
@@ -228,7 +197,7 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
        | Ok (Request.Schedule req) ->
          Obs.Metrics.counter "server.requests" 1;
          let key = Engine.request_key req in
-         let outcome, t_start, dt = Hashtbl.find result_of_key key in
+         let outcome, dt = Hashtbl.find result_of_key key in
          (match outcome with
           | Error msg -> respond_error ~base ~id:req.Request.id msg
           | Ok (res : Engine.result) ->
@@ -255,15 +224,7 @@ let process_batch cfg ~registry ~t0 ~trace_events names =
                     ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
                     ~seconds
                     [ ("schedule_file", Obs.Json.String sched_rel) ])
-              ^ "\n");
-            trace_events :=
-              {
-                ev_id = req.Request.id;
-                ev_cache = cache_label;
-                ev_ts = (t_start -. t0) *. 1e6;
-                ev_dur = dt *. 1e6 *. (if is_leader then 1.0 else 0.0);
-              }
-              :: !trace_events));
+              ^ "\n")));
       try Sys.remove (Filename.concat incoming name) with Sys_error _ -> ())
     parsed
 
@@ -281,16 +242,15 @@ let run cfg =
       Obs.Metrics.install r;
       r
   in
-  let t0 = Obs.Clock.now () in
+  let t0 = Time_source.now () in
   (* Both snapshot formats refresh together, after every batch and at
      shutdown, each through Atomic_file — a scraper reading
      metrics.prom never sees a partial exposition. *)
   let write_metrics () =
-    Obs.Metrics.gauge "server.uptime_seconds" (Obs.Clock.now () -. t0);
+    Obs.Metrics.gauge "server.uptime_seconds" (Time_source.now () -. t0);
     Option.iter (Obs.Metrics.write_json_file registry) cfg.metrics_file;
     Option.iter (Obs.Metrics.write_prometheus_file registry) cfg.prometheus_file
   in
-  let trace_events = ref [] in
   let interrupted = ref false in
   let old_term = ref None and old_int = ref None in
   (try
@@ -310,7 +270,7 @@ let run cfg =
         Obs.Metrics.gauge "server.queue_depth" depth;
         Obs.Metrics.gauge_max "server.queue_depth_peak" depth;
         if pending <> [] && not !interrupted then begin
-          process_batch cfg ~registry ~t0 ~trace_events pending;
+          process_batch cfg ~registry ~t0 pending;
           write_metrics ();
           loop ()
         end
@@ -324,9 +284,6 @@ let run cfg =
       in
       loop ();
       write_metrics ();
-      Option.iter
-        (fun path -> write_request_trace path (List.rev !trace_events))
-        cfg.request_trace_file;
       (* Consume the stop marker so the next daemon on this queue does
          not exit immediately. *)
       try Sys.remove (stop_path cfg) with Sys_error _ -> ())
@@ -378,7 +335,7 @@ let run_stdio ~cache_dir ic oc =
       Obs.Metrics.install r;
       r
   in
-  let t0 = Obs.Clock.now () in
+  let t0 = Time_source.now () in
   let count = ref 0 in
   let error_reply ~id msg =
     Obs.Metrics.counter "server.errors" 1;
@@ -404,14 +361,9 @@ let run_stdio ~cache_dir ic oc =
           stats_json ~registry ~t0 ~id:stats_id
         | Request.Schedule req ->
           Obs.Metrics.counter "server.requests" 1;
-          let t_start = Obs.Clock.now () in
-          (match
-             Obs.Metrics.with_span "server/request" (fun () ->
-                 Engine.handle ~cache_dir req)
-           with
-           | exception (Failure msg | Sys_error msg) -> error_reply ~id:req.Request.id msg
-           | res ->
-             let dt = Obs.Clock.now () -. t_start in
+          (match handle ~cache_dir req with
+           | Error msg, _ -> error_reply ~id:req.Request.id msg
+           | Ok res, dt ->
              Obs.Metrics.counter
                (counter_of_label (Engine.status_label res.Engine.status))
                1;

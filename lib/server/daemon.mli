@@ -52,14 +52,18 @@
     installed if absent) after every batch and at shutdown:
     [metrics_file] as JSON, [prometheus_file] as Prometheus text
     exposition — both via [Atomic_file], so scrapers never read a
-    partial file. [request_trace_file] writes a Chrome trace_event
-    timeline of the request loop (one X slice per served request,
-    cache status in [args]) at shutdown. All daemon timing reads
-    {!Obs.Clock}.
+    partial file. Each scheduling request's handling runs inside one
+    [server:request] span ({!Obs.Metrics.with_span}), on both
+    transports: in the registry it aggregates per-stage time under
+    [server:request/scheduler:*/...]; with the flight recorder enabled
+    ([serve --flight-record]) it is a slice on the domain that handled
+    it, with the pipeline's stage slices nested inside. A cache hit's
+    slice has no nested [scheduler:*] slice; stats probes and coalesced
+    followers open no span. All daemon timing reads [Time_source].
 
     {b Shutdown.} Touching [<queue>/stop], SIGTERM or SIGINT all stop
-    the loop after the in-flight batch; remaining metrics and trace are
-    flushed and the stop marker is consumed. *)
+    the loop after the in-flight batch; remaining metrics are flushed
+    and the stop marker is consumed. *)
 
 type config = {
   queue_dir : string;
@@ -70,13 +74,12 @@ type config = {
   prometheus_file : string option;
       (** Prometheus text-exposition snapshot, refreshed with
           [metrics_file] *)
-  request_trace_file : string option;
 }
 
 val default_config : queue_dir:string -> config
 (** Cache in [<queue>/cache], 50 ms poll, metrics to
-    [<queue>/metrics.json], Prometheus to [<queue>/metrics.prom], no
-    request trace, [once = false]. *)
+    [<queue>/metrics.json], Prometheus to [<queue>/metrics.prom],
+    [once = false]. *)
 
 val run : config -> unit
 (** Run the daemon until a shutdown condition. Creates the queue and

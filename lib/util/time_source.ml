@@ -5,8 +5,7 @@
    clock so latency assertions stop depending on the host's scheduler.
 
    This lives in bsp_util (not lib/obs) because [Budget] needs it and
-   the obs layer sits above bsp_util; [Obs.Clock] re-exports it as the
-   public face of the observability stack. *)
+   the obs layer sits above bsp_util. *)
 
 let real : unit -> float = Unix.gettimeofday
 

@@ -1,15 +1,17 @@
 (** The pluggable wall-clock source behind every timing measurement
     (DESIGN.md Section 5i).
 
-    [Budget.seconds] deadlines, [Obs.Metrics.span] timing, the
-    flight-recorder timestamps and the daemon's uptime/latency all read
-    the clock through {!now}, so swapping the source swaps what "time"
-    means for the whole process — tests install a deterministic fake
-    clock and assert exact span durations instead of sleeping.
+    [Budget.seconds] deadlines, [Obs.Metrics.with_span] timing, the
+    flight-recorder timestamps, [Par]'s task timing and the daemon's
+    uptime/latency all read the clock through {!now}, so swapping the
+    source swaps what "time" means for the whole process — tests
+    install a deterministic fake clock and assert exact span durations
+    instead of sleeping.
 
     The source is a process-wide atomic: {!set}/{!with_source} are
     meant for single-threaded test setup, not for concurrent
-    replacement mid-run. [Obs.Clock] re-exports this interface. *)
+    replacement mid-run. It lives in bsp_util, below the obs layer,
+    so that [Budget] can share it. *)
 
 val real : unit -> float
 (** The default source: [Unix.gettimeofday]. *)

@@ -268,7 +268,7 @@ let test_series_cap_drops () =
   | None -> Alcotest.fail "series_dropped missing from JSON"
 
 (* ------------------------------------------------------------------ *)
-(* Clock: the pluggable time source makes span durations exact.        *)
+(* Time_source: a fake clock makes span durations exact.              *)
 
 let test_fake_clock_exact_span () =
   let t = ref 100.0 in
@@ -277,17 +277,18 @@ let test_fake_clock_exact_span () =
     !t
   in
   let r = Obs.Metrics.create () in
-  Obs.Clock.with_source fake (fun () ->
-      Obs.Metrics.span r "stage" (fun () -> ()));
+  Time_source.with_source fake (fun () ->
+      Obs.Metrics.with_registry r (fun () ->
+          Obs.Metrics.with_span "stage" (fun () -> ())));
   (match Obs.Metrics.span_list r with
    | [ s ] -> check_bool "exact seconds" true (s.Obs.Metrics.seconds = 1.5)
    | _ -> Alcotest.fail "expected exactly one span");
   (* The source is restored on exit. *)
-  check_bool "restored" true (Obs.Clock.now () > 1.0e9)
+  check_bool "restored" true (Time_source.now () > 1.0e9)
 
 let test_fake_clock_budget_deadline () =
   let t = ref 0.0 in
-  Obs.Clock.with_source
+  Time_source.with_source
     (fun () -> !t)
     (fun () ->
       let b = Budget.seconds 10.0 in
@@ -394,10 +395,9 @@ let test_events_ring_wrap () =
         (List.nth evs (List.length evs - 1)).Obs.Events.ev_arg)
 
 let test_events_chrome_trace () =
-  (* Deterministic timestamps via the fake clock: each Clock.now () call
-     advances 1 ms, so the span's "dur" is exactly 2000 us (begin and
-     end bracket one extra now() from the unclosed-span backstop? no:
-     begin_, end_ are adjacent calls). *)
+  (* Deterministic timestamps via the fake clock: each now () call
+     advances 1 ms and begin_/end_ are adjacent calls, so the span's
+     "dur" is exactly 1000 us. *)
   let t = ref 0.0 in
   let path = Filename.temp_file "obs_flight" ".json" in
   Fun.protect
@@ -405,7 +405,7 @@ let test_events_chrome_trace () =
       Obs.Events.disable ();
       Sys.remove path)
     (fun () ->
-      Obs.Clock.with_source
+      Time_source.with_source
         (fun () ->
           t := !t +. 0.001;
           !t)
@@ -455,6 +455,101 @@ let test_events_chrome_trace () =
         (List.exists
            (fun ev -> Obs.Json.member "ph" ev = Some (Obs.Json.String "C"))
            events))
+
+(* ------------------------------------------------------------------ *)
+(* Metrics.with_span feeds the flight recorder. A fake clock that
+   advances by exactly 1.0 per reading makes every stamp predictable:
+   [Events.enable] takes the first reading, then each span takes one
+   at open and one at close.                                           *)
+
+let with_span_sinks ?registry f =
+  let t = ref 0.0 in
+  let prev = Obs.Metrics.current () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Events.disable ();
+      match prev with Some r -> Obs.Metrics.install r | None -> Obs.Metrics.clear ())
+    (fun () ->
+      (match registry with
+       | Some r -> Obs.Metrics.install r
+       | None -> Obs.Metrics.clear ());
+      Time_source.with_source
+        (fun () ->
+          t := !t +. 1.0;
+          !t)
+        (fun () ->
+          Obs.Events.enable ();
+          f ();
+          Obs.Events.dump ()))
+
+let phase_name = function
+  | Obs.Events.Begin -> "B"
+  | Obs.Events.End -> "E"
+  | Obs.Events.Instant -> "i"
+  | Obs.Events.Sample -> "C"
+
+let show_events evs =
+  List.map
+    (fun (e : Obs.Events.event) ->
+      Printf.sprintf "%s %s %g" (phase_name e.ev_phase)
+        (Obs.Events.kind_name e.ev_kind) e.ev_ts)
+    evs
+
+let test_spans_recorder_only () =
+  let evs =
+    with_span_sinks (fun () ->
+        Obs.Metrics.with_span "a" (fun () -> Obs.Metrics.with_span "b" (fun () -> ())))
+  in
+  Alcotest.(check (list string))
+    "well-nested pairs, exact stamps"
+    [ "B a 2"; "B b 3"; "E b 4"; "E a 5" ]
+    (show_events evs)
+
+let test_spans_registry_matches_slices () =
+  let r = Obs.Metrics.create () in
+  let evs =
+    with_span_sinks ~registry:r (fun () ->
+        Obs.Metrics.with_span "a" (fun () ->
+            Obs.Metrics.with_span "b" (fun () -> ());
+            Obs.Metrics.with_span "b" (fun () -> ())))
+  in
+  Alcotest.(check (list string))
+    "slices"
+    [ "B a 2"; "B b 3"; "E b 4"; "B b 5"; "E b 6"; "E a 7" ]
+    (show_events evs);
+  let seconds path =
+    (List.find (fun (s : Obs.Metrics.span_stats) -> s.path = path)
+       (Obs.Metrics.span_list r))
+      .Obs.Metrics.seconds
+  in
+  check_bool "a: registry seconds = slice duration" true (seconds "a" = 5.0);
+  check_bool "a/b: registry seconds = summed slice durations" true
+    (seconds "a/b" = 2.0)
+
+let test_spans_raise_still_ends () =
+  let evs =
+    with_span_sinks (fun () ->
+        try Obs.Metrics.with_span "a" (fun () -> failwith "boom") with Failure _ -> ())
+  in
+  Alcotest.(check (list string)) "end recorded" [ "B a 2"; "E a 3" ] (show_events evs)
+
+(* Off, the recorder sees nothing and a span costs the registry its two
+   clock readings, no more. *)
+let test_spans_recorder_off () =
+  Obs.Events.disable ();
+  let r = Obs.Metrics.create () in
+  let readings = ref 0 in
+  Time_source.with_source
+    (fun () ->
+      incr readings;
+      float_of_int !readings)
+    (fun () ->
+      Obs.Metrics.with_registry r (fun () ->
+          Obs.Metrics.with_span "a" (fun () -> Obs.Metrics.with_span "b" (fun () -> ()))));
+  check "no events recorded" 0 (Obs.Events.recorded ());
+  check_bool "nothing to dump" true (Obs.Events.dump () = []);
+  check "two clock readings per span" 4 !readings;
+  check "registry still sees the spans" 2 (List.length (Obs.Metrics.span_list r))
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline under a registry: step accounting, JSON validity, and
@@ -626,6 +721,17 @@ let () =
           Alcotest.test_case "record + dump" `Quick test_events_record_and_dump;
           Alcotest.test_case "ring wrap drops oldest" `Quick test_events_ring_wrap;
           Alcotest.test_case "chrome trace export" `Quick test_events_chrome_trace;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "recorder alone: exact nested slices" `Quick
+            test_spans_recorder_only;
+          Alcotest.test_case "registry seconds equal slice durations" `Quick
+            test_spans_registry_matches_slices;
+          Alcotest.test_case "raising span still ends its slice" `Quick
+            test_spans_raise_still_ends;
+          Alcotest.test_case "recorder off records nothing" `Quick
+            test_spans_recorder_off;
         ] );
       ( "pipeline",
         [

@@ -674,6 +674,84 @@ let run_stats_roundtrip ~jobs () =
         end
       | _ -> Alcotest.fail "no pool.domains list")
 
+(* For each closed [server:request] slice in a flight-recorder dump,
+   the names of the slices nested inside it on the same domain. *)
+let request_slices evs =
+  let by_domain = Hashtbl.create 4 in
+  List.iter
+    (fun (e : Obs.Events.event) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt by_domain e.ev_domain) in
+      Hashtbl.replace by_domain e.ev_domain (e :: prev))
+    evs;
+  let slices = ref [] in
+  Hashtbl.iter
+    (fun _ rev_evs ->
+      (* open slices, innermost first: name plus, for requests, the
+         names begun inside so far *)
+      let stack = ref [] in
+      List.iter
+        (fun (e : Obs.Events.event) ->
+          let name = Obs.Events.kind_name e.ev_kind in
+          match e.ev_phase with
+          | Obs.Events.Begin ->
+            List.iter (fun (_, inner) -> inner := name :: !inner) !stack;
+            stack := (name, ref []) :: !stack
+          | Obs.Events.End -> (
+            (* A worker idle since before [enable] ends a slice it never
+               began in this recording: skip such ends. *)
+            match !stack with
+            | (open_name, inner) :: rest when open_name = name ->
+              if name = "server:request" then slices := !inner :: !slices;
+              stack := rest
+            | _ ->
+              if List.mem_assoc name !stack then
+                Alcotest.failf "%s ends across an open inner slice" name)
+          | Obs.Events.Instant | Obs.Events.Sample -> ())
+        (List.rev rev_evs))
+    by_domain;
+  !slices
+
+(* serve --flight-record: one batch with a computed miss, a cache hit
+   and a stats probe shows exactly the two scheduling requests as
+   [server:request] slices, and only the miss has the pipeline's
+   [scheduler:pipeline] slice nested inside. *)
+let test_daemon_flight_spans () =
+  with_tmp_dir "flight" (fun queue ->
+      Unix.mkdir (Filename.concat queue "incoming") 0o755;
+      Obs.Metrics.install (Obs.Metrics.create ());
+      let config =
+        { (Server.Daemon.default_config ~queue_dir:queue) with Server.Daemon.once = true }
+      in
+      (* warm the cache so that a repeat of this request is a hit *)
+      write_request queue "warm" ~seconds:0.2;
+      Server.Daemon.run config;
+      Obs.Events.enable ();
+      Fun.protect ~finally:Obs.Events.disable (fun () ->
+          write_request queue "repeat" ~seconds:0.2;
+          Atomic_file.write_string
+            (Filename.concat queue "incoming/miss.req")
+            ("algorithm pipeline\nseconds 0.2\np 3\ng 1\nl 2\nhyperdag\n"
+            ^ Hyperdag_io.to_string (Test_util.diamond ()));
+          Atomic_file.write_string
+            (Filename.concat queue "incoming/probe.req")
+            "id probe-1\nstats\n";
+          Server.Daemon.run config;
+          let resp name =
+            read_json (Filename.concat queue ("done/" ^ name ^ ".resp.json"))
+          in
+          check_str "repeat is a hit" "hit" (str_field "cache" (resp "repeat"));
+          check_str "miss computed" "miss" (str_field "cache" (resp "miss"));
+          check_str "probe answered" "stats" (str_field "type" (resp "probe"));
+          let slices = request_slices (Obs.Events.dump ()) in
+          check "one slice per scheduling request, none for the probe" 2
+            (List.length slices);
+          let computed = List.filter (List.mem "scheduler:pipeline") slices in
+          check "scheduler:pipeline only under the miss" 1 (List.length computed);
+          check_bool "the hit computes nothing" true
+            (List.exists
+               (List.for_all (fun n -> not (String.starts_with ~prefix:"scheduler:" n)))
+               slices)))
+
 let test_daemon_stdio_stats () =
   with_tmp_dir "stdio-stats" (fun dir ->
       Obs.Metrics.install (Obs.Metrics.create ());
@@ -781,5 +859,7 @@ let () =
           Alcotest.test_case "stats round-trip, jobs 4" `Quick
             (run_stats_roundtrip ~jobs:4);
           Alcotest.test_case "stdio stats frame" `Quick test_daemon_stdio_stats;
+          Alcotest.test_case "flight recorder: request and stage slices" `Quick
+            test_daemon_flight_spans;
         ] );
     ]
