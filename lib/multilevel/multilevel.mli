@@ -43,9 +43,12 @@ val run :
 (** Run the full multilevel pipeline for each configured ratio and
     return the cheapest resulting schedule (without the final
     HCcs/ILPcs polish, which the caller owns). [budget] bounds the HC
-    refinement work across all levels. [shards] (default 1) is passed
-    to each refinement's {!Hc.improve} — sharded refinement is
-    bit-identical to sequential, so it never changes the result. *)
+    refinement work across all levels; once it is spent, the remaining
+    levels are only projected, with no quotient and no HC run, which
+    gives the same schedule as refining them on a spent budget.
+    [shards] (default 1) is passed to each refinement's {!Hc.improve} —
+    sharded refinement is bit-identical to sequential, so it never
+    changes the result. *)
 
 val run_ratio :
   ?budget:Budget.t ->

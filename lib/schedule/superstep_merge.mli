@@ -9,7 +9,9 @@
     cost-neutral until the whole superstep empties.
 
     Operates on the assignment with lazy communication; the result
-    carries a fresh lazy schedule. *)
+    carries a fresh lazy schedule. One left-to-right pass in
+    O(n + m + S·p) for S supersteps: each merge attempt is costed in
+    O(p) from the per-superstep work, send and receive rows. *)
 
 val greedy : Machine.t -> Schedule.t -> Schedule.t
 (** Repeatedly merge a superstep into its predecessor while this is

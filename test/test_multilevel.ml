@@ -123,6 +123,44 @@ let prop_multilevel_valid =
       let s = Multilevel.run ~solver m dag in
       Validity.is_valid m s)
 
+(* Refinement ends with its budget: under any step budget, and without
+   one, run_ratio gives the bytes of the old loop that refined after
+   every chunk, and HC runs only for the passes made before the budget
+   ran out. *)
+let prop_refine_skip_matches_reference =
+  Test_util.qtest ~count:40 "refine skip matches reference"
+    QCheck2.Gen.(
+      triple (Test_util.arb_dag ~max_n:60 ()) (oneofl [ 4; 8 ])
+        (oneofl [ Some 0; Some 1; Some 1_000; Some 50_000; None ]))
+    (fun (dag, p, steps) ->
+      let m = Machine.numa_tree ~p ~g:3 ~l:5 ~delta:2 in
+      let budget () =
+        match steps with Some k -> Budget.steps k | None -> Budget.unlimited ()
+      in
+      let solver mach d = Bspg.schedule mach d in
+      let run f =
+        let r = Obs.Metrics.create () in
+        let s = Obs.Metrics.with_registry r (fun () -> f (budget ())) in
+        (Schedule_io.to_string s, r)
+      in
+      let bytes, r =
+        run (fun budget ->
+            Multilevel.run_ratio ~budget ~refine_interval:2 ~refine_moves:5 ~solver ~ratio:0.3
+              m dag)
+      in
+      let ref_bytes, ref_r =
+        run (fun budget ->
+            Multilevel_reference.run_ratio ~budget ~refine_interval:2 ~refine_moves:5 ~solver
+              ~ratio:0.3 m dag)
+      in
+      let runs = Obs.Metrics.counter_value r "hc.runs" in
+      let skipped = Obs.Metrics.counter_value r "multilevel.refine_levels_skipped" in
+      bytes = ref_bytes
+      && runs + skipped = Obs.Metrics.counter_value ref_r "hc.runs"
+      && runs = Obs.Metrics.counter_value r "multilevel.refine_passes"
+      && (steps <> Some 0 || runs = 0)
+      && (steps <> None || skipped = 0))
+
 let () =
   Alcotest.run "multilevel"
     [
@@ -140,5 +178,10 @@ let () =
             test_multilevel_beats_trivial_on_comm_heavy;
         ] );
       ( "property",
-        [ prop_coarsen_acyclic_and_weights; prop_undo_roundtrip; prop_multilevel_valid ] );
+        [
+          prop_coarsen_acyclic_and_weights;
+          prop_undo_roundtrip;
+          prop_multilevel_valid;
+          prop_refine_skip_matches_reference;
+        ] );
     ]

@@ -347,7 +347,18 @@ let test_engine_multilevel_keeps_ilp_init () =
         else acc)
       0 (Obs.Metrics.span_list r)
   in
-  check_bool "coarse solves open init:ilp-init spans" true (ilp_init_calls > 0)
+  check_bool "coarse solves open init:ilp-init spans" true (ilp_init_calls > 0);
+  (* Coarsening and uncoarsening are one span each per ratio. *)
+  List.iter
+    (fun stage ->
+      check_bool (stage ^ " span per ratio") true
+        (List.exists
+           (fun (s : Obs.Metrics.span_stats) ->
+             String.ends_with ~suffix:("/" ^ stage) s.Obs.Metrics.path
+             && Test_util.contains_substring s.Obs.Metrics.path "multilevel:"
+             && s.Obs.Metrics.calls = 1)
+           (Obs.Metrics.span_list r)))
+    [ "coarsen"; "refine" ]
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing.                                                    *)

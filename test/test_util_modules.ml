@@ -225,6 +225,103 @@ let prop_superstep_merge_never_worse =
       let merged = Superstep_merge.greedy m s in
       Validity.is_valid m merged && Bsp_cost.total m merged <= Bsp_cost.total m s)
 
+(* Differential property: the single-pass incremental merge must give
+   the very schedule of the old recost-every-attempt merge, kept as
+   [Superstep_merge_reference]. Schedules come in three shapes: one
+   superstep per wavefront, one per node in topological order
+   (near-serial, many supersteps), and the tightest valid steps plus
+   random gaps, now and then or at every node, so empty supersteps,
+   same-processor edges inside a superstep and values first needed long
+   after they are computed occur too. *)
+let arb_merge_machine =
+  QCheck2.Gen.(
+    let* p = oneofl [ 2; 4; 8 ] in
+    let* g = int_range 0 4 in
+    let* l = int_range 0 20 in
+    let* numa = oneofl [ None; Some 2; Some 3 ] in
+    return
+      (match numa with
+      | None -> Machine.uniform ~p ~g ~l
+      | Some delta -> Machine.numa_tree ~p ~g ~l ~delta))
+
+let random_valid_schedule rng m dag ~shape =
+  let n = Dag.n dag in
+  let p = m.Machine.p in
+  let procs = 1 + Rng.int rng p in
+  let proc = Array.init n (fun _ -> Rng.int rng procs) in
+  let step =
+    match shape with
+    | 0 -> Dag.wavefronts dag
+    | 1 -> Dag.topological_rank dag
+    | _ ->
+      let step = Array.make n 0 in
+      Array.iter
+        (fun v ->
+          let lo =
+            Dag.fold_pred dag v ~init:0 (fun acc u ->
+                max acc (step.(u) + if proc.(u) <> proc.(v) then 1 else 0))
+          in
+          step.(v) <- lo + if shape = 3 || Rng.int rng 4 = 0 then Rng.int rng 3 else 0)
+        (Dag.topological_order dag);
+      step
+  in
+  Schedule.of_assignment dag ~proc ~step
+
+let prop_superstep_merge_matches_reference =
+  Test_util.qtest ~count:1000 "merge matches reference"
+    QCheck2.Gen.(
+      pair (Test_util.arb_dag ~max_n:40 ())
+        (triple arb_merge_machine (int_bound 1_000_000) (int_bound 3)))
+    (fun (dag, (m, seed, shape)) ->
+      let s = random_valid_schedule (Rng.create seed) m dag ~shape in
+      let a = Superstep_merge.greedy m s and b = Superstep_merge_reference.greedy m s in
+      a.Schedule.proc = b.Schedule.proc
+      && a.Schedule.step = b.Schedule.step
+      && a.Schedule.comm = b.Schedule.comm)
+
+(* Superstep 2's phase carries values computed at step 0 and first
+   needed at step 3: u_a fanned out from processor 0 to three readers
+   ("fan-out"), or a1-a3 fanned in from processors 1-3 to one reader on
+   processor 0 ("fan-in"). Merging 3 into 2 folds that phase into the
+   non-empty phase of superstep 1 (y -> z). Merging 4 in as well would
+   fold the same fan of u_b (or b1-b3) onto the send (or receive) row
+   of processor 0, which the first fold already made the phase's
+   maximum: at l = 0 that costs exactly what it saves, so the merge must
+   be refused. The merges of 1 into 0 and of 2 into 1 are blocked by the
+   cross-processor edges x0 -> y and y -> z. *)
+let test_superstep_merge_folds_phase () =
+  let m = Machine.uniform ~p:4 ~g:1 ~l:0 in
+  List.iter
+    (fun (name, edges, proc, step, expect) ->
+      let dag =
+        Dag.of_edges ~n:11 ~edges ~work:(Array.make 11 1) ~comm:(Array.make 11 1)
+      in
+      let s = Schedule.of_assignment dag ~proc ~step in
+      let merged = Superstep_merge.greedy m s in
+      let reference = Superstep_merge_reference.greedy m s in
+      Alcotest.(check (array int)) (name ^ " steps") expect merged.Schedule.step;
+      check_bool (name ^ " step-0 values sent in phase 1") true
+        (List.exists
+           (fun (e : Schedule.comm_event) -> step.(e.node) = 0 && e.step = 1)
+           merged.Schedule.comm);
+      check_bool (name ^ " same as reference") true
+        (merged.Schedule.step = reference.Schedule.step
+        && merged.Schedule.comm = reference.Schedule.comm))
+    [
+      (* x0 u_a u_b y z, readers of u_a, readers of u_b *)
+      ( "fan-out",
+        [ (0, 3); (3, 4); (1, 5); (1, 6); (1, 7); (2, 8); (2, 9); (2, 10) ],
+        [| 0; 0; 0; 1; 0; 1; 2; 3; 1; 2; 3 |],
+        [| 0; 0; 0; 1; 2; 3; 3; 3; 4; 4; 4 |],
+        [| 0; 0; 0; 1; 2; 2; 2; 2; 3; 3; 3 |] );
+      (* x0 y z, a1-a3 and their reader, b1-b3 and their reader *)
+      ( "fan-in",
+        [ (0, 1); (1, 2); (3, 6); (4, 6); (5, 6); (7, 10); (8, 10); (9, 10) ],
+        [| 0; 1; 2; 1; 2; 3; 0; 1; 2; 3; 0 |],
+        [| 0; 1; 2; 0; 0; 0; 3; 0; 0; 0; 4 |],
+        [| 0; 1; 2; 0; 0; 0; 2; 0; 0; 0; 3 |] );
+    ]
+
 let () =
   Alcotest.run "util_modules"
     [
@@ -268,6 +365,8 @@ let () =
           Alcotest.test_case "collapses chain" `Quick test_superstep_merge_collapses_chain;
           Alcotest.test_case "blocked by cross edge" `Quick
             test_superstep_merge_blocked_by_cross_edge;
+          Alcotest.test_case "folds a non-empty phase" `Quick test_superstep_merge_folds_phase;
           prop_superstep_merge_never_worse;
+          prop_superstep_merge_matches_reference;
         ] );
     ]
