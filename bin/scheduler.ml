@@ -34,24 +34,25 @@ let run input p g l delta machine_file algorithm seconds output seed quiet show 
     else None
   in
   if trace then Option.iter install_trace registry;
-  let dag = Hyperdag_io.read_file_auto input in
-  let machine =
-    match machine_file with
-    | Some path -> Machine_io.read_file path
-    | None ->
-      (match delta with
-       | None -> Machine.uniform ~p ~g ~l
-       | Some delta -> Machine.numa_tree ~p ~g ~l ~delta)
+  let dag, machine =
+    Obs.Metrics.with_span "cli:parse" (fun () ->
+        ( Hyperdag_io.read_file_auto input,
+          match machine_file with
+          | Some path -> Machine_io.read_file path
+          | None ->
+            (match delta with
+             | None -> Machine.uniform ~p ~g ~l
+             | Some delta -> Machine.numa_tree ~p ~g ~l ~delta) ))
   in
   let schedule =
     Server.Engine.schedule ~seconds ~seed ~replicate ~algorithm machine dag
   in
-  (match Validity.check machine schedule with
+  (match Obs.Metrics.with_span "cli:validity" (fun () -> Validity.check machine schedule) with
    | Ok () -> ()
    | Error errs ->
      List.iter prerr_endline errs;
      failwith "internal error: scheduler produced an invalid schedule");
-  let b = Bsp_cost.breakdown machine schedule in
+  let b = Obs.Metrics.with_span "cli:cost" (fun () -> Bsp_cost.breakdown machine schedule) in
   if not quiet then begin
     Printf.printf "instance:   %s (%d nodes, %d edges)\n" input (Dag.n dag)
       (Dag.num_edges dag);
@@ -86,7 +87,7 @@ let run input p g l delta machine_file algorithm seconds output seed quiet show 
   (match output with
    | None -> ()
    | Some path ->
-     Schedule_io.write_file path schedule;
+     Obs.Metrics.with_span "cli:write" (fun () -> Schedule_io.write_file path schedule);
      if not quiet then Printf.printf "schedule written to %s\n" path);
   match registry with
   | None -> ()

@@ -231,21 +231,20 @@ let sort_segment a lo hi =
   in
   if hi > lo then qsort lo hi
 
-(* Build both CSR directions from a raw edge list: count, fill, sort
-   each successor segment, compact out duplicates, then derive the
-   predecessor side by a counting pass over the deduplicated successors
-   (iterating u ascending makes every predecessor segment sorted and
-   duplicate-free for free). *)
-let build_csr ~n ~edges =
+(* Build both CSR directions from raw edges, which [iter f] passes to
+   [f] one (u, v) pair at a time: count, fill, sort each successor
+   segment, compact out duplicates, then derive the predecessor side by
+   a counting pass over the deduplicated successors (iterating u
+   ascending makes every predecessor segment sorted and duplicate-free
+   for free). *)
+let build_csr ~n ~iter =
   if n < 0 then invalid_arg "Dag: negative node count";
-  List.iter
-    (fun (u, v) ->
+  iter (fun u v ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Dag: edge endpoint out of range";
-      if u = v then invalid_arg "Dag: self-loop")
-    edges;
+      if u = v then invalid_arg "Dag: self-loop");
   let deg = Array.make (n + 1) 0 in
-  List.iter (fun (u, _) -> deg.(u) <- deg.(u) + 1) edges;
+  iter (fun u _ -> deg.(u) <- deg.(u) + 1);
   let succ_off = Array.make (n + 1) 0 in
   for v = 1 to n do
     succ_off.(v) <- succ_off.(v - 1) + deg.(v - 1)
@@ -254,11 +253,9 @@ let build_csr ~n ~edges =
   let succ_tgt = Array.make m_raw 0 in
   let cursor = Array.make n 0 in
   Array.blit succ_off 0 cursor 0 n;
-  List.iter
-    (fun (u, v) ->
+  iter (fun u v ->
       succ_tgt.(cursor.(u)) <- v;
-      cursor.(u) <- cursor.(u) + 1)
-    edges;
+      cursor.(u) <- cursor.(u) + 1);
   for u = 0 to n - 1 do
     sort_segment succ_tgt succ_off.(u) (succ_off.(u + 1) - 1)
   done;
@@ -302,12 +299,12 @@ let build_csr ~n ~edges =
   done;
   (succ_off, succ_tgt, pred_off, pred_tgt)
 
-let build ~n ~edges ~work ~comm ~on_cycle =
+let build ~n ~iter ~work ~comm ~on_cycle =
   if Array.length work <> n || Array.length comm <> n then
     invalid_arg "Dag: weight array length mismatch";
   Array.iter (fun w -> if w < 0 then invalid_arg "Dag: negative work weight") work;
   Array.iter (fun c -> if c < 0 then invalid_arg "Dag: negative comm weight") comm;
-  let succ_off, succ_tgt, pred_off, pred_tgt = build_csr ~n ~edges in
+  let succ_off, succ_tgt, pred_off, pred_tgt = build_csr ~n ~iter in
   match compute_topo ~n ~succ_off ~succ_tgt ~pred_off with
   | None -> on_cycle ()
   | Some topo ->
@@ -325,15 +322,28 @@ let build ~n ~edges ~work ~comm ~on_cycle =
       rank;
     }
 
+let iter_list edges f = List.iter (fun (u, v) -> f u v) edges
+
 (* The topological order doubles as the acyclicity witness, so both
    constructors compute it eagerly; they differ only in the exception
    raised on a cycle (matching the historical lazily-raised ones). *)
 let of_edges_unchecked ~n ~edges ~work ~comm =
-  build ~n ~edges ~work ~comm ~on_cycle:(fun () ->
+  build ~n ~iter:(iter_list edges) ~work ~comm ~on_cycle:(fun () ->
       failwith "Dag: graph contains a directed cycle")
 
 let of_edges ~n ~edges ~work ~comm =
-  build ~n ~edges ~work ~comm ~on_cycle:(fun () ->
+  build ~n ~iter:(iter_list edges) ~work ~comm ~on_cycle:(fun () ->
+      invalid_arg "Dag.of_edges: edge set contains a directed cycle")
+
+let of_edge_arrays ~n ~src ~dst ~m ~work ~comm =
+  if m < 0 || m > Array.length src || m > Array.length dst then
+    invalid_arg "Dag.of_edge_arrays: edge count exceeds the arrays";
+  let iter f =
+    for i = 0 to m - 1 do
+      f src.(i) dst.(i)
+    done
+  in
+  build ~n ~iter ~work ~comm ~on_cycle:(fun () ->
       invalid_arg "Dag.of_edges: edge set contains a directed cycle")
 
 (* CSR-direct construction: the caller hands over canonical successor
@@ -392,7 +402,7 @@ let of_csr_unchecked ~n ~succ_off ~succ_tgt ~work ~comm =
     { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
 
 let is_acyclic_edges ~n edges =
-  match build_csr ~n ~edges with
+  match build_csr ~n ~iter:(iter_list edges) with
   | succ_off, succ_tgt, pred_off, _ ->
     compute_topo ~n ~succ_off ~succ_tgt ~pred_off <> None
 

@@ -40,6 +40,12 @@ val of_edges_unchecked : n:int -> edges:(int * int) list -> work:int array -> co
     [Failure "Dag: graph contains a directed cycle"] (the same error the
     lazy cache historically raised on first topo access). *)
 
+val of_edge_arrays :
+  n:int -> src:int array -> dst:int array -> m:int -> work:int array -> comm:int array -> t
+(** {!of_edges} over the edges [(src.(i), dst.(i))] for [i < m], with
+    the same checks and errors; for parsers that collect edges into
+    arrays sized by their input instead of building a tuple list. *)
+
 val of_csr_unchecked :
   n:int -> succ_off:int array -> succ_tgt:int array -> work:int array -> comm:int array -> t
 (** Build directly from a successor CSR the caller already holds in

@@ -1,112 +1,88 @@
+(* One line per pin and per weight: the digit writer appends straight
+   into the buffer, so no line is formatted through a string. *)
 let to_buffer buf g =
   let n = Dag.n g in
   Buffer.add_string buf "% hyperDAG: one hyperedge per non-sink node; first pin is the source\n";
-  let hyperedges = n - List.length (Dag.sinks g) in
-  Printf.bprintf buf "%d %d %d\n" hyperedges n (hyperedges + Dag.num_edges g);
+  let hyperedges = ref 0 in
+  for u = 0 to n - 1 do
+    if Dag.out_degree g u > 0 then incr hyperedges
+  done;
+  Text_codec.add_ints3 buf !hyperedges n (!hyperedges + Dag.num_edges g);
   let e = ref 0 in
   for u = 0 to n - 1 do
     if Dag.out_degree g u > 0 then begin
-      Printf.bprintf buf "%d %d\n" !e u;
-      Dag.iter_succ g u (fun v -> Printf.bprintf buf "%d %d\n" !e v);
+      Text_codec.add_ints2 buf !e u;
+      Dag.iter_succ g u (fun v -> Text_codec.add_ints2 buf !e v);
       incr e
     end
   done;
   for v = 0 to n - 1 do
-    Printf.bprintf buf "%d %d %d\n" v (Dag.work g v) (Dag.comm g v)
+    Text_codec.add_ints3 buf v (Dag.work g v) (Dag.comm g v)
   done
 
 let to_string g =
-  let buf = Buffer.create 4096 in
+  (* about 8 bytes per pin or weight line *)
+  let buf = Buffer.create (64 + (8 * ((2 * Dag.n g) + Dag.num_edges g))) in
   to_buffer buf g;
   Buffer.contents buf
 
 let write oc g = output_string oc (to_string g)
 let write_file path g = Atomic_file.write path (fun oc -> write oc g)
 
-(* Parsing: split the whole input into significant lines first, then
-   consume counts. *)
-let of_string text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '%')
-  in
-  (* Tokenize on any whitespace: real HyperDAG_DB files mix spaces,
-     tabs, and CRLF line endings. *)
-  let parse_ints line =
-    let is_ws c = c = ' ' || c = '\t' || c = '\r' in
-    let n = String.length line in
-    let rec go i acc =
-      if i >= n then List.rev acc
-      else if is_ws line.[i] then go (i + 1) acc
-      else begin
-        let j = ref i in
-        while !j < n && not (is_ws line.[!j]) do
-          incr j
-        done;
-        let tok = String.sub line i (!j - i) in
-        match int_of_string_opt tok with
-        | Some v -> go !j (v :: acc)
-        | None -> failwith ("Hyperdag_io: not an integer: " ^ tok)
-      end
-    in
-    go 0 []
-  in
-  match lines with
-  | [] -> failwith "Hyperdag_io: empty input"
-  | header :: rest ->
-    let num_h, num_n, num_p =
-      match parse_ints header with
-      | [ h; n; p ] -> (h, n, p)
-      | _ -> failwith "Hyperdag_io: header must be <hyperedges> <nodes> <pins>"
-    in
-    (* Every count is checked against the input before any allocation
-       is sized by it: each pin and weight takes a line of its own, and
-       every hyperedge has at least its source pin. *)
-    if num_h < 0 || num_n < 0 || num_p < 0 then failwith "Hyperdag_io: negative count in header";
-    if num_h > num_p then failwith "Hyperdag_io: more hyperedges than pins";
-    let available = List.length rest in
-    if num_p > available || num_n > available - num_p then
-      failwith "Hyperdag_io: truncated file";
-    let pins, weight_lines =
-      let rec split i acc = function
-        | rest when i = num_p -> (List.rev acc, rest)
-        | [] -> failwith "Hyperdag_io: truncated pin section"
-        | l :: tl -> split (i + 1) (l :: acc) tl
-      in
-      split 0 [] rest
-    in
-    let edge_source = Array.make num_h (-1) in
-    let edges = ref [] in
-    List.iter
-      (fun line ->
-        match parse_ints line with
-        | [ e; v ] ->
-          if e < 0 || e >= num_h then failwith "Hyperdag_io: hyperedge id out of range";
-          if v < 0 || v >= num_n then failwith "Hyperdag_io: node id out of range";
-          if edge_source.(e) < 0 then edge_source.(e) <- v
-          else edges := (edge_source.(e), v) :: !edges
-        | _ -> failwith "Hyperdag_io: pin line must be <hyperedge> <node>")
-      pins;
-    let work = Array.make num_n 1 in
-    let comm = Array.make num_n 1 in
-    (if List.length weight_lines > num_n then
-       failwith
-         (Printf.sprintf
-            "Hyperdag_io: %d lines after the %d declared weight lines"
-            (List.length weight_lines - num_n)
-            num_n));
-    List.iter
-      (fun line ->
-        match parse_ints line with
-        | [ v; w; c ] ->
-          if v < 0 || v >= num_n then failwith "Hyperdag_io: weight node id out of range";
-          work.(v) <- w;
-          comm.(v) <- c
-        | _ -> failwith "Hyperdag_io: weight line must be <node> <work> <comm>")
-      weight_lines;
-    (try Dag.of_edges ~n:num_n ~edges:!edges ~work ~comm
-     with Invalid_argument msg -> failwith ("Hyperdag_io: " ^ msg))
+(* Two passes over the text, both in place: the first counts the
+   significant lines, so every declared count is checked against the
+   input before any allocation is sized by it; the second parses. Each
+   pin and weight takes a line of its own, and every hyperedge has at
+   least its source pin. *)
+let of_string ?(pos = 0) text =
+  let sc = Text_codec.scanner ~pos text in
+  let what = "Hyperdag_io" in
+  let ints = Array.make 3 0 in
+  if not (Text_codec.next_line sc) then failwith "Hyperdag_io: empty input";
+  if Text_codec.line_ints sc ~what ints <> 3 then
+    failwith "Hyperdag_io: header must be <hyperedges> <nodes> <pins>";
+  let num_h = ints.(0) and num_n = ints.(1) and num_p = ints.(2) in
+  if num_h < 0 || num_n < 0 || num_p < 0 then failwith "Hyperdag_io: negative count in header";
+  if num_h > num_p then failwith "Hyperdag_io: more hyperedges than pins";
+  let available, _ = Text_codec.count_lines sc in
+  if num_p > available || num_n > available - num_p then
+    failwith "Hyperdag_io: truncated file";
+  let edge_source = Array.make num_h (-1) in
+  (* at most one edge per pin *)
+  let src = Array.make num_p 0 and dst = Array.make num_p 0 in
+  let m = ref 0 in
+  for _ = 1 to num_p do
+    ignore (Text_codec.next_line sc : bool);
+    if Text_codec.line_ints sc ~what ints <> 2 then
+      failwith "Hyperdag_io: pin line must be <hyperedge> <node>";
+    let e = ints.(0) and v = ints.(1) in
+    if e < 0 || e >= num_h then failwith "Hyperdag_io: hyperedge id out of range";
+    if v < 0 || v >= num_n then failwith "Hyperdag_io: node id out of range";
+    if edge_source.(e) < 0 then edge_source.(e) <- v
+    else begin
+      src.(!m) <- edge_source.(e);
+      dst.(!m) <- v;
+      incr m
+    end
+  done;
+  let weight_lines = available - num_p in
+  if weight_lines > num_n then
+    failwith
+      (Printf.sprintf "Hyperdag_io: %d lines after the %d declared weight lines"
+         (weight_lines - num_n) num_n);
+  let work = Array.make num_n 1 in
+  let comm = Array.make num_n 1 in
+  for _ = 1 to num_n do
+    ignore (Text_codec.next_line sc : bool);
+    if Text_codec.line_ints sc ~what ints <> 3 then
+      failwith "Hyperdag_io: weight line must be <node> <work> <comm>";
+    let v = ints.(0) in
+    if v < 0 || v >= num_n then failwith "Hyperdag_io: weight node id out of range";
+    work.(v) <- ints.(1);
+    comm.(v) <- ints.(2)
+  done;
+  try Dag.of_edge_arrays ~n:num_n ~src ~dst ~m:!m ~work ~comm
+  with Invalid_argument msg -> failwith ("Hyperdag_io: " ^ msg)
 
 let read ic = of_string (In_channel.input_all ic)
 
@@ -115,8 +91,8 @@ let read_file path = In_channel.with_open_bin path read
 (* ------------------------------------------------------------------ *)
 (* Binary format (DESIGN.md Section 5h).
 
-   The text path above slurps the whole file and allocates one string
-   per line; the binary format below is both compact (LEB128 varints,
+   The text path above slurps the whole file and scans it in place; the
+   binary format below is both compact (LEB128 varints,
    gap-coded adjacency) and streamed — the reader decodes out of a
    fixed 64 KiB window and never materialises the file, the writer
    flushes its buffer at the same granularity. Layout, after the 6-byte
@@ -309,35 +285,20 @@ let of_binary_string s = decode_binary (source_of_string s)
 let read_binary_file path = In_channel.with_open_bin path read_binary
 
 (* Format sniffing: a binary file starts with the magic, a text file
-   starts with '%' or a digit. Reading through one shared source keeps
-   this streaming for the binary case; the text fallback buffers the
-   few magic bytes already consumed and slurps the rest (the text
-   parser is line-oriented anyway). *)
+   starts with '%' or a digit. At most the magic's six bytes are read
+   before the decision, straight from the channel: the binary decoder
+   then streams the rest, and the text parser gets the rest in one
+   [In_channel.input_all]. *)
 let read_auto ic =
-  let src = source_of_channel ic in
-  let consumed = Buffer.create 8 in
-  let matched = ref true in
-  (try
-     String.iter
-       (fun c ->
-         match src.next () with
-         | -1 -> raise Exit
-         | b ->
-           Buffer.add_char consumed (Char.chr b);
-           if b <> Char.code c then raise Exit)
-       binary_magic
-   with Exit -> matched := false);
-  if !matched then decode_binary ~magic_consumed:true src
-  else begin
-    let rest = Buffer.create 4096 in
-    Buffer.add_buffer rest consumed;
-    let continue = ref true in
-    while !continue do
-      match src.next () with
-      | -1 -> continue := false
-      | b -> Buffer.add_char rest (Char.chr b)
-    done;
-    of_string (Buffer.contents rest)
-  end
+  let k = String.length binary_magic in
+  let head = Bytes.create k in
+  let rec fill got =
+    if got = k then got
+    else match input ic head got (k - got) with 0 -> got | r -> fill (got + r)
+  in
+  let got = fill 0 in
+  if got = k && Bytes.to_string head = binary_magic then
+    decode_binary ~magic_consumed:true (source_of_channel ic)
+  else of_string (Bytes.sub_string head 0 got ^ In_channel.input_all ic)
 
 let read_file_auto path = In_channel.with_open_bin path read_auto

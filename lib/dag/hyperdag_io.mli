@@ -52,7 +52,11 @@ val read : in_channel -> Dag.t
 val read_file : string -> Dag.t
 
 val to_string : Dag.t -> string
-val of_string : string -> Dag.t
+
+val of_string : ?pos:int -> string -> Dag.t
+(** Parse the text from byte offset [pos] (default 0) on, in place: a
+    request document hands over its inline body without copying it.
+    Raises [Failure] as {!read} does. *)
 
 (** {1 Binary format} *)
 

@@ -9,19 +9,27 @@ type t =
 
 exception Parse_error of string
 
+(* Runs of bytes that need no escape are blitted whole: a schedule
+   sent inline is one long string with an escape only per line. *)
 let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  let flush start i = if i > start then Buffer.add_substring buf s start (i - start) in
+  let rec go start i =
+    if i = String.length s then flush start i
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        flush start i;
+        (match c with
+         | '"' -> Buffer.add_string buf "\\\""
+         | '\\' -> Buffer.add_string buf "\\\\"
+         | '\n' -> Buffer.add_string buf "\\n"
+         | '\r' -> Buffer.add_string buf "\\r"
+         | '\t' -> Buffer.add_string buf "\\t"
+         | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  in
+  go 0 0
 
 (* JSON has no literal for non-finite numbers; emit null rather than an
    invalid token so downstream parsers never choke on a stray nan.

@@ -6,102 +6,97 @@
 let v2_marker = "% bsp schedule v2"
 
 let to_string (t : Schedule.t) =
-  let buf = Buffer.create 4096 in
   let n = Dag.n t.Schedule.dag in
+  let num_events = List.length t.Schedule.comm in
   let num_reps = Schedule.num_replicas t in
+  (* about 10 bytes per line *)
+  let buf = Buffer.create (128 + (10 * (n + num_events + num_reps))) in
   if num_reps = 0 then begin
     Buffer.add_string buf "% bsp schedule: node/proc/superstep, then comm events\n";
-    Buffer.add_string buf (Printf.sprintf "%d %d\n" n (List.length t.Schedule.comm))
+    Text_codec.add_ints2 buf n num_events
   end
   else begin
-    Buffer.add_string buf (v2_marker ^ ": node/proc/superstep, comm events, replicas\n");
-    Buffer.add_string buf
-      (Printf.sprintf "%d %d %d\n" n (List.length t.Schedule.comm) num_reps)
+    Buffer.add_string buf v2_marker;
+    Buffer.add_string buf ": node/proc/superstep, comm events, replicas\n";
+    Text_codec.add_ints3 buf n num_events num_reps
   end;
   for v = 0 to n - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf "%d %d %d\n" v t.Schedule.proc.(v) t.Schedule.step.(v))
+    Text_codec.add_ints3 buf v t.Schedule.proc.(v) t.Schedule.step.(v)
   done;
   List.iter
     (fun (e : Schedule.comm_event) ->
-      Buffer.add_string buf (Printf.sprintf "%d %d %d %d\n" e.node e.src e.dst e.step))
+      Text_codec.add_int buf e.node;
+      Buffer.add_char buf ' ';
+      Text_codec.add_ints3 buf e.src e.dst e.step)
     t.Schedule.comm;
   if num_reps > 0 then
     for v = 0 to n - 1 do
-      Schedule.iter_replicas t v (fun q s ->
-          Buffer.add_string buf (Printf.sprintf "%d %d %d\n" v q s))
+      Schedule.iter_replicas t v (fun q s -> Text_codec.add_ints3 buf v q s)
     done;
   Buffer.contents buf
 
+(* A first pass counts the significant lines and looks for the version
+   marker, which is itself a comment and may sit anywhere; the second
+   parses the lines in place. *)
 let of_string dag text =
-  let raw_lines = String.split_on_char '\n' text |> List.map String.trim in
-  (* Version detection must look at comment lines before they are
-     stripped: the version marker is itself a comment. *)
-  let v2 =
-    List.exists
-      (fun l ->
-        String.length l >= String.length v2_marker
-        && String.sub l 0 (String.length v2_marker) = v2_marker)
-      raw_lines
+  let sc = Text_codec.scanner text in
+  let what = "Schedule_io" in
+  let significant, v2 = Text_codec.count_lines ~marker:v2_marker sc in
+  if not (Text_codec.next_line sc) then failwith "Schedule_io: empty input";
+  let ints = Array.make 4 0 in
+  let n, num_events, num_reps =
+    match (Text_codec.line_ints sc ~what ints, v2) with
+    | 2, false -> (ints.(0), ints.(1), 0)
+    | 3, true -> (ints.(0), ints.(1), ints.(2))
+    | _, false -> failwith "Schedule_io: header must be <nodes> <events>"
+    | _, true -> failwith "Schedule_io: v2 header must be <nodes> <events> <replicas>"
   in
-  let lines = List.filter (fun l -> l <> "" && l.[0] <> '%') raw_lines in
-  let ints line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map (fun s ->
-           match int_of_string_opt s with
-           | Some i -> i
-           | None -> failwith ("Schedule_io: not an integer: " ^ s))
-  in
-  match lines with
-  | [] -> failwith "Schedule_io: empty input"
-  | header :: rest ->
-    let n, num_events, num_reps =
-      match (ints header, v2) with
-      | [ n; e ], false -> (n, e, 0)
-      | [ n; e; r ], true -> (n, e, r)
-      | _, false -> failwith "Schedule_io: header must be <nodes> <events>"
-      | _, true -> failwith "Schedule_io: v2 header must be <nodes> <events> <replicas>"
-    in
-    if n <> Dag.n dag then failwith "Schedule_io: node count does not match the DAG";
-    let expected = n + num_events + num_reps in
-    let got = List.length rest in
-    if got < expected then failwith "Schedule_io: truncated file";
-    if got > expected then
-      failwith
-        (Printf.sprintf
-           "Schedule_io: %d trailing non-comment line(s) after the declared %d \
-            assignment + %d event%s line(s)"
-           (got - expected) n num_events
-           (if num_reps > 0 then Printf.sprintf " + %d replica" num_reps else ""));
-    let proc = Array.make n 0 and step = Array.make n 0 in
-    List.iteri
-      (fun i line ->
-        if i < n then
-          match ints line with
-          | [ v; p; s ] when v >= 0 && v < n ->
-            proc.(v) <- p;
-            step.(v) <- s
-          | _ -> failwith "Schedule_io: bad assignment line")
-      rest;
-    let events =
-      List.filteri (fun i _ -> i >= n && i < n + num_events) rest
-      |> List.map (fun line ->
-             match ints line with
-             | [ node; src; dst; phase ] -> { Schedule.node; src; dst; step = phase }
-             | _ -> failwith "Schedule_io: bad comm event line")
-    in
-    if num_reps = 0 then Schedule.make dag ~proc ~step ~comm:events
-    else begin
-      let replicas =
-        List.filteri (fun i _ -> i >= n + num_events) rest
-        |> List.map (fun line ->
-               match ints line with
-               | [ v; q; s ] when v >= 0 && v < n -> (v, q, s)
-               | _ -> failwith "Schedule_io: bad replica line")
-      in
-      Schedule.make_replicated dag ~proc ~step ~comm:events ~replicas
-    end
+  if n <> Dag.n dag then failwith "Schedule_io: node count does not match the DAG";
+  if num_events < 0 || num_reps < 0 then failwith "Schedule_io: negative count in header";
+  let got = significant - 1 in
+  if num_events > got - n || num_reps > got - n - num_events then
+    failwith "Schedule_io: truncated file";
+  let expected = n + num_events + num_reps in
+  if got > expected then
+    failwith
+      (Printf.sprintf
+         "Schedule_io: %d trailing non-comment line(s) after the declared %d \
+          assignment + %d event%s line(s)"
+         (got - expected) n num_events
+         (if num_reps > 0 then Printf.sprintf " + %d replica" num_reps else ""));
+  let proc = Array.make n 0 and step = Array.make n 0 in
+  for _ = 1 to n do
+    ignore (Text_codec.next_line sc : bool);
+    match Text_codec.line_ints sc ~what ints with
+    | 3 when ints.(0) >= 0 && ints.(0) < n ->
+      proc.(ints.(0)) <- ints.(1);
+      step.(ints.(0)) <- ints.(2)
+    | _ -> failwith "Schedule_io: bad assignment line"
+  done;
+  let events = ref [] in
+  for _ = 1 to num_events do
+    ignore (Text_codec.next_line sc : bool);
+    match Text_codec.line_ints sc ~what ints with
+    | 4 ->
+      events :=
+        { Schedule.node = ints.(0); src = ints.(1); dst = ints.(2); step = ints.(3) }
+        :: !events
+    | _ -> failwith "Schedule_io: bad comm event line"
+  done;
+  let comm = List.rev !events in
+  if num_reps = 0 then Schedule.make dag ~proc ~step ~comm
+  else begin
+    let replicas = ref [] in
+    for _ = 1 to num_reps do
+      ignore (Text_codec.next_line sc : bool);
+      match Text_codec.line_ints sc ~what ints with
+      | 3 when ints.(0) >= 0 && ints.(0) < n ->
+        replicas := (ints.(0), ints.(1), ints.(2)) :: !replicas
+      | _ -> failwith "Schedule_io: bad replica line"
+    done;
+    try Schedule.make_replicated dag ~proc ~step ~comm ~replicas:(List.rev !replicas)
+    with Invalid_argument msg -> failwith ("Schedule_io: " ^ msg)
+  end
 
 let write oc t = output_string oc (to_string t)
 let write_file path t = Atomic_file.write path (fun oc -> write oc t)

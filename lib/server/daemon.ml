@@ -150,8 +150,9 @@ let process_batch cfg ~registry ~t0 names =
         let base = Filename.chop_suffix name ".req" in
         let path = Filename.concat incoming name in
         match
-          let text = In_channel.with_open_bin path In_channel.input_all in
-          Request.parse_any ~base_dir:incoming ~id:base text
+          Obs.Metrics.with_span "server:parse" (fun () ->
+              let text = In_channel.with_open_bin path In_channel.input_all in
+              Request.parse_any ~base_dir:incoming ~id:base text)
         with
         | req -> (name, base, Ok req)
         | exception (Failure msg | Sys_error msg) -> (name, base, Error msg))
@@ -213,18 +214,19 @@ let process_batch cfg ~registry ~t0 names =
                as their leader, so they observe the leader's [dt]. *)
             Obs.Metrics.histogram "server.request_seconds" dt;
             let sched_rel = Filename.concat "done" (base ^ ".schedule") in
-            Schedule_io.write_file
-              (Filename.concat finished (base ^ ".schedule"))
-              res.Engine.schedule;
-            Atomic_file.write_string
-              (Filename.concat finished (base ^ ".resp.json"))
-              (Obs.Json.to_string
-                 (ok_json ~id:req.Request.id ~cache:cache_label ~key:res.Engine.key
-                    ~cost:res.Engine.cost
-                    ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
-                    ~seconds
-                    [ ("schedule_file", Obs.Json.String sched_rel) ])
-              ^ "\n")));
+            Obs.Metrics.with_span "server:encode" (fun () ->
+                Schedule_io.write_file
+                  (Filename.concat finished (base ^ ".schedule"))
+                  res.Engine.schedule;
+                Atomic_file.write_string
+                  (Filename.concat finished (base ^ ".resp.json"))
+                  (Obs.Json.to_string
+                     (ok_json ~id:req.Request.id ~cache:cache_label ~key:res.Engine.key
+                        ~cost:res.Engine.cost
+                        ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
+                        ~seconds
+                        [ ("schedule_file", Obs.Json.String sched_rel) ])
+                  ^ "\n"))));
       try Sys.remove (Filename.concat incoming name) with Sys_error _ -> ())
     parsed
 
@@ -354,34 +356,39 @@ let run_stdio ~cache_dir ic oc =
     | Some payload ->
       incr count;
       let fallback_id = Printf.sprintf "stdio-%d" !count in
-      let json =
-        match Request.parse_any ~id:fallback_id payload with
+      let reply =
+        match
+          Obs.Metrics.with_span "server:parse" (fun () ->
+              Request.parse_any ~id:fallback_id payload)
+        with
         | Request.Stats { Request.stats_id } ->
           Obs.Metrics.counter "server.stats_requests" 1;
-          stats_json ~registry ~t0 ~id:stats_id
+          Obs.Json.to_string_compact (stats_json ~registry ~t0 ~id:stats_id)
         | Request.Schedule req ->
           Obs.Metrics.counter "server.requests" 1;
           (match handle ~cache_dir req with
-           | Error msg, _ -> error_reply ~id:req.Request.id msg
+           | Error msg, _ -> Obs.Json.to_string_compact (error_reply ~id:req.Request.id msg)
            | Ok res, dt ->
              Obs.Metrics.counter
                (counter_of_label (Engine.status_label res.Engine.status))
                1;
              Obs.Metrics.histogram "server.request_seconds" dt;
-             ok_json ~id:req.Request.id
-               ~cache:(Engine.status_label res.Engine.status)
-               ~key:res.Engine.key ~cost:res.Engine.cost
-               ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
-               ~seconds:dt
-               [
-                 ( "schedule",
-                   Obs.Json.String (Schedule_io.to_string res.Engine.schedule) );
-               ])
+             Obs.Metrics.with_span "server:encode" (fun () ->
+                 Obs.Json.to_string_compact
+                   (ok_json ~id:req.Request.id
+                      ~cache:(Engine.status_label res.Engine.status)
+                      ~key:res.Engine.key ~cost:res.Engine.cost
+                      ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
+                      ~seconds:dt
+                      [
+                        ( "schedule",
+                          Obs.Json.String (Schedule_io.to_string res.Engine.schedule) );
+                      ])))
         | exception (Failure msg | Sys_error msg) ->
           Obs.Metrics.counter "server.requests" 1;
-          error_reply ~id:fallback_id msg
+          Obs.Json.to_string_compact (error_reply ~id:fallback_id msg)
       in
-      write_frame oc (Obs.Json.to_string_compact json);
+      write_frame oc reply;
       loop ()
   in
   loop ()

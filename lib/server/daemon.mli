@@ -59,7 +59,10 @@
     ([serve --flight-record]) it is a slice on the domain that handled
     it, with the pipeline's stage slices nested inside. A cache hit's
     slice has no nested [scheduler:*] slice; stats probes and coalesced
-    followers open no span. All daemon timing reads [Time_source].
+    followers open no span. Beside it, each request's parse runs in a
+    [server:parse] span and each answer's encoding (schedule text and
+    JSON, and for the queue their write-out) in a [server:encode] span.
+    All daemon timing reads [Time_source].
 
     {b Shutdown.} Touching [<queue>/stop], SIGTERM or SIGINT all stop
     the loop after the in-flight batch; remaining metrics are flushed

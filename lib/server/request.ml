@@ -12,7 +12,7 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 let parse ?(base_dir = ".") ~id text =
   let resolve p = if Filename.is_relative p then Filename.concat base_dir p else p in
-  let lines = String.split_on_char '\n' text in
+  let sc = Text_codec.scanner text in
   let id = ref id in
   let algorithm = ref "pipeline" in
   let seconds = ref 10.0 in
@@ -28,17 +28,13 @@ let parse ?(base_dir = ".") ~id text =
     | None -> fail "Request: %s: not an integer: %s" what s
   in
   (* Header lines up to the [hyperdag] marker; everything after the
-     marker is the inline hyperDAG body, passed to the text parser
-     verbatim. *)
-  let rec go = function
-    | [] -> ()
-    | line :: rest ->
-      let trimmed = String.trim line in
-      if trimmed = "" || trimmed.[0] = '%' then go rest
-      else begin
-        let words =
-          String.split_on_char ' ' trimmed |> List.filter (fun s -> s <> "")
-        in
+     marker line is the inline hyperDAG body, which the text parser
+     reads in place from that offset. *)
+  let rec go () =
+    if Text_codec.next_line sc then
+      match Text_codec.line_words sc with
+      | [ "hyperdag" ] -> inline_dag := Some (Text_codec.position sc)
+      | words ->
         (match words with
          | [ "id"; v ] -> id := v
          | [ "algorithm"; v ] -> algorithm := v
@@ -56,14 +52,10 @@ let parse ?(base_dir = ".") ~id text =
          | [ "numa-delta"; v ] -> delta := Some (int_of "numa-delta" v)
          | [ "machine"; path ] -> machine_path := Some path
          | [ "dag"; path ] -> dag_path := Some path
-         | [ "hyperdag" ] ->
-           inline_dag := Some (String.concat "\n" rest);
-           raise Exit
-         | _ -> fail "Request: unrecognised line: %s" trimmed);
-        go rest
-      end
+         | _ -> fail "Request: unrecognised line: %s" (Text_codec.line sc));
+        go ()
   in
-  (try go lines with Exit -> ());
+  go ();
   let machine =
     match !machine_path with
     | Some path ->
@@ -85,7 +77,7 @@ let parse ?(base_dir = ".") ~id text =
     | Some _, Some _ -> fail "Request: give either a dag file or an inline hyperdag section, not both"
     | None, None -> fail "Request: missing dag (either a 'dag <path>' line or a 'hyperdag' section)"
     | Some path, None -> Hyperdag_io.read_file_auto (resolve path)
-    | None, Some text -> Hyperdag_io.of_string text
+    | None, Some pos -> Hyperdag_io.of_string ~pos text
   in
   {
     id = !id;
@@ -106,19 +98,15 @@ type parsed = Schedule of t | Stats of stats_request
    the full parser — so a malformed scheduling request still fails with
    the scheduling parser's message, not a confusing stats one. *)
 let parse_any ?base_dir ~id text =
-  let rec scan id = function
-    | [] -> None
-    | line :: rest ->
-      let trimmed = String.trim line in
-      if trimmed = "" || trimmed.[0] = '%' then scan id rest
-      else (
-        match
-          String.split_on_char ' ' trimmed |> List.filter (fun s -> s <> "")
-        with
-        | [ "id"; v ] -> scan v rest
-        | [ "stats" ] -> Some id
-        | _ -> None)
+  let sc = Text_codec.scanner text in
+  let rec scan id =
+    if not (Text_codec.next_line sc) then None
+    else
+      match Text_codec.line_words sc with
+      | [ "id"; v ] -> scan v
+      | [ "stats" ] -> Some id
+      | _ -> None
   in
-  match scan id (String.split_on_char '\n' text) with
+  match scan id with
   | Some stats_id -> Stats { stats_id }
   | None -> Schedule (parse ?base_dir ~id text)

@@ -3,7 +3,8 @@
     A request is a small line-oriented text document naming a workload
     (hyperDAG + machine) and how hard to optimise it. Lines before the
     optional [hyperdag] marker form the header; [%] comments and blank
-    lines are ignored:
+    lines are ignored, and words are separated by spaces or tabs
+    ({!Text_codec}):
 
     {v
     % any comment

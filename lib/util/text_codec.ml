@@ -1,0 +1,138 @@
+(* One scanner for every line-oriented text format. The scanner keeps
+   the trimmed bounds of the current line and the start of the next
+   one; lines and tokens are located by index arithmetic on the input
+   string, never copied out of it. *)
+
+type scanner = {
+  text : string;
+  mutable pos : int;  (* start of the next unread line *)
+  mutable first : int;  (* trimmed bounds [first, last) of the current line *)
+  mutable last : int;
+}
+
+(* Token separators. A form feed is trimmed at the ends of a line but
+   inside one it is part of a token. *)
+let is_sep c = c = ' ' || c = '\t' || c = '\r'
+
+(* The bytes [String.trim] strips (['\n'] never occurs inside a line). *)
+let is_blank c = is_sep c || c = '\012'
+
+let scanner ?(pos = 0) text =
+  if pos < 0 || pos > String.length text then invalid_arg "Text_codec.scanner: position";
+  { text; pos; first = pos; last = pos }
+
+let rec skip_blank s i stop =
+  if i < stop && is_blank (String.unsafe_get s i) then skip_blank s (i + 1) stop else i
+
+let rec back_blank s a j =
+  if j > a && is_blank (String.unsafe_get s (j - 1)) then back_blank s a (j - 1) else j
+
+(* Move to the next line, significant or not, and trim it. *)
+let[@inline] raw_line t =
+  let s = t.text in
+  let len = String.length s in
+  t.pos < len
+  &&
+  let eol = try String.index_from s t.pos '\n' with Not_found -> len in
+  t.first <- skip_blank s t.pos eol;
+  t.last <- back_blank s t.first eol;
+  t.pos <- (if eol < len then eol + 1 else len);
+  true
+
+let[@inline] significant t = t.first < t.last && String.unsafe_get t.text t.first <> '%'
+let rec next_line t = raw_line t && (significant t || next_line t)
+
+let starts_with t m =
+  let k = String.length m in
+  let rec go i =
+    i = k || (String.unsafe_get t.text (t.first + i) = String.unsafe_get m i && go (i + 1))
+  in
+  t.last - t.first >= k && go 0
+
+let count_lines ?(marker = "") t =
+  let t = { t with pos = t.pos } in
+  let count = ref 0 and seen = ref false in
+  while raw_line t do
+    if significant t then incr count
+    else if marker <> "" && starts_with t marker then seen := true
+  done;
+  (!count, !seen)
+
+let rec token_end s i stop =
+  if i < stop && not (is_sep (String.unsafe_get s i)) then token_end s (i + 1) stop else i
+
+(* The stdlib parses every token that is not at most 18 plain decimal
+   digits after an optional '-' (a '+' sign, a base prefix, '_', an
+   overlong or junk token), so the accepted syntax is exactly
+   [int_of_string]'s; 18 digits cannot overflow. *)
+let parse_slow ~what s a b =
+  let tok = String.sub s a (b - a) in
+  match int_of_string_opt tok with
+  | Some v -> v
+  | None -> failwith (what ^ ": not an integer: " ^ tok)
+
+(* One pass per token: digits are accumulated while its end is sought. *)
+let line_ints t ~what buf =
+  let s = t.text and stop = t.last in
+  let cap = Array.length buf in
+  let k = ref 0 in
+  let i = ref t.first in
+  while !i < stop do
+    if is_sep (String.unsafe_get s !i) then incr i
+    else begin
+      let a = !i in
+      let d0 = if String.unsafe_get s a = '-' then a + 1 else a in
+      i := d0;
+      let acc = ref 0 and plain = ref true in
+      while !i < stop && not (is_sep (String.unsafe_get s !i)) do
+        let d = Char.code (String.unsafe_get s !i) - 48 in
+        if d < 0 || d > 9 then plain := false else acc := (!acc * 10) + d;
+        incr i
+      done;
+      let v =
+        if !plain && !i > d0 && !i - d0 <= 18 then if d0 > a then - !acc else !acc
+        else parse_slow ~what s a !i
+      in
+      if !k < cap then buf.(!k) <- v;
+      incr k
+    end
+  done;
+  !k
+
+let line_words t =
+  let s = t.text in
+  let rec go i acc =
+    if i >= t.last then List.rev acc
+    else if is_sep (String.unsafe_get s i) then go (i + 1) acc
+    else
+      let j = token_end s i t.last in
+      go j (String.sub s i (j - i) :: acc)
+  in
+  go t.first []
+
+let line t = String.sub t.text t.first (t.last - t.first)
+let position t = t.pos
+
+(* Digits of a non-positive value, most significant first; working on
+   the negative side covers [min_int]. *)
+let rec add_digits buf v =
+  if v <= -10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (v mod 10)))
+
+let add_int buf v =
+  if v < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf v
+  end
+  else add_digits buf (-v)
+
+let add_ints2 buf a b =
+  add_int buf a;
+  Buffer.add_char buf ' ';
+  add_int buf b;
+  Buffer.add_char buf '\n'
+
+let add_ints3 buf a b c =
+  add_int buf a;
+  Buffer.add_char buf ' ';
+  add_ints2 buf b c

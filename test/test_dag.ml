@@ -268,6 +268,43 @@ let prop_roundtrip_mangled =
            (fun v -> Dag.work g v = Dag.work g2 v && Dag.comm g v = Dag.comm g2 v)
            (Array.init (Dag.n g) Fun.id))
 
+let same_dag g g2 =
+  Dag.n g = Dag.n g2
+  && Dag.edges g = Dag.edges g2
+  && Array.for_all
+       (fun v -> Dag.work g v = Dag.work g2 v && Dag.comm g v = Dag.comm g2 v)
+       (Array.init (Dag.n g) Fun.id)
+
+(* Differential: the in-place scanner against the split-based parser it
+   replaced (Text_io_reference), on clean and mutated text. Both must
+   accept and reject the same inputs, fail with the same [Failure]
+   message, and build the same DAG; parsing from an offset behind a
+   junk prefix must change nothing. *)
+let prop_text_oracle =
+  Test_util.qtest ~count:400 "hyperdag scanner = split-based oracle"
+    QCheck2.Gen.(
+      triple (Test_util.arb_dag ()) (int_bound 1_000_000) (oneofl [ 0.0; 0.02; 0.1; 0.3 ]))
+    (fun (g, seed, rate) ->
+      let text =
+        Text_io_reference.mutate (Rng.create seed) ~rate (Hyperdag_io.to_string g)
+      in
+      let expected =
+        Text_io_reference.outcome (fun () -> Text_io_reference.hyperdag_of_string text)
+      in
+      let got = Text_io_reference.outcome (fun () -> Hyperdag_io.of_string text) in
+      let prefix = "junk before the offset\n1 2 3\n" in
+      let got_at =
+        Text_io_reference.outcome (fun () ->
+            Hyperdag_io.of_string ~pos:(String.length prefix) (prefix ^ text))
+      in
+      let agree a b =
+        match (a, b) with
+        | Ok x, Ok y -> same_dag x y
+        | Error x, Error y -> x = y && Text_io_reference.is_failure b
+        | _ -> false
+      in
+      agree expected got && agree expected got_at)
+
 (* Generator of raw (n, edge list) inputs for the CSR-vs-model property:
    edges go low id -> high id (acyclic by construction), arrive in a
    shuffled order, and a fraction are duplicated so the dedup path is
@@ -395,6 +432,7 @@ let () =
           prop_has_path;
           prop_roundtrip;
           prop_roundtrip_mangled;
+          prop_text_oracle;
           prop_csr_matches_model;
         ] );
     ]

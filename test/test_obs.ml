@@ -31,6 +31,14 @@ let test_json_escaping () =
    | Obs.Json.String s2 -> check_str "parses back" "quote\" back\\ nl\n ctrl\x01" s2
    | _ -> Alcotest.fail "expected string")
 
+(* Escaping copies runs of plain bytes whole; any mix of plain and
+   escaped ASCII bytes, at either end or back to back, reads back. *)
+let prop_json_string_roundtrip =
+  Test_util.qtest ~count:300 "string escape round-trip"
+    QCheck2.Gen.(string_size ~gen:(char_range '\000' '\127') (int_bound 40))
+    (fun s ->
+      Obs.Json.of_string (Obs.Json.to_string_compact (Obs.Json.String s)) = Obs.Json.String s)
+
 let test_json_nonfinite_floats () =
   check_str "nan is null" "null" (Obs.Json.to_string (Obs.Json.Float Float.nan));
   check_str "inf is null" "null" (Obs.Json.to_string (Obs.Json.Float Float.infinity))
@@ -670,6 +678,65 @@ let test_write_json_file () =
       | Some (Obs.Json.Obj [ ("a", Obs.Json.Int 1) ]) -> ()
       | _ -> Alcotest.fail "file snapshot malformed")
 
+(* ------------------------------------------------------------------ *)
+(* Text I/O spans: the one-shot CLI and the stdio daemon attribute
+   their parse and write-out time to named spans.                     *)
+
+let span_paths json =
+  match Obs.Json.member "spans" json with
+  | Some (Obs.Json.List spans) ->
+    List.filter_map
+      (fun s ->
+        match Obs.Json.member "path" s with Some (Obs.Json.String p) -> Some p | _ -> None)
+      spans
+  | _ -> []
+
+let rec remove path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f] gets a function naming files in a fresh directory, removed after. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "obs_io" "" in
+  Fun.protect ~finally:(fun () -> remove dir) (fun () -> f (Filename.concat dir))
+
+let check_spans expected paths =
+  List.iter (fun p -> check_bool ("span " ^ p) true (List.mem p paths)) expected
+
+let test_cli_io_spans () =
+  with_temp_dir (fun file ->
+      let scheduler =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name "bin/scheduler.exe")
+      in
+      Hyperdag_io.write_file (file "in.hdag") (Test_util.diamond ());
+      let cmd =
+        Filename.quote_command scheduler ~stdout:(file "stdout")
+          [ file "in.hdag"; "-a"; "bspg"; "-p"; "2"; "-q"; "--metrics"; file "metrics.json";
+            "-o"; file "out.schedule" ]
+      in
+      check "scheduler exit code" 0 (Sys.command cmd);
+      check_spans
+        [ "cli:parse"; "scheduler:bspg"; "cli:validity"; "cli:cost"; "cli:write" ]
+        (span_paths (read_json_file (file "metrics.json"))))
+
+let test_daemon_io_spans () =
+  with_temp_dir (fun file ->
+      let r = Obs.Metrics.create () in
+      Out_channel.with_open_bin (file "in") (fun oc ->
+          Server.Daemon.write_frame oc
+            ("algorithm bspg\np 2\nhyperdag\n" ^ Hyperdag_io.to_string (Test_util.diamond ())));
+      Obs.Metrics.with_registry r (fun () ->
+          In_channel.with_open_bin (file "in") (fun ic ->
+              Out_channel.with_open_bin (file "out") (fun oc ->
+                  Server.Daemon.run_stdio ~cache_dir:(file "cache") ic oc)));
+      check_spans
+        [ "server:parse"; "server:request"; "server:encode" ]
+        (List.map (fun (s : Obs.Metrics.span_stats) -> s.path) (Obs.Metrics.span_list r)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -677,6 +744,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escaping" `Quick test_json_escaping;
+          prop_json_string_roundtrip;
           Alcotest.test_case "non-finite floats" `Quick test_json_nonfinite_floats;
           Alcotest.test_case "compact emitter" `Quick test_json_compact;
           Alcotest.test_case "float round-trip examples" `Quick test_json_float_examples;
@@ -743,5 +811,11 @@ let () =
           Alcotest.test_case "metrics json valid" `Quick test_pipeline_metrics_json_valid;
           Alcotest.test_case "instrumentation differential" `Quick
             test_pipeline_instrumentation_differential;
+        ] );
+      ( "io-spans",
+        [
+          Alcotest.test_case "cli parse, validity, cost and write spans" `Quick
+            test_cli_io_spans;
+          Alcotest.test_case "daemon parse and encode spans" `Quick test_daemon_io_spans;
         ] );
     ]

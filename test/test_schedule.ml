@@ -414,6 +414,39 @@ let prop_io_roundtrip =
       && s2.Schedule.rep_step = s.Schedule.rep_step
       && Bsp_cost.total m s2 = Bsp_cost.total m s)
 
+(* Differential: the in-place scanner against the split-based parser it
+   replaced (Text_io_reference), on clean and mutated v1 and v2 text;
+   the oracle reads the text through [Text_io_reference.spaced]. The
+   scanner adds one check, negative header counts, and reports a bad
+   replica set as [Failure] where the old parser let
+   [Invalid_argument] escape. *)
+let prop_text_oracle =
+  Test_util.qtest ~count:400 "schedule scanner = split-based oracle"
+    QCheck2.Gen.(pair gen3 (oneofl [ 0.0; 0.02; 0.1; 0.3 ]))
+    (fun ((dag, (m, seed)), rate) ->
+      let rng = Rng.create seed in
+      let proc, step, replicas = random_replicated rng dag m in
+      let replicas = if Rng.bool rng then replicas else [] in
+      let s = Schedule.of_assignment_replicated m dag ~proc ~step ~replicas in
+      let text = Text_io_reference.mutate rng ~rate (Schedule_io.to_string s) in
+      let expected =
+        Text_io_reference.outcome (fun () ->
+            Text_io_reference.schedule_of_string dag (Text_io_reference.spaced text))
+      in
+      let got = Text_io_reference.outcome (fun () -> Schedule_io.of_string dag text) in
+      match (expected, got) with
+      | _, Error _ when not (Text_io_reference.is_failure got) -> false
+      | _, Error "Failure: Schedule_io: negative count in header" -> true
+      | Error _, Error _ -> true
+      | Ok a, Ok b ->
+        a.Schedule.proc = b.Schedule.proc
+        && a.Schedule.step = b.Schedule.step
+        && a.Schedule.comm = b.Schedule.comm
+        && a.Schedule.rep_off = b.Schedule.rep_off
+        && a.Schedule.rep_proc = b.Schedule.rep_proc
+        && a.Schedule.rep_step = b.Schedule.rep_step
+      | _ -> false)
+
 (* Collapsing every replica set back to its singleton primary must
    reproduce the replication-free schedule — and its cost — exactly. *)
 let prop_collapse_replicas_exact =
@@ -476,6 +509,7 @@ let () =
           prop_lazy_valid;
           prop_replicated_lazy_valid;
           prop_io_roundtrip;
+          prop_text_oracle;
           prop_collapse_replicas_exact;
           prop_compact_never_worse;
         ] );

@@ -105,10 +105,29 @@ let test_binary_garbage () =
    rather than to the declared count. *)
 let test_binary_huge_node_count () =
   let b = Hyperdag_io.binary_magic ^ "\x80\x80\x80\x80\x80\x20" ^ "\x00" ^ "\x01" in
-  let before = Gc.allocated_bytes () in
   check_bool "rejected" true (fails (fun () -> Hyperdag_io.of_binary_string b));
   check_bool "allocation bounded by the input" true
-    (Gc.allocated_bytes () -. before < 1e6)
+    (Test_util.min_allocated_bytes (fun () ->
+         ignore (fails (fun () -> Hyperdag_io.of_binary_string b)))
+     < 1e6)
+
+(* The text analogue: headers declaring 2^40 nodes, pins or hyperedges
+   over a few bytes fail before any allocation is sized by them, in the
+   text parser and in a request's inline body alike. *)
+let test_text_huge_declared_count () =
+  List.iter
+    (fun header ->
+      let text = header ^ "\n0 1\n0 1 1\n1 1 1\n" in
+      let request = "id big\nhyperdag\n" ^ text in
+      check_bool ("rejected: " ^ header) true (fails (fun () -> Hyperdag_io.of_string text));
+      check_bool ("request rejected: " ^ header) true
+        (fails (fun () -> Server.Request.parse ~id:"x" request));
+      check_bool ("allocation bounded by the input: " ^ header) true
+        (Test_util.min_allocated_bytes (fun () ->
+             ignore (fails (fun () -> Hyperdag_io.of_string text));
+             ignore (fails (fun () -> Server.Request.parse ~id:"x" request)))
+         < 1e6))
+    [ "0 1099511627776 0"; "1 2 1099511627776"; "1099511627776 2 1099511627776" ]
 
 let test_binary_compact () =
   (* sanity: the binary form of a chain is much smaller than the text *)
@@ -388,6 +407,56 @@ let test_request_parse_errors () =
   check_bool "unknown header key" true
     (fails (fun () ->
          Server.Request.parse ~id:"x" ("frobnicate 3\nhyperdag\n" ^ dag_text)))
+
+(* Differential: the scanner-based request parser against the
+   split-based one it replaced (Text_io_reference), on stats probes and
+   scheduling requests with an inline hyperDAG, clean and mutated; the
+   oracle reads the text through [Text_io_reference.spaced]. Header
+   mutations draw from small junk words only: a request may name any
+   machine size, and a junk processor count of 2^40 would ask for a
+   2^80-entry NUMA matrix. *)
+let header_junk =
+  [| "x"; "stats"; "id"; "hyperdag"; "replicate"; "-1"; "0"; "+3"; "1_0"; "2" |]
+
+let request_doc rng dag =
+  let lines =
+    List.filter
+      (fun _ -> Rng.int rng 4 > 0)
+      [ "% a request"; "id job-7"; "algorithm bspg"; "seconds 2.5"; "seed 3"; "replicate" ]
+  in
+  let machine =
+    match Rng.int rng 3 with
+    | 0 -> [ "p 4"; "g 2"; "l 3" ]
+    | 1 -> [ "p 4"; "numa-delta 2" ]
+    | _ -> []
+  in
+  let header = if Rng.int rng 5 = 0 then [ "id probe"; "stats" ] else lines @ machine in
+  (String.concat "\n" header ^ "\n", "hyperdag\n" ^ Hyperdag_io.to_string dag)
+
+let prop_request_oracle =
+  Test_util.qtest ~count:300 "request scanner = split-based oracle"
+    QCheck2.Gen.(
+      triple (Test_util.arb_dag ~max_n:12 ()) (int_bound 1_000_000)
+        (oneofl [ 0.0; 0.05; 0.2 ]))
+    (fun (dag, seed, rate) ->
+      let rng = Rng.create seed in
+      let header, body = request_doc rng dag in
+      let text =
+        Text_io_reference.mutate rng ~junk:header_junk ~rate header
+        ^ Text_io_reference.mutate rng ~rate body
+      in
+      let expected =
+        Text_io_reference.outcome (fun () ->
+            Text_io_reference.request_parse_any ~id:"fallback" (Text_io_reference.spaced text))
+      in
+      let got =
+        Text_io_reference.outcome (fun () -> Server.Request.parse_any ~id:"fallback" text)
+      in
+      match (expected, got) with
+      | Ok (Server.Request.Stats a), Ok (Server.Request.Stats b) -> a = b
+      | Ok (Server.Request.Schedule a), Ok (Server.Request.Schedule b) -> a = b
+      | Error _, Error _ -> Text_io_reference.is_failure got
+      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)
@@ -809,6 +878,8 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick test_binary_garbage;
           Alcotest.test_case "huge declared node count rejected" `Quick
             test_binary_huge_node_count;
+          Alcotest.test_case "text: huge declared counts rejected" `Quick
+            test_text_huge_declared_count;
           Alcotest.test_case "binary is compact" `Quick test_binary_compact;
         ] );
       ( "atomic-write",
@@ -846,6 +917,7 @@ let () =
           Alcotest.test_case "inline parse" `Quick test_request_parse_inline;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_parse_errors;
+          prop_request_oracle;
         ] );
       ( "framing",
         [

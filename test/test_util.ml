@@ -57,3 +57,21 @@ let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
+
+(* Bytes allocated by one call of [f], as the minimum over [repeats]
+   calls. A single [Gc.allocated_bytes] delta is not exact on OCaml 5.1:
+   when a minor collection falls inside the window, the delta also
+   grows with the young data that collection promotes. A 32 KiB call
+   read up to 0.95 MB with about 1 MB of live young data around it, so
+   a suite that holds more could cross a 1 MB bound. For calls that
+   allocate far less than the minor heap, at most one of a few
+   back-to-back calls contains a minor collection, so the minimum is
+   the call's own allocation. *)
+let min_allocated_bytes ?(repeats = 5) f =
+  let best = ref infinity in
+  for _ = 1 to repeats do
+    let before = Gc.allocated_bytes () in
+    f ();
+    best := Float.min !best (Gc.allocated_bytes () -. before)
+  done;
+  !best
