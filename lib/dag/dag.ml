@@ -132,219 +132,232 @@ let has_edge g u v =
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
 
-(* Kahn's algorithm with a smallest-id-first priority discipline so the
-   resulting order is deterministic and independent of edge insertion
-   order. A simple module-level binary heap keeps this O((n+m) log n).
-   Returns [None] when the edge set contains a directed cycle. *)
+(* Count trailing zeros of a positive word. *)
+let ctz x =
+  let x = ref x and k = ref 0 in
+  if !x land 0xFFFFFFFF = 0 then (k := 32; x := !x lsr 32);
+  if !x land 0xFFFF = 0 then (k := !k + 16; x := !x lsr 16);
+  if !x land 0xFF = 0 then (k := !k + 8; x := !x lsr 8);
+  if !x land 0xF = 0 then (k := !k + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (k := !k + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then !k + 1 else !k
+
+(* Add id [v] to the ready bitmap; returns the new bound [lo]. *)
+let push_ready bits summary lo v =
+  let w = v / 62 in
+  let s = w / 62 in
+  bits.(w) <- bits.(w) lor (1 lsl (v - (62 * w)));
+  summary.(s) <- summary.(s) lor (1 lsl (w - (62 * s)));
+  if s < lo then s else lo
+
+(* Kahn's algorithm with a smallest-id-first discipline, so the order is
+   deterministic and independent of edge insertion order. The ready set
+   is a two-level bitmap: bit b of [bits.(w)] holds id 62w + b, and bit
+   j of [summary.(s)] says [bits.(62s + j)] is non-zero (62 bits keep
+   every word non-negative). The minimum ready id is the lowest bit of
+   the lowest non-zero word; [lo] is a lower bound on the first non-zero
+   summary word. Each node enters the set once, and the set holds
+   exactly what a min-heap would hold at every step, so the pops come
+   in the same order. Returns [None] when the edges contain a directed
+   cycle, and the order with its rank array otherwise. *)
 let compute_topo ~n ~succ_off ~succ_tgt ~pred_off =
-  let indeg = Array.init n (fun v -> pred_off.(v + 1) - pred_off.(v)) in
-  let heap = Array.make (n + 1) 0 in
-  let size = ref 0 in
-  let push x =
-    incr size;
-    heap.(!size) <- x;
-    let i = ref !size in
-    while !i > 1 && heap.(!i / 2) > heap.(!i) do
-      let p = !i / 2 in
-      let tmp = heap.(p) in
-      heap.(p) <- heap.(!i);
-      heap.(!i) <- tmp;
-      i := p
-    done
-  in
-  let pop () =
-    let top = heap.(1) in
-    heap.(1) <- heap.(!size);
-    decr size;
-    let i = ref 1 in
-    let continue = ref true in
-    while !continue do
-      let l = 2 * !i and r = (2 * !i) + 1 in
-      let smallest = ref !i in
-      if l <= !size && heap.(l) < heap.(!smallest) then smallest := l;
-      if r <= !size && heap.(r) < heap.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = heap.(!smallest) in
-        heap.(!smallest) <- heap.(!i);
-        heap.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-  in
+  (* Remaining in-degrees; on success every entry is back to 0 and the
+     array is reused for the ranks. *)
+  let indeg = Array.make n 0 in
+  let words = (n + 61) / 62 in
+  let bits = Array.make words 0 and summary = Array.make ((words + 61) / 62) 0 in
+  let lo = ref 0 in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then push v
+    let d = pred_off.(v + 1) - pred_off.(v) in
+    indeg.(v) <- d;
+    if d = 0 then lo := push_ready bits summary !lo v
   done;
   let order = Array.make n 0 in
   let k = ref 0 in
-  while !size > 0 do
-    let u = pop () in
-    order.(!k) <- u;
-    incr k;
-    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-      let v = succ_tgt.(i) in
-      indeg.(v) <- indeg.(v) - 1;
-      if indeg.(v) = 0 then push v
-    done
-  done;
-  if !k <> n then None else Some order
-
-(* In-place quicksort-with-insertion-cutoff of one CSR segment. *)
-let sort_segment a lo hi =
-  let rec qsort lo hi =
-    if hi - lo > 12 then begin
-      let mid = (lo + hi) / 2 in
-      (* median-of-three pivot *)
-      let p =
-        let x = a.(lo) and y = a.(mid) and z = a.(hi) in
-        if x < y then if y < z then y else if x < z then z else x
-        else if x < z then x
-        else if y < z then z
-        else y
-      in
-      let i = ref lo and j = ref hi in
-      while !i <= !j do
-        while a.(!i) < p do incr i done;
-        while a.(!j) > p do decr j done;
-        if !i <= !j then begin
-          let tmp = a.(!i) in
-          a.(!i) <- a.(!j);
-          a.(!j) <- tmp;
-          incr i;
-          decr j
-        end
-      done;
-      qsort lo !j;
-      qsort !i hi
-    end
-    else
-      for i = lo + 1 to hi do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
+  let nsum = Array.length summary in
+  while !lo < nsum do
+    let s = !lo in
+    let sw = summary.(s) in
+    if sw = 0 then incr lo
+    else begin
+      let w = (62 * s) + ctz sw in
+      let bw = bits.(w) in
+      let u = (62 * w) + ctz bw in
+      let bw = bw land (bw - 1) in
+      bits.(w) <- bw;
+      if bw = 0 then summary.(s) <- sw land (sw - 1);
+      order.(!k) <- u;
+      incr k;
+      for i = succ_off.(u) to succ_off.(u + 1) - 1 do
+        let v = succ_tgt.(i) in
+        let d = indeg.(v) - 1 in
+        indeg.(v) <- d;
+        if d = 0 then lo := push_ready bits summary !lo v
       done
-  in
-  if hi > lo then qsort lo hi
+    end
+  done;
+  if !k <> n then None
+  else begin
+    let rank = indeg in
+    for i = 0 to n - 1 do
+      rank.(order.(i)) <- i
+    done;
+    Some (order, rank)
+  end
 
-(* Build both CSR directions from raw edges, which [iter f] passes to
-   [f] one (u, v) pair at a time: count, fill, sort each successor
-   segment, compact out duplicates, then derive the predecessor side by
-   a counting pass over the deduplicated successors (iterating u
-   ascending makes every predecessor segment sorted and duplicate-free
-   for free). *)
-let build_csr ~n ~iter =
+(* In-place quicksort-with-insertion-cutoff of the CSR segment
+   [lo, hi] of [a]. *)
+let rec sort_segment a lo hi =
+  if hi - lo > 12 then begin
+    let mid = (lo + hi) / 2 in
+    (* median-of-three pivot *)
+    let p =
+      let x = a.(lo) and y = a.(mid) and z = a.(hi) in
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    sort_segment a lo !j;
+    sort_segment a !i hi
+  end
+  else
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* Build both CSR directions from the raw edges (src.(i), dst.(i)),
+   i < m: check, count, fill, sort each successor segment, compact out
+   duplicates, then derive the predecessor side by a counting pass over
+   the deduplicated successors (iterating u ascending makes every
+   predecessor segment sorted and duplicate-free for free). Each offsets
+   array is its own fill cursor: counted into [off.(u + 1)] and
+   prefix-summed, [off.(u)] walks from the start of u's segment to its
+   end, which is where u + 1's starts. *)
+let build_csr ~n ~src ~dst ~m =
   if n < 0 then invalid_arg "Dag: negative node count";
-  iter (fun u v ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Dag: edge endpoint out of range";
-      if u = v then invalid_arg "Dag: self-loop");
-  let deg = Array.make (n + 1) 0 in
-  iter (fun u _ -> deg.(u) <- deg.(u) + 1);
+  for i = 0 to m - 1 do
+    let u = src.(i) and v = dst.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Dag: edge endpoint out of range";
+    if u = v then invalid_arg "Dag: self-loop"
+  done;
   let succ_off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    let u = Array.unsafe_get src i + 1 in
+    Array.unsafe_set succ_off u (Array.unsafe_get succ_off u + 1)
+  done;
   for v = 1 to n do
-    succ_off.(v) <- succ_off.(v - 1) + deg.(v - 1)
+    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
   done;
-  let m_raw = succ_off.(n) in
-  let succ_tgt = Array.make m_raw 0 in
-  let cursor = Array.make n 0 in
-  Array.blit succ_off 0 cursor 0 n;
-  iter (fun u v ->
-      succ_tgt.(cursor.(u)) <- v;
-      cursor.(u) <- cursor.(u) + 1);
-  for u = 0 to n - 1 do
-    sort_segment succ_tgt succ_off.(u) (succ_off.(u + 1) - 1)
+  let succ_tgt = Array.make m 0 in
+  for i = 0 to m - 1 do
+    let u = Array.unsafe_get src i in
+    let c = Array.unsafe_get succ_off u in
+    Array.unsafe_set succ_tgt c (Array.unsafe_get dst i);
+    Array.unsafe_set succ_off u (c + 1)
   done;
-  (* Compact duplicates in place, left-packing the segments. *)
-  let write = ref 0 in
-  let off_out = Array.make (n + 1) 0 in
+  (* Sort and compact each segment in place, left-packing them; u's raw
+     segment is [start, succ_off.(u)). *)
+  let write = ref 0 and start = ref 0 in
   for u = 0 to n - 1 do
-    off_out.(u) <- !write;
+    let stop = succ_off.(u) in
+    sort_segment succ_tgt !start (stop - 1);
+    succ_off.(u) <- !write;
     let prev = ref (-1) in
-    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-      let v = succ_tgt.(i) in
+    for i = !start to stop - 1 do
+      let v = Array.unsafe_get succ_tgt i in
       if v <> !prev then begin
-        succ_tgt.(!write) <- v;
+        Array.unsafe_set succ_tgt !write v;
         incr write;
         prev := v
       end
-    done
+    done;
+    start := stop
   done;
-  off_out.(n) <- !write;
-  let m = !write in
-  let succ_tgt = if m = m_raw then succ_tgt else Array.sub succ_tgt 0 m in
-  let succ_off = off_out in
-  (* Predecessor side. *)
-  let indeg = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    let v = succ_tgt.(i) in
-    indeg.(v) <- indeg.(v) + 1
-  done;
+  succ_off.(n) <- !write;
+  let m' = !write in
+  let succ_tgt = if m' = m then succ_tgt else Array.sub succ_tgt 0 m' in
   let pred_off = Array.make (n + 1) 0 in
-  for v = 1 to n do
-    pred_off.(v) <- pred_off.(v - 1) + indeg.(v - 1)
+  for i = 0 to m' - 1 do
+    let v = Array.unsafe_get succ_tgt i + 1 in
+    Array.unsafe_set pred_off v (Array.unsafe_get pred_off v + 1)
   done;
-  let pred_tgt = Array.make m 0 in
-  Array.blit pred_off 0 cursor 0 n;
+  for v = 1 to n do
+    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
+  done;
+  let pred_tgt = Array.make m' 0 in
   for u = 0 to n - 1 do
     for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-      let v = succ_tgt.(i) in
-      pred_tgt.(cursor.(v)) <- u;
-      cursor.(v) <- cursor.(v) + 1
+      let v = Array.unsafe_get succ_tgt i in
+      let c = Array.unsafe_get pred_off v in
+      Array.unsafe_set pred_tgt c u;
+      Array.unsafe_set pred_off v (c + 1)
     done
   done;
+  for v = n downto 1 do
+    pred_off.(v) <- pred_off.(v - 1)
+  done;
+  pred_off.(0) <- 0;
   (succ_off, succ_tgt, pred_off, pred_tgt)
 
-let build ~n ~iter ~work ~comm ~on_cycle =
+(* [work] and [comm] become the DAG's own. *)
+let build ~n ~src ~dst ~m ~work ~comm ~on_cycle =
   if Array.length work <> n || Array.length comm <> n then
     invalid_arg "Dag: weight array length mismatch";
   Array.iter (fun w -> if w < 0 then invalid_arg "Dag: negative work weight") work;
   Array.iter (fun c -> if c < 0 then invalid_arg "Dag: negative comm weight") comm;
-  let succ_off, succ_tgt, pred_off, pred_tgt = build_csr ~n ~iter in
+  let succ_off, succ_tgt, pred_off, pred_tgt = build_csr ~n ~src ~dst ~m in
   match compute_topo ~n ~succ_off ~succ_tgt ~pred_off with
   | None -> on_cycle ()
-  | Some topo ->
-    let rank = Array.make n 0 in
-    Array.iteri (fun i v -> rank.(v) <- i) topo;
-    {
-      n;
-      succ_off;
-      succ_tgt;
-      pred_off;
-      pred_tgt;
-      work = Array.copy work;
-      comm = Array.copy comm;
-      topo;
-      rank;
-    }
+  | Some (topo, rank) -> { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
 
-let iter_list edges f = List.iter (fun (u, v) -> f u v) edges
+let arrays_of_list edges =
+  let m = List.length edges in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  List.iteri
+    (fun i (u, v) ->
+      src.(i) <- u;
+      dst.(i) <- v)
+    edges;
+  (src, dst, m)
 
 (* The topological order doubles as the acyclicity witness, so both
    constructors compute it eagerly; they differ only in the exception
    raised on a cycle (matching the historical lazily-raised ones). *)
 let of_edges_unchecked ~n ~edges ~work ~comm =
-  build ~n ~iter:(iter_list edges) ~work ~comm ~on_cycle:(fun () ->
+  let src, dst, m = arrays_of_list edges in
+  build ~n ~src ~dst ~m ~work:(Array.copy work) ~comm:(Array.copy comm) ~on_cycle:(fun () ->
       failwith "Dag: graph contains a directed cycle")
 
+let cycle_in_edges () = invalid_arg "Dag.of_edges: edge set contains a directed cycle"
+
 let of_edges ~n ~edges ~work ~comm =
-  build ~n ~iter:(iter_list edges) ~work ~comm ~on_cycle:(fun () ->
-      invalid_arg "Dag.of_edges: edge set contains a directed cycle")
+  let src, dst, m = arrays_of_list edges in
+  build ~n ~src ~dst ~m ~work:(Array.copy work) ~comm:(Array.copy comm)
+    ~on_cycle:cycle_in_edges
 
 let of_edge_arrays ~n ~src ~dst ~m ~work ~comm =
   if m < 0 || m > Array.length src || m > Array.length dst then
     invalid_arg "Dag.of_edge_arrays: edge count exceeds the arrays";
-  let iter f =
-    for i = 0 to m - 1 do
-      f src.(i) dst.(i)
-    done
-  in
-  build ~n ~iter ~work ~comm ~on_cycle:(fun () ->
-      invalid_arg "Dag.of_edges: edge set contains a directed cycle")
+  build ~n ~src ~dst ~m ~work ~comm ~on_cycle:cycle_in_edges
 
 (* CSR-direct construction: the caller hands over canonical successor
    segments (sorted, deduplicated, loop-free), so only the predecessor
@@ -396,13 +409,11 @@ let of_csr_unchecked ~n ~succ_off ~succ_tgt ~work ~comm =
   done;
   match compute_topo ~n ~succ_off ~succ_tgt ~pred_off with
   | None -> failwith "Dag: graph contains a directed cycle"
-  | Some topo ->
-    let rank = Array.make n 0 in
-    Array.iteri (fun i v -> rank.(v) <- i) topo;
-    { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
+  | Some (topo, rank) -> { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
 
 let is_acyclic_edges ~n edges =
-  match build_csr ~n ~iter:(iter_list edges) with
+  let src, dst, m = arrays_of_list edges in
+  match build_csr ~n ~src ~dst ~m with
   | succ_off, succ_tgt, pred_off, _ ->
     compute_topo ~n ~succ_off ~succ_tgt ~pred_off <> None
 

@@ -44,7 +44,9 @@ val of_edge_arrays :
   n:int -> src:int array -> dst:int array -> m:int -> work:int array -> comm:int array -> t
 (** {!of_edges} over the edges [(src.(i), dst.(i))] for [i < m], with
     the same checks and errors; for parsers that collect edges into
-    arrays sized by their input instead of building a tuple list. *)
+    arrays sized by their input instead of building a tuple list. The
+    DAG keeps [work] and [comm] without copying them, so the caller must
+    not mutate them afterwards; [src] and [dst] are only read. *)
 
 val of_csr_unchecked :
   n:int -> succ_off:int array -> succ_tgt:int array -> work:int array -> comm:int array -> t

@@ -7,17 +7,17 @@ let to_buffer buf g =
   for u = 0 to n - 1 do
     if Dag.out_degree g u > 0 then incr hyperedges
   done;
-  Text_codec.add_ints3 buf !hyperedges n (!hyperedges + Dag.num_edges g);
+  Text_codec.add_ints3 buf ~eol:"\n" !hyperedges n (!hyperedges + Dag.num_edges g);
   let e = ref 0 in
   for u = 0 to n - 1 do
     if Dag.out_degree g u > 0 then begin
-      Text_codec.add_ints2 buf !e u;
-      Dag.iter_succ g u (fun v -> Text_codec.add_ints2 buf !e v);
+      Text_codec.add_ints2 buf ~eol:"\n" !e u;
+      Dag.iter_succ g u (fun v -> Text_codec.add_ints2 buf ~eol:"\n" !e v);
       incr e
     end
   done;
   for v = 0 to n - 1 do
-    Text_codec.add_ints3 buf v (Dag.work g v) (Dag.comm g v)
+    Text_codec.add_ints3 buf ~eol:"\n" v (Dag.work g v) (Dag.comm g v)
   done
 
 let to_string g =
@@ -38,9 +38,10 @@ let of_string ?(pos = 0) text =
   let sc = Text_codec.scanner ~pos text in
   let what = "Hyperdag_io" in
   let ints = Array.make 3 0 in
-  if not (Text_codec.next_line sc) then failwith "Hyperdag_io: empty input";
-  if Text_codec.line_ints sc ~what ints <> 3 then
-    failwith "Hyperdag_io: header must be <hyperedges> <nodes> <pins>";
+  (match Text_codec.next_ints sc ~what ints with
+   | -1 -> failwith "Hyperdag_io: empty input"
+   | 3 -> ()
+   | _ -> failwith "Hyperdag_io: header must be <hyperedges> <nodes> <pins>");
   let num_h = ints.(0) and num_n = ints.(1) and num_p = ints.(2) in
   if num_h < 0 || num_n < 0 || num_p < 0 then failwith "Hyperdag_io: negative count in header";
   if num_h > num_p then failwith "Hyperdag_io: more hyperedges than pins";
@@ -52,8 +53,7 @@ let of_string ?(pos = 0) text =
   let src = Array.make num_p 0 and dst = Array.make num_p 0 in
   let m = ref 0 in
   for _ = 1 to num_p do
-    ignore (Text_codec.next_line sc : bool);
-    if Text_codec.line_ints sc ~what ints <> 2 then
+    if Text_codec.next_ints sc ~what ints <> 2 then
       failwith "Hyperdag_io: pin line must be <hyperedge> <node>";
     let e = ints.(0) and v = ints.(1) in
     if e < 0 || e >= num_h then failwith "Hyperdag_io: hyperedge id out of range";
@@ -73,8 +73,7 @@ let of_string ?(pos = 0) text =
   let work = Array.make num_n 1 in
   let comm = Array.make num_n 1 in
   for _ = 1 to num_n do
-    ignore (Text_codec.next_line sc : bool);
-    if Text_codec.line_ints sc ~what ints <> 3 then
+    if Text_codec.next_ints sc ~what ints <> 3 then
       failwith "Hyperdag_io: weight line must be <node> <work> <comm>";
     let v = ints.(0) in
     if v < 0 || v >= num_n then failwith "Hyperdag_io: weight node id out of range";

@@ -5,34 +5,43 @@
    for every pre-replication workflow. *)
 let v2_marker = "% bsp schedule v2"
 
-let to_string (t : Schedule.t) =
+(* Every byte written is a digit, '-', ' ', a header character other
+   than '"' and '\\', or [eol] at a line's end, so with [eol] = "\\n"
+   the text is a JSON string body as it is written. *)
+let to_buffer buf ~eol (t : Schedule.t) =
   let n = Dag.n t.Schedule.dag in
   let num_events = List.length t.Schedule.comm in
   let num_reps = Schedule.num_replicas t in
-  (* about 10 bytes per line *)
-  let buf = Buffer.create (128 + (10 * (n + num_events + num_reps))) in
   if num_reps = 0 then begin
-    Buffer.add_string buf "% bsp schedule: node/proc/superstep, then comm events\n";
-    Text_codec.add_ints2 buf n num_events
+    Buffer.add_string buf "% bsp schedule: node/proc/superstep, then comm events";
+    Buffer.add_string buf eol;
+    Text_codec.add_ints2 buf ~eol n num_events
   end
   else begin
     Buffer.add_string buf v2_marker;
-    Buffer.add_string buf ": node/proc/superstep, comm events, replicas\n";
-    Text_codec.add_ints3 buf n num_events num_reps
+    Buffer.add_string buf ": node/proc/superstep, comm events, replicas";
+    Buffer.add_string buf eol;
+    Text_codec.add_ints3 buf ~eol n num_events num_reps
   end;
   for v = 0 to n - 1 do
-    Text_codec.add_ints3 buf v t.Schedule.proc.(v) t.Schedule.step.(v)
+    Text_codec.add_ints3 buf ~eol v t.Schedule.proc.(v) t.Schedule.step.(v)
   done;
   List.iter
     (fun (e : Schedule.comm_event) ->
       Text_codec.add_int buf e.node;
       Buffer.add_char buf ' ';
-      Text_codec.add_ints3 buf e.src e.dst e.step)
+      Text_codec.add_ints3 buf ~eol e.src e.dst e.step)
     t.Schedule.comm;
   if num_reps > 0 then
     for v = 0 to n - 1 do
-      Schedule.iter_replicas t v (fun q s -> Text_codec.add_ints3 buf v q s)
-    done;
+      Schedule.iter_replicas t v (fun q s -> Text_codec.add_ints3 buf ~eol v q s)
+    done
+
+let to_string (t : Schedule.t) =
+  (* about 10 bytes per line *)
+  let lines = Dag.n t.Schedule.dag + List.length t.Schedule.comm + Schedule.num_replicas t in
+  let buf = Buffer.create (128 + (10 * lines)) in
+  to_buffer buf ~eol:"\n" t;
   Buffer.contents buf
 
 (* A first pass counts the significant lines and looks for the version
@@ -42,10 +51,10 @@ let of_string dag text =
   let sc = Text_codec.scanner text in
   let what = "Schedule_io" in
   let significant, v2 = Text_codec.count_lines ~marker:v2_marker sc in
-  if not (Text_codec.next_line sc) then failwith "Schedule_io: empty input";
   let ints = Array.make 4 0 in
   let n, num_events, num_reps =
-    match (Text_codec.line_ints sc ~what ints, v2) with
+    match (Text_codec.next_ints sc ~what ints, v2) with
+    | -1, _ -> failwith "Schedule_io: empty input"
     | 2, false -> (ints.(0), ints.(1), 0)
     | 3, true -> (ints.(0), ints.(1), ints.(2))
     | _, false -> failwith "Schedule_io: header must be <nodes> <events>"
@@ -66,8 +75,7 @@ let of_string dag text =
          (if num_reps > 0 then Printf.sprintf " + %d replica" num_reps else ""));
   let proc = Array.make n 0 and step = Array.make n 0 in
   for _ = 1 to n do
-    ignore (Text_codec.next_line sc : bool);
-    match Text_codec.line_ints sc ~what ints with
+    match Text_codec.next_ints sc ~what ints with
     | 3 when ints.(0) >= 0 && ints.(0) < n ->
       proc.(ints.(0)) <- ints.(1);
       step.(ints.(0)) <- ints.(2)
@@ -75,8 +83,7 @@ let of_string dag text =
   done;
   let events = ref [] in
   for _ = 1 to num_events do
-    ignore (Text_codec.next_line sc : bool);
-    match Text_codec.line_ints sc ~what ints with
+    match Text_codec.next_ints sc ~what ints with
     | 4 ->
       events :=
         { Schedule.node = ints.(0); src = ints.(1); dst = ints.(2); step = ints.(3) }
@@ -88,8 +95,7 @@ let of_string dag text =
   else begin
     let replicas = ref [] in
     for _ = 1 to num_reps do
-      ignore (Text_codec.next_line sc : bool);
-      match Text_codec.line_ints sc ~what ints with
+      match Text_codec.next_ints sc ~what ints with
       | 3 when ints.(0) >= 0 && ints.(0) < n ->
         replicas := (ints.(0), ints.(1), ints.(2)) :: !replicas
       | _ -> failwith "Schedule_io: bad replica line"

@@ -46,4 +46,12 @@ val read : Dag.t -> in_channel -> Schedule.t
 val read_file : Dag.t -> string -> Schedule.t
 
 val to_string : Schedule.t -> string
+(** The schedule's text, as {!write} writes it. *)
+
+val to_buffer : Buffer.t -> eol:string -> Schedule.t -> unit
+(** Append the text {!to_string} returns, with every line ended by [eol]
+    instead of ['\n']. No other byte it writes needs escaping in a JSON
+    string, so [~eol:"\\n"] writes the schedule as a JSON string body
+    straight into a reply buffer. *)
+
 val of_string : Dag.t -> string -> Schedule.t

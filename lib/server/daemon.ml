@@ -315,15 +315,28 @@ let read_frame ic =
      | payload -> Some payload
      | exception End_of_file -> failwith "Daemon: truncated frame payload")
 
-let write_frame oc payload =
-  let len = String.length payload in
+let write_header oc len =
   if len > max_frame then failwith "Daemon: response exceeds the frame limit";
   output_char oc (Char.chr ((len lsr 24) land 0xff));
   output_char oc (Char.chr ((len lsr 16) land 0xff));
   output_char oc (Char.chr ((len lsr 8) land 0xff));
-  output_char oc (Char.chr (len land 0xff));
+  output_char oc (Char.chr (len land 0xff))
+
+let write_frame oc payload =
+  write_header oc (String.length payload);
   output_string oc payload;
   flush oc
+
+(* A stdio ok reply: [ok_json]'s compact form with the schedule text as
+   its last member, which [Schedule_io.to_buffer] writes in place, every
+   line end escaped as it goes; the reply bytes equal those of
+   rendering the member as a [String]. *)
+let add_ok_reply buf ~id ~cache ~key ~cost ~supersteps ~seconds schedule =
+  Obs.Json.to_buffer_compact buf (ok_json ~id ~cache ~key ~cost ~supersteps ~seconds []);
+  Buffer.truncate buf (Buffer.length buf - 1);
+  Buffer.add_string buf {|,"schedule":"|};
+  Schedule_io.to_buffer buf ~eol:{|\n|} schedule;
+  Buffer.add_string buf {|"}|}
 
 let run_stdio ~cache_dir ic oc =
   set_binary_mode_in ic true;
@@ -343,6 +356,15 @@ let run_stdio ~cache_dir ic oc =
     Obs.Metrics.counter "server.errors" 1;
     error_json ~id msg
   in
+  (* One reply buffer for the session: each reply is written into it
+     once and framed straight from it. *)
+  let buf = Buffer.create 65536 in
+  let send () =
+    write_header oc (Buffer.length buf);
+    Buffer.output_buffer oc buf;
+    flush oc;
+    Buffer.clear buf
+  in
   let rec loop () =
     match read_frame ic with
     | None -> ()
@@ -352,43 +374,37 @@ let run_stdio ~cache_dir ic oc =
       incr count;
       Obs.Metrics.counter "server.requests" 1;
       let id = Printf.sprintf "stdio-%d" !count in
-      write_frame oc (Obs.Json.to_string_compact (error_reply ~id msg))
+      Obs.Json.to_buffer_compact buf (error_reply ~id msg);
+      send ()
     | Some payload ->
       incr count;
       let fallback_id = Printf.sprintf "stdio-%d" !count in
-      let reply =
-        match
-          Obs.Metrics.with_span "server:parse" (fun () ->
-              Request.parse_any ~id:fallback_id payload)
-        with
-        | Request.Stats { Request.stats_id } ->
-          Obs.Metrics.counter "server.stats_requests" 1;
-          Obs.Json.to_string_compact (stats_json ~registry ~t0 ~id:stats_id)
-        | Request.Schedule req ->
-          Obs.Metrics.counter "server.requests" 1;
-          (match handle ~cache_dir req with
-           | Error msg, _ -> Obs.Json.to_string_compact (error_reply ~id:req.Request.id msg)
-           | Ok res, dt ->
-             Obs.Metrics.counter
-               (counter_of_label (Engine.status_label res.Engine.status))
-               1;
-             Obs.Metrics.histogram "server.request_seconds" dt;
-             Obs.Metrics.with_span "server:encode" (fun () ->
-                 Obs.Json.to_string_compact
-                   (ok_json ~id:req.Request.id
-                      ~cache:(Engine.status_label res.Engine.status)
-                      ~key:res.Engine.key ~cost:res.Engine.cost
-                      ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
-                      ~seconds:dt
-                      [
-                        ( "schedule",
-                          Obs.Json.String (Schedule_io.to_string res.Engine.schedule) );
-                      ])))
-        | exception (Failure msg | Sys_error msg) ->
-          Obs.Metrics.counter "server.requests" 1;
-          Obs.Json.to_string_compact (error_reply ~id:fallback_id msg)
-      in
-      write_frame oc reply;
+      (match
+         Obs.Metrics.with_span "server:parse" (fun () ->
+             Request.parse_any ~id:fallback_id payload)
+       with
+       | Request.Stats { Request.stats_id } ->
+         Obs.Metrics.counter "server.stats_requests" 1;
+         Obs.Json.to_buffer_compact buf (stats_json ~registry ~t0 ~id:stats_id)
+       | Request.Schedule req ->
+         Obs.Metrics.counter "server.requests" 1;
+         (match handle ~cache_dir req with
+          | Error msg, _ -> Obs.Json.to_buffer_compact buf (error_reply ~id:req.Request.id msg)
+          | Ok res, dt ->
+            Obs.Metrics.counter
+              (counter_of_label (Engine.status_label res.Engine.status))
+              1;
+            Obs.Metrics.histogram "server.request_seconds" dt;
+            Obs.Metrics.with_span "server:encode" (fun () ->
+                add_ok_reply buf ~id:req.Request.id
+                  ~cache:(Engine.status_label res.Engine.status)
+                  ~key:res.Engine.key ~cost:res.Engine.cost
+                  ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
+                  ~seconds:dt res.Engine.schedule))
+       | exception (Failure msg | Sys_error msg) ->
+         Obs.Metrics.counter "server.requests" 1;
+         Obs.Json.to_buffer_compact buf (error_reply ~id:fallback_id msg));
+      send ();
       loop ()
   in
   loop ()

@@ -13,7 +13,7 @@
     seconds 5                    (optimisation budget, default 10)
     seed 1                       (Cilk stealing seed, default 1)
     replicate true               (node replication, default false)
-    p 4                          (machine, CLI-style ...)
+    p 4                          (machine, CLI-style, p <= max_p ...)
     g 1
     l 5
     numa-delta 3
@@ -36,6 +36,12 @@ type t = {
   machine : Machine.t;
   dag : Dag.t;
 }
+
+val max_p : int
+(** The largest processor count a [p] line may name, 1024: the machine
+    built from it holds a p x p matrix (8 MB here), so a larger [p] is
+    rejected before it is built. Machine files and the CLI's [-p] are
+    not limited. *)
 
 val parse : ?base_dir:string -> id:string -> string -> t
 (** Parse a request document. [id] is the fallback identity (the queue

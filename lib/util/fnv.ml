@@ -18,18 +18,28 @@ let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
 let string h s =
   let h = ref h in
-  String.iter (fun c -> h := byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 (* Ints are folded as 8 little-endian bytes so negative values and
-   values above 2^32 hash consistently on every platform. *)
-let int h v =
+   values above 2^32 hash consistently on every platform. The state
+   stays an unboxed local: [byte] and [int] are inlined into the loops,
+   which keep [h] in a register, so a call allocates only its boxed
+   result, whatever the length of the string or array. *)
+let[@inline] int h v =
   let h = ref h and v = Int64.of_int v in
   for i = 0 to 7 do
     h := byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
   done;
   !h
 
-let int_array h a = Array.fold_left int h a
+let int_array h a =
+  let h = ref h in
+  for i = 0 to Array.length a - 1 do
+    h := int !h (Array.unsafe_get a i)
+  done;
+  !h
 
 let to_hex h = Printf.sprintf "%016Lx" h

@@ -39,22 +39,31 @@ let[@inline] raw_line t =
   t.pos <- (if eol < len then eol + 1 else len);
   true
 
+let[@inline] is_digit c = c >= '0' && c <= '9'
+let[@inline] ends_token c = c = ' ' || c = '\n'
 let[@inline] significant t = t.first < t.last && String.unsafe_get t.text t.first <> '%'
 let rec next_line t = raw_line t && (significant t || next_line t)
 
-let starts_with t m =
-  let k = String.length m in
-  let rec go i =
-    i = k || (String.unsafe_get t.text (t.first + i) = String.unsafe_get m i && go (i + 1))
-  in
-  t.last - t.first >= k && go 0
-
+(* One tight loop per line: skip the leading blanks, classify the line
+   by its first byte, run to its '\n'. Only a comment line is trimmed at
+   its end, so [marker] is matched against the trimmed line. *)
 let count_lines ?(marker = "") t =
-  let t = { t with pos = t.pos } in
+  let s = t.text in
+  let len = String.length s in
+  let k = String.length marker in
   let count = ref 0 and seen = ref false in
-  while raw_line t do
-    if significant t then incr count
-    else if marker <> "" && starts_with t marker then seen := true
+  let i = ref t.pos in
+  while !i < len do
+    i := skip_blank s !i len;
+    let first = !i in
+    while !i < len && String.unsafe_get s !i <> '\n' do
+      incr i
+    done;
+    if first < !i then
+      if String.unsafe_get s first <> '%' then incr count
+      else if k > 0 && (not !seen) && back_blank s first !i - first >= k then
+        seen := String.sub s first k = marker;
+    incr i
   done;
   (!count, !seen)
 
@@ -99,6 +108,60 @@ let line_ints t ~what buf =
   done;
   !k
 
+(* The fused reader. A line made only of digits, '-', ' ' and its '\n'
+   is found and parsed in one left-to-right pass: each token's digits
+   are accumulated while its end is sought. The first byte outside that
+   set, a token that is not at most 18 digits after an optional '-', or
+   a '-' inside a token sends the whole line back to its start and
+   through [raw_line] and [line_ints], so every other line (tabs, CRs,
+   form feeds, comments, signs, prefixes, junk) reads and fails exactly
+   as there. *)
+let rec next_ints t ~what buf =
+  let s = t.text in
+  let len = String.length s in
+  let start = t.pos in
+  if start >= len then -1
+  else begin
+    let cap = Array.length buf in
+    let i = ref start and k = ref 0 and plain = ref true in
+    let first = ref start and last = ref start in
+    while !plain && !i < len && String.unsafe_get s !i <> '\n' do
+      if String.unsafe_get s !i = ' ' then incr i
+      else begin
+        let a = !i in
+        let d0 = if String.unsafe_get s a = '-' then a + 1 else a in
+        let j = ref d0 and acc = ref 0 in
+        while !j < len && is_digit (String.unsafe_get s !j) do
+          acc := (!acc * 10) + (Char.code (String.unsafe_get s !j) - 48);
+          incr j
+        done;
+        let b = !j in
+        if b = d0 || b - d0 > 18 || (b < len && not (ends_token (String.unsafe_get s b)))
+        then plain := false
+        else begin
+          if !k = 0 then first := a;
+          if !k < cap then Array.unsafe_set buf !k (if d0 > a then - !acc else !acc);
+          incr k;
+          last := b;
+          i := b
+        end
+      end
+    done;
+    if not !plain then begin
+      ignore (raw_line t : bool);
+      if significant t then line_ints t ~what buf else next_ints t ~what buf
+    end
+    else begin
+      t.pos <- (if !i < len then !i + 1 else len);
+      if !k = 0 then next_ints t ~what buf
+      else begin
+        t.first <- !first;
+        t.last <- !last;
+        !k
+      end
+    end
+  end
+
 let line_words t =
   let s = t.text in
   let rec go i acc =
@@ -126,13 +189,20 @@ let add_int buf v =
   end
   else add_digits buf (-v)
 
-let add_ints2 buf a b =
+(* Byte by byte: a line end is one or two bytes, too short to pay for
+   a blit. *)
+let add_eol buf eol =
+  for i = 0 to String.length eol - 1 do
+    Buffer.add_char buf (String.unsafe_get eol i)
+  done
+
+let add_ints2 buf ~eol a b =
   add_int buf a;
   Buffer.add_char buf ' ';
   add_int buf b;
-  Buffer.add_char buf '\n'
+  add_eol buf eol
 
-let add_ints3 buf a b c =
+let add_ints3 buf ~eol a b c =
   add_int buf a;
   Buffer.add_char buf ' ';
-  add_ints2 buf b c
+  add_ints2 buf ~eol b c

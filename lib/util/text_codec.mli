@@ -32,14 +32,19 @@ val next_line : scanner -> bool
 val count_lines : ?marker:string -> scanner -> int * bool
 (** The number of significant lines after the current one, and whether
     some comment line anywhere in the text after the cursor (trimmed)
-    starts with [marker]. The scanner does not move. *)
+    starts with [marker]. The scanner does not move; the count comes
+    before anything is parsed, so callers can check declared counts
+    against it before sizing an array. *)
 
-val line_ints : scanner -> what:string -> int array -> int
-(** Parse every token of the current line as an integer, store the
-    first [Array.length buf] of them in [buf], and return the number of
-    tokens. Tokens are parsed as [int_of_string] does (signs, [0x]
-    prefixes and [_] separators included); a token that does not parse
-    raises [Failure (what ^ ": not an integer: " ^ token)]. *)
+val next_ints : scanner -> what:string -> int array -> int
+(** Advance to the next significant line, parse every token of it as an
+    integer, store the first [Array.length buf] of them in [buf], and
+    return the number of tokens; [-1] at the end of the text. Tokens
+    are parsed as [int_of_string] does (signs, [0x] prefixes and [_]
+    separators included); a token that does not parse raises
+    [Failure (what ^ ": not an integer: " ^ token)]. A line made only of
+    digits, ['-'] and spaces is located and parsed in the same pass;
+    any other line is trimmed first, as {!next_line} does. *)
 
 val line_words : scanner -> string list
 (** The tokens of the current line as strings. *)
@@ -54,8 +59,10 @@ val add_int : Buffer.t -> int -> unit
 (** Append the decimal form of an integer, exactly as [string_of_int]
     prints it. *)
 
-val add_ints2 : Buffer.t -> int -> int -> unit
-(** [add_ints2 buf a b] appends the line ["a b\n"]. *)
+val add_ints2 : Buffer.t -> eol:string -> int -> int -> unit
+(** [add_ints2 buf ~eol a b] appends the line ["a b"] ended by [eol]. *)
 
-val add_ints3 : Buffer.t -> int -> int -> int -> unit
-(** [add_ints3 buf a b c] appends the line ["a b c\n"]. *)
+val add_ints3 : Buffer.t -> eol:string -> int -> int -> int -> unit
+(** [add_ints3 buf ~eol a b c] appends the line ["a b c"] ended by
+    [eol]. Files end lines with ["\n"]; a writer that embeds the text
+    in a JSON string passes the escaped form. *)

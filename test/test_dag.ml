@@ -305,6 +305,37 @@ let prop_text_oracle =
       in
       agree expected got && agree expected got_at)
 
+(* Lines at the edges of the fused reader's plain case (digits, '-',
+   spaces): a '-' or a letter inside a token, a bare '-', 18 and 19
+   digits, leading zeros, blanks at either end, tabs, CRs, signs and
+   prefixes. In a pin line and in a weight line, each must read, or
+   fail with the message, exactly as the split-based oracle does. *)
+let test_hyperdag_fused_reader_edges () =
+  let pins =
+    [ "0 1"; " 0 1"; "0  1 "; "0\t1"; "0 1\r"; "\0120 1"; "-0 1"; "0 1-"; "0-1"; "0 -";
+      "0 --1"; "0 1a"; "0 +1"; "0 0x1"; "0 1_"; "0000000000000000000 1"; "0 1 2" ]
+  in
+  let weights =
+    [ "1 5 1"; "1 5-3 1"; "1 999999999999999999 1"; "1 9999999999999999999 1";
+      "1 -5 1"; "1 5 -"; "1 5"; "  1   5   1  " ]
+  in
+  let texts =
+    List.map (fun pin -> "1 2 2\n0 0\n" ^ pin ^ "\n0 1 1\n1 1 1") pins
+    @ List.map (fun w -> "1 2 2\n0 0\n0 1\n0 1 1\n" ^ w ^ "\n") weights
+  in
+  List.iter
+    (fun text ->
+      let expected =
+        Text_io_reference.outcome (fun () -> Text_io_reference.hyperdag_of_string text)
+      in
+      let got = Text_io_reference.outcome (fun () -> Hyperdag_io.of_string text) in
+      check_bool (String.escaped text) true
+        (match (expected, got) with
+         | Ok a, Ok b -> same_dag a b
+         | Error a, Error b -> a = b
+         | _ -> false))
+    texts
+
 (* Generator of raw (n, edge list) inputs for the CSR-vs-model property:
    edges go low id -> high id (acyclic by construction), arrive in a
    shuffled order, and a fraction are duplicated so the dedup path is
@@ -395,6 +426,89 @@ let prop_csr_matches_model =
       List.iter (fun (u, v) -> ok := !ok && rank.(u) < rank.(v)) dedup;
       !ok)
 
+(* Raw builder inputs for the differential property against
+   Dag_reference: edges oriented along a random permutation of the ids
+   (acyclic, with a topological order far from the id order), with
+   duplicates, and each kind of defect at a small rate: a self-loop, an
+   out-of-range endpoint, a back edge closing a cycle, a negative or
+   missing weight, an edge count beyond the arrays. One case in eight
+   has 4k to 9k nodes, so the ready bitmap spans several summary
+   words. *)
+let arb_builder_input =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let rng = Rng.create seed in
+    let n = if Rng.int rng 8 = 0 then 4000 + Rng.int rng 5000 else Rng.int rng 40 in
+    let m = if n = 0 then Rng.int rng 2 else Rng.int rng (3 * n) in
+    let pos = Array.init n Fun.id in
+    Rng.shuffle rng pos;
+    let defect = Rng.int rng 10 in
+    let pick () = if n = 0 then 0 else Rng.int rng n in
+    let src = Array.make (m + Rng.int rng 3) 0 and dst = Array.make (m + Rng.int rng 3) 0 in
+    for i = 0 to m - 1 do
+      let u = pick () in
+      (* v differs from u; with fewer than two nodes every edge is bad *)
+      let v = if n < 2 then 1 else (u + 1 + Rng.int rng (n - 1)) mod n in
+      let u, v = if n < 2 || pos.(u) < pos.(v) then (u, v) else (v, u) in
+      if i > 0 && Rng.int rng 5 = 0 then begin
+        src.(i) <- src.(i - 1);
+        dst.(i) <- dst.(i - 1)
+      end
+      else begin
+        src.(i) <- u;
+        dst.(i) <- v
+      end
+    done;
+    let at () = Rng.int rng (max m 1) in
+    let m =
+      match defect with
+      | 0 when m > 0 ->
+        let i = at () in
+        dst.(i) <- src.(i);
+        m
+      | 1 when m > 0 ->
+        let i = at () in
+        if Rng.bool rng then src.(i) <- (if Rng.bool rng then -1 else n) else dst.(i) <- n + 3;
+        m
+      | 2 when m > 0 ->
+        let i = at () in
+        let j = at () in
+        (* a back edge: reverse an existing one, possibly behind others *)
+        src.(j) <- dst.(i);
+        dst.(j) <- src.(i);
+        m
+      | 3 -> Array.length src + 1
+      | _ -> m
+    in
+    let work = Array.init n (fun _ -> Rng.int rng 6) in
+    let comm = Array.init n (fun _ -> Rng.int rng 6) in
+    if n > 0 && defect = 4 then work.(Rng.int rng n) <- -1;
+    if n > 0 && defect = 5 then comm.(Rng.int rng n) <- -2;
+    let comm = if defect = 6 then Array.make (n + 1) 1 else comm in
+    return (n, src, dst, m, work, comm))
+
+let prop_builder_oracle =
+  Test_util.qtest ~count:300 "array builder + bitmap topo = closure builder + heap"
+    arb_builder_input (fun (n, src, dst, m, work, comm) ->
+      let outcome = Text_io_reference.outcome in
+      let agree expected got =
+        match (expected, got) with
+        | Ok a, Ok b -> a = Dag_reference.of_dag b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      let arrays =
+        agree
+          (outcome (fun () -> Dag_reference.of_edge_arrays ~n ~src ~dst ~m ~work ~comm))
+          (outcome (fun () -> Dag.of_edge_arrays ~n ~src ~dst ~m ~work ~comm))
+      in
+      let k = min m (min (Array.length src) (Array.length dst)) in
+      let edges = List.init k (fun i -> (src.(i), dst.(i))) in
+      arrays
+      && agree
+           (outcome (fun () -> Dag_reference.of_edges ~n ~edges ~work ~comm))
+           (outcome (fun () -> Dag.of_edges ~n ~edges ~work ~comm)))
+
 let () =
   Alcotest.run "dag"
     [
@@ -416,6 +530,8 @@ let () =
           Alcotest.test_case "hyperdag roundtrip" `Quick test_hyperdag_roundtrip;
           Alcotest.test_case "hyperdag parse errors" `Quick test_hyperdag_parse_errors;
           Alcotest.test_case "hyperdag tabs + CRLF" `Quick test_hyperdag_tabs_and_crlf;
+          Alcotest.test_case "hyperdag fused reader edges" `Quick
+            test_hyperdag_fused_reader_edges;
           Alcotest.test_case "hyperdag excess weight lines" `Quick
             test_hyperdag_excess_weight_lines_rejected;
           Alcotest.test_case "hyperdag negative header count" `Quick
@@ -434,5 +550,6 @@ let () =
           prop_roundtrip_mangled;
           prop_text_oracle;
           prop_csr_matches_model;
+          prop_builder_oracle;
         ] );
     ]

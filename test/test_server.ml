@@ -379,6 +379,43 @@ let test_engine_multilevel_keeps_ilp_init () =
            (Obs.Metrics.span_list r)))
     [ "coarsen"; "refine" ]
 
+(* Cache keys name directories that outlive the binary, so their
+   values are pinned: a uniform and a NUMA machine, each with its DAG,
+   algorithm, seed and replication flag. *)
+let test_cache_key_golden () =
+  let dag = Test_util.random_dag (Rng.create 7) ~n:30 ~edge_prob:0.2 ~max_w:5 ~max_c:4 in
+  check_str "diamond structural hash" "c72c1e0e7cc50280"
+    (Fnv.to_hex (Dag.structural_hash (Test_util.diamond ())));
+  check_str "random structural hash" "f38b0f6f02dfa08b" (Fnv.to_hex (Dag.structural_hash dag));
+  check_str "uniform key" "846d5e7358901e84"
+    (Server.Cache.key ~dag:(Test_util.diamond ()) ~machine:(Machine.uniform ~p:4 ~g:1 ~l:5)
+       ~algorithm:"bspg" ~seed:1 ~replicate:false);
+  check_str "NUMA key" "1f32ca4b75a25277"
+    (Server.Cache.key ~dag ~machine:(Machine.numa_tree ~p:8 ~g:2 ~l:3 ~delta:3)
+       ~algorithm:"pipeline" ~seed:2 ~replicate:true)
+
+(* The hash folds the CSR arrays in unboxed loops: what a call
+   allocates is its boxed 64-bit results, the same for 4 nodes as for
+   1.5k, not a box per folded int. The minimum over repeats leaves out
+   a minor collection landing in the window. *)
+let test_structural_hash_allocation () =
+  let minor_words g =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Dag.structural_hash g));
+      best := Float.min !best (Gc.minor_words () -. before)
+    done;
+    !best
+  in
+  let big =
+    Finegrained.generate_sized (Rng.create 1) ~family:Finegrained.Spmv
+      ~shape:Finegrained.Wide ~target:1500
+  in
+  let small = minor_words (Test_util.diamond ()) and large = minor_words big in
+  check_bool "independent of the DAG" true (large = small);
+  check_bool "a few boxed results at most" true (large <= 24.0)
+
 (* ------------------------------------------------------------------ *)
 (* Request parsing.                                                    *)
 
@@ -407,6 +444,23 @@ let test_request_parse_errors () =
   check_bool "unknown header key" true
     (fails (fun () ->
          Server.Request.parse ~id:"x" ("frobnicate 3\nhyperdag\n" ^ dag_text)))
+
+(* A request may name at most [max_p] processors: a 42-byte request
+   asking for 3000 would otherwise build a 72 MB matrix. *)
+let test_request_p_limit () =
+  let dag_text = Hyperdag_io.to_string (Test_util.diamond ()) in
+  let doc p = Printf.sprintf "p %d\nhyperdag\n%s" p dag_text in
+  check "the limit" 1024 Server.Request.max_p;
+  check "p at the limit accepted" 1024
+    (Server.Request.parse ~id:"x" (doc 1024)).Server.Request.machine.Machine.p;
+  (match Server.Request.parse ~id:"x" (doc 3000) with
+   | _ -> Alcotest.fail "p 3000 accepted"
+   | exception Failure msg ->
+     check_bool "message names the limit" true (Test_util.contains_substring msg "1024"));
+  check_bool "rejected before the matrix is built" true
+    (Test_util.min_allocated_bytes (fun () -> ignore (fails (fun () ->
+         Server.Request.parse ~id:"x" (doc 3000))))
+     < 1e6)
 
 (* Differential: the scanner-based request parser against the
    split-based one it replaced (Text_io_reference), on stats probes and
@@ -595,6 +649,51 @@ let test_daemon_stdio () =
           check_str "second hits" "hit" (str_field "cache" r2);
           check_str "identical inline schedules" (str_field "schedule" r1)
             (str_field "schedule" r2)))
+
+(* The same request twice over stdio, on a fixed ~1.5k-node spmv
+   instance: a miss, then a hit read back from the cache. The schedule
+   text each reply carries and the key are pinned, each frame is the
+   compact JSON rendering of its value byte for byte, and the two
+   replies differ only in id, cache label and seconds. *)
+let test_daemon_stdio_reply_golden () =
+  with_tmp_dir "stdio-golden" (fun dir ->
+      let dag =
+        Finegrained.generate_sized (Rng.create 1) ~family:Finegrained.Spmv
+          ~shape:Finegrained.Wide ~target:1500
+      in
+      check "instance size" 1474 (Dag.n dag);
+      let req = "algorithm bspg\np 4\ng 2\nl 5\nhyperdag\n" ^ Hyperdag_io.to_string dag in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      Out_channel.with_open_bin inp (fun oc ->
+          Server.Daemon.write_frame oc req;
+          Server.Daemon.write_frame oc req);
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Server.Daemon.run_stdio ~cache_dir:(Filename.concat dir "cache") ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          (* Each frame is exactly the compact rendering of its value:
+             escapes, member order and number forms included. *)
+          let read () =
+            let frame = Option.get (Server.Daemon.read_frame ic) in
+            let r = Obs.Json.of_string frame in
+            check_str "frame = compact rendering" (Obs.Json.to_string_compact r) frame;
+            r
+          in
+          let r1 = read () in
+          let r2 = read () in
+          List.iter
+            (fun (r, cache) ->
+              check_str "cache" cache (str_field "cache" r);
+              check_str (cache ^ " key") "78689a31c4fbb043" (str_field "key" r);
+              check_str (cache ^ " schedule digest") "f518425862c65fcb5240b94dad54bfc6"
+                (Digest.to_hex (Digest.string (str_field "schedule" r))))
+            [ (r1, "miss"); (r2, "hit") ];
+          let rest = function
+            | Obs.Json.Obj kvs ->
+              List.filter (fun (k, _) -> not (List.mem k [ "id"; "cache"; "seconds" ])) kvs
+            | _ -> Alcotest.fail "reply is not an object"
+          in
+          check_bool "only id, cache and seconds differ" true (rest r1 = rest r2)))
 
 (* A request whose inline hyperDAG has a hostile header is answered with
    an error frame, and the session goes on to answer the next request. *)
@@ -911,12 +1010,16 @@ let () =
             test_engine_pipeline_golden;
           Alcotest.test_case "multilevel coarse solves keep ILPinit" `Quick
             test_engine_multilevel_keeps_ilp_init;
+          Alcotest.test_case "cache keys pinned" `Quick test_cache_key_golden;
+          Alcotest.test_case "structural hash allocation is constant" `Quick
+            test_structural_hash_allocation;
         ] );
       ( "request",
         [
           Alcotest.test_case "inline parse" `Quick test_request_parse_inline;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_parse_errors;
+          Alcotest.test_case "p above the limit rejected" `Quick test_request_p_limit;
           prop_request_oracle;
         ] );
       ( "framing",
@@ -929,6 +1032,8 @@ let () =
           Alcotest.test_case "queue: miss, coalesce, hit, error, metrics" `Quick
             test_daemon_once;
           Alcotest.test_case "stdio session" `Quick test_daemon_stdio;
+          Alcotest.test_case "stdio replies pinned: miss then hit" `Quick
+            test_daemon_stdio_reply_golden;
           Alcotest.test_case "stdio session survives a hostile header" `Quick
             test_daemon_stdio_survives_hostile_header;
           Alcotest.test_case "stdio session survives an engine error" `Quick
