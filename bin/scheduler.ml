@@ -9,8 +9,8 @@
 
 open Cmdliner
 
-let install_trace registry =
-  Logs.set_reporter (Logs.format_reporter ());
+let install_trace ?(app = Format.std_formatter) registry =
+  Logs.set_reporter (Logs.format_reporter ~app ());
   Logs.set_level (Some Logs.Info);
   Obs.Metrics.on_span_close registry (fun ~path ~seconds ~steps ->
       Logs.app ~src:Obs.Metrics.src (fun m ->
@@ -229,7 +229,8 @@ let serve queue_dir cache_dir poll once stdio metrics_file no_metrics prometheus
   Par.set_jobs jobs;
   let registry = Obs.Metrics.create () in
   Obs.Metrics.install registry;
-  if trace then install_trace registry;
+  (* stdout may carry the --stdio frames, so the daemon logs to stderr *)
+  if trace then install_trace ~app:Format.err_formatter registry;
   (match flight_record with
    | None -> ()
    | Some path ->

@@ -25,9 +25,19 @@ let numa_tree ~p ~g ~l ~delta =
     let rec bits acc x = if x = 0 then acc else bits (acc + 1) (x lsr 1) in
     bits 0 x
   in
+  (* Checked: delta^k wraps around silently from delta = 2^7 at
+     p = 1024, and a wrapped coefficient is a wrong (even negative)
+     cost. *)
   let pow base e =
-    let rec go acc e = if e = 0 then acc else go (acc * base) (e - 1) in
-    go 1 e
+    let rec go acc k =
+      if k = e then acc
+      else if acc > max_int / base then
+        invalid_arg
+          (Printf.sprintf "Machine.numa_tree: delta^%d overflows int (delta %d, p %d)" e
+             delta p)
+      else go (acc * base) (k + 1)
+    in
+    go 1 0
   in
   let lambda =
     Array.init p (fun i ->

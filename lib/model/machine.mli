@@ -29,7 +29,9 @@ val numa_tree : p:int -> g:int -> l:int -> delta:int -> t
     common ancestor: siblings cost 1, the next level costs [delta], then
     [delta^2], etc. [p] must be a power of two and at least 2. For
     example with [p = 8] and [delta = 3], costs from processor 0 are 1 to
-    processor 1, 3 to processors 2-3, and 9 to processors 4-7. *)
+    processor 1, 3 to processors 2-3, and 9 to processors 4-7. Raises
+    [Invalid_argument] when a coefficient [delta ^ (levels - 1)] exceeds
+    [max_int]. *)
 
 val explicit : g:int -> l:int -> lambda:int array array -> t
 (** A machine with an explicitly given coefficient matrix. The matrix

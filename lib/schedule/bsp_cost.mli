@@ -37,6 +37,16 @@ val superstep_cost : Machine.t -> work_max:int -> comm_max:int -> int
 
 val breakdown : Machine.t -> Schedule.t -> breakdown
 
+val cost_bound : Machine.t -> Dag.t -> int option
+(** [cost_bound m dag] bounds {!total} from above for every schedule of
+    [dag] on [m] that places each node at most once per processor, sends
+    each value to each processor at most once and has at most
+    [max 1 n] supersteps, which covers every schedule the framework
+    builds: [p * W + g * (p - 1) * lambda_max * C + l * max 1 n], with
+    [W] and [C] the DAG's total work and communication weights. It is
+    computed with overflow-checked arithmetic and is [None] when it
+    exceeds [max_int]. *)
+
 val tables :
   Machine.t ->
   Schedule.t ->

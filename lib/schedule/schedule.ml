@@ -105,9 +105,13 @@ let make_replicated dag ~proc ~step ~comm ~replicas =
 let num_supersteps t =
   if Dag.n t.dag = 0 then 0
   else begin
-    let m = ref (Array.fold_left max 0 t.step) in
-    let extras = num_replicas t in
-    for i = 0 to extras - 1 do
+    (* int comparisons, not the polymorphic [max]: every serve reply
+       counts the supersteps *)
+    let m = ref 0 in
+    for v = 0 to Array.length t.step - 1 do
+      if t.step.(v) > !m then m := t.step.(v)
+    done;
+    for i = 0 to num_replicas t - 1 do
       if t.rep_step.(i) > !m then m := t.rep_step.(i)
     done;
     1 + !m

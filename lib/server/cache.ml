@@ -1,9 +1,9 @@
-let key ~dag ~machine ~algorithm ~seed ~replicate =
+let key_of_hash ~dag_hash ~machine ~algorithm ~seed ~replicate =
   let h = Fnv.init in
   (* A format tag so the key space can be versioned if the canonical
      serialisation ever changes. *)
   let h = Fnv.string h "bsp-schedule-cache-v1" in
-  let h = Fnv.string h (Fnv.to_hex (Dag.structural_hash dag)) in
+  let h = Fnv.string h (Fnv.to_hex dag_hash) in
   let h = Fnv.int h machine.Machine.p in
   let h = Fnv.int h machine.Machine.g in
   let h = Fnv.int h machine.Machine.l in
@@ -13,10 +13,24 @@ let key ~dag ~machine ~algorithm ~seed ~replicate =
   let h = Fnv.int h (Bool.to_int replicate) in
   Fnv.to_hex h
 
+let key ~dag = key_of_hash ~dag_hash:(Dag.structural_hash dag)
+
 let meta_path ~dir key = Filename.concat dir (key ^ ".meta.json")
 let schedule_path ~dir key = Filename.concat dir (key ^ ".schedule")
 
 type entry = { cost : int; seconds_budget : float; schedule : Schedule.t }
+
+type file_ident = { ino : int; size : int; mtime : float }
+type ident = { meta : file_ident; sched : file_ident }
+
+let ident ~dir key =
+  let stat path =
+    let st = Unix.stat path in
+    { ino = st.Unix.st_ino; size = st.Unix.st_size; mtime = st.Unix.st_mtime }
+  in
+  match { meta = stat (meta_path ~dir key); sched = stat (schedule_path ~dir key) } with
+  | id -> Some id
+  | exception Unix.Unix_error _ -> None
 
 let lookup ~dir ~dag key =
   let mp = meta_path ~dir key in
@@ -45,6 +59,10 @@ let lookup ~dir ~dag key =
       None
 
 let store ~dir ~key ~algorithm ~cost ~seconds_budget schedule =
+  (* The directory may have been deleted under a running daemon:
+     evicting everything is as legal as evicting one entry. *)
+  if not (Sys.file_exists dir) then (
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   (* Schedule first, meta second: the meta file is the commit point a
      lookup starts from, so a crash between the two writes leaves no
      visible half-entry (and each write is itself atomic). *)

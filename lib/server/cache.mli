@@ -16,9 +16,16 @@
     readers never observe a half-written entry and a killed writer
     leaves the previous complete entry intact. Corrupt or stale entries
     (including a schedule that no longer parses against the request's
-    DAG) degrade to a cache miss and are overwritten by the recompute —
-    the cache self-heals rather than failing. Eviction is by external
-    deletion: removing either file of a pair invalidates the entry. *)
+    DAG, and one {!Engine} finds invalid or mis-costed on the request's
+    machine) degrade to a cache miss and are overwritten by the
+    recompute — the cache self-heals rather than failing. Eviction is by
+    external deletion: removing either file of a pair, or the whole
+    directory, invalidates the entry.
+
+    The files are the authority. A daemon session keeps the entries it
+    has read or written warm in its {!Memo}, each tagged with the
+    {!ident} of its two files, and uses a warm entry only while both
+    files still carry that identity. *)
 
 val key :
   dag:Dag.t ->
@@ -32,6 +39,15 @@ val key :
     matrix, and the algorithm identity — stable across processes and
     platforms ({!Fnv}). *)
 
+val key_of_hash :
+  dag_hash:Fnv.t ->
+  machine:Machine.t ->
+  algorithm:string ->
+  seed:int ->
+  replicate:bool ->
+  string
+(** {!key} from a structural hash the caller already holds. *)
+
 type entry = {
   cost : int;
   seconds_budget : float;
@@ -42,7 +58,20 @@ type entry = {
 }
 
 val lookup : dir:string -> dag:Dag.t -> string -> entry option
-(** [None] for absent {e or} defective entries. *)
+(** Read an entry from disk: [None] for absent {e or} syntactically
+    defective entries. Whether the schedule is valid and costs what the
+    meta file says depends on the machine, which the entry does not
+    record; {!Engine} checks both on every entry it reads. *)
+
+type file_ident = { ino : int; size : int; mtime : float }
+
+type ident = { meta : file_ident; sched : file_ident }
+(** The [stat] identity of an entry's two files. {!store} replaces each
+    file by a rename ({!Atomic_file}), so every store gives the entry a
+    new identity. *)
+
+val ident : dir:string -> string -> ident option
+(** Two [stat] calls; [None] when either file is missing. *)
 
 val store :
   dir:string ->
@@ -52,6 +81,7 @@ val store :
   seconds_budget:float ->
   Schedule.t ->
   unit
+(** Write an entry, creating the directory if it is missing. *)
 
 val meta_path : dir:string -> string -> string
 val schedule_path : dir:string -> string -> string

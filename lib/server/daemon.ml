@@ -122,16 +122,18 @@ let counter_of_label = function
    [server:request] span (a flight-recorder slice when the recorder is
    on) around [Engine.handle], and the latency [dt] that feeds the
    [server.request_seconds] histogram. *)
-let handle ~cache_dir req =
+let handle ~memo ~cache_dir req =
   let t_start = Time_source.now () in
   let outcome =
     match
-      Obs.Metrics.with_span "server:request" (fun () -> Engine.handle ~cache_dir req)
+      Obs.Metrics.with_span "server:request" (fun () -> Engine.handle ~memo ~cache_dir req)
     with
     | r -> Ok r
     | exception (Failure msg | Sys_error msg) -> Error msg
   in
   (outcome, Time_source.now () -. t_start)
+
+let memo_gauge memo = Obs.Metrics.gauge "server.memo_bytes" (float_of_int (Memo.bytes memo))
 
 (* One queue batch: parse everything, coalesce duplicate content
    addresses, run one Engine task per distinct address on the Par pool,
@@ -140,7 +142,7 @@ let handle ~cache_dir req =
    request queued for reprocessing, which the cache then answers, or
    fully answered; never half-answered). Stats probes are answered
    inline from the live registry before the scheduling work runs. *)
-let process_batch cfg ~registry ~t0 names =
+let process_batch cfg ~memo ~registry ~t0 names =
   Obs.Metrics.counter "server.batches" 1;
   Obs.Metrics.gauge_max "server.queue_depth_peak" (float_of_int (List.length names));
   let incoming = incoming_dir cfg and finished = done_dir cfg in
@@ -152,7 +154,7 @@ let process_batch cfg ~registry ~t0 names =
         match
           Obs.Metrics.with_span "server:parse" (fun () ->
               let text = In_channel.with_open_bin path In_channel.input_all in
-              Request.parse_any ~base_dir:incoming ~id:base text)
+              Request.parse_any ~base_dir:incoming ~memo ~id:base text)
         with
         | req -> (name, base, Ok req)
         | exception (Failure msg | Sys_error msg) -> (name, base, Error msg))
@@ -165,7 +167,7 @@ let process_batch cfg ~registry ~t0 names =
       match r with
       | Error _ | Ok (Request.Stats _) -> ()
       | Ok (Request.Schedule req) ->
-        let key = Engine.request_key req in
+        let key = Engine.request_key ~memo req in
         if not (Hashtbl.mem leader_of key) then begin
           Hashtbl.add leader_of key name;
           leaders := (key, req) :: !leaders
@@ -173,7 +175,7 @@ let process_batch cfg ~registry ~t0 names =
     parsed;
   let results =
     Par.map
-      (fun (key, req) -> (key, handle ~cache_dir:cfg.cache_dir req))
+      (fun (key, req) -> (key, handle ~memo ~cache_dir:cfg.cache_dir req))
       (List.rev !leaders)
   in
   let result_of_key = Hashtbl.create 16 in
@@ -197,7 +199,7 @@ let process_batch cfg ~registry ~t0 names =
            (Obs.Json.to_string (stats_json ~registry ~t0 ~id:stats_id) ^ "\n")
        | Ok (Request.Schedule req) ->
          Obs.Metrics.counter "server.requests" 1;
-         let key = Engine.request_key req in
+         let key = Engine.request_key ~memo req in
          let outcome, dt = Hashtbl.find result_of_key key in
          (match outcome with
           | Error msg -> respond_error ~base ~id:req.Request.id msg
@@ -228,9 +230,10 @@ let process_batch cfg ~registry ~t0 names =
                         [ ("schedule_file", Obs.Json.String sched_rel) ])
                   ^ "\n"))));
       try Sys.remove (Filename.concat incoming name) with Sys_error _ -> ())
-    parsed
+    parsed;
+  memo_gauge memo
 
-let run cfg =
+let run ?(memo = Memo.create ()) cfg =
   mkdir_p (incoming_dir cfg);
   mkdir_p (done_dir cfg);
   mkdir_p cfg.cache_dir;
@@ -272,7 +275,7 @@ let run cfg =
         Obs.Metrics.gauge "server.queue_depth" depth;
         Obs.Metrics.gauge_max "server.queue_depth_peak" depth;
         if pending <> [] && not !interrupted then begin
-          process_batch cfg ~registry ~t0 pending;
+          process_batch cfg ~memo ~registry ~t0 pending;
           write_metrics ();
           loop ()
         end
@@ -328,17 +331,16 @@ let write_frame oc payload =
   flush oc
 
 (* A stdio ok reply: [ok_json]'s compact form with the schedule text as
-   its last member, which [Schedule_io.to_buffer] writes in place, every
-   line end escaped as it goes; the reply bytes equal those of
-   rendering the member as a [String]. *)
-let add_ok_reply buf ~id ~cache ~key ~cost ~supersteps ~seconds schedule =
+   its last member, already escaped by the engine ({!Engine.result});
+   the reply bytes equal those of rendering the member as a [String]. *)
+let add_ok_reply buf ~id ~cache ~key ~cost ~supersteps ~seconds escaped =
   Obs.Json.to_buffer_compact buf (ok_json ~id ~cache ~key ~cost ~supersteps ~seconds []);
   Buffer.truncate buf (Buffer.length buf - 1);
   Buffer.add_string buf {|,"schedule":"|};
-  Schedule_io.to_buffer buf ~eol:{|\n|} schedule;
+  Buffer.add_string buf escaped;
   Buffer.add_string buf {|"}|}
 
-let run_stdio ~cache_dir ic oc =
+let run_stdio ?(memo = Memo.create ()) ~cache_dir ic oc =
   set_binary_mode_in ic true;
   set_binary_mode_out oc true;
   mkdir_p cache_dir;
@@ -381,14 +383,14 @@ let run_stdio ~cache_dir ic oc =
       let fallback_id = Printf.sprintf "stdio-%d" !count in
       (match
          Obs.Metrics.with_span "server:parse" (fun () ->
-             Request.parse_any ~id:fallback_id payload)
+             Request.parse_any ~memo ~id:fallback_id payload)
        with
        | Request.Stats { Request.stats_id } ->
          Obs.Metrics.counter "server.stats_requests" 1;
          Obs.Json.to_buffer_compact buf (stats_json ~registry ~t0 ~id:stats_id)
        | Request.Schedule req ->
          Obs.Metrics.counter "server.requests" 1;
-         (match handle ~cache_dir req with
+         (match handle ~memo ~cache_dir req with
           | Error msg, _ -> Obs.Json.to_buffer_compact buf (error_reply ~id:req.Request.id msg)
           | Ok res, dt ->
             Obs.Metrics.counter
@@ -400,7 +402,8 @@ let run_stdio ~cache_dir ic oc =
                   ~cache:(Engine.status_label res.Engine.status)
                   ~key:res.Engine.key ~cost:res.Engine.cost
                   ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
-                  ~seconds:dt res.Engine.schedule))
+                  ~seconds:dt res.Engine.escaped));
+         memo_gauge memo
        | exception (Failure msg | Sys_error msg) ->
          Obs.Metrics.counter "server.requests" 1;
          Obs.Json.to_buffer_compact buf (error_reply ~id:fallback_id msg));

@@ -29,6 +29,14 @@
     followers) and [schedule_file] (queue-relative), or [error] with a
     message.
 
+    {b Session memory.} Each {!run} or {!run_stdio} call is one session
+    and owns one {!Memo}, bounded by {!Memo.default_budget} bytes: an
+    inline hyperDAG body the session has parsed is not parsed again, and
+    a cache entry it has read or written is answered from memory while
+    the entry's files keep their [stat] identity. The cache directory
+    stays the authority: an entry deleted, replaced or corrupted on disk
+    is seen by the next request.
+
     {b Stats probes.} A request whose first directive is the bare word
     [stats] (see {!Request.parsed}) is answered inline — no scheduling
     work, no cache — with a live telemetry snapshot: [uptime_seconds],
@@ -42,7 +50,10 @@
     {b Observability.} Counters [server.requests] (scheduling requests
     and errors), [server.stats_requests], [server.batches],
     [server.cache_hits]/[_misses]/[_refreshes]/[_coalesced],
-    [server.errors]; gauges [server.queue_depth],
+    [server.errors]; the session table's ({!Memo}) counters
+    [server.memo_hits], [server.memo_misses] (inline bodies parsed and
+    cache entries read from disk) and [server.memo_evictions], with its
+    size as the gauge [server.memo_bytes]; gauges [server.queue_depth],
     [server.queue_depth_peak] ([set_max]: the deepest queue ever
     scanned, also bumped per batch) and [server.uptime_seconds];
     per-request latency as the [server.request_seconds] {b histogram}
@@ -84,9 +95,10 @@ val default_config : queue_dir:string -> config
     [<queue>/metrics.json], Prometheus to [<queue>/metrics.prom],
     [once = false]. *)
 
-val run : config -> unit
+val run : ?memo:Memo.t -> config -> unit
 (** Run the daemon until a shutdown condition. Creates the queue and
-    cache directories as needed. *)
+    cache directories as needed. [memo] is the session's table, as for
+    {!run_stdio}. *)
 
 (** {1 Length-framed stdio protocol}
 
@@ -101,9 +113,11 @@ val run : config -> unit
 val read_frame : in_channel -> string option
 val write_frame : out_channel -> string -> unit
 
-val run_stdio : cache_dir:string -> in_channel -> out_channel -> unit
+val run_stdio : ?memo:Memo.t -> cache_dir:string -> in_channel -> out_channel -> unit
 (** Serve frames from the input channel until EOF, answering on the
-    output channel. Requests are handled one at a time in arrival
+    output channel. [memo] is the session's table, a fresh
+    {!Memo.create} [()] when absent; a caller passes one only to bound
+    it by another budget or to inspect it. Requests are handled one at a time in arrival
     order (batching happens across the {!Par} pool only in the
     directory queue). A request that fails to parse or that the engine
     rejects gets an error reply and the session goes on; a truncated or

@@ -29,10 +29,29 @@ let check_seconds seconds =
   if not (Float.is_finite seconds && seconds > 0.0) then
     failwith (Printf.sprintf "Engine: seconds must be finite and positive, got %g" seconds)
 
+(* Costs are plain ints: an instance whose schedules could cost more
+   than a quarter of [max_int] is refused before anything is built, so
+   that the searches can still add and compare two costs. *)
+let max_cost = max_int / 4
+
+let check_cost_bound machine dag =
+  let refuse bound =
+    failwith
+      (Printf.sprintf
+         "Engine: the cost bound p*W + g*(p-1)*lambda_max*C + l*n of this instance is %s, \
+          above the limit of %d: its costs could overflow"
+         bound max_cost)
+  in
+  match Bsp_cost.cost_bound machine dag with
+  | Some b when b <= max_cost -> ()
+  | Some b -> refuse (string_of_int b)
+  | None -> refuse "above max_int"
+
 let schedule ?warm ~seconds ~seed ~replicate ~algorithm machine dag =
   if not (is_algorithm algorithm) then
     failwith ("Engine: unknown algorithm: " ^ algorithm);
   check_seconds seconds;
+  check_cost_bound machine dag;
   let limits =
     { Pipeline.thorough_limits with Pipeline.stage_seconds = Some (seconds /. 6.0) }
   in
@@ -74,27 +93,71 @@ let schedule ?warm ~seconds ~seed ~replicate ~algorithm machine dag =
   end
   else base
 
-let request_key (req : Request.t) =
-  Cache.key ~dag:req.dag ~machine:req.machine ~algorithm:req.algorithm ~seed:req.seed
+let request_key ?memo (req : Request.t) =
+  let dag_hash =
+    match memo with
+    | Some m -> Memo.structural_hash m req.dag
+    | None -> Dag.structural_hash req.dag
+  in
+  Cache.key_of_hash ~dag_hash ~machine:req.machine ~algorithm:req.algorithm ~seed:req.seed
     ~replicate:req.replicate
 
 type status = Hit | Miss | Refresh
 
 let status_label = function Hit -> "hit" | Miss -> "miss" | Refresh -> "refresh"
 
-type result = { status : status; key : string; cost : int; schedule : Schedule.t }
+type result = {
+  status : status;
+  key : string;
+  cost : int;
+  schedule : Schedule.t;
+  escaped : string;
+}
 
-let compute_and_store ~cache_dir ~key ~cached (req : Request.t) =
+(* A reply's schedule member, rendered once per entry a session reads
+   or stores. *)
+let escape schedule =
+  let buf = Buffer.create 16384 in
+  Schedule_io.to_buffer buf ~eol:{|\n|} schedule;
+  Buffer.contents buf
+
+(* The cache lookup. A warm entry is served while its files keep the
+   identity it was read or written with; its instance passed the cost
+   bound when the entry was computed or read. Otherwise the bound is
+   checked, and the entry is read from disk and checked once against
+   the request's machine: a schedule that is invalid, that does not cost
+   what its meta file says, or that has more supersteps than the DAG has
+   nodes (costing it allocates per superstep, and the bound does not
+   cover it) is a miss, and the recompute overwrites it. *)
+let lookup memo ~cache_dir ~machine ~dag key =
+  match Cache.ident ~dir:cache_dir key with
+  | None -> None
+  | Some ident -> (
+    match Memo.find_entry memo key ~ident ~dag with
+    | Some w -> Some w
+    | None -> (
+      check_cost_bound machine dag;
+      match Cache.lookup ~dir:cache_dir ~dag key with
+      | Some e
+        when Schedule.num_supersteps e.Cache.schedule <= max 1 (Dag.n dag)
+             && Validity.is_valid machine e.Cache.schedule
+             && Bsp_cost.total machine e.Cache.schedule = e.Cache.cost ->
+        let w = { Memo.entry = e; escaped = escape e.Cache.schedule } in
+        Memo.add_entry memo key ~ident w;
+        Some w
+      | _ -> None))
+
+let compute_and_store memo ~cache_dir ~key ~cached (req : Request.t) =
   (* Warm-start only applies to the base pipeline; the other budget-
      sensitive method (multilevel) re-solves from scratch and is
      compared against the cached cost below. *)
-  let warm =
+  let warm_start =
     match cached with
-    | Some (e : Cache.entry) when req.algorithm = "pipeline" -> Some e.Cache.schedule
+    | Some (w : Memo.warm) when req.algorithm = "pipeline" -> Some w.entry.Cache.schedule
     | _ -> None
   in
   let sched =
-    schedule ?warm ~seconds:req.seconds ~seed:req.seed ~replicate:req.replicate
+    schedule ?warm:warm_start ~seconds:req.seconds ~seed:req.seed ~replicate:req.replicate
       ~algorithm:req.algorithm req.machine req.dag
   in
   (match Validity.check req.machine sched with
@@ -106,29 +169,43 @@ let compute_and_store ~cache_dir ~key ~cached (req : Request.t) =
   (* Best-so-far semantics: a refresh keeps the cached schedule when
      the re-run did not strictly beat it, and the recorded budget is
      topped up either way so the next identical request is a hit. *)
-  let sched, cost, budget =
+  let warm =
     match cached with
-    | None -> (sched, cost, req.seconds)
-    | Some (e : Cache.entry) ->
-      let budget = Float.max req.seconds e.Cache.seconds_budget in
-      if e.Cache.cost <= cost then (e.Cache.schedule, e.Cache.cost, budget)
-      else (sched, cost, budget)
+    | None ->
+      let entry = { Cache.cost; seconds_budget = req.seconds; schedule = sched } in
+      { Memo.entry; escaped = escape sched }
+    | Some ({ Memo.entry = e; _ } as w) ->
+      let seconds_budget = Float.max req.seconds e.Cache.seconds_budget in
+      if e.Cache.cost <= cost then { w with Memo.entry = { e with Cache.seconds_budget } }
+      else
+        {
+          Memo.entry = { Cache.cost; seconds_budget; schedule = sched };
+          escaped = escape sched;
+        }
   in
-  Cache.store ~dir:cache_dir ~key ~algorithm:req.algorithm ~cost ~seconds_budget:budget
-    sched;
-  (sched, cost)
+  let entry = warm.Memo.entry in
+  Cache.store ~dir:cache_dir ~key ~algorithm:req.algorithm ~cost:entry.Cache.cost
+    ~seconds_budget:entry.Cache.seconds_budget entry.Cache.schedule;
+  (* Write-through: the entry just stored is warm under the identity its
+     files have now. *)
+  Option.iter
+    (fun ident -> Memo.add_entry memo key ~ident warm)
+    (Cache.ident ~dir:cache_dir key);
+  warm
 
-let handle ~cache_dir (req : Request.t) =
+let handle ?(memo = Memo.create ()) ~cache_dir (req : Request.t) =
   if not (is_algorithm req.algorithm) then
     failwith ("Engine: unknown algorithm: " ^ req.algorithm);
   check_seconds req.seconds;
-  let key = request_key req in
-  match Cache.lookup ~dir:cache_dir ~dag:req.dag key with
-  | Some e
-    when (not (budget_sensitive req.algorithm))
-         || req.seconds <= e.Cache.seconds_budget ->
-    { status = Hit; key; cost = e.Cache.cost; schedule = e.Cache.schedule }
-  | cached ->
-    let sched, cost = compute_and_store ~cache_dir ~key ~cached req in
-    let status = if Option.is_none cached then Miss else Refresh in
-    { status; key; cost; schedule = sched }
+  let key = request_key ~memo req in
+  let status, { Memo.entry; escaped } =
+    match lookup memo ~cache_dir ~machine:req.machine ~dag:req.dag key with
+    | Some w
+      when (not (budget_sensitive req.algorithm))
+           || req.seconds <= w.Memo.entry.Cache.seconds_budget ->
+      (Hit, w)
+    | cached ->
+      ( (if Option.is_none cached then Miss else Refresh),
+        compute_and_store memo ~cache_dir ~key ~cached req )
+  in
+  { status; key; cost = entry.Cache.cost; schedule = entry.Cache.schedule; escaped }

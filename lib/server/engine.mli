@@ -33,12 +33,15 @@ val schedule :
     post-pass, kept only when strictly cheaper. The top-level pipeline
     runs ILPinit only where {!Pipeline.ilp_init_pays}; multilevel's
     coarse solves always run it. Raises [Failure] on an unknown
-    algorithm name and on a [seconds] that is not finite and
-    positive. *)
+    algorithm name, on a [seconds] that is not finite and positive, and
+    on an instance whose {!Bsp_cost.cost_bound} is above [max_int / 4]
+    (its costs could overflow [int]); the message names the bound. *)
 
-val request_key : Request.t -> string
+val request_key : ?memo:Memo.t -> Request.t -> string
 (** The request's content address ({!Cache.key}) — what the daemon uses
-    to coalesce duplicate requests inside one batch. *)
+    to coalesce duplicate requests inside one batch. With [memo], the
+    structural hash of a DAG that {!Memo.parse_body} returned is not
+    computed again. *)
 
 type status =
   | Hit  (** served from cache, pipeline not run *)
@@ -52,12 +55,25 @@ val status_label : status -> string
 (** ["hit"] / ["miss"] / ["refresh"] — the wire form in responses and
     metric names. *)
 
-type result = { status : status; key : string; cost : int; schedule : Schedule.t }
+type result = {
+  status : status;
+  key : string;
+  cost : int;
+  schedule : Schedule.t;  (** bound to the request's DAG *)
+  escaped : string;  (** the schedule as a reply carries it, see {!Memo.warm} *)
+}
 
-val handle : cache_dir:string -> Request.t -> result
+val handle : ?memo:Memo.t -> cache_dir:string -> Request.t -> result
 (** Serve one request through the cache: look up the content address,
     return the cached schedule on a hit, otherwise compute, store
-    atomically, and return. Raises [Failure] on an unknown algorithm, a
-    [seconds] that is not finite and positive (checked before the
-    cache, so a hit cannot hide it) or an internal validity failure; IO
-    errors propagate. *)
+    atomically, and return. [memo] is the session's table (a fresh one
+    when absent): an entry warm in it is served while its files keep
+    the identity it was stored with ({!Cache.ident}); any other entry is
+    read from disk, and one whose schedule is invalid on the request's
+    machine or does not cost what its meta file says is a miss. Every
+    entry read or stored is left warm. Raises [Failure] on an unknown
+    algorithm, a [seconds] that is not finite and positive (both
+    checked before the cache, so a hit cannot hide them), an instance
+    whose costs could overflow (checked before any schedule is computed
+    or read from disk, so no entry is ever warm for one) or an internal
+    validity failure; IO errors propagate. *)

@@ -13,7 +13,7 @@ let fail fmt = Printf.ksprintf failwith fmt
 (* A machine holds a p x p NUMA matrix, 8 MB at this limit. *)
 let max_p = 1024
 
-let parse ?(base_dir = ".") ~id text =
+let parse ?(base_dir = ".") ?memo ~id text =
   let resolve p = if Filename.is_relative p then Filename.concat base_dir p else p in
   let sc = Text_codec.scanner text in
   let id = ref id in
@@ -81,7 +81,9 @@ let parse ?(base_dir = ".") ~id text =
     | Some _, Some _ -> fail "Request: give either a dag file or an inline hyperdag section, not both"
     | None, None -> fail "Request: missing dag (either a 'dag <path>' line or a 'hyperdag' section)"
     | Some path, None -> Hyperdag_io.read_file_auto (resolve path)
-    | None, Some pos -> Hyperdag_io.of_string ~pos text
+    | None, Some pos -> (
+      let parse () = Hyperdag_io.of_string ~pos text in
+      match memo with Some m -> Memo.parse_body m text ~pos parse | None -> parse ())
   in
   {
     id = !id;
@@ -101,7 +103,7 @@ type parsed = Schedule of t | Stats of stats_request
    precede it. Anything else is a scheduling request and goes through
    the full parser — so a malformed scheduling request still fails with
    the scheduling parser's message, not a confusing stats one. *)
-let parse_any ?base_dir ~id text =
+let parse_any ?base_dir ?memo ~id text =
   let sc = Text_codec.scanner text in
   let rec scan id =
     if not (Text_codec.next_line sc) then None
@@ -113,4 +115,4 @@ let parse_any ?base_dir ~id text =
   in
   match scan id with
   | Some stats_id -> Stats { stats_id }
-  | None -> Schedule (parse ?base_dir ~id text)
+  | None -> Schedule (parse ?base_dir ?memo ~id text)

@@ -43,11 +43,14 @@ val max_p : int
     rejected before it is built. Machine files and the CLI's [-p] are
     not limited. *)
 
-val parse : ?base_dir:string -> id:string -> string -> t
+val parse : ?base_dir:string -> ?memo:Memo.t -> id:string -> string -> t
 (** Parse a request document. [id] is the fallback identity (the queue
-    file name) used when the document has no [id] line. Raises
-    [Failure] with a descriptive message on malformed input, unreadable
-    referenced files, or a malformed embedded hyperDAG. *)
+    file name) used when the document has no [id] line. With [memo] (a
+    daemon session's table), an inline hyperDAG body goes through
+    {!Memo.parse_body}, so a body seen before is not parsed again; a
+    [dag <path>] file is always read. Raises [Failure] with a
+    descriptive message on malformed input, unreadable referenced
+    files, or a malformed embedded hyperDAG. *)
 
 type stats_request = { stats_id : string }
 
@@ -65,7 +68,7 @@ type parsed = Schedule of t | Stats of stats_request
     It is answered with a live telemetry snapshot instead of a
     schedule; see {!Daemon}. *)
 
-val parse_any : ?base_dir:string -> id:string -> string -> parsed
+val parse_any : ?base_dir:string -> ?memo:Memo.t -> id:string -> string -> parsed
 (** Like {!parse}, but recognises stats probes. Anything that is not a
     stats probe is parsed as a scheduling request (with the scheduling
     parser's error messages). *)

@@ -963,6 +963,360 @@ let test_daemon_stdio_stats () =
                (field "server.request_seconds" (field "histograms" r2)))))
 
 (* ------------------------------------------------------------------ *)
+(* The disk stays the authority over a session's memory.                *)
+
+(* A stdio session on pipes, served by [run_stdio] on a second domain,
+   so that the test can change the cache between requests. [f] gets a
+   function sending one request document and returning the reply. *)
+let with_stdio_session ?memo ~cache_dir f =
+  let req_r, req_w = Unix.pipe () and rep_r, rep_w = Unix.pipe () in
+  let daemon =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr req_r and oc = Unix.out_channel_of_descr rep_w in
+        Fun.protect
+          ~finally:(fun () ->
+            close_in ic;
+            close_out oc)
+          (fun () -> Server.Daemon.run_stdio ?memo ~cache_dir ic oc))
+  in
+  let oc = Unix.out_channel_of_descr req_w and ic = Unix.in_channel_of_descr rep_r in
+  let ask doc =
+    Server.Daemon.write_frame oc doc;
+    Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out oc;
+      Domain.join daemon;
+      close_in ic)
+    (fun () -> f ask)
+
+let memo_dag () = Test_util.random_dag (Rng.create 11) ~n:24 ~edge_prob:0.2 ~max_w:5 ~max_c:3
+
+let memo_request ?(algorithm = "bspg") ?(comment = "") dag =
+  Printf.sprintf "algorithm %s\np 2\ng 1\nl 2\nhyperdag\n%s%s" algorithm comment
+    (Hyperdag_io.to_string dag)
+
+(* In one session, after a hit: deleting the entry or the cache
+   directory gives a miss and then a hit; an entry replaced by another
+   valid one is served as it is now; a corrupted entry is a miss that
+   heals the cache; and a body that differs only in its comments shares
+   the key and the schedule bytes. *)
+let test_memo_disk_authority () =
+  with_tmp_dir "memo-disk" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let dag = memo_dag () in
+      let req = memo_request dag in
+      with_stdio_session ~cache_dir (fun ask ->
+          let expect label r = check_str label label (str_field "cache" r) in
+          let r1 = ask req in
+          expect "miss" r1;
+          let r2 = ask req in
+          expect "hit" r2;
+          check_str "hit schedule" (str_field "schedule" r1) (str_field "schedule" r2);
+          let key = str_field "key" r1 in
+          let meta = Server.Cache.meta_path ~dir:cache_dir key
+          and sched = Server.Cache.schedule_path ~dir:cache_dir key in
+          (* deleted, as an entry or with the whole directory:
+             recomputed, then warm again *)
+          Sys.remove meta;
+          Sys.remove sched;
+          expect "miss" (ask req);
+          expect "hit" (ask req);
+          rm_rf cache_dir;
+          expect "miss" (ask req);
+          expect "hit" (ask req);
+          (* replaced by another valid entry: that entry is served *)
+          let trivial = Schedule.trivial dag in
+          let trivial_cost = Bsp_cost.total small_machine trivial in
+          check_bool "the replacement differs" true (trivial_cost <> int_field "cost" r1);
+          Server.Cache.store ~dir:cache_dir ~key ~algorithm:"bspg" ~cost:trivial_cost
+            ~seconds_budget:10.0 trivial;
+          let r3 = ask req in
+          expect "hit" r3;
+          check "replacement cost" trivial_cost (int_field "cost" r3);
+          check_str "replacement schedule" (Schedule_io.to_string trivial)
+            (str_field "schedule" r3);
+          (* corrupted: a miss that rewrites the entry, then a hit *)
+          Atomic_file.write_string sched "garbage, not a schedule";
+          let r4 = ask req in
+          expect "miss" r4;
+          check_str "healed schedule" (str_field "schedule" r1) (str_field "schedule" r4);
+          check_str "healed file" (str_field "schedule" r1)
+            (In_channel.with_open_bin sched In_channel.input_all);
+          expect "hit" (ask req);
+          (* another body for the same DAG: same key, same bytes *)
+          let r5 = ask (memo_request ~comment:"% the same instance\n" dag) in
+          expect "hit" r5;
+          check_str "same key" key (str_field "key" r5);
+          check_str "same schedule" (str_field "schedule" r1) (str_field "schedule" r5);
+          let counters = field "counters" (ask "stats\n") in
+          check_bool "memo hits counted" true (int_field "server.memo_hits" counters > 0);
+          check_bool "memo misses counted" true (int_field "server.memo_misses" counters > 0)))
+
+(* A warm entry serves the DAG object it was stored for and any
+   structurally equal one, rebound to it, but never another DAG that
+   reached the same content address, and only while its files keep the
+   identity it was stored with. *)
+let test_memo_entry_binding () =
+  let dag = memo_dag () in
+  let schedule = Schedule.trivial dag in
+  let entry = { Server.Cache.cost = 1; seconds_budget = 1.0; schedule } in
+  let file ino = { Server.Cache.ino; size = 10; mtime = 1.0 } in
+  let ident = { Server.Cache.meta = file 1; sched = file 2 } in
+  let memo = Server.Memo.create () in
+  Server.Memo.add_entry memo "k" ~ident { Server.Memo.entry; escaped = "" };
+  let find ?(ident = ident) d = Server.Memo.find_entry memo "k" ~ident ~dag:d in
+  (match find dag with
+   | Some w -> check_bool "same object" true (w.Server.Memo.entry.Server.Cache.schedule == schedule)
+   | None -> Alcotest.fail "no hit for the stored DAG");
+  let copy = Hyperdag_io.of_string (Hyperdag_io.to_string dag) in
+  (match find copy with
+   | Some w ->
+     check_bool "rebound" true (w.Server.Memo.entry.Server.Cache.schedule.Schedule.dag == copy)
+   | None -> Alcotest.fail "no hit for an equal DAG");
+  check_bool "another DAG misses" true (find (Test_util.chain (Dag.n dag)) = None);
+  check_bool "another identity misses" true
+    (find ~ident:{ ident with Server.Cache.sched = file 3 } dag = None)
+
+(* An entry read from disk is checked on the request's machine: a bspg
+   entry for p = 2 whose line "0 0 0" was rewritten to "0 99 7" (a
+   processor the machine lacks), or whose meta file records another
+   cost, is a miss, and the recompute rewrites it. *)
+let test_cache_validates_loaded_entries () =
+  with_tmp_dir "cache-validate" (fun cache_dir ->
+      let dag = memo_dag () in
+      let req = request ~id:"a" ~algorithm:"bspg" dag in
+      let r1 = Server.Engine.handle ~cache_dir req in
+      let key = r1.Server.Engine.key in
+      let sched = Server.Cache.schedule_path ~dir:cache_dir key
+      and meta = Server.Cache.meta_path ~dir:cache_dir key in
+      let good = In_channel.with_open_bin sched In_channel.input_all in
+      let lines = String.split_on_char '\n' good in
+      check_bool "node 0 on processor 0 in superstep 0" true (List.mem "0 0 0" lines);
+      Atomic_file.write_string sched
+        (String.concat "\n" (List.map (fun l -> if l = "0 0 0" then "0 99 7" else l) lines));
+      check_bool "the rewritten entry still parses" true
+        (Option.is_some (Server.Cache.lookup ~dir:cache_dir ~dag key));
+      let r2 = Server.Engine.handle ~cache_dir req in
+      check_bool "invalid schedule is a miss" true (r2.Server.Engine.status = Server.Engine.Miss);
+      check "recomputed cost" r1.Server.Engine.cost r2.Server.Engine.cost;
+      check_str "entry rewritten" good (In_channel.with_open_bin sched In_channel.input_all);
+      let recorded_cost () = int_field "cost" (read_json meta) in
+      check "meta records the cost" r1.Server.Engine.cost (recorded_cost ());
+      (match read_json meta with
+       | Obs.Json.Obj kvs ->
+         let kvs =
+           List.map
+             (fun (k, v) ->
+               if k = "cost" then (k, Obs.Json.Int (r1.Server.Engine.cost + 1)) else (k, v))
+             kvs
+         in
+         Atomic_file.write_string meta (Obs.Json.to_string (Obs.Json.Obj kvs) ^ "\n")
+       | _ -> Alcotest.fail "meta is not an object");
+      let r3 = Server.Engine.handle ~cache_dir req in
+      check_bool "mis-costed entry is a miss" true
+        (r3.Server.Engine.status = Server.Engine.Miss);
+      check "recomputed cost again" r1.Server.Engine.cost r3.Server.Engine.cost;
+      check "meta rewritten" r1.Server.Engine.cost (recorded_cost ()))
+
+(* A session fed more distinct bodies than its budget holds keeps its
+   table, as the gauge reports it, within the budget, and still answers
+   every request. *)
+let test_memo_budget () =
+  with_tmp_dir "memo-budget" (fun dir ->
+      let registry = Obs.Metrics.create () in
+      Obs.Metrics.install registry;
+      let budget = 16 * 1024 in
+      let memo = Server.Memo.create ~budget () in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      let bodies = 12 in
+      Out_channel.with_open_bin inp (fun oc ->
+          for i = 1 to bodies do
+            let dag =
+              Test_util.random_dag (Rng.create i) ~n:30 ~edge_prob:0.2 ~max_w:5 ~max_c:3
+            in
+            Server.Daemon.write_frame oc (memo_request dag);
+            Server.Daemon.write_frame oc "stats\n"
+          done);
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc ->
+              Server.Daemon.run_stdio ~memo ~cache_dir:(Filename.concat dir "cache") ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          for _ = 1 to bodies do
+            let r = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+            check_str "answered" "miss" (str_field "cache" r);
+            let stats = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+            match Obs.Json.member "server.memo_bytes" (field "gauges" stats) with
+            | Some (Obs.Json.Float b) ->
+              check_bool "gauge within the budget" true (b > 0.0 && b <= float_of_int budget)
+            | _ -> Alcotest.fail "no server.memo_bytes gauge"
+          done);
+      check_bool "table within the budget" true (Server.Memo.bytes memo <= budget);
+      check_bool "evicted" true
+        (Obs.Metrics.counter_value registry "server.memo_evictions" > 0);
+      (* an item larger than the whole budget is not stored *)
+      let tiny = Server.Memo.create ~budget:64 () in
+      let header = "p 2\nhyperdag\n" in
+      let doc = header ^ Hyperdag_io.to_string (memo_dag ()) in
+      let pos = String.length header in
+      ignore (Server.Memo.parse_body tiny doc ~pos (fun () -> Hyperdag_io.of_string ~pos doc));
+      check "oversized body not stored" 0 (Server.Memo.bytes tiny))
+
+(* The same two queue batches at -j 1 and -j 2, one session each: warm
+   hits, a rebound hit, misses, a coalesced follower and an error get
+   the same responses and schedule files. *)
+let test_memo_queue_jobs () =
+  let dag = memo_dag () and other = Test_util.diamond () in
+  let batch1 = [ ("a", memo_request dag); ("b", memo_request ~algorithm:"source" other) ] in
+  let batch2 =
+    [
+      ("c", memo_request dag);
+      ("d", memo_request ~comment:"% again\n" ~algorithm:"source" other);
+      ("e", memo_request ~algorithm:"hdagg" dag);
+      ("f", memo_request ~algorithm:"hdagg" dag);
+      ("g", memo_request ~algorithm:"cilk" other);
+      ("h", memo_request ~algorithm:"nosuch" dag);
+    ]
+  in
+  let run jobs =
+    with_tmp_dir "memo-queue" (fun queue ->
+        Unix.mkdir (Filename.concat queue "incoming") 0o755;
+        let config =
+          { (Server.Daemon.default_config ~queue_dir:queue) with Server.Daemon.once = true }
+        in
+        let memo = Server.Memo.create () in
+        let batch reqs =
+          List.iter
+            (fun (name, body) ->
+              Atomic_file.write_string
+                (Filename.concat queue ("incoming/" ^ name ^ ".req"))
+                body)
+            reqs;
+          Par.with_jobs jobs (fun () -> Server.Daemon.run ~memo config)
+        in
+        batch batch1;
+        batch batch2;
+        List.map
+          (fun (name, _) ->
+            let resp =
+              match read_json (Filename.concat queue ("done/" ^ name ^ ".resp.json")) with
+              | Obs.Json.Obj kvs -> Obs.Json.Obj (List.remove_assoc "seconds" kvs)
+              | j -> j
+            in
+            let sched = Filename.concat queue ("done/" ^ name ^ ".schedule") in
+            ( name,
+              Obs.Json.to_string_compact resp,
+              if Sys.file_exists sched then In_channel.with_open_bin sched In_channel.input_all
+              else "" ))
+          (batch1 @ batch2))
+  in
+  let one = run 1 and two = run 2 in
+  List.iter2
+    (fun (name, resp1, sched1) (_, resp2, sched2) ->
+      check_str (name ^ " response") resp1 resp2;
+      check_str (name ^ " schedule") sched1 sched2)
+    one two;
+  let label name =
+    let _, resp, _ = List.find (fun (n, _, _) -> n = name) one in
+    match Obs.Json.member "cache" (Obs.Json.of_string resp) with
+    | Some (Obs.Json.String s) -> s
+    | _ -> "error"
+  in
+  List.iter
+    (fun (name, expected) -> check_str name expected (label name))
+    [
+      ("a", "miss"); ("b", "miss"); ("c", "hit"); ("d", "hit"); ("e", "miss");
+      ("f", "coalesced"); ("g", "miss"); ("h", "error");
+    ]
+
+let scheduler_exe () =
+  Filename.concat (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/scheduler.exe")
+
+(* [serve --stdio --trace] logs its span summaries to stderr: on stdout
+   they would break the framing. *)
+let test_stdio_trace_keeps_frames () =
+  with_tmp_dir "stdio-trace" (fun dir ->
+      let file = Filename.concat dir in
+      Out_channel.with_open_bin (file "in") (fun oc ->
+          Server.Daemon.write_frame oc (memo_request (memo_dag ())));
+      let cmd =
+        Filename.quote_command (scheduler_exe ()) ~stdin:(file "in") ~stdout:(file "out")
+          ~stderr:(file "err")
+          [ "serve"; "--stdio"; "--trace"; "--cache"; file "cache" ]
+      in
+      check "exit code" 0 (Sys.command cmd);
+      In_channel.with_open_bin (file "out") (fun ic ->
+          let r = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+          check_str "reply" "miss" (str_field "cache" r);
+          check_bool "one frame only" true (Server.Daemon.read_frame ic = None));
+      check_bool "spans on stderr" true
+        (Test_util.contains_substring
+           (In_channel.with_open_bin (file "err") In_channel.input_all)
+           "server:request"))
+
+(* ------------------------------------------------------------------ *)
+(* Instances whose costs would overflow [int] are refused.              *)
+
+let huge_work_dag () =
+  Dag.map_weights (Test_util.chain 4) ~work:(fun _ -> 1 lsl 61) ~comm:(fun _ -> 1)
+
+let test_cost_overflow_refused () =
+  let refused f =
+    match f () with
+    | _ -> false
+    | exception Failure msg -> Test_util.contains_substring msg "cost bound"
+  in
+  check_bool "work 2^61 per node" true
+    (refused (fun () ->
+         Server.Engine.schedule ~seconds:1.0 ~seed:1 ~replicate:false ~algorithm:"bspg"
+           (Machine.uniform ~p:2 ~g:1 ~l:1) (huge_work_dag ())));
+  check_bool "lambda 10^18 at p = 1024" true
+    (refused (fun () ->
+         Server.Engine.schedule ~seconds:1.0 ~seed:1 ~replicate:false ~algorithm:"bspg"
+           (Machine.numa_tree ~p:1024 ~g:1 ~l:5 ~delta:100) (Test_util.diamond ())));
+  check_bool "delta^9 past max_int" true
+    (match Machine.numa_tree ~p:1024 ~g:1 ~l:5 ~delta:200 with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  check_bool "ordinary instances pass" true
+    (Bsp_cost.cost_bound small_machine (memo_dag ()) <> None);
+  (* the daemon answers an error, stores nothing, and goes on *)
+  with_tmp_dir "overflow" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let inp = Filename.concat dir "in" and out = Filename.concat dir "out" in
+      let numa delta =
+        Printf.sprintf "algorithm bspg\np 1024\nnuma-delta %d\nhyperdag\n%s" delta
+          (Hyperdag_io.to_string (Test_util.diamond ()))
+      in
+      Out_channel.with_open_bin inp (fun oc ->
+          Server.Daemon.write_frame oc (numa 100);
+          Server.Daemon.write_frame oc (numa 200);
+          Server.Daemon.write_frame oc
+            ("algorithm bspg\np 2\nhyperdag\n" ^ Hyperdag_io.to_string (huge_work_dag ()));
+          Server.Daemon.write_frame oc (memo_request (memo_dag ())));
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc -> Server.Daemon.run_stdio ~cache_dir ic oc));
+      In_channel.with_open_bin out (fun ic ->
+          let next () = Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)) in
+          List.iter
+            (fun what -> check_str what "error" (str_field "status" (next ())))
+            [ "numa-delta 100"; "numa-delta 200"; "work 2^61" ];
+          check_str "next request answered" "ok" (str_field "status" (next ())));
+      check "one entry stored, for the last request" 2 (Array.length (Sys.readdir cache_dir)));
+  (* the CLI exits non-zero instead of printing a wrapped cost *)
+  with_tmp_dir "overflow-cli" (fun dir ->
+      let file = Filename.concat dir in
+      Hyperdag_io.write_file (file "huge.hdag") (huge_work_dag ());
+      let cmd =
+        Filename.quote_command (scheduler_exe ()) ~stdout:(file "stdout") ~stderr:(file "stderr")
+          [ file "huge.hdag"; "-a"; "bspg"; "-p"; "2"; "-q" ]
+      in
+      check_bool "non-zero exit" true (Sys.command cmd <> 0);
+      check_str "no cost printed" "" (In_channel.with_open_bin (file "stdout") In_channel.input_all))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -1049,5 +1403,18 @@ let () =
           Alcotest.test_case "stdio stats frame" `Quick test_daemon_stdio_stats;
           Alcotest.test_case "flight recorder: request and stage slices" `Quick
             test_daemon_flight_spans;
+          Alcotest.test_case "stdio trace keeps stdout to frames" `Quick
+            test_stdio_trace_keeps_frames;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "the disk stays the authority" `Quick test_memo_disk_authority;
+          Alcotest.test_case "warm entries bind to their DAG" `Quick test_memo_entry_binding;
+          Alcotest.test_case "loaded entries are validated" `Quick
+            test_cache_validates_loaded_entries;
+          Alcotest.test_case "bounded by its budget" `Quick test_memo_budget;
+          Alcotest.test_case "queue batches equal at -j 1 and -j 2" `Quick
+            test_memo_queue_jobs;
+          Alcotest.test_case "overflowing costs refused" `Quick test_cost_overflow_refused;
         ] );
     ]
