@@ -88,19 +88,28 @@ let bench_limits () =
   match !scale with
   | Datasets.Smoke ->
     {
-      Pipeline.default_limits with
+      Pipeline.thorough_limits with
       Pipeline.hc_evals = 60_000;
       hccs_evals = 20_000;
+      ilp_full_max_vars = 260;
       ilp_full_nodes = 300;
+      ilp_part_max_vars = 200;
       ilp_part_nodes = 60;
       ilp_cs_nodes = 80;
+      use_ilp_init = false;
       stage_seconds = Some 0.25;
     }
   | Datasets.Default ->
     {
-      Pipeline.default_limits with
+      Pipeline.thorough_limits with
       Pipeline.hc_evals = 250_000;
       hccs_evals = 80_000;
+      ilp_full_max_vars = 260;
+      ilp_full_nodes = 1_200;
+      ilp_part_max_vars = 200;
+      ilp_part_nodes = 120;
+      ilp_cs_nodes = 250;
+      use_ilp_init = false;
       stage_seconds = Some 0.75;
     }
   | Datasets.Full ->
@@ -116,12 +125,28 @@ let ilp_node_cap () =
   | Datasets.Default -> 1_200
   | Datasets.Full -> max_int
 
+(* Local search only: the huge sweep and the engine benchmarks below
+   run no ILP stage. Every user sets its own [hc_evals]. *)
+let heuristic_limits =
+  {
+    Pipeline.thorough_limits with
+    Pipeline.hccs_evals = 50_000;
+    ilp_full_max_vars = 260;
+    ilp_full_nodes = 1_200;
+    ilp_part_max_vars = 200;
+    ilp_part_nodes = 120;
+    ilp_cs_nodes = 250;
+    use_ilp = false;
+    use_ilp_init = false;
+    stage_seconds = Some 5.0;
+  }
+
 let huge_limits () =
   match !scale with
-  | Datasets.Smoke -> { Pipeline.fast_limits with Pipeline.hc_evals = 60_000 }
-  | Datasets.Default -> { Pipeline.fast_limits with Pipeline.hc_evals = 300_000 }
+  | Datasets.Smoke -> { heuristic_limits with Pipeline.hc_evals = 60_000 }
+  | Datasets.Default -> { heuristic_limits with Pipeline.hc_evals = 300_000 }
   | Datasets.Full ->
-    { Pipeline.fast_limits with Pipeline.hc_evals = 5_000_000; stage_seconds = Some 1800.0 }
+    { heuristic_limits with Pipeline.hc_evals = 5_000_000; stage_seconds = Some 1800.0 }
 
 (* ILPinit runs where [Pipeline.ilp_init_pays] (P = 4, small DAGs). HC
    budgets scale with the instance so that large DAGs still get several
@@ -165,7 +190,7 @@ type sweep_key = {
   g : int;
   l : int;
   delta : int;  (* 0 = uniform machine *)
-  huge : bool;  (* use the fast (non-ILP) limits *)
+  huge : bool;  (* use the heuristic (non-ILP) limits *)
 }
 
 let run_cache : (sweep_key, Experiment.run list) Hashtbl.t = Hashtbl.create 64
@@ -652,8 +677,7 @@ let table14 () =
 
 (* Ablations of the design choices DESIGN.md calls out: the HDagg
    aggregation pass, the superstep-merge pass inside our local search,
-   the simulated-annealing extension, and the CCR-based automatic
-   multilevel engagement. *)
+   and the coarsening strategy. *)
 let ablations () =
   header "Ablations (design-choice studies, small dataset)";
   let d = dataset "small" in
@@ -673,63 +697,24 @@ let ablations () =
           let a = Bspg.schedule m dag and b = Source_heuristic.schedule m dag in
           if Bsp_cost.total m a <= Bsp_cost.total m b then a else b
         in
-        let budget () = Budget.steps lim.Pipeline.hc_evals in
-        let hc, _ = Hc.improve ~budget:(budget ()) m init in
+        let hc, _ = Hc.improve ~budget:(Budget.steps lim.Pipeline.hc_evals) m init in
         let hc = Schedule.compact hc in
         let hc_cost = Bsp_cost.total m hc in
         let merged = Superstep_merge.greedy m hc in
         let merged_cost = Bsp_cost.total m merged in
         let hccs, _ = Hccs.improve ~budget:(Budget.steps lim.Pipeline.hccs_evals) m merged in
         let hccs_cost = Bsp_cost.total m hccs in
-        let annealed, _ =
-          Annealing.improve ~budget:(budget ())
-            ~config:
-              { (Annealing.default_config merged_cost) with Annealing.seed = !seed }
-            m merged
-        in
-        let anneal_cost = Bsp_cost.total m annealed in
-        (cilk, hdagg_on, hdagg_off, hc_cost, merged_cost, hccs_cost, anneal_cost))
+        (cilk, hdagg_on, hdagg_off, hc_cost, merged_cost, hccs_cost))
       d.Datasets.instances
   in
   let geo f = Statistics.geometric_mean (List.map f rows) in
   let r a b = float_of_int a /. float_of_int b in
   Printf.printf "HDagg aggregation: off/on cost ratio = %.3f (its merge pass gain)\n"
-    (geo (fun (_, on, off, _, _, _, _) -> r off on));
-  Printf.printf "local search (vs Cilk): HC %.3f  +merge %.3f  +HCcs %.3f  +anneal %.3f\n"
-    (geo (fun (c, _, _, hc, _, _, _) -> r hc c))
-    (geo (fun (c, _, _, _, mg, _, _) -> r mg c))
-    (geo (fun (c, _, _, _, _, cs, _) -> r cs c))
-    (geo (fun (c, _, _, _, _, _, an) -> r an c));
-  (* CCR-based auto engagement, judged against the cached NUMA sweep. *)
-  let decisions = ref 0 and correct = ref 0 in
-  List.iter
-    (fun pq ->
-      List.iter
-        (fun dlt ->
-          List.iter
-            (fun ds ->
-              let key = numa_key ds pq dlt in
-              let machine = machine_of key in
-              let dset = dataset ds in
-              List.iter2
-                (fun inst run ->
-                  match Experiment.ml_best run with
-                  | None -> ()
-                  | Some ml ->
-                    incr decisions;
-                    let predicted =
-                      Ccr.communication_dominated machine inst.Datasets.dag
-                    in
-                    let actual = ml < run.Experiment.ours in
-                    if predicted = actual then incr correct)
-                dset.Datasets.instances (runs key))
-            no_tiny_datasets)
-        deltas)
-    numa_ps;
-  if !decisions > 0 then
-    Printf.printf
-      "CCR auto-selection (threshold %.1f): %d / %d NUMA cases decided correctly\n"
-      Ccr.default_threshold !correct !decisions;
+    (geo (fun (_, on, off, _, _, _) -> r off on));
+  Printf.printf "local search (vs Cilk): HC %.3f  +merge %.3f  +HCcs %.3f\n"
+    (geo (fun (c, _, _, hc, _, _) -> r hc c))
+    (geo (fun (c, _, _, _, mg, _) -> r mg c))
+    (geo (fun (c, _, _, _, _, cs) -> r cs c));
   (* Coarsening-strategy ablation: the paper's edge-selection rule vs a
      communication-weighted matching, both through the same multilevel
      driver on a communication-heavy machine. *)
@@ -860,7 +845,7 @@ let localsearch () =
   (* End-to-end: the heuristic pipeline (no ILP — this instance is far
      above the ILP node caps anyway) on the same instance. *)
   let pipeline_limits =
-    { Pipeline.fast_limits with Pipeline.hc_evals = evals; hccs_evals = evals / 4 }
+    { heuristic_limits with Pipeline.hc_evals = evals; hccs_evals = evals / 4 }
   in
   (* The end-to-end run doubles as the observability check: a registry
      is installed only here (the microbenchmark loops above run without
@@ -912,7 +897,7 @@ let localsearch () =
   let ml_machine = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
   let ml_limits =
     {
-      Pipeline.fast_limits with
+      heuristic_limits with
       Pipeline.hc_evals = ml_evals;
       hccs_evals = ml_evals / 4;
       stage_seconds = None;
@@ -1281,115 +1266,106 @@ let server () =
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder overhead smoke (DESIGN.md Section 5i): the same
-   parallel hill-climbing fan-out timed with the recorder off and on,
-   alternating reps, best-of-N to shed host noise. Hard-fails when the
-   recorder-on best exceeds the recorder-off best by more than 5%, and
-   exports the final recorder-on run's per-domain Chrome trace
+   hill-climbing tasks timed with the recorder off and on, in short
+   interleaved batches. Hard-fails when the median on/off ratio
+   exceeds 1.05, and exports a recorded per-domain Chrome trace
    (BENCH_obs.trace.json) plus a BENCH_obs.json snapshot. *)
 
 let obs () =
   header "Flight recorder overhead (Obs.Events off vs on)";
   let rng = Rng.create !seed in
-  (* Many small tasks: with chunk-1 claiming the wall-time imbalance of
-     a batch is about one task, so the task count bounds the run-to-run
-     split noise the 5% overhead budget must tolerate. *)
-  let target, evals, tasks =
+  let target, evals, rounds =
     match !scale with
-    | Datasets.Smoke -> (2_000, 25_000, 64)
-    | Datasets.Default -> (4_000, 60_000, 64)
+    | Datasets.Smoke -> (2_000, 125_000, 64)
+    | Datasets.Default -> (4_000, 125_000, 64)
     | Datasets.Full -> (8_000, 150_000, 96)
   in
+  let batch = 4 and trace_tasks = 64 in
   let dag =
     Finegrained.generate_sized rng ~family:Finegrained.Exp ~shape:Finegrained.Wide
       ~target
   in
   let m = Machine.uniform ~p:8 ~g:3 ~l:5 in
   let init = Bspg.schedule m dag in
-  (* One Par batch of independent HC improvements — the portfolio shape
-     the recorder exists to explain. The overhead comparison runs it at
-     jobs=1: the sequential path still drives the per-task record path
-     (task spans via timed_task), but a single domain gives the
-     repeatable timings a 5% budget needs — at jobs>=2 the work split
-     and domain scheduling jitter alone exceed that. A separate
+  (* A Par batch of identical HC improvements: the portfolio shape the
+     recorder exists to explain. The overhead comparison runs at
+     jobs=1, where the sequential path still drives the per-task record
+     path (task spans via timed_task) but the work split and domain
+     scheduling jitter of jobs>=2 stay out of the timings. A separate
      recorded jobs>=2 pass below produces the per-domain trace. *)
-  let workload j =
+  let workload j n =
     Par.with_jobs j (fun () ->
         Par.map
           (fun _ ->
             let _, st = Hc.improve ~budget:(Budget.steps evals) m init in
             st.Hc.moves_evaluated)
-          (List.init tasks (fun i -> i))
+          (List.init n Fun.id)
         |> List.fold_left ( + ) 0)
   in
-  (* Process CPU time, not wall clock: the comparison is sequential, the
-     recorder's cost is cycles, and CPU time is immune to the
-     descheduling / CPU-quota throttling that puts several percent of
-     noise on wall-clock runs of this length on shared hosts. *)
+  (* Process CPU time, not wall clock: the comparison is sequential and
+     the recorder's cost is cycles. *)
   let time f =
     let t0 = Sys.time () in
     let r = f () in
     (r, Sys.time () -. t0)
   in
-  let reps =
-    match !scale with
-    | Datasets.Smoke -> 15
-    | Datasets.Default -> 15
-    | Datasets.Full -> 20
+  (* Co-tenant load on a shared host inflates whole stretches of CPU
+     time by up to a third, so two long passes timed apart disagree by
+     more than the 5% budget on identical code. A round here times one
+     batch of [batch] tasks (a few tens of ms) with the recorder off
+     and one with it on, back to back, in alternating order: both see
+     the same load, and the median of the per-round ratios drops the
+     rounds a burst split. The on side enables a fresh minimum-size
+     ring and records one event before its clock starts, so ring
+     allocation stays out of the timed record path. *)
+  let k_warm = Obs.Events.register_kind "obs.warm" in
+  let off () =
+    Obs.Events.disable ();
+    time (fun () -> workload 1 batch)
   in
-  Printf.eprintf "[obs] n=%d, %d tasks x %d evals, %d alternating reps...%!"
-    (Dag.n dag) tasks evals reps;
-  (* Warm-up faults the code paths in before any rep is timed. *)
-  ignore (workload 1);
-  (* Alternating OFF/ON passes; the gate compares the per-side minima.
-     The workload is deterministic, so on an otherwise-quiet CPU every
-     pass would cost the same cycles and anything on top is additive
-     contamination (co-tenant bursts, quota throttling) — which the
-     minimum filters out entirely, where a mean or median of runs this
-     short still carries percent-level noise through a hard 5% gate. *)
-  let t_off = ref infinity and t_on = ref infinity in
+  let on () =
+    Obs.Events.enable ~capacity:1024 ();
+    Obs.Events.instant k_warm;
+    time (fun () -> workload 1 batch)
+  in
+  Printf.eprintf "[obs] n=%d, %d rounds of %d tasks x %d evals per side...%!" (Dag.n dag)
+    rounds batch evals;
+  (* Warm-up faults the code paths in before any round is timed. *)
+  ignore (workload 1 batch);
+  let ratios = Array.make rounds 0.0 in
   let sum_off = ref 0.0 and sum_on = ref 0.0 in
   let moves_off = ref 0 and moves_on = ref 0 in
-  for _ = 1 to reps do
-    (* Gc.full_major before each timed run: disabling drops the
-       previous generation's ~MB-sized rings, and paying their sweep
-       inside the OFF measurement would systematically bias the
-       comparison. *)
-    Obs.Events.disable ();
-    (* Untimed warm-up pass on both sides, so each timed run sees the
-       same immediately-preceding load (under a CPU quota, the side
-       that runs hotter would otherwise absorb more throttling). On the
-       ON side the warm-up also moves the fresh generation's lazy ring
-       allocation out of the measurement, which is about the
-       steady-state record path. *)
-    ignore (workload 1);
-    Gc.full_major ();
-    let mv, t = time (fun () -> workload 1) in
-    moves_off := mv;
-    sum_off := !sum_off +. t;
-    if t < !t_off then t_off := t;
-    Obs.Events.enable ();
-    ignore (workload 1);
-    Gc.full_major ();
-    let mv, t = time (fun () -> workload 1) in
-    moves_on := mv;
-    sum_on := !sum_on +. t;
-    if t < !t_on then t_on := t;
-    Printf.eprintf " .%!"
+  for r = 0 to rounds - 1 do
+    let (mv_off, t_off), (mv_on, t_on) =
+      if r land 1 = 0 then
+        let a = off () in
+        (a, on ())
+      else
+        let b = on () in
+        (off (), b)
+    in
+    moves_off := mv_off;
+    moves_on := mv_on;
+    sum_off := !sum_off +. t_off;
+    sum_on := !sum_on +. t_on;
+    ratios.(r) <- t_on /. t_off
   done;
+  Obs.Events.disable ();
   Printf.eprintf " done\n%!";
-  (* Per-domain trace: one more recorded pass on >= 2 domains (untimed —
-     only the jobs=1 comparison above is measured) so the exported
-     timeline shows the parallel machinery: queue waits, claims, idle
-     spans and GC samples on every track. *)
+  Array.sort compare ratios;
+  let median_ratio = (ratios.((rounds - 1) / 2) +. ratios.(rounds / 2)) /. 2.0 in
+  (* Per-domain trace: one recorded pass on >= 2 domains (untimed) so
+     the exported timeline shows the parallel machinery: queue waits,
+     claims, idle spans and GC samples on every track. *)
   let wjobs = max (Par.jobs ()) 2 in
   Obs.Events.enable ();
-  let moves_par = workload wjobs in
+  let moves_par = workload wjobs trace_tasks in
   let recorded = Obs.Events.recorded () and dropped = Obs.Events.dropped () in
   Obs.Events.write_chrome_trace "BENCH_obs.trace.json";
   Obs.Events.disable ();
-  if moves_par <> !moves_off then begin
+  if moves_par <> !moves_off * (trace_tasks / batch) then begin
     Printf.printf "FAIL: jobs=%d run disagrees with jobs=1 (%d vs %d moves)\n" wjobs
-      moves_par !moves_off;
+      moves_par (!moves_off * (trace_tasks / batch));
     exit 1
   end;
   if !moves_off <> !moves_on then begin
@@ -1397,13 +1373,14 @@ let obs () =
       !moves_off !moves_on;
     exit 1
   end;
-  let overhead = (!t_on -. !t_off) /. !t_off in
+  let overhead = median_ratio -. 1.0 in
   Printf.printf
-    "instance: exp/wide n=%d, %d tasks x %d evals, trace jobs=%d, reps=%d\n"
-    (Dag.n dag) tasks evals wjobs reps;
+    "instance: exp/wide n=%d, %d rounds x %d tasks x %d evals, trace jobs=%d\n"
+    (Dag.n dag) rounds batch evals wjobs;
   Printf.printf
-    "recorder off: %.4fs   recorder on: %.4fs CPU (best of %d)   overhead: %+.2f%%\n"
-    !t_off !t_on reps (100.0 *. overhead);
+    "recorder off: %.4fs   recorder on: %.4fs CPU (totals)   on/off per round: min %.3f \
+     median %.3f max %.3f   overhead: %+.2f%%\n"
+    !sum_off !sum_on ratios.(0) median_ratio ratios.(rounds - 1) (100.0 *. overhead);
   Printf.printf "events recorded: %d (dropped to ring wrap: %d)\n" recorded dropped;
   Atomic_file.write "BENCH_obs.json" (fun oc ->
       Printf.fprintf oc
@@ -1413,20 +1390,19 @@ let obs () =
   "seed": %d,
   "jobs": %d,
   "instance": { "family": "exp", "shape": "wide", "nodes": %d },
-  "tasks": %d,
+  "rounds": %d,
+  "batch_tasks": %d,
   "eval_budget": %d,
-  "reps": %d,
-  "recorder_off_cpu_seconds_best": %.4f,
-  "recorder_on_cpu_seconds_best": %.4f,
   "recorder_off_cpu_seconds_total": %.4f,
   "recorder_on_cpu_seconds_total": %.4f,
+  "on_off_ratio_median": %.4f,
   "overhead_fraction": %.4f,
   "events_recorded": %d,
   "events_dropped": %d
 }
 |}
-        (Datasets.scale_name !scale) !seed wjobs (Dag.n dag) tasks evals reps !t_off
-        !t_on !sum_off !sum_on overhead recorded dropped);
+        (Datasets.scale_name !scale) !seed wjobs (Dag.n dag) rounds batch evals !sum_off
+        !sum_on median_ratio overhead recorded dropped);
   Printf.printf "wrote BENCH_obs.json and BENCH_obs.trace.json\n";
   if recorded = 0 then begin
     Printf.printf "FAIL: the recorder-on run recorded no events\n";

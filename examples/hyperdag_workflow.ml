@@ -25,7 +25,14 @@ let () =
 
   (* 3. Schedule on a NUMA machine and persist the schedule. *)
   let machine = Machine.numa_tree ~p:8 ~g:2 ~l:5 ~delta:2 in
-  let schedule, stages = Pipeline.run machine dag in
+  let limits =
+    {
+      Pipeline.thorough_limits with
+      Pipeline.stage_seconds = Some 1.0;
+      use_ilp_init = Pipeline.ilp_init_pays machine dag;
+    }
+  in
+  let schedule, stages = Pipeline.run ~limits machine dag in
   Schedule_io.write_file sched_path schedule;
   Printf.printf "wrote %s (cost %d, %d supersteps, init=%s)\n" sched_path
     stages.Pipeline.final_cost

@@ -22,10 +22,17 @@ let () =
   let trivial = Bsp_cost.total machine (Schedule.trivial dag) in
   let cilk = Bsp_cost.total machine (Cilk.schedule dag ~p:16 ~seed:1) in
   let hdagg = Bsp_cost.total machine (Hdagg.schedule machine dag) in
-  let base, _ = Pipeline.run machine dag in
+  let limits =
+    {
+      Pipeline.thorough_limits with
+      Pipeline.stage_seconds = Some 1.0;
+      use_ilp_init = Pipeline.ilp_init_pays machine dag;
+    }
+  in
+  let base, _ = Pipeline.run ~limits machine dag in
   let base_cost = Bsp_cost.total machine base in
-  let ml15 = Pipeline.run_multilevel_ratio ~ratio:0.15 machine dag in
-  let ml30 = Pipeline.run_multilevel_ratio ~ratio:0.3 machine dag in
+  let ml15 = Pipeline.run_multilevel_ratio ~limits ~ratio:0.15 machine dag in
+  let ml30 = Pipeline.run_multilevel_ratio ~limits ~ratio:0.3 machine dag in
   let ml15_cost = Bsp_cost.total machine ml15 in
   let ml30_cost = Bsp_cost.total machine ml30 in
 

@@ -20,8 +20,17 @@ let () =
   let machine = Machine.uniform ~p:2 ~g:2 ~l:3 in
 
   (* Run the paper's combined pipeline: initialisation heuristics,
-     hill-climbing local search, and the ILP-based refinement stages. *)
-  let schedule, stages = Pipeline.run machine dag in
+     hill-climbing local search, and the ILP-based refinement stages.
+     The limits cap each stage at one second, and run the ILPinit
+     initialiser only where it pays, as the CLI does. *)
+  let limits =
+    {
+      Pipeline.thorough_limits with
+      Pipeline.stage_seconds = Some 1.0;
+      use_ilp_init = Pipeline.ilp_init_pays machine dag;
+    }
+  in
+  let schedule, stages = Pipeline.run ~limits machine dag in
 
   Printf.printf "schedule found (valid = %b):\n" (Validity.is_valid machine schedule);
   Array.iteri

@@ -20,7 +20,14 @@ let () =
     let cost = Bsp_cost.total machine schedule in
     (name, cost, Schedule.num_supersteps schedule)
   in
-  let pipeline_schedule, stages = Pipeline.run machine dag in
+  let limits =
+    {
+      Pipeline.thorough_limits with
+      Pipeline.stage_seconds = Some 1.0;
+      use_ilp_init = Pipeline.ilp_init_pays machine dag;
+    }
+  in
+  let pipeline_schedule, stages = Pipeline.run ~limits machine dag in
   let rows =
     [
       evaluate "trivial (1 proc)" (Schedule.trivial dag);

@@ -1,7 +1,5 @@
 type variant = Bl_est | Etf
 
-let variant_name = function Bl_est -> "bl-est" | Etf -> "etf"
-
 (* Communication delay charged when the consumer sits on a different
    processor than producer [u]. Baselines price NUMA with the average
    coefficient (Appendix A.1); for uniform machines this is exactly

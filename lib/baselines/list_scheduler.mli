@@ -20,7 +20,5 @@
 
 type variant = Bl_est | Etf
 
-val variant_name : variant -> string
-
 val run : variant -> Machine.t -> Dag.t -> Classical.t
 val schedule : variant -> Machine.t -> Dag.t -> Schedule.t

@@ -9,7 +9,19 @@ type options = {
 
 let default_options =
   {
-    limits = Pipeline.default_limits;
+    limits =
+      {
+        Pipeline.thorough_limits with
+        Pipeline.hc_evals = 400_000;
+        hccs_evals = 100_000;
+        ilp_full_max_vars = 260;
+        ilp_full_nodes = 1_200;
+        ilp_part_max_vars = 200;
+        ilp_part_nodes = 120;
+        ilp_cs_nodes = 250;
+        use_ilp_init = false;
+        stage_seconds = Some 5.0;
+      };
     ml_solver_limits = None;
     with_list_baselines = false;
     with_multilevel = false;

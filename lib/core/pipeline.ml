@@ -17,47 +17,24 @@ type limits = {
   hc_shards : int;
 }
 
-let default_limits =
-  {
-    hc_evals = 400_000;
-    hccs_evals = 100_000;
-    ilp_full_max_vars = 260;
-    ilp_full_nodes = 1_200;
-    ilp_part_max_vars = 200;
-    ilp_part_nodes = 120;
-    ilp_init_max_vars = 160;
-    ilp_init_nodes = 120;
-    ilp_cs_max_vars = 260;
-    ilp_cs_nodes = 250;
-    use_ilp = true;
-    use_ilp_init = false;
-    stage_seconds = Some 5.0;
-    hc_check = false;
-    replicate = false;
-    hc_shards = 1;
-  }
-
-let fast_limits =
-  {
-    default_limits with
-    hc_evals = 150_000;
-    hccs_evals = 50_000;
-    use_ilp = false;
-    use_ilp_init = false;
-  }
-
 let thorough_limits =
   {
-    default_limits with
     hc_evals = 2_000_000;
     hccs_evals = 500_000;
     ilp_full_max_vars = 400;
     ilp_full_nodes = 8_000;
     ilp_part_max_vars = 260;
     ilp_part_nodes = 500;
+    ilp_init_max_vars = 160;
+    ilp_init_nodes = 120;
+    ilp_cs_max_vars = 260;
     ilp_cs_nodes = 1_000;
+    use_ilp = true;
     use_ilp_init = true;
     stage_seconds = Some 30.0;
+    hc_check = false;
+    replicate = false;
+    hc_shards = 1;
   }
 
 type stage_costs = {
@@ -288,7 +265,7 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
       ilp_full_optimal = !ilp_full_optimal;
     } )
 
-let run ?(limits = default_limits) ?(with_trivial_init = true) machine dag =
+let run ~limits ?(with_trivial_init = true) machine dag =
   Obs.Metrics.with_span "pipeline" (fun () ->
       run_stages ~limits ~with_trivial_init machine dag)
 
@@ -301,7 +278,7 @@ let run ?(limits = default_limits) ?(with_trivial_init = true) machine dag =
    make of the warm start. The caller still compares the final cost
    against the cached cost before replacing a cache entry, because
    re-lazification can shed a hand-optimised communication schedule. *)
-let run_warm ?(limits = default_limits) ?(with_trivial_init = true) ~warm machine dag =
+let run_warm ~limits ?(with_trivial_init = true) ~warm machine dag =
   if Dag.n warm.Schedule.dag <> Dag.n dag then
     invalid_arg "Pipeline.run_warm: warm schedule is over a different DAG";
   let extra_inits =
@@ -341,7 +318,7 @@ let polish_comm limits machine sched =
   end
   else hccs
 
-let run_multilevel_ratio ?(limits = default_limits) ?solver_limits ~ratio machine dag =
+let run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag =
   let solver_limits = Option.value ~default:limits solver_limits in
   let ml_budget = stage_budget limits limits.hc_evals in
   let sched =
@@ -357,7 +334,7 @@ let run_multilevel_ratio ?(limits = default_limits) ?solver_limits ~ratio machin
 (* One task per coarsening ratio; [Par.best_of] breaks cost ties
    towards the earlier ratio in the configured list, matching the
    sequential fold this replaces. *)
-let run_multilevel ?(limits = default_limits) ?solver_limits
+let run_multilevel ~limits ?solver_limits
     ?(config = Multilevel.default_config) machine dag =
   if config.Multilevel.ratios = [] then
     invalid_arg "Pipeline.run_multilevel: no ratios configured";
@@ -365,48 +342,3 @@ let run_multilevel ?(limits = default_limits) ?solver_limits
     ~cmp:(fun a b -> compare (cost machine a) (cost machine b))
     (fun ratio -> run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag)
     config.Multilevel.ratios
-
-type choice = Base | Multilevel_chosen
-
-(* Appendix C.6 closes with the hope that the multilevel method can
-   learn when coarsening is needed; this realises the simplest version
-   of that idea through the extended CCR metric. *)
-let run_auto ?(limits = default_limits) ?solver_limits ?threshold machine dag =
-  if Ccr.communication_dominated ?threshold machine dag then begin
-    (* The CCR decision is a pure function of (machine, dag), so the
-       base pipeline and the multilevel ratio sweep are independent the
-       moment it fires — run them as one parallel portfolio: the base
-       pipeline is task 0, one task per coarsening ratio after it. *)
-    let tasks =
-      (fun () -> `Base (run ~limits machine dag))
-      :: List.map
-           (fun ratio () ->
-             `Ml (run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag))
-           Multilevel.default_config.Multilevel.ratios
-    in
-    let results = Par.map (fun f -> f ()) tasks in
-    let base, stage = match results with `Base r :: _ -> r | _ -> assert false in
-    let candidates =
-      List.filter_map (function `Ml s -> Some s | `Base _ -> None) results
-    in
-    let best_ml =
-      List.fold_left
-        (fun acc cand ->
-          match acc with
-          | Some b when cost machine b <= cost machine cand -> acc
-          | _ -> Some cand)
-        None candidates
-    in
-    match best_ml with
-    | Some ml when cost machine ml < stage.final_cost ->
-      Obs.Metrics.gauge "pipeline.auto_multilevel" 1.0;
-      (ml, Multilevel_chosen)
-    | _ ->
-      Obs.Metrics.gauge "pipeline.auto_multilevel" 0.0;
-      (base, Base)
-  end
-  else begin
-    let base, _stage = run ~limits machine dag in
-    Obs.Metrics.gauge "pipeline.auto_multilevel" 0.0;
-    (base, Base)
-  end

@@ -38,21 +38,19 @@ type limits = {
   stage_seconds : float option;  (** optional wall-clock cap per stage *)
   hc_check : bool;
       (** run HC with its delta-vs-apply cross-validation assertions
-          (see {!Hc.improve}); off by default so release and benchmark
-          runs keep rejected candidate moves read-only — the test suite
-          turns it on *)
+          (see {!Hc.improve}); off in {!thorough_limits}, so rejected
+          candidate moves stay read-only *)
   replicate : bool;
       (** run {!Hc.replicate_schedule} as a final stage and keep its
-          result when strictly cheaper (DESIGN.md Section 5g); off by
-          default, so baseline costs stay bit-identical. The CLI's
-          [--replicate] flag turns it on. *)
+          result when strictly cheaper (DESIGN.md Section 5g); off in
+          {!thorough_limits}, so baseline costs stay bit-identical. The
+          CLI's [--replicate] flag turns it on. *)
   hc_shards : int;
       (** shard count for {!Hc.improve}'s propose/merge/apply engine,
           passed to every HC stage and every multilevel refinement
-          (DESIGN.md Section 5j). [1] (the default) is the sequential
-          path; any other value is bit-identical to it, so this only
-          changes wall-clock, never results. Normally set to the jobs
-          count. *)
+          (DESIGN.md Section 5j). [1], as in {!thorough_limits}, is the
+          sequential path; any other value is bit-identical to it, so
+          this only changes wall-clock, never results. *)
 }
 
 val ilp_init_pays : Machine.t -> Dag.t -> bool
@@ -63,15 +61,11 @@ val ilp_init_pays : Machine.t -> Dag.t -> bool
     they run without the trivial candidate, and ILPinit's near-serial
     result is often their best start (DESIGN.md Section 5). *)
 
-val default_limits : limits
-(** Balanced limits for the benchmark harness. *)
-
-val fast_limits : limits
-(** Heuristics + local search only ([use_ilp = false]), with smaller HC
-    budgets — the configuration used on the huge dataset. *)
-
 val thorough_limits : limits
-(** Larger ILP budgets for small instances and the CLI. *)
+(** The one preset: the budgets the CLI and the serve daemon start
+    from (they replace [stage_seconds] with a share of the run's
+    [--seconds]). Every other caller spells out its overrides from
+    it. *)
 
 type stage_costs = {
   best_init_name : string;
@@ -88,7 +82,7 @@ type stage_costs = {
 }
 
 val run :
-  ?limits:limits ->
+  limits:limits ->
   ?with_trivial_init:bool ->
   Machine.t ->
   Dag.t ->
@@ -105,7 +99,7 @@ val run :
     utilisation). *)
 
 val run_warm :
-  ?limits:limits ->
+  limits:limits ->
   ?with_trivial_init:bool ->
   warm:Schedule.t ->
   Machine.t ->
@@ -122,7 +116,7 @@ val run_warm :
     different node count. *)
 
 val run_multilevel :
-  ?limits:limits ->
+  limits:limits ->
   ?solver_limits:limits ->
   ?config:Multilevel.config ->
   Machine.t ->
@@ -136,22 +130,5 @@ val run_multilevel :
     there to bound total sweep time. *)
 
 val run_multilevel_ratio :
-  ?limits:limits -> ?solver_limits:limits -> ratio:float -> Machine.t -> Dag.t -> Schedule.t
+  limits:limits -> ?solver_limits:limits -> ratio:float -> Machine.t -> Dag.t -> Schedule.t
 (** Single-ratio variant for the C15/C30 ablation (Tables 13, 14). *)
-
-(** {1 Automatic method selection} *)
-
-type choice = Base | Multilevel_chosen
-
-val run_auto :
-  ?limits:limits ->
-  ?solver_limits:limits ->
-  ?threshold:float ->
-  Machine.t ->
-  Dag.t ->
-  Schedule.t * choice
-(** Run the base pipeline, and additionally the multilevel pipeline when
-    the instance is communication-dominated according to {!Ccr}
-    (threshold overridable); return the cheaper schedule and which
-    method produced it. This implements the paper's future-work idea of
-    deciding automatically whether coarsening is needed (Appendix C.6). *)

@@ -95,13 +95,6 @@ let sources g =
   done;
   !acc
 
-let sinks g =
-  let acc = ref [] in
-  for v = g.n - 1 downto 0 do
-    if out_degree g v = 0 then acc := v :: !acc
-  done;
-  !acc
-
 let iter_edges g f =
   for u = 0 to g.n - 1 do
     for i = g.succ_off.(u) to g.succ_off.(u + 1) - 1 do
@@ -339,14 +332,6 @@ let arrays_of_list edges =
     edges;
   (src, dst, m)
 
-(* The topological order doubles as the acyclicity witness, so both
-   constructors compute it eagerly; they differ only in the exception
-   raised on a cycle (matching the historical lazily-raised ones). *)
-let of_edges_unchecked ~n ~edges ~work ~comm =
-  let src, dst, m = arrays_of_list edges in
-  build ~n ~src ~dst ~m ~work:(Array.copy work) ~comm:(Array.copy comm) ~on_cycle:(fun () ->
-      failwith "Dag: graph contains a directed cycle")
-
 let cycle_in_edges () = invalid_arg "Dag.of_edges: edge set contains a directed cycle"
 
 let of_edges ~n ~edges ~work ~comm =
@@ -453,77 +438,6 @@ let critical_path_work g =
   if g.n = 0 then 0
   else Array.fold_left max 0 (bottom_level g ~comm_factor:0)
 
-let has_path_impl g u v ~skip_direct =
-  if u = v then true
-  else begin
-    let target_rank = g.rank.(v) in
-    let visited = Hashtbl.create 16 in
-    let rec dfs x ~first =
-      if x = v then true
-      else if g.rank.(x) >= target_rank then false
-      else if Hashtbl.mem visited x then false
-      else begin
-        Hashtbl.add visited x ();
-        exists_succ g x (fun y ->
-            if first && skip_direct && y = v then false
-            else dfs y ~first:false)
-      end
-    in
-    dfs u ~first:true
-  end
-
-let has_path g u v = has_path_impl g u v ~skip_direct:false
-let has_alternative_path g u v = has_path_impl g u v ~skip_direct:true
-
-let induced_subgraph g nodes =
-  let nodes = List.sort_uniq compare nodes in
-  let keep = Array.make g.n (-1) in
-  let count = List.length nodes in
-  List.iteri (fun i v -> keep.(v) <- i) nodes;
-  let old_of_new = Array.of_list nodes in
-  let edges = ref [] in
-  iter_edges g (fun u v ->
-      if keep.(u) >= 0 && keep.(v) >= 0 then edges := (keep.(u), keep.(v)) :: !edges);
-  let work = Array.map (fun v -> g.work.(v)) old_of_new in
-  let comm = Array.map (fun v -> g.comm.(v)) old_of_new in
-  (of_edges_unchecked ~n:count ~edges:!edges ~work ~comm, old_of_new)
-
-let largest_weakly_connected_component g =
-  if g.n = 0 then (g, [||])
-  else begin
-    let comp = Array.make g.n (-1) in
-    let num_comps = ref 0 in
-    let stack = Stack.create () in
-    for v = 0 to g.n - 1 do
-      if comp.(v) < 0 then begin
-        let c = !num_comps in
-        incr num_comps;
-        Stack.push v stack;
-        comp.(v) <- c;
-        while not (Stack.is_empty stack) do
-          let x = Stack.pop stack in
-          let visit y =
-            if comp.(y) < 0 then begin
-              comp.(y) <- c;
-              Stack.push y stack
-            end
-          in
-          iter_succ g x visit;
-          iter_pred g x visit
-        done
-      end
-    done;
-    let sizes = Array.make !num_comps 0 in
-    Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
-    let best = ref 0 in
-    Array.iteri (fun c s -> if s > sizes.(!best) then best := c) sizes;
-    let nodes = ref [] in
-    for v = g.n - 1 downto 0 do
-      if comp.(v) = !best then nodes := v :: !nodes
-    done;
-    induced_subgraph g !nodes
-  end
-
 (* The adjacency, topo and rank arrays are structure-only and immutable,
    so the reweighted DAG shares them. *)
 let map_weights g ~work ~comm =
@@ -552,11 +466,3 @@ let structural_hash g =
   let h = Fnv.int_array h g.work in
   Fnv.int_array h g.comm
 
-let pp fmt g =
-  Format.fprintf fmt "@[<v>dag: %d nodes, %d edges@," g.n (num_edges g);
-  for u = 0 to g.n - 1 do
-    Format.fprintf fmt "  %d (w=%d c=%d) ->" u g.work.(u) g.comm.(u);
-    iter_succ g u (Format.fprintf fmt " %d");
-    Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

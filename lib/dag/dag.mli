@@ -33,13 +33,6 @@ val of_edges : n:int -> edges:(int * int) list -> work:int array -> comm:int arr
     do not have length [n], any weight is negative, or the edge set
     contains a directed cycle. *)
 
-val of_edges_unchecked : n:int -> edges:(int * int) list -> work:int array -> comm:int array -> t
-(** Same as {!of_edges} but intended for callers that constructed the
-    edges acyclic by design. The eager topological sort still witnesses
-    acyclicity as a by-product; if the promise is broken this raises
-    [Failure "Dag: graph contains a directed cycle"] (the same error the
-    lazy cache historically raised on first topo access). *)
-
 val of_edge_arrays :
   n:int -> src:int array -> dst:int array -> m:int -> work:int array -> comm:int array -> t
 (** {!of_edges} over the edges [(src.(i), dst.(i))] for [i < m], with
@@ -56,9 +49,10 @@ val of_csr_unchecked :
     [succ_tgt] strictly increasing (sorted, duplicate- and
     self-loop-free) with in-range targets — raises [Invalid_argument]
     otherwise. The predecessor side and the topological caches are
-    derived here; acyclicity is witnessed exactly as in
-    {!of_edges_unchecked}. Ownership of all four arrays transfers to
-    the DAG (no copies), so the caller must not mutate them afterwards.
+    derived here; the topological sort witnesses acyclicity, and a
+    cycle raises [Failure "Dag: graph contains a directed cycle"].
+    Ownership of all four arrays transfers to the DAG (no copies), so
+    the caller must not mutate them afterwards.
     This is the allocation-lean path for {!Coarsen.quotient}, which
     produces sorted segments by construction and would otherwise pay a
     tuple list plus a redundant sort per multilevel refinement
@@ -113,9 +107,6 @@ val total_comm : t -> int
 val sources : t -> int list
 (** Nodes with no predecessors, in increasing id order. *)
 
-val sinks : t -> int list
-(** Nodes with no successors, in increasing id order. *)
-
 val edges : t -> (int * int) list
 (** All edges, each exactly once. *)
 
@@ -148,29 +139,6 @@ val bottom_level : t -> comm_factor:int -> int array
 val critical_path_work : t -> int
 (** Maximum total work along any directed path. *)
 
-(** {1 Structure queries} *)
-
-val has_path : t -> int -> int -> bool
-(** [has_path g u v] is [true] iff a directed path (possibly of length
-    zero, i.e. [u = v]) exists from [u] to [v]. Linear-time search pruned
-    by topological rank. *)
-
-val has_alternative_path : t -> int -> int -> bool
-(** [has_alternative_path g u v] is [true] iff a directed path from [u]
-    to [v] exists that does not use the edge [(u, v)] itself. An edge
-    [(u, v)] can be contracted without creating a cycle exactly when this
-    is [false] (Appendix A.5). *)
-
-val largest_weakly_connected_component : t -> t * int array
-(** Restrict the DAG to its largest weakly-connected (undirected)
-    component, as the paper does for extracted coarse-grained instances
-    (Appendix B.1). Returns the sub-DAG and the array mapping new node
-    ids to original ids. *)
-
-val induced_subgraph : t -> int list -> t * int array
-(** [induced_subgraph g nodes] keeps only [nodes] and the edges between
-    them. Returns the sub-DAG and the new-id -> old-id map. *)
-
 val map_weights : t -> work:(int -> int) -> comm:(int -> int) -> t
 (** Rebuild the DAG with new weights; [work v] and [comm v] receive the
     node id. *)
@@ -197,6 +165,3 @@ val assign_paper_weights : t -> t
     [w = indeg - 1] with sources forced to 1); concretely
     [w v = 1] if [v] is a source, [indeg v - 1] otherwise, and
     [c v = 1] for every node. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: size summary plus adjacency. *)

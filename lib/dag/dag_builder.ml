@@ -26,8 +26,6 @@ let set_work b v w =
   if v < 0 || v >= b.count then invalid_arg "Dag_builder.set_work: out of range";
   Hashtbl.replace b.work_override v w
 
-let node_count b = b.count
-
 let finish b =
   let work = Array.of_list (List.rev b.work) in
   let comm = Array.of_list (List.rev b.comm) in

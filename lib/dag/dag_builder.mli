@@ -22,7 +22,5 @@ val set_work : t -> int -> int -> unit
 (** Update the work weight of an existing node (generators sometimes fix
     up reduction-node weights once the fan-in is known). *)
 
-val node_count : t -> int
-
 val finish : t -> Dag.t
 (** Freeze into an immutable validated DAG. *)

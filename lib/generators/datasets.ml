@@ -146,9 +146,6 @@ let training ~scale ~seed =
 let main_datasets ~scale ~seed =
   [ tiny ~scale ~seed; small ~scale ~seed; medium ~scale ~seed; large ~scale ~seed ]
 
-let no_tiny ~scale ~seed =
-  [ small ~scale ~seed; medium ~scale ~seed; large ~scale ~seed ]
-
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);

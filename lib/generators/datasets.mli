@@ -42,10 +42,6 @@ val main_datasets : scale:scale -> seed:int -> t list
 (** [tiny; small; medium; large] — the datasets of the main experiments
     (Sections 7.1, 7.2). *)
 
-val no_tiny : scale:scale -> seed:int -> t list
-(** [small; medium; large] — the multilevel experiments exclude [tiny]
-    (Section 7.3 / Figure 6). *)
-
 (** {1 Materialising the database}
 
     The paper's first contribution is a reusable database of

@@ -47,7 +47,6 @@ let of_rows ~n rows =
   build ~n rows
 
 let n t = t.n
-let nnz t = Array.fold_left (fun acc r -> acc + Array.length r) 0 t.rows
 let row t i = t.rows.(i)
 let col t j = t.cols.(j)
 

@@ -26,7 +26,6 @@ val of_rows : n:int -> int list array -> t
     entry point for loading real matrix patterns from files. *)
 
 val n : t -> int
-val nnz : t -> int
 
 val row : t -> int -> int array
 (** Nonzero column indices of a row, sorted increasingly. *)

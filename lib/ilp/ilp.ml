@@ -28,11 +28,7 @@ let continuous t ?(lb = 0.0) ?(ub = infinity) name =
 
 let num_vars t = t.nvars
 let num_binaries t = t.nbin
-let num_constraints t = t.nrows
-
 let var_array t = Array.of_list (List.rev t.vars)
-
-let var_name t v = (List.nth (List.rev t.vars) v).name
 
 let is_binary t v = (List.nth (List.rev t.vars) v).binary
 
@@ -54,9 +50,6 @@ let add_eq t coeffs b = add_row t coeffs Simplex.Eq b
 let set_objective t coeffs =
   check_row t coeffs;
   t.obj <- coeffs
-
-let objective_value t x =
-  List.fold_left (fun acc (v, c) -> acc +. (c *. x.(v))) 0.0 t.obj
 
 let constraints_satisfied ?(tol = 1e-6) t x =
   let vars = var_array t in

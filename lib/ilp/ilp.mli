@@ -21,8 +21,6 @@ val continuous : t -> ?lb:float -> ?ub:float -> string -> var
 
 val num_vars : t -> int
 val num_binaries : t -> int
-val num_constraints : t -> int
-val var_name : t -> var -> string
 val is_binary : t -> var -> bool
 
 val add_le : t -> (var * float) list -> float -> unit
@@ -34,7 +32,6 @@ val add_eq : t -> (var * float) list -> float -> unit
 val set_objective : t -> (var * float) list -> unit
 (** Minimisation objective (sparse; later calls replace earlier ones). *)
 
-val objective_value : t -> float array -> float
 val constraints_satisfied : ?tol:float -> t -> float array -> bool
 (** Check a full assignment against all rows and bounds. *)
 

@@ -364,8 +364,8 @@ let init machine (sched : Schedule.t) =
       machine_ = machine;
       p;
       num_steps_ = num_steps;
-      (* Exact length: [snapshot]/[assignment] hand these to consumers
-         that check the length against the DAG. *)
+      (* Exact length: [snapshot] hands these to consumers that check
+         the length against the DAG. *)
       proc_ = Array.copy sched.Schedule.proc;
       step_ = Array.copy sched.Schedule.step;
       table;
@@ -1454,8 +1454,6 @@ let snapshot st =
     Schedule.of_assignment_replicated st.machine_ st.dag ~proc:st.proc_
       ~step:st.step_ ~replicas:!replicas
   end
-
-let assignment st = (Array.copy st.proc_, Array.copy st.step_)
 
 let check_consistent st =
   Cost_table.assert_consistent st.table;

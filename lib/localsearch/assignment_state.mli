@@ -1,9 +1,8 @@
 (** Shared incremental state for assignment-space local search.
 
-    Both the hill climber ({!Hc}) and the simulated-annealing variant
-    ({!Annealing}) explore the same neighbourhood — move one node to
-    another processor and/or an adjacent superstep — and need the cost
-    of each candidate in (near-)constant time. This module owns that
+    The hill climber ({!Hc}) explores one neighbourhood — move one node
+    to another processor and/or an adjacent superstep — and needs the
+    cost of each candidate in (near-)constant time. This module owns that
     machinery: the assignment arrays, the per-(node, processor)
     first-need table pinning the lazy communication events, and the
     incremental {!Cost_table}.
@@ -198,6 +197,3 @@ val snapshot : t -> Schedule.t
 (** The current placement as a schedule with lazy communication —
     replicated ({!Schedule.lazy_comm_replicated}) when the state holds
     replicas, plain otherwise. *)
-
-val assignment : t -> int array * int array
-(** Copies of the current [(proc, step)] arrays. *)

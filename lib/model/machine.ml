@@ -1,7 +1,13 @@
 type t = { p : int; g : int; l : int; lambda : int array array }
 
+let max_p = 1024
+
+(* Runs before any array is built, so an outside [p] far above the
+   limit costs nothing. *)
 let validate_params ~p ~g ~l =
   if p < 1 then invalid_arg "Machine: need at least one processor";
+  if p > max_p then
+    invalid_arg (Printf.sprintf "Machine: p %d exceeds the limit of %d processors" p max_p);
   if g < 0 then invalid_arg "Machine: negative g";
   if l < 0 then invalid_arg "Machine: negative latency"
 

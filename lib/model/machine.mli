@@ -18,6 +18,13 @@ type t = private {
   lambda : int array array;  (** [p x p] NUMA coefficients; zero diagonal *)
 }
 
+val max_p : int
+(** The largest processor count, 1024: a machine holds a [p x p]
+    coefficient matrix (8 MB here). Every constructor rejects a larger
+    [p] with [Invalid_argument] before it builds or copies a matrix, so
+    request lines, machine files and the CLI's [-p] share this one
+    limit. *)
+
 val uniform : p:int -> g:int -> l:int -> t
 (** Classical BSP machine: all off-diagonal NUMA coefficients are 1. *)
 

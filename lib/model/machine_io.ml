@@ -66,4 +66,3 @@ let to_string (m : Machine.t) =
   Buffer.contents buf
 
 let read_file path = In_channel.with_open_bin path (fun ic -> of_string (In_channel.input_all ic))
-let write_file path m = Atomic_file.write_string path (to_string m)

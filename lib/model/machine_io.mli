@@ -28,5 +28,3 @@ val read_file : string -> Machine.t
 val to_string : Machine.t -> string
 (** Serialises with an explicit [lambda] matrix (round-trips through
     {!of_string}). *)
-
-val write_file : string -> Machine.t -> unit

@@ -86,20 +86,3 @@ let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_int
       done;
       Obs.Metrics.counter "multilevel.refine_levels_skipped" !skipped);
   Schedule.compact (Schedule.of_assignment dag ~proc:proc_of ~step:step_of)
-
-let run ?(config = default_config) ?budget ?shards ~solver machine dag =
-  let candidates =
-    List.map
-      (fun ratio ->
-        run_ratio ?budget ~strategy:config.strategy ?shards
-          ~refine_interval:config.refine_interval ~refine_moves:config.refine_moves
-          ~solver ~ratio machine dag)
-      config.ratios
-  in
-  match candidates with
-  | [] -> invalid_arg "Multilevel.run: no ratios configured"
-  | first :: rest ->
-    List.fold_left
-      (fun best cand ->
-        if Bsp_cost.total machine cand < Bsp_cost.total machine best then cand else best)
-      first rest

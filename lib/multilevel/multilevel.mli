@@ -32,24 +32,6 @@ val default_config : config
 (** [ratios = [0.3; 0.15]], [refine_interval = 5], [refine_moves = 100],
     the paper's edge-selection rule. *)
 
-val run :
-  ?config:config ->
-  ?budget:Budget.t ->
-  ?shards:int ->
-  solver:(Machine.t -> Dag.t -> Schedule.t) ->
-  Machine.t ->
-  Dag.t ->
-  Schedule.t
-(** Run the full multilevel pipeline for each configured ratio and
-    return the cheapest resulting schedule (without the final
-    HCcs/ILPcs polish, which the caller owns). [budget] bounds the HC
-    refinement work across all levels; once it is spent, the remaining
-    levels are only projected, with no quotient and no HC run, which
-    gives the same schedule as refining them on a spent budget.
-    [shards] (default 1) is passed to each refinement's {!Hc.improve} —
-    sharded refinement is bit-identical to sequential, so it never
-    changes the result. *)
-
 val run_ratio :
   ?budget:Budget.t ->
   ?strategy:Coarsen.strategy ->
@@ -61,6 +43,13 @@ val run_ratio :
   Machine.t ->
   Dag.t ->
   Schedule.t
-(** One coarsen-solve-refine pass at a single ratio; exposed for the
-    C15-vs-C30 ablation (Table 13/14 rows) and the coarsening-strategy
-    ablation. [shards] as in {!run}. *)
+(** One coarsen-solve-refine pass at a single ratio, returning the
+    refined schedule without the final HCcs/ILPcs polish, which the
+    caller owns ({!Pipeline.run_multilevel} runs one pass per ratio of
+    its config and keeps the cheapest). [budget] bounds the HC
+    refinement work across all levels; once it is spent, the remaining
+    levels are only projected, with no quotient and no HC run, which
+    gives the same schedule as refining them on a spent budget.
+    [shards] (default 1) is passed to each refinement's {!Hc.improve} —
+    sharded refinement is bit-identical to sequential, so it never
+    changes the result. *)

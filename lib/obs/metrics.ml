@@ -80,7 +80,7 @@ type t = {
   series : (string, series) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   span_table : (string, span) Hashtbl.t;
-  mutable series_cap : int;
+  series_cap : int;
   mutable stack : string list;  (* enclosing span names, innermost first *)
   mutable on_span_close : (path:string -> seconds:float -> steps:int -> unit) option;
 }
@@ -99,7 +99,6 @@ let create ?(series_cap = default_series_cap) () =
 
 let on_span_close t f = t.on_span_close <- Some f
 
-let set_series_cap t n = t.series_cap <- max 1 n
 let series_cap t = t.series_cap
 
 (* ------------------------------------------------------------------ *)
@@ -359,11 +358,6 @@ let histogram_quantile_of h q =
     go 0 0
   end
 
-let histogram_quantile t name q =
-  match Hashtbl.find_opt t.histograms name with
-  | None -> None
-  | Some h -> Some (histogram_quantile_of h q)
-
 let histogram_stats t name =
   match Hashtbl.find_opt t.histograms name with
   | None -> None
@@ -580,36 +574,6 @@ let to_prometheus t =
   Buffer.contents buf
 
 let write_prometheus_file t file = Atomic_file.write_string file (to_prometheus t)
-
-let pp ppf t =
-  let open Format in
-  List.iter
-    (fun k -> fprintf ppf "counter %-40s %d@." k (counter_value t k))
-    (sorted_keys t.counters);
-  List.iter
-    (fun k -> fprintf ppf "gauge   %-40s %g@." k (Hashtbl.find t.gauges k).g_value)
-    (sorted_keys t.gauges);
-  List.iter
-    (fun k ->
-      fprintf ppf "series  %-40s %s@." k
-        (String.concat ", "
-           (List.map (fun (l, v) -> Printf.sprintf "%s=%g" l v) (series_values t k)));
-      let d = series_dropped t k in
-      if d > 0 then fprintf ppf "series  %-40s (%d oldest points dropped)@." k d)
-    (sorted_keys t.series);
-  List.iter
-    (fun k ->
-      match histogram_stats t k with
-      | None -> ()
-      | Some s ->
-        fprintf ppf "histo   %-40s n=%d sum=%g p50=%g p90=%g p99=%g@." k s.count
-          s.sum s.p50 s.p90 s.p99)
-    (histogram_names t);
-  List.iter
-    (fun (s : span_stats) ->
-      fprintf ppf "span    %-40s calls=%d %.4fs steps=%d@." s.path s.calls s.seconds
-        s.steps_used)
-    (span_list t)
 
 let log_summary t =
   List.iter

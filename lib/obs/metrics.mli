@@ -76,11 +76,6 @@ val on_span_close : t -> (path:string -> seconds:float -> steps:int -> unit) -> 
 (** Invoke a callback every time a span closes — the [--trace] CLI flag
     uses this for live per-stage summary lines. *)
 
-val set_series_cap : t -> int -> unit
-(** Change the per-series retention bound (clamped to >= 1). Applies to
-    subsequent appends; series already longer than the new cap shrink
-    as new points arrive. *)
-
 val series_cap : t -> int
 
 (** {1 The ambient registry}
@@ -167,7 +162,6 @@ val series_dropped : t -> string -> int
     (0 for unknown series). *)
 
 val histogram_stats : t -> string -> histogram_stats option
-val histogram_quantile : t -> string -> float -> float option
 
 val histogram_buckets : t -> string -> (float * int) list
 (** Non-empty buckets as [(upper_bound, count)] pairs in increasing
@@ -200,9 +194,6 @@ val to_prometheus : t -> string
 val write_prometheus_file : t -> string -> unit
 (** {!to_prometheus} through [Atomic_file] (temp + fsync + rename), so
     scrapers never see a partial snapshot. *)
-
-val pp : Format.formatter -> t -> unit
-(** Plain-text rendering of the snapshot. *)
 
 val log_summary : t -> unit
 (** Emit the snapshot as [Logs] app-level lines on the ["bsp.obs"]

@@ -180,51 +180,6 @@ let reconcile t (b : Bsp_cost.breakdown) =
       else Ok ()
   end
 
-let to_json t =
-  let open Obs.Json in
-  let ints a = List (Array.to_list (Array.map (fun i -> Int i) a)) in
-  Obj
-    [
-      ("p", Int t.p);
-      ("num_supersteps", Int t.num_supersteps);
-      ("total", Int t.total);
-      ("work_total", Int t.work_total);
-      ("comm_total", Int t.comm_total);
-      ("latency_total", Int t.latency_total);
-      ("node_work", Int t.node_work);
-      ("critical_path_work", Int t.critical_path_work);
-      ("work_floor", Int t.work_floor);
-      ("lower_bound", Int t.lower_bound);
-      ("num_replicas", Int t.num_replicas);
-      ("replica_work", Int t.replica_work);
-      ("gap_ratio", Float (gap_ratio t));
-      ("proc_work", ints t.proc_work);
-      ("proc_send", ints t.proc_send);
-      ("proc_recv", ints t.proc_recv);
-      ("proc_idle", ints t.proc_idle);
-      ( "proc_utilisation",
-        List
-          (List.init t.p (fun q -> Float (work_utilisation t q))) );
-      ("traffic", List (Array.to_list (Array.map ints t.traffic)));
-      ( "supersteps",
-        List
-          (Array.to_list
-             (Array.map
-                (fun (ss : superstep) ->
-                  Obj
-                    [
-                      ("cost", Int ss.cost);
-                      ("work_max", Int ss.work_max);
-                      ("work_bottleneck", Int ss.work_bottleneck);
-                      ("work_imbalance", Float ss.work_imbalance);
-                      ("comm_max", Int ss.comm_max);
-                      ("comm_bottleneck", Int ss.comm_bottleneck);
-                      ("comm_imbalance", Float ss.comm_imbalance);
-                      ("idle", ints ss.idle);
-                    ])
-                t.supersteps)) );
-    ]
-
 let pp fmt t =
   let pct x = 100.0 *. x in
   Format.fprintf fmt "profile: P=%d, %d supersteps, cost %d (work %d + comm %d + latency %d)@\n"

@@ -87,11 +87,6 @@ val reconcile : t -> Bsp_cost.breakdown -> (unit, string) result
     breakdown's exactly. [Error] carries a human-readable mismatch
     description. *)
 
-val to_json : t -> Obs.Json.t
-(** Profile snapshot: totals, lower-bound figures, per-processor totals
-    and utilisation, the traffic matrix, and per-superstep attribution
-    records. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable attribution report: totals and lower-bound gap,
     per-processor utilisation, the traffic matrix (elided above 16

@@ -353,19 +353,3 @@ let copy t =
     rep_proc = Array.copy t.rep_proc;
     rep_step = Array.copy t.rep_step;
   }
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>schedule: %d nodes, %d supersteps, %d comm events"
-    (Dag.n t.dag) (num_supersteps t) (List.length t.comm);
-  if has_replicas t then Format.fprintf fmt ", %d replicas" (num_replicas t);
-  Format.fprintf fmt "@,";
-  for v = 0 to Dag.n t.dag - 1 do
-    Format.fprintf fmt "  node %d -> proc %d, step %d@," v t.proc.(v) t.step.(v);
-    iter_replicas t v (fun q s ->
-        Format.fprintf fmt "  node %d => replica on proc %d, step %d@," v q s)
-  done;
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "  send %d: %d -> %d @@ phase %d@," e.node e.src e.dst e.step)
-    t.comm;
-  Format.fprintf fmt "@]"

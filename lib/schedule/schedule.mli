@@ -175,5 +175,3 @@ val used_supersteps : t -> int
 
 val copy : t -> t
 (** Deep copy (fresh arrays; the DAG is shared, being immutable). *)
-
-val pp : Format.formatter -> t -> unit

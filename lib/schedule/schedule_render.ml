@@ -62,5 +62,3 @@ let to_string ?(max_nodes_per_cell = 6) machine (t : Schedule.t) =
     end
   done;
   Buffer.contents buf
-
-let pp machine fmt t = Format.pp_print_string fmt (to_string machine t)

@@ -10,5 +10,3 @@
 val to_string : ?max_nodes_per_cell:int -> Machine.t -> Schedule.t -> string
 (** Render the whole schedule. [max_nodes_per_cell] (default 6) bounds
     how many node ids each processor/superstep cell spells out. *)
-
-val pp : Machine.t -> Format.formatter -> Schedule.t -> unit

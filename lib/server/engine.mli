@@ -8,8 +8,6 @@ val algorithm_names : string list
 (** Every scheduler the framework exposes, pipeline first — the source
     of truth for the CLI's [--algorithm] enum and request validation. *)
 
-val is_algorithm : string -> bool
-
 val budget_sensitive : string -> bool
 (** [true] for the search-based methods ([pipeline], [multilevel])
     whose answer can improve under a larger [seconds] budget. Cached

@@ -10,8 +10,7 @@ type t = {
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-(* A machine holds a p x p NUMA matrix, 8 MB at this limit. *)
-let max_p = 1024
+let max_p = Machine.max_p
 
 let parse ?(base_dir = ".") ?memo ~id text =
   let resolve p = if Filename.is_relative p then Filename.concat base_dir p else p in
@@ -67,7 +66,6 @@ let parse ?(base_dir = ".") ?memo ~id text =
       Machine_io.read_file (resolve path)
     | None ->
       let p = Option.value ~default:4 !p in
-      if p > max_p then fail "Request: p %d exceeds the limit of %d processors" p max_p;
       let g = Option.value ~default:1 !g in
       let l = Option.value ~default:5 !l in
       (try

@@ -38,10 +38,9 @@ type t = {
 }
 
 val max_p : int
-(** The largest processor count a [p] line may name, 1024: the machine
-    built from it holds a p x p matrix (8 MB here), so a larger [p] is
-    rejected before it is built. Machine files and the CLI's [-p] are
-    not limited. *)
+(** The largest processor count a request may name, {!Machine.max_p}:
+    a [p] line or a machine file above it is rejected before any matrix
+    is built. *)
 
 val parse : ?base_dir:string -> ?memo:Memo.t -> id:string -> string -> t
 (** Parse a request document. [id] is the fallback identity (the queue

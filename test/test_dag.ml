@@ -11,8 +11,7 @@ let test_basic_accessors () =
   check "total comm" 5 (Dag.total_comm g);
   check "indeg sink" 2 (Dag.in_degree g 3);
   check "outdeg source" 2 (Dag.out_degree g 0);
-  Alcotest.(check (list int)) "sources" [ 0 ] (Dag.sources g);
-  Alcotest.(check (list int)) "sinks" [ 3 ] (Dag.sinks g)
+  Alcotest.(check (list int)) "sources" [ 0 ] (Dag.sources g)
 
 let test_duplicate_edges_collapse () =
   let g =
@@ -60,39 +59,6 @@ let test_bottom_level () =
   let blc = Dag.bottom_level g ~comm_factor:2 in
   Alcotest.(check (array int)) "with comm" [| 14; 8; 11; 4 |] blc;
   check "critical path" 8 (Dag.critical_path_work g)
-
-let test_paths () =
-  let g = Test_util.diamond () in
-  check_bool "0->3" true (Dag.has_path g 0 3);
-  check_bool "3->0" false (Dag.has_path g 3 0);
-  check_bool "1->2" false (Dag.has_path g 1 2);
-  check_bool "reflexive" true (Dag.has_path g 1 1);
-  (* (0,1): alternative would need 0->2->..->1, absent. *)
-  check_bool "no alt 0->1" false (Dag.has_alternative_path g 0 1);
-  let g2 =
-    Dag.of_edges ~n:3 ~edges:[ (0, 1); (1, 2); (0, 2) ] ~work:[| 1; 1; 1 |]
-      ~comm:[| 1; 1; 1 |]
-  in
-  check_bool "alt 0->2 via 1" true (Dag.has_alternative_path g2 0 2);
-  check_bool "no alt 0->1" false (Dag.has_alternative_path g2 0 1)
-
-let test_induced_subgraph () =
-  let g = Test_util.diamond () in
-  let sub, old_ids = Dag.induced_subgraph g [ 0; 1; 3 ] in
-  check "sub n" 3 (Dag.n sub);
-  check "sub edges" 2 (Dag.num_edges sub);
-  Alcotest.(check (array int)) "id map" [| 0; 1; 3 |] old_ids;
-  check "weights carried" 4 (Dag.work sub 2)
-
-let test_largest_component () =
-  (* Two components: a 3-chain and an isolated pair. *)
-  let g =
-    Dag.of_edges ~n:5 ~edges:[ (0, 1); (1, 2); (3, 4) ] ~work:(Array.make 5 1)
-      ~comm:(Array.make 5 1)
-  in
-  let cc, old_ids = Dag.largest_weakly_connected_component g in
-  check "cc size" 3 (Dag.n cc);
-  Alcotest.(check (array int)) "cc nodes" [| 0; 1; 2 |] old_ids
 
 let test_paper_weights () =
   let g = Test_util.diamond () in
@@ -204,31 +170,6 @@ let prop_topo_valid =
       &&
       let ok = ref true in
       Dag.iter_edges g (fun u v -> if rank.(u) >= rank.(v) then ok := false);
-      !ok)
-
-(* Property: has_path agrees with a naive transitive closure. *)
-let prop_has_path =
-  Test_util.qtest ~count:50 "has_path matches closure" (Test_util.arb_dag ~max_n:14 ())
-    (fun g ->
-      let n = Dag.n g in
-      let reach = Array.make_matrix n n false in
-      for v = 0 to n - 1 do
-        reach.(v).(v) <- true
-      done;
-      let order = Dag.topological_order g in
-      for i = n - 1 downto 0 do
-        let u = order.(i) in
-        Dag.iter_succ g u (fun w ->
-            for x = 0 to n - 1 do
-              if reach.(w).(x) then reach.(u).(x) <- true
-            done)
-      done;
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Dag.has_path g u v <> reach.(u).(v) then ok := false
-        done
-      done;
       !ok)
 
 (* Property: hyperDAG serialisation round-trips structure and weights. *)
@@ -522,9 +463,6 @@ let () =
           Alcotest.test_case "topological order" `Quick test_topological_order;
           Alcotest.test_case "wavefronts" `Quick test_wavefronts;
           Alcotest.test_case "bottom level" `Quick test_bottom_level;
-          Alcotest.test_case "paths" `Quick test_paths;
-          Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
-          Alcotest.test_case "largest component" `Quick test_largest_component;
           Alcotest.test_case "paper weights" `Quick test_paper_weights;
           Alcotest.test_case "builder" `Quick test_builder;
           Alcotest.test_case "hyperdag roundtrip" `Quick test_hyperdag_roundtrip;
@@ -545,7 +483,6 @@ let () =
       ( "property",
         [
           prop_topo_valid;
-          prop_has_path;
           prop_roundtrip;
           prop_roundtrip_mangled;
           prop_text_oracle;

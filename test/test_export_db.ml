@@ -1,31 +1,8 @@
-(* Tests for DOT export, the dataset materialisation, and the
-   alternative coarsening strategy. *)
+(* Tests for the dataset materialisation and the alternative
+   coarsening strategy. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let contains = Test_util.contains_substring
-
-let test_dag_to_dot () =
-  let dag = Test_util.diamond () in
-  let dot = Dag_export.dag_to_dot ~name:"diamond" dag in
-  check_bool "digraph" true (contains dot "digraph \"diamond\"");
-  check_bool "node label" true (contains dot "0 (w=1, c=1)");
-  check_bool "edge" true (contains dot "n0 -> n1");
-  check_bool "all edges present" true
-    (contains dot "n1 -> n3" && contains dot "n2 -> n3")
-
-let test_schedule_to_dot () =
-  let dag = Test_util.diamond () in
-  let dot =
-    Dag_export.schedule_to_dot dag ~proc:[| 0; 0; 1; 1 |] ~step:[| 0; 1; 1; 2 |]
-  in
-  check_bool "clusters" true
-    (contains dot "cluster_s0" && contains dot "cluster_s1" && contains dot "cluster_s2");
-  check_bool "processor label" true (contains dot "0@p0");
-  (* The cross-processor edge 1 -> 3 is dashed; the local edge 2 -> 3 is
-     not. *)
-  check_bool "cross edge dashed" true (contains dot "n1 -> n3 [style=dashed]");
-  check_bool "local edge solid" true (contains dot "n2 -> n3;")
 
 let test_write_dataset () =
   let dir = Filename.temp_file "dagdb" "" in
@@ -79,11 +56,6 @@ let test_multilevel_with_matching_strategy () =
 let () =
   Alcotest.run "export_db"
     [
-      ( "dot",
-        [
-          Alcotest.test_case "dag" `Quick test_dag_to_dot;
-          Alcotest.test_case "schedule" `Quick test_schedule_to_dot;
-        ] );
       ("database", [ Alcotest.test_case "write dataset" `Quick test_write_dataset ]);
       ( "coarsen strategy",
         [

@@ -1,97 +1,6 @@
 let check_bool = Alcotest.(check bool)
 let check = Alcotest.(check int)
 
-(* Annealing *)
-
-let start_schedule rng dag p =
-  let level = Dag.wavefronts dag in
-  let proc = Array.init (Dag.n dag) (fun _ -> Rng.int rng p) in
-  Schedule.of_assignment dag ~proc ~step:level
-
-let test_annealing_improves_scattered_chain () =
-  let dag = Test_util.chain 8 in
-  let m = Machine.uniform ~p:4 ~g:5 ~l:2 in
-  let bad =
-    Schedule.of_assignment dag ~proc:[| 0; 1; 2; 3; 0; 1; 2; 3 |]
-      ~step:(Array.init 8 Fun.id)
-  in
-  let improved, stats = Annealing.improve m bad in
-  check_bool "valid" true (Validity.is_valid m improved);
-  check_bool "strictly better" true (stats.Annealing.final_cost < stats.Annealing.initial_cost)
-
-let test_annealing_reports_exact_cost () =
-  let rng = Rng.create 4 in
-  let dag = Test_util.random_dag rng ~n:25 ~edge_prob:0.15 ~max_w:4 ~max_c:3 in
-  let m = Machine.uniform ~p:3 ~g:2 ~l:3 in
-  let s = start_schedule rng dag 3 in
-  let improved, stats = Annealing.improve m s in
-  check "cost matches" (Bsp_cost.total m improved) stats.Annealing.final_cost
-
-let test_annealing_deterministic_given_seed () =
-  let rng = Rng.create 5 in
-  let dag = Test_util.random_dag rng ~n:20 ~edge_prob:0.2 ~max_w:3 ~max_c:3 in
-  let m = Machine.uniform ~p:2 ~g:3 ~l:2 in
-  let s = start_schedule rng dag 2 in
-  let config = { (Annealing.default_config 100) with Annealing.seed = 9; sweeps = 10 } in
-  let a, _ = Annealing.improve ~config m s in
-  let b, _ = Annealing.improve ~config m s in
-  Alcotest.(check (array int)) "same procs" a.Schedule.proc b.Schedule.proc;
-  Alcotest.(check (array int)) "same steps" a.Schedule.step b.Schedule.step
-
-let prop_annealing_never_worse_and_valid =
-  Test_util.qtest ~count:40 "annealing monotone + valid"
-    QCheck2.Gen.(pair (Test_util.arb_dag ()) (pair (Test_util.arb_machine ()) (int_bound 100_000)))
-    (fun (dag, (m, seed)) ->
-      let rng = Rng.create seed in
-      let s = start_schedule rng dag m.Machine.p in
-      let before = Bsp_cost.total m s in
-      let improved, stats = Annealing.improve m s in
-      Validity.is_valid m improved
-      && stats.Annealing.final_cost <= before
-      && Bsp_cost.total m improved = stats.Annealing.final_cost)
-
-(* Ccr and run_auto *)
-
-let test_ccr_values () =
-  let dag = Test_util.diamond () in
-  (* total work 10, total comm 5; uniform avg lambda 1, g = 2 -> 1.0. *)
-  let m = Machine.uniform ~p:4 ~g:2 ~l:5 in
-  Alcotest.(check (float 1e-9)) "uniform" 1.0 (Ccr.ccr m dag);
-  let numa = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:3 in
-  (* avg lambda = 43/7. *)
-  Alcotest.(check (float 1e-9)) "numa" (43.0 /. 7.0 *. 0.5) (Ccr.ccr numa dag);
-  check_bool "dominated" true (Ccr.communication_dominated ~threshold:3.0 numa dag);
-  check_bool "not dominated" false (Ccr.communication_dominated ~threshold:3.1 numa dag)
-
-let fast_test_limits =
-  {
-    Pipeline.default_limits with
-    Pipeline.hc_evals = 40_000;
-    hccs_evals = 15_000;
-    use_ilp = false;
-    stage_seconds = Some 3.0;
-  }
-
-let test_run_auto_base_on_uniform () =
-  let rng = Rng.create 6 in
-  let dag = Finegrained.exp (Sparse_matrix.random rng ~n:12 ~q:0.2) ~k:2 in
-  let m = Machine.uniform ~p:4 ~g:1 ~l:5 in
-  let sched, choice = Pipeline.run_auto ~limits:fast_test_limits m dag in
-  check_bool "valid" true (Validity.is_valid m sched);
-  check_bool "base chosen" true (choice = Pipeline.Base)
-
-let test_run_auto_considers_ml_when_dominated () =
-  let rng = Rng.create 8 in
-  let dag = Finegrained.exp (Sparse_matrix.random rng ~n:15 ~q:0.15) ~k:3 in
-  let m = Machine.numa_tree ~p:16 ~g:1 ~l:5 ~delta:4 in
-  check_bool "instance is dominated" true (Ccr.communication_dominated m dag);
-  let sched, _choice = Pipeline.run_auto ~limits:fast_test_limits m dag in
-  check_bool "valid" true (Validity.is_valid m sched);
-  (* Whatever was chosen must be at least as good as the base pipeline. *)
-  let base, _ = Pipeline.run ~limits:fast_test_limits m dag in
-  check_bool "no worse than base" true
-    (Bsp_cost.total m sched <= Bsp_cost.total m base)
-
 (* Schedule_render *)
 
 let test_render_contains_structure () =
@@ -134,21 +43,6 @@ let test_machine_io_errors () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "annealing",
-        [
-          Alcotest.test_case "improves scattered chain" `Quick
-            test_annealing_improves_scattered_chain;
-          Alcotest.test_case "exact reported cost" `Quick test_annealing_reports_exact_cost;
-          Alcotest.test_case "deterministic" `Quick test_annealing_deterministic_given_seed;
-          prop_annealing_never_worse_and_valid;
-        ] );
-      ( "ccr",
-        [
-          Alcotest.test_case "values" `Quick test_ccr_values;
-          Alcotest.test_case "run_auto uniform" `Quick test_run_auto_base_on_uniform;
-          Alcotest.test_case "run_auto dominated" `Quick
-            test_run_auto_considers_ml_when_dominated;
-        ] );
       ("render", [ Alcotest.test_case "structure" `Quick test_render_contains_structure ]);
       ( "machine_io",
         [

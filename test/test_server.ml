@@ -462,6 +462,29 @@ let test_request_p_limit () =
          Server.Request.parse ~id:"x" (doc 3000))))
      < 1e6)
 
+(* A machine file is held to the same limit as a [p] line: the check
+   is in [Machine], so a uniform or NUMA-tree file asking for 3000
+   processors fails before its matrix is built. *)
+let test_request_machine_file_p_limit () =
+  let dag_text = Hyperdag_io.to_string (Test_util.diamond ()) in
+  with_tmp_dir "machine-limit" (fun dir ->
+      List.iter
+        (fun (name, body) ->
+          let path = Filename.concat dir name in
+          Out_channel.with_open_bin path (fun oc -> output_string oc body);
+          let doc = Printf.sprintf "machine %s\nhyperdag\n%s" path dag_text in
+          (match Server.Request.parse ~id:"x" doc with
+           | _ -> Alcotest.fail (name ^ ": p 3000 accepted")
+           | exception Failure msg ->
+             check_bool (name ^ ": message names the limit") true
+               (Test_util.contains_substring msg "1024"));
+          check_bool (name ^ ": rejected before the matrix is built") true
+            (Test_util.min_allocated_bytes (fun () ->
+                 ignore (fails (fun () -> Server.Request.parse ~id:"x" doc)))
+             < 1e6))
+        [ ("uniform.machine", "p 3000\ng 1\nl 5\n");
+          ("tree.machine", "p 3000\ng 1\nl 5\nnuma-tree 2\n") ])
+
 (* Differential: the scanner-based request parser against the
    split-based one it replaced (Text_io_reference), on stats probes and
    scheduling requests with an inline hyperDAG, clean and mutated; the
@@ -1374,6 +1397,8 @@ let () =
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_parse_errors;
           Alcotest.test_case "p above the limit rejected" `Quick test_request_p_limit;
+          Alcotest.test_case "machine file above the limit rejected" `Quick
+            test_request_machine_file_p_limit;
           prop_request_oracle;
         ] );
       ( "framing",
