@@ -84,32 +84,27 @@ let parse_args () =
 (* ------------------------------------------------------------------ *)
 (* Budgets per scale.                                                  *)
 
+(* Smoke and Default shrink the harness's own budgets
+   (Experiment.default_options) to the scale; Full runs the thorough
+   preset. *)
 let bench_limits () =
+  let base = Experiment.default_options.Experiment.limits in
   match !scale with
   | Datasets.Smoke ->
     {
-      Pipeline.thorough_limits with
+      base with
       Pipeline.hc_evals = 60_000;
       hccs_evals = 20_000;
-      ilp_full_max_vars = 260;
       ilp_full_nodes = 300;
-      ilp_part_max_vars = 200;
       ilp_part_nodes = 60;
       ilp_cs_nodes = 80;
-      use_ilp_init = false;
       stage_seconds = Some 0.25;
     }
   | Datasets.Default ->
     {
-      Pipeline.thorough_limits with
+      base with
       Pipeline.hc_evals = 250_000;
       hccs_evals = 80_000;
-      ilp_full_max_vars = 260;
-      ilp_full_nodes = 1_200;
-      ilp_part_max_vars = 200;
-      ilp_part_nodes = 120;
-      ilp_cs_nodes = 250;
-      use_ilp_init = false;
       stage_seconds = Some 0.75;
     }
   | Datasets.Full ->
@@ -129,16 +124,9 @@ let ilp_node_cap () =
    run no ILP stage. Every user sets its own [hc_evals]. *)
 let heuristic_limits =
   {
-    Pipeline.thorough_limits with
+    Experiment.default_options.Experiment.limits with
     Pipeline.hccs_evals = 50_000;
-    ilp_full_max_vars = 260;
-    ilp_full_nodes = 1_200;
-    ilp_part_max_vars = 200;
-    ilp_part_nodes = 120;
-    ilp_cs_nodes = 250;
     use_ilp = false;
-    use_ilp_init = false;
-    stage_seconds = Some 5.0;
   }
 
 let huge_limits () =
@@ -1274,13 +1262,17 @@ let server () =
 let obs () =
   header "Flight recorder overhead (Obs.Events off vs on)";
   let rng = Rng.create !seed in
+  (* Many small tasks: the recorder writes its events once per Par task
+     and once per batch, not per HC evaluation, so short tasks keep the
+     recorded events per CPU second (what the 5% budget bounds) high. A
+     batch of [batch] tasks takes a few tens of ms. *)
   let target, evals, rounds =
     match !scale with
-    | Datasets.Smoke -> (2_000, 125_000, 64)
-    | Datasets.Default -> (4_000, 125_000, 64)
+    | Datasets.Smoke -> (2_000, 25_000, 64)
+    | Datasets.Default -> (4_000, 60_000, 64)
     | Datasets.Full -> (8_000, 150_000, 96)
   in
-  let batch = 4 and trace_tasks = 64 in
+  let batch = 16 and trace_tasks = 64 in
   let dag =
     Finegrained.generate_sized rng ~family:Finegrained.Exp ~shape:Finegrained.Wide
       ~target
@@ -1312,10 +1304,9 @@ let obs () =
   (* Co-tenant load on a shared host inflates whole stretches of CPU
      time by up to a third, so two long passes timed apart disagree by
      more than the 5% budget on identical code. A round here times one
-     batch of [batch] tasks (a few tens of ms) with the recorder off
-     and one with it on, back to back, in alternating order: both see
-     the same load, and the median of the per-round ratios drops the
-     rounds a burst split. The on side enables a fresh minimum-size
+     batch with the recorder off and one with it on, back to back, in
+     alternating order: both see the same load, and the median of the
+     per-round ratios drops the rounds a burst split. The on side enables a fresh minimum-size
      ring and records one event before its clock starts, so ring
      allocation stays out of the timed record path. *)
   let k_warm = Obs.Events.register_kind "obs.warm" in

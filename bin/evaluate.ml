@@ -9,9 +9,15 @@ open Cmdliner
 let run dag_file schedule_file p g l delta verbose =
   let dag = Hyperdag_io.read_file dag_file in
   let machine =
-    match delta with
-    | None -> Machine.uniform ~p ~g ~l
-    | Some delta -> Machine.numa_tree ~p ~g ~l ~delta
+    (* Parameters no machine fits (p above Machine.max_p, a NUMA p not
+       a power of two) are a usage error, not an internal one. *)
+    try
+      match delta with
+      | None -> Machine.uniform ~p ~g ~l
+      | Some delta -> Machine.numa_tree ~p ~g ~l ~delta
+    with Invalid_argument msg ->
+      Printf.eprintf "evaluate: %s\n%!" msg;
+      exit Cmd.Exit.cli_error
   in
   let schedule = Schedule_io.read_file dag schedule_file in
   match Validity.check machine schedule with

@@ -37,12 +37,19 @@ let run input p g l delta machine_file algorithm seconds output seed quiet show 
   let dag, machine =
     Obs.Metrics.with_span "cli:parse" (fun () ->
         ( Hyperdag_io.read_file_auto input,
-          match machine_file with
-          | Some path -> Machine_io.read_file path
-          | None ->
-            (match delta with
-             | None -> Machine.uniform ~p ~g ~l
-             | Some delta -> Machine.numa_tree ~p ~g ~l ~delta) ))
+          (* A machine the parameters or the file cannot describe (p
+             above Machine.max_p, a NUMA p not a power of two) is a
+             usage error, not an internal one. *)
+          try
+            match machine_file with
+            | Some path -> Machine_io.read_file path
+            | None ->
+              (match delta with
+               | None -> Machine.uniform ~p ~g ~l
+               | Some delta -> Machine.numa_tree ~p ~g ~l ~delta)
+          with Invalid_argument msg | Failure msg ->
+            Printf.eprintf "scheduler: %s\n%!" msg;
+            exit Cmd.Exit.cli_error ))
   in
   let schedule =
     Server.Engine.schedule ~seconds ~seed ~replicate ~algorithm machine dag

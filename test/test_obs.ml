@@ -569,16 +569,11 @@ let test_spans_recorder_off () =
    exactness, because every explored node performs exactly one tick. *)
 let accounting_limits =
   {
-    Pipeline.thorough_limits with
+    Experiment.default_options.Experiment.limits with
     Pipeline.hc_evals = 5_000_000;
     hccs_evals = 5_000_000;
-    ilp_full_max_vars = 260;
     ilp_full_nodes = 1_500;
-    ilp_part_max_vars = 200;
-    ilp_part_nodes = 120;
     ilp_cs_nodes = 200;
-    use_ilp = true;
-    use_ilp_init = false;
     stage_seconds = None;
   }
 

@@ -203,16 +203,10 @@ let test_parallel_spans_inherit_parent_path () =
 (* Deterministic (no wall-clock caps) and cheap enough for QCheck. *)
 let par_limits =
   {
-    Pipeline.thorough_limits with
+    Experiment.default_options.Experiment.limits with
     Pipeline.hc_evals = 4_000;
     hccs_evals = 1_000;
-    ilp_full_max_vars = 260;
-    ilp_full_nodes = 1_200;
-    ilp_part_max_vars = 200;
-    ilp_part_nodes = 120;
-    ilp_cs_nodes = 250;
     use_ilp = false;
-    use_ilp_init = false;
     stage_seconds = None;
   }
 
@@ -254,16 +248,11 @@ let prop_multilevel_jobs_invariant =
    merge. *)
 let accounting_limits =
   {
-    Pipeline.thorough_limits with
+    Experiment.default_options.Experiment.limits with
     Pipeline.hc_evals = 5_000_000;
     hccs_evals = 5_000_000;
-    ilp_full_max_vars = 260;
     ilp_full_nodes = 1_500;
-    ilp_part_max_vars = 200;
-    ilp_part_nodes = 120;
     ilp_cs_nodes = 200;
-    use_ilp = true;
-    use_ilp_init = false;
     stage_seconds = None;
   }
 

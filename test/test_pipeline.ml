@@ -2,16 +2,12 @@ let check_bool = Alcotest.(check bool)
 
 let fast_test_limits =
   {
-    Pipeline.thorough_limits with
+    Experiment.default_options.Experiment.limits with
     Pipeline.hc_evals = 50_000;
     hccs_evals = 20_000;
-    ilp_full_max_vars = 260;
     ilp_full_nodes = 200;
-    ilp_part_max_vars = 200;
     ilp_part_nodes = 60;
     ilp_cs_nodes = 60;
-    use_ilp_init = false;
-    stage_seconds = Some 5.0;
   }
 
 let test_pipeline_monotone_stages () =

@@ -485,6 +485,44 @@ let test_request_machine_file_p_limit () =
         [ ("uniform.machine", "p 3000\ng 1\nl 5\n");
           ("tree.machine", "p 3000\ng 1\nl 5\nnuma-tree 2\n") ])
 
+(* The CLIs share the limit: [-p 3000] (uniform or NUMA) and a machine
+   file asking for 3000 processors are usage errors naming 1024, with
+   nothing on stdout, not an uncaught exception. *)
+let test_cli_p_limit () =
+  let bin name =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name ("bin/" ^ name ^ ".exe"))
+  in
+  with_tmp_dir "cli-limit" (fun dir ->
+      let file = Filename.concat dir in
+      Hyperdag_io.write_file (file "d.hdag") (Test_util.diamond ());
+      Out_channel.with_open_bin (file "big.machine") (fun oc ->
+          output_string oc "p 3000\ng 1\nl 5\n");
+      Out_channel.with_open_bin (file "d.schedule") (fun oc -> output_string oc "");
+      List.iter
+        (fun (what, exe, args) ->
+          let cmd =
+            Filename.quote_command (bin exe) ~stdout:(file "stdout") ~stderr:(file "stderr")
+              args
+          in
+          check (what ^ ": usage error exit") 124 (Sys.command cmd);
+          check_str (what ^ ": nothing on stdout") ""
+            (In_channel.with_open_bin (file "stdout") In_channel.input_all);
+          check_bool (what ^ ": message names the limit") true
+            (Test_util.contains_substring
+               (In_channel.with_open_bin (file "stderr") In_channel.input_all)
+               "1024"))
+        [
+          ("scheduler -p", "scheduler", [ file "d.hdag"; "-p"; "3000"; "-q" ]);
+          ( "scheduler -p --numa-delta",
+            "scheduler",
+            [ file "d.hdag"; "-p"; "3000"; "--numa-delta"; "2"; "-q" ] );
+          ( "scheduler --machine",
+            "scheduler",
+            [ file "d.hdag"; "--machine"; file "big.machine"; "-q" ] );
+          ("evaluate -p", "evaluate", [ file "d.hdag"; file "d.schedule"; "-p"; "3000" ]);
+        ])
+
 (* Differential: the scanner-based request parser against the
    split-based one it replaced (Text_io_reference), on stats probes and
    scheduling requests with an inline hyperDAG, clean and mutated; the
@@ -1399,6 +1437,8 @@ let () =
           Alcotest.test_case "p above the limit rejected" `Quick test_request_p_limit;
           Alcotest.test_case "machine file above the limit rejected" `Quick
             test_request_machine_file_p_limit;
+          Alcotest.test_case "CLI p above the limit is a usage error" `Quick
+            test_cli_p_limit;
           prop_request_oracle;
         ] );
       ( "framing",
