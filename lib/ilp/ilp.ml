@@ -3,7 +3,7 @@ type var = int
 type var_info = { name : string; binary : bool; lb : float; ub : float }
 
 type t = {
-  mutable vars : var_info list;  (* reversed *)
+  mutable vars : var_info array;  (* the first [nvars] are the model's; grows by doubling *)
   mutable nvars : int;
   mutable nbin : int;
   mutable rows : ((var * float) list * Simplex.sense * float) list;  (* reversed *)
@@ -11,11 +11,16 @@ type t = {
   mutable obj : (var * float) list;
 }
 
-let create () = { vars = []; nvars = 0; nbin = 0; rows = []; nrows = 0; obj = [] }
+let create () = { vars = [||]; nvars = 0; nbin = 0; rows = []; nrows = 0; obj = [] }
 
 let add_var t info =
   let id = t.nvars in
-  t.vars <- info :: t.vars;
+  if id = Array.length t.vars then begin
+    let grown = Array.make (max 16 (2 * id)) info in
+    Array.blit t.vars 0 grown 0 id;
+    t.vars <- grown
+  end;
+  t.vars.(id) <- info;
   t.nvars <- t.nvars + 1;
   if info.binary then t.nbin <- t.nbin + 1;
   id
@@ -28,9 +33,11 @@ let continuous t ?(lb = 0.0) ?(ub = infinity) name =
 
 let num_vars t = t.nvars
 let num_binaries t = t.nbin
-let var_array t = Array.of_list (List.rev t.vars)
+let var_array t = Array.sub t.vars 0 t.nvars
 
-let is_binary t v = (List.nth (List.rev t.vars) v).binary
+let is_binary t v =
+  if v < 0 || v >= t.nvars then invalid_arg "Ilp.is_binary: variable out of range";
+  t.vars.(v).binary
 
 let check_row t coeffs =
   List.iter

@@ -76,10 +76,10 @@ val recv_matrix : t -> int array array
 val work_max : t -> int array
 val comm_max : t -> int array
 (** Per-step cached maxima (work, h-relation), refreshed with
-    {!refresh}. The row evaluator's addition overlays only raise cells
-    above its removal base, so it derives a candidate superstep maximum
-    from these caches and the touched cells alone. Read-only views,
-    valid right after {!refresh}. *)
+    {!refresh}. The row evaluator's addition overlays, and HCcs's
+    addition half, only raise cells, so they derive a candidate
+    superstep maximum from these caches and the touched cells alone.
+    Read-only views, valid right after {!refresh}. *)
 
 val assert_consistent : t -> unit
 (** Debug helper: verifies the cached per-superstep costs and total match

@@ -235,7 +235,9 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
        invalid candidates are then decided in O(1) — most supersteps
        admit either every processor or exactly one, so per-candidate
        work happens only on candidates that reach the delta evaluator.
-       Evaluated candidates are counted per block and ticked in bulk. *)
+       Evaluated candidates are counted per block and charged in bulk:
+       every caller probes [stop ()] right before a scan, so the charge
+       does not read the clock a second time. *)
     let accept v s1 p2 s2 =
       if try_move ~check st v p2 s2 then begin
         incr moves_applied;
@@ -334,7 +336,7 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
         end;
         incr ds
       done;
-      ignore (Budget.ticks budget !evald : bool);
+      Budget.charge budget !evald;
       moves_evaluated := !moves_evaluated + !evald;
       !moved
     in
@@ -502,7 +504,7 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
               if scan_node v then moved := true
             end
             else begin
-              ignore (Budget.ticks budget win_evald.(!i) : bool);
+              Budget.charge budget win_evald.(!i);
               moves_evaluated := !moves_evaluated + win_evald.(!i)
             end;
             consumed ();

@@ -102,31 +102,39 @@ let improve ?(budget = Budget.unlimited ()) machine (sched : Schedule.t) =
     Schedule.make dag ~proc:sched.Schedule.proc ~step:sched.Schedule.step ~comm
   in
   let initial_cost = Cost_table.total table in
-  (* Read-only delta of moving an event to phase [s]: only the source's
-     send column and the destination's receive column of the two touched
-     phases change, so re-derive those two superstep maxima against the
-     cached per-step costs without mutating the table. *)
-  let p = machine.Machine.p in
-  let step_cost_with ~s ~src ~dst dvol =
-    let work_m = Cost_table.work_matrix table in
-    let send_m = Cost_table.send_matrix table in
-    let recv_m = Cost_table.recv_matrix table in
-    let work_row = work_m.(s) and send_row = send_m.(s) and recv_row = recv_m.(s) in
-    let work_max = ref 0 and comm_max = ref 0 in
-    for q = 0 to p - 1 do
-      if work_row.(q) > !work_max then work_max := work_row.(q);
-      let snd = send_row.(q) + if q = src then dvol else 0 in
-      let rcv = recv_row.(q) + if q = dst then dvol else 0 in
-      let h = if snd > rcv then snd else rcv in
-      if h > !comm_max then comm_max := h
-    done;
-    Bsp_cost.superstep_cost machine ~work_max:!work_max ~comm_max:!comm_max
+  (* A candidate's delta splits into two halves. Taking the event out of
+     phase [cur] (the removal half) depends only on [cur], so it is
+     computed once per pair and again after each applied move. Putting
+     it into phase [s] (the addition half) only raises [send.(s).(src)]
+     and [recv.(s).(dst)] (volumes are non-negative and [src <> dst]),
+     so the new h-relation maximum is the cached one or one of those two
+     cells: O(1). Work maxima never change, so each half is [g] times
+     the change of its phase's h-relation maximum. *)
+  let p = machine.Machine.p and g = machine.Machine.g in
+  let send_m = Cost_table.send_matrix table and recv_m = Cost_table.recv_matrix table in
+  let comm_max = Cost_table.comm_max table in
+  let removal pair =
+    let send_row = send_m.(pair.cur) and recv_row = recv_m.(pair.cur) in
+    let cm = comm_max.(pair.cur) in
+    (* The maximum survives unless one of the two lowered cells was it. *)
+    if send_row.(pair.src) < cm && recv_row.(pair.dst) < cm then 0
+    else begin
+      let h = ref 0 in
+      for q = 0 to p - 1 do
+        let snd = if q = pair.src then send_row.(q) - pair.vol else send_row.(q) in
+        let rcv = if q = pair.dst then recv_row.(q) - pair.vol else recv_row.(q) in
+        let hq = if snd > rcv then snd else rcv in
+        if hq > !h then h := hq
+      done;
+      g * (!h - cm)
+    end
   in
-  let delta_of pair s =
-    step_cost_with ~s:pair.cur ~src:pair.src ~dst:pair.dst (-pair.vol)
-    + step_cost_with ~s ~src:pair.src ~dst:pair.dst pair.vol
-    - Cost_table.step_cost table pair.cur
-    - Cost_table.step_cost table s
+  let addition pair s =
+    let cm = comm_max.(s) in
+    let snd = send_m.(s).(pair.src) + pair.vol and rcv = recv_m.(s).(pair.dst) + pair.vol in
+    let h = if snd > cm then snd else cm in
+    let h = if rcv > h then rcv else h in
+    g * (h - cm)
   in
   let moves_applied = ref 0 and moves_evaluated = ref 0 in
   let improved_any = ref true in
@@ -134,26 +142,33 @@ let improve ?(budget = Budget.unlimited ()) machine (sched : Schedule.t) =
     improved_any := false;
     Array.iter
       (fun pair ->
-        if not (Budget.exhausted budget) then begin
+        (* A one-phase window has no candidate; skip it unprobed. *)
+        if pair.lo < pair.hi && not (Budget.exhausted budget) then begin
+          (* One probe per pair: evaluate at most what the step budget
+             still admits, then charge the window's evaluations in one
+             go, so consumption equals [moves_evaluated] exactly as if
+             every candidate had ticked. *)
+          let cap = Budget.capacity budget in
+          let evald = ref 0 in
+          let rem = ref (removal pair) in
           let s = ref pair.lo in
-          (* The exhaustion re-probe keeps every evaluation paired with a
-             successful tick, so the stage's budget consumption equals
-             its [moves_evaluated]. *)
-          while !s <= pair.hi && not (Budget.exhausted budget) do
+          while !s <= pair.hi && !evald < cap do
             if !s <> pair.cur then begin
-              ignore (Budget.tick budget : bool);
-              incr moves_evaluated;
-              if delta_of pair !s < 0 then begin
+              incr evald;
+              if !rem + addition pair !s < 0 then begin
                 place pair (-1);
                 pair.cur <- !s;
                 place pair 1;
                 Cost_table.refresh table;
+                rem := removal pair;
                 incr moves_applied;
                 improved_any := true
               end
             end;
             incr s
-          done
+          done;
+          Budget.charge budget !evald;
+          moves_evaluated := !moves_evaluated + !evald
         end)
       pairs
   done;

@@ -10,12 +10,26 @@
 
     The search greedily moves single events to a different phase of
     their window while this strictly decreases the total cost, reusing
-    the incremental {!Cost_table}. Candidates are costed read-only (the
-    two touched superstep maxima are re-derived against the cached
-    per-step costs) and the table is mutated only for accepted moves, so
-    rejections never pay the mutate/refresh/rollback cycle. Spreading
-    transfers over earlier, underused phases flattens h-relation peaks —
-    the gain the lazy schedule leaves on the table. *)
+    the incremental {!Cost_table}. Spreading transfers over earlier,
+    underused phases flattens h-relation peaks — the gain the lazy
+    schedule leaves on the table.
+
+    Candidates are costed read-only, and the table is mutated only for
+    accepted moves. A candidate's cost change has two halves:
+    - the {e addition half} (putting the event into phase [s]) only
+      raises [send.(s).(src)] and [recv.(s).(dst)], so it follows in
+      O(1) from the phase's cached h-relation maximum and those two
+      cells;
+    - the {e removal half} (taking it out of its current phase) does
+      not depend on [s], so it is computed once per pair and again
+      after each applied move, rescanning the phase's row only when
+      one of the two lowered cells was the phase's maximum.
+
+    The budget is probed once per pair: the pair's window is evaluated
+    up to the step capacity the budget has left, and its evaluations
+    are charged in one go, so the budget's consumption still equals
+    [moves_evaluated]. A deadline is therefore checked between pairs,
+    not between the candidates of one window. *)
 
 type stats = {
   moves_applied : int;

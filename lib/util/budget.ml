@@ -78,4 +78,6 @@ let ticks t k =
     c = k
   end
 
+let charge t k = if k > 0 then consume t (min k (capacity t))
+
 let used_steps t = t.used

@@ -37,6 +37,19 @@ val ticks : t -> int -> bool
     {!used_steps} never over-reports; a clamped call returns [false]
     because the budget could not cover the whole batch. *)
 
+val capacity : t -> int
+(** Units the step components still admit: [max_int] when only a
+    deadline (or nothing) limits the budget, [0] once exhausted. A
+    consumer that has just probed {!exhausted} can read this once and
+    then do up to that many units of work without probing again. *)
+
+val charge : t -> int -> unit
+(** [charge t k] consumes up to [k] units, clamped to {!capacity}, as
+    {!ticks} does. Unlike {!ticks} it does not probe the
+    deadline first: it is for consumers that probed {!exhausted} right
+    before the work they now account for, so a scan costs one clock
+    reading, not two. *)
+
 val exhausted : t -> bool
 (** Non-consuming check. *)
 

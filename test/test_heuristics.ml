@@ -184,17 +184,59 @@ let golden =
     ("exp", "p8-numa", "etf", 424, "fde8d50644ab58efc9712bbd21283052");
   ]
 
-let test_golden_schedules () =
+let check_golden algorithms rows =
   List.iter
     (fun (dn, mn, an, cost, digest) ->
       let dag = List.assoc dn golden_dags and m = List.assoc mn golden_machines in
-      let s = (List.assoc an golden_algorithms) m dag in
+      let s = (List.assoc an algorithms) m dag in
       let name = Printf.sprintf "%s %s %s" dn mn an in
       check (name ^ " cost") cost (Bsp_cost.total m s);
       Alcotest.(check string)
         (name ^ " schedule digest") digest
         (Digest.to_hex (Digest.string (Schedule_io.to_string s))))
-    golden
+    rows
+
+let test_golden_schedules () = check_golden golden_algorithms golden
+
+(* The same pinning for two stages whose inner loops are tuned for
+   speed: HCcs on the lazy BSPg schedule (unlimited budget), and the
+   multilevel pipeline under step-only limits (no wall-clock cap, so the
+   result is deterministic). Its coarse solves run ILPinit, and its
+   polish runs ILPcs, on the simplex; ILPfull and ILPpart are gated off
+   because at these sizes they take seconds. *)
+let golden_ml_limits =
+  {
+    Pipeline.thorough_limits with
+    Pipeline.hc_evals = 100_000;
+    hccs_evals = 20_000;
+    ilp_full_max_vars = 0;
+    ilp_part_max_vars = 0;
+    ilp_init_nodes = 20;
+    ilp_cs_nodes = 10;
+    stage_seconds = None;
+  }
+
+let golden_stages =
+  [
+    ( "hccs",
+      fun m dag ->
+        fst (Hccs.improve m (Schedule.with_lazy_comm (Bspg.schedule m dag))) );
+    ("multilevel", fun m dag -> Pipeline.run_multilevel ~limits:golden_ml_limits m dag);
+  ]
+
+let golden_stage_results =
+  [
+    ("spmv", "p4", "hccs", 277, "067a650674b93941482b6cb6a0bd9048");
+    ("spmv", "p4", "multilevel", 445, "aff7069203582641ee8d6f49a57e236d");
+    ("spmv", "p8-numa", "hccs", 178, "da385c90b9ae503804be4ae1c22fa0d2");
+    ("spmv", "p8-numa", "multilevel", 318, "06883041d3843c1f6ea3b61c1bc10c3e");
+    ("exp", "p4", "hccs", 355, "4070bbca68b4c68be8b807611dc4e140");
+    ("exp", "p4", "multilevel", 509, "bc3145762232888c931d561c3c5e0f21");
+    ("exp", "p8-numa", "hccs", 246, "92594fa872652d891dbf249ebb35e5ed");
+    ("exp", "p8-numa", "multilevel", 509, "3e7c564b237f42cdd83110ff66d7f937");
+  ]
+
+let test_golden_stages () = check_golden golden_stages golden_stage_results
 
 let () =
   Alcotest.run "heuristics"
@@ -215,5 +257,8 @@ let () =
         ] );
       ("property", [ prop_heuristics_valid; prop_bspg_sane_cost; prop_bspg_matches_reference ]);
       ( "golden",
-        [ Alcotest.test_case "schedule text pinned" `Quick test_golden_schedules ] );
+        [
+          Alcotest.test_case "schedule text pinned" `Quick test_golden_schedules;
+          Alcotest.test_case "hccs and multilevel pinned" `Quick test_golden_stages;
+        ] );
     ]

@@ -76,6 +76,22 @@ let test_constraints_satisfied_helper () =
   check "binaries" 3 (Ilp.num_binaries m);
   check_bool "is_binary" true (Ilp.is_binary m a)
 
+(* The binary flags survive the variable table's growth and are read by
+   index; an index outside the model is an error. *)
+let test_is_binary_flags () =
+  let m = Ilp.create () in
+  let vars =
+    List.init 100 (fun i ->
+        if i mod 3 = 0 then (Ilp.binary m "b", true) else (Ilp.continuous m "c", false))
+  in
+  List.iter (fun (v, bin) -> check_bool "flag" bin (Ilp.is_binary m v)) vars;
+  check "binaries" 34 (Ilp.num_binaries m);
+  List.iter
+    (fun v ->
+      check_bool "out of range" true
+        (match Ilp.is_binary m v with _ -> false | exception Invalid_argument _ -> true))
+    [ -1; 100 ]
+
 (* Property: branch-and-bound matches exhaustive enumeration on random
    tiny 0/1 models with a continuous max-style variable. *)
 let prop_bb_matches_exhaustive =
@@ -133,6 +149,7 @@ let () =
           Alcotest.test_case "budget stops" `Quick test_budget_stops_search;
           Alcotest.test_case "node cap" `Quick test_node_cap;
           Alcotest.test_case "constraint checker" `Quick test_constraints_satisfied_helper;
+          Alcotest.test_case "binary flags" `Quick test_is_binary_flags;
         ] );
       ("property", [ prop_bb_matches_exhaustive ]);
     ]

@@ -217,6 +217,51 @@ let prop_hccs_never_worse_and_valid =
       && stats.Hccs.final_cost <= before
       && Bsp_cost.total m improved = stats.Hccs.final_cost)
 
+(* Differential check of the O(1) candidate costing against the
+   per-candidate loop of the first implementation (hccs_reference.ml):
+   identical communication events, stats and budget consumption.
+   Starting events are drawn anywhere in their windows, and each
+   instance runs unlimited and under step budgets of 0, 1 and a random
+   share of the unlimited run's evaluations, so budgets often run out
+   in the middle of a window. *)
+let prop_hccs_matches_reference =
+  Test_util.qtest ~count:300 "hccs matches reference"
+    QCheck2.Gen.(
+      pair (Test_util.arb_dag ~max_n:40 ()) (pair (Test_util.arb_machine ()) (int_bound 100_000)))
+    (fun (dag, (m, seed)) ->
+      let rng = Rng.create seed in
+      let lazy_sched = start_schedule rng dag m.Machine.p in
+      let comm =
+        List.map
+          (fun (pr : Hccs.pair) ->
+            {
+              Schedule.node = pr.Hccs.node;
+              src = pr.Hccs.src;
+              dst = pr.Hccs.dst;
+              step = pr.Hccs.lo + Rng.int rng (pr.Hccs.hi - pr.Hccs.lo + 1);
+            })
+          (Hccs.required_pairs m lazy_sched)
+      in
+      let s =
+        if Rng.bool rng then lazy_sched
+        else
+          Schedule.make dag ~proc:lazy_sched.Schedule.proc ~step:lazy_sched.Schedule.step
+            ~comm
+      in
+      let run improve budget =
+        let sched, stats = improve ?budget m s in
+        (Schedule_io.to_string sched, stats, Option.map Budget.used_steps budget)
+      in
+      let same budget_of =
+        run Hccs.improve (budget_of ()) = run Hccs_reference.improve (budget_of ())
+      in
+      let _, full, _ = run Hccs_reference.improve None in
+      let share = Rng.int rng (full.Hccs.moves_evaluated + 1) in
+      same (fun () -> None)
+      && List.for_all
+           (fun k -> same (fun () -> Some (Budget.steps k)))
+           [ 0; 1; share ])
+
 (* The incremental tables must agree exactly with the reference cost
    evaluator after a full HC run (the apply/undo cycle keeps state
    consistent). This is implicitly checked by final_cost above; here we
@@ -415,6 +460,7 @@ let () =
         [
           prop_hc_never_worse_and_valid;
           prop_hccs_never_worse_and_valid;
+          prop_hccs_matches_reference;
           prop_hc_final_cost_exact;
           prop_sharded_bit_identical;
           prop_delta_matches_apply;

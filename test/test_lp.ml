@@ -162,6 +162,85 @@ let prop_simplex_optimality =
           !ok
         end)
 
+(* Differential check of the pivot over the pivot row's nonzeros
+   against the dense pivot of the first implementation
+   (simplex_reference.ml): status, objective, every coordinate of [x]
+   (compared with [Float.equal]) and the pivot count must agree. Small
+   integer coefficients with many zeros, zero right-hand sides,
+   duplicate indices, all three senses, shifted, bounded and fixed
+   variables make degenerate pivots, phase 1 and the Bland fallback
+   common; a tight pivot cap sometimes ends both mid-solve. *)
+let arb_lp =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* n = int_range 1 10 in
+    let* m = int_range 0 10 in
+    let* max_pivots = oneofl [ None; None; Some 3; Some 12 ] in
+    let rng = Rng.create seed in
+    let lb = Array.init n (fun _ -> float_of_int (Rng.int rng 3 - 1)) in
+    let ub =
+      Array.map
+        (fun l ->
+          match Rng.int rng 3 with
+          | 0 -> infinity
+          | 1 -> l
+          | _ -> l +. float_of_int (1 + Rng.int rng 4))
+        lb
+    in
+    (* Most rows hold at an integer point inside the bounds, a third of
+       them tightly (a degenerate vertex); the rest are random and may
+       make the LP infeasible. *)
+    let x0 =
+      Array.init n (fun j ->
+          let span = if Float.is_finite ub.(j) then ub.(j) -. lb.(j) else 3.0 in
+          lb.(j) +. float_of_int (Rng.int rng (int_of_float span + 1)))
+    in
+    let coeff () = float_of_int (if Rng.bernoulli rng 0.5 then 0 else Rng.int rng 7 - 3) in
+    let terms () =
+      List.filter_map
+        (fun j -> if Rng.bernoulli rng 0.6 then Some (j, coeff ()) else None)
+        (List.init n Fun.id)
+      @ if Rng.bernoulli rng 0.2 then [ (Rng.int rng n, coeff ()) ] else []
+    in
+    let rows =
+      Array.init m (fun _ ->
+          let coeffs = terms () in
+          let at_x0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
+          let slack = float_of_int (if Rng.bernoulli rng 0.3 then 0 else Rng.int rng 5) in
+          match Rng.int rng 7 with
+          | 0 | 1 -> (coeffs, Simplex.Le, at_x0 +. slack)
+          | 2 | 3 -> (coeffs, Simplex.Ge, at_x0 -. slack)
+          | 4 | 5 -> (coeffs, Simplex.Eq, at_x0)
+          | _ ->
+            let sense =
+              match Rng.int rng 3 with 0 -> Simplex.Le | 1 -> Simplex.Ge | _ -> Simplex.Eq
+            in
+            (coeffs, sense, float_of_int (Rng.int rng 13 - 4)))
+    in
+    return (n, terms (), rows, lb, ub, max_pivots))
+
+let solve_counting minimize (n, obj, rows, lb, ub, max_pivots) =
+  let reg = Obs.Metrics.create () in
+  let r =
+    Obs.Metrics.with_registry reg (fun () ->
+        minimize ?max_pivots ~num_vars:n ~obj ~rows ~lb ~ub ())
+  in
+  (r, Obs.Metrics.counter_value reg "lp.pivots")
+
+let prop_matches_dense_reference =
+  Test_util.qtest ~count:1000 "simplex matches dense reference" arb_lp (fun lp ->
+      let r, pivots = solve_counting Simplex.minimize lp in
+      let r', pivots' = solve_counting Simplex_reference.minimize lp in
+      pivots = pivots'
+      &&
+      match (r, r') with
+      | Simplex.Optimal a, Simplex.Optimal b ->
+        Float.equal a.obj b.obj && Array.for_all2 Float.equal a.x b.x
+      | Simplex.Infeasible, Simplex.Infeasible
+      | Simplex.Unbounded, Simplex.Unbounded
+      | Simplex.Iteration_limit, Simplex.Iteration_limit -> true
+      | _ -> false)
+
 let () =
   Alcotest.run "lp"
     [
@@ -176,5 +255,5 @@ let () =
           Alcotest.test_case "negative rhs flip" `Quick test_negative_rhs_flip;
           Alcotest.test_case "degenerate" `Quick test_degenerate;
         ] );
-      ("property", [ prop_simplex_optimality ]);
+      ("property", [ prop_simplex_optimality; prop_matches_dense_reference ]);
     ]

@@ -104,6 +104,34 @@ let test_budget_ticks_clamped () =
   check_bool "empty batch ok" true (Budget.ticks d 0);
   check "empty batch free" 0 (Budget.used_steps d)
 
+(* [charge] is [ticks] without the exhaustion probe: it clamps at the
+   step capacity the same way but never reads the clock, so a consumer
+   that probed right before its work pays one clock reading, not two. *)
+let test_budget_charge () =
+  let reads = ref 0 in
+  Time_source.with_source
+    (fun () ->
+      incr reads;
+      0.0)
+    (fun () ->
+      let inner = Budget.steps 5 in
+      let b = Budget.combine inner (Budget.seconds 60.0) in
+      reads := 0;
+      check "capacity" 5 (Budget.capacity b);
+      Budget.charge b 3;
+      check "charge reads no clock" 0 !reads;
+      check "charged" 3 (Budget.used_steps b);
+      check "forwarded" 3 (Budget.used_steps inner);
+      check "capacity left" 2 (Budget.capacity b);
+      Budget.charge b 10;
+      check "clamped at capacity" 5 (Budget.used_steps b);
+      check "still no clock" 0 !reads;
+      check_bool "exhausted" true (Budget.exhausted b);
+      check "exhausted capacity" 0 (Budget.capacity b);
+      ignore (Budget.ticks (Budget.seconds 60.0) 4 : bool);
+      check "ticks probes the deadline" 2 !reads);
+  check "deadline only: unbounded capacity" max_int (Budget.capacity (Budget.seconds 60.0))
+
 let test_budget_deadline () =
   let b = Budget.seconds 0.02 in
   check_bool "fresh" false (Budget.exhausted b);
@@ -342,6 +370,7 @@ let () =
           Alcotest.test_case "combine" `Quick test_budget_combine;
           Alcotest.test_case "combine used_steps" `Quick test_budget_combine_used_steps;
           Alcotest.test_case "ticks clamped" `Quick test_budget_ticks_clamped;
+          Alcotest.test_case "charge without probing" `Quick test_budget_charge;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
         ] );
       ( "deque",
