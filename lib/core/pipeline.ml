@@ -67,8 +67,7 @@ let local_search ?(label = "init") limits machine sched =
   let hc_budget = stage_budget limits limits.hc_evals in
   let hc, _ =
     Obs.Metrics.with_span ~budget:hc_budget ("hc:" ^ label) (fun () ->
-        Hc.improve ~check:limits.hc_check ~budget:hc_budget ~shards:limits.hc_shards
-          machine sched)
+        Hc.improve ~check:limits.hc_check ~budget:hc_budget machine sched)
   in
   let hc =
     Obs.Metrics.with_span ("merge:" ^ label) (fun () ->
@@ -324,7 +323,7 @@ let run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag =
   let sched =
     Obs.Metrics.with_span ~budget:ml_budget (Printf.sprintf "multilevel:%g" ratio)
       (fun () ->
-        Multilevel.run_ratio ~budget:ml_budget ~shards:limits.hc_shards
+        Multilevel.run_ratio ~budget:ml_budget
           ~refine_interval:Multilevel.default_config.Multilevel.refine_interval
           ~refine_moves:Multilevel.default_config.Multilevel.refine_moves
           ~solver:(base_solver solver_limits) ~ratio machine dag)

@@ -46,11 +46,11 @@ type limits = {
           {!thorough_limits}, so baseline costs stay bit-identical. The
           CLI's [--replicate] flag turns it on. *)
   hc_shards : int;
-      (** shard count for {!Hc.improve}'s propose/merge/apply engine,
-          passed to every HC stage and every multilevel refinement
-          (DESIGN.md Section 5j). [1], as in {!thorough_limits}, is the
-          sequential path; any other value is bit-identical to it, so
-          this only changes wall-clock, never results. *)
+      (** must be [1], as in {!thorough_limits}. The library reads it
+          nowhere; it is kept only for the benchmark mirror
+          ([perfbench/layers]), which passes it to {!Hc.improve}'s
+          [?shards] (any other value raises [Invalid_argument] there),
+          and goes with that argument under ROADMAP item 8. *)
 }
 
 val ilp_init_pays : Machine.t -> Dag.t -> bool

@@ -316,21 +316,23 @@ let take_pooled () =
     pool := rest;
     Some st
 
-let init machine (sched : Schedule.t) =
-  let dag = sched.Schedule.dag in
+let max_in_degree dag =
+  let m = ref 1 in
+  for v = 0 to Dag.n dag - 1 do
+    let d = Dag.in_degree dag v in
+    if d > !m then m := d
+  done;
+  !m
+
+(* The one constructor of the state record, shared by [init] and
+   [prewarm]. Every backing array is [pooled]'s when its capacity
+   suffices and freshly allocated otherwise; the strides in every index
+   computation come from the new [p] and [num_steps] fields, so
+   oversized arrays are safe. Fresh arrays and a fresh cost table start
+   zero/false/[], which is the pooled-array invariant. *)
+let build ?pooled machine dag ~num_steps ~max_in ~proc ~step =
   let n = Dag.n dag in
   let p = machine.Machine.p in
-  let num_steps = Schedule.num_supersteps sched in
-  let max_in = ref 1 in
-  for v = 0 to n - 1 do
-    let d = Dag.in_degree dag v in
-    if d > !max_in then max_in := d
-  done;
-  let max_in = !max_in in
-  let pooled = take_pooled () in
-  (* Reuse a pooled backing array when its capacity suffices; the
-     strides in every index computation come from the new [p] and
-     [num_steps] fields, so oversized arrays are safe. *)
   let gi get len =
     match pooled with
     | Some o when Array.length (get o) >= len -> get o
@@ -354,74 +356,82 @@ let init machine (sched : Schedule.t) =
   let np = n * p in
   let sp = num_steps * p in
   let steps1 = max num_steps 1 in
+  {
+    dag;
+    soff = Dag.succ_offsets dag;
+    stgt = Dag.succ_targets dag;
+    poff = Dag.pred_offsets dag;
+    ptgt = Dag.pred_targets dag;
+    machine_ = machine;
+    p;
+    num_steps_ = num_steps;
+    proc_ = proc;
+    step_ = step;
+    table;
+    work_m = Cost_table.work_matrix table;
+    send_m = Cost_table.send_matrix table;
+    recv_m = Cost_table.recv_matrix table;
+    cost_c = Cost_table.step_costs table;
+    wmax_c = Cost_table.work_max table;
+    hmax_c = Cost_table.comm_max table;
+    first_need = gi (fun o -> o.first_need) np;
+    fn_count = gi (fun o -> o.fn_count) np;
+    ev_cnt = gi (fun o -> o.ev_cnt) n;
+    placed_ = gb (fun o -> o.placed_) np;
+    reps_ = gl (fun o -> o.reps_) n;
+    rep_total = 0;
+    rep_nodes = [];
+    d_work = gi (fun o -> o.d_work) sp;
+    d_send = gi (fun o -> o.d_send) sp;
+    d_recv = gi (fun o -> o.d_recv) sp;
+    cell_mark = gb (fun o -> o.cell_mark) sp;
+    touched_cells = gi (fun o -> o.touched_cells) 64;
+    touched_cells_len = 0;
+    touched_steps = gi (fun o -> o.touched_steps) steps1;
+    touched_steps_len = 0;
+    step_touched = gb (fun o -> o.step_touched) steps1;
+    pred_without = gi (fun o -> o.pred_without) max_in;
+    undo_cell = gi (fun o -> o.undo_cell) 16;
+    undo_kind = gi (fun o -> o.undo_kind) 16;
+    undo_amt = gi (fun o -> o.undo_amt) 16;
+    undo_len = 0;
+    ev_q = gi (fun o -> o.ev_q) p;
+    ev_ph = gi (fun o -> o.ev_ph) p;
+    pred_src = gi (fun o -> o.pred_src) max_in;
+    pred_comm = gi (fun o -> o.pred_comm) max_in;
+    pred_fn_base = gi (fun o -> o.pred_fn_base) max_in;
+    pred_lam =
+      (match pooled with
+      | Some o when Array.length o.pred_lam >= max_in -> o.pred_lam
+      | _ -> Array.make max_in [||]);
+    row_node = -1;
+    row_base_delta = 0;
+    row_cnt = 0;
+    row_wv = 0;
+    row_cv = 0;
+    row_npred = 0;
+    base_mark = gb (fun o -> o.base_mark) steps1;
+    base_wm = gi (fun o -> o.base_wm) steps1;
+    base_hm = gi (fun o -> o.base_hm) steps1;
+    base_cost = gi (fun o -> o.base_cost) steps1;
+    col_mark = gb (fun o -> o.col_mark) steps1;
+    col_steps = gi (fun o -> o.col_steps) steps1;
+    col_steps_len = 0;
+    col_wm = gi (fun o -> o.col_wm) steps1;
+    col_hm = gi (fun o -> o.col_hm) steps1;
+    col_neg = gb (fun o -> o.col_neg) steps1;
+  }
+
+let init machine (sched : Schedule.t) =
+  let dag = sched.Schedule.dag in
+  let n = Dag.n dag in
+  let p = machine.Machine.p in
   let st =
-    {
-      dag;
-      soff = Dag.succ_offsets dag;
-      stgt = Dag.succ_targets dag;
-      poff = Dag.pred_offsets dag;
-      ptgt = Dag.pred_targets dag;
-      machine_ = machine;
-      p;
-      num_steps_ = num_steps;
+    build ?pooled:(take_pooled ()) machine dag
+      ~num_steps:(Schedule.num_supersteps sched) ~max_in:(max_in_degree dag)
       (* Exact length: [snapshot] hands these to consumers that check
          the length against the DAG. *)
-      proc_ = Array.copy sched.Schedule.proc;
-      step_ = Array.copy sched.Schedule.step;
-      table;
-      work_m = Cost_table.work_matrix table;
-      send_m = Cost_table.send_matrix table;
-      recv_m = Cost_table.recv_matrix table;
-      cost_c = Cost_table.step_costs table;
-      wmax_c = Cost_table.work_max table;
-      hmax_c = Cost_table.comm_max table;
-      first_need = gi (fun o -> o.first_need) np;
-      fn_count = gi (fun o -> o.fn_count) np;
-      ev_cnt = gi (fun o -> o.ev_cnt) n;
-      placed_ = gb (fun o -> o.placed_) np;
-      reps_ = gl (fun o -> o.reps_) n;
-      rep_total = 0;
-      rep_nodes = [];
-      d_work = gi (fun o -> o.d_work) sp;
-      d_send = gi (fun o -> o.d_send) sp;
-      d_recv = gi (fun o -> o.d_recv) sp;
-      cell_mark = gb (fun o -> o.cell_mark) sp;
-      touched_cells = gi (fun o -> o.touched_cells) 64;
-      touched_cells_len = 0;
-      touched_steps = gi (fun o -> o.touched_steps) steps1;
-      touched_steps_len = 0;
-      step_touched = gb (fun o -> o.step_touched) steps1;
-      pred_without = gi (fun o -> o.pred_without) max_in;
-      undo_cell = gi (fun o -> o.undo_cell) 16;
-      undo_kind = gi (fun o -> o.undo_kind) 16;
-      undo_amt = gi (fun o -> o.undo_amt) 16;
-      undo_len = 0;
-      ev_q = gi (fun o -> o.ev_q) p;
-      ev_ph = gi (fun o -> o.ev_ph) p;
-      pred_src = gi (fun o -> o.pred_src) max_in;
-      pred_comm = gi (fun o -> o.pred_comm) max_in;
-      pred_fn_base = gi (fun o -> o.pred_fn_base) max_in;
-      pred_lam =
-        (match pooled with
-        | Some o when Array.length o.pred_lam >= max_in -> o.pred_lam
-        | _ -> Array.make max_in [||]);
-      row_node = -1;
-      row_base_delta = 0;
-      row_cnt = 0;
-      row_wv = 0;
-      row_cv = 0;
-      row_npred = 0;
-      base_mark = gb (fun o -> o.base_mark) steps1;
-      base_wm = gi (fun o -> o.base_wm) steps1;
-      base_hm = gi (fun o -> o.base_hm) steps1;
-      base_cost = gi (fun o -> o.base_cost) steps1;
-      col_mark = gb (fun o -> o.col_mark) steps1;
-      col_steps = gi (fun o -> o.col_steps) steps1;
-      col_steps_len = 0;
-      col_wm = gi (fun o -> o.col_wm) steps1;
-      col_hm = gi (fun o -> o.col_hm) steps1;
-      col_neg = gb (fun o -> o.col_neg) steps1;
-    }
+      ~proc:(Array.copy sched.Schedule.proc) ~step:(Array.copy sched.Schedule.step)
   in
   for v = 0 to n - 1 do
     st.placed_.((v * p) + st.proc_.(v)) <- true
@@ -469,17 +479,11 @@ let init machine (sched : Schedule.t) =
    reallocates the n- and (n*p)-sized ones each time. *)
 let prewarm machine dag ~num_steps =
   let pool = Domain.DLS.get pool_key in
-  let n = Dag.n dag in
   let p = machine.Machine.p in
-  let np = n * p in
+  let np = Dag.n dag * p in
   let sp = num_steps * p in
   let steps1 = max num_steps 1 in
-  let max_in = ref 1 in
-  for v = 0 to n - 1 do
-    let d = Dag.in_degree dag v in
-    if d > !max_in then max_in := d
-  done;
-  let max_in = !max_in in
+  let max_in = max_in_degree dag in
   let big_enough (o : t) =
     Array.length o.first_need >= np
     && Array.length o.d_work >= sp
@@ -487,78 +491,8 @@ let prewarm machine dag ~num_steps =
     && Array.length o.pred_src >= max_in
     && Cost_table.num_steps o.table >= num_steps
   in
-  if List.length !pool < max_pooled && not (List.exists big_enough !pool) then begin
-    let table = Cost_table.create machine ~num_steps in
-    let mk len = Array.make (max len 1) 0 in
-    let mkb len = Array.make (max len 1) false in
-    let st =
-      {
-        dag;
-        soff = Dag.succ_offsets dag;
-        stgt = Dag.succ_targets dag;
-        poff = Dag.pred_offsets dag;
-        ptgt = Dag.pred_targets dag;
-        machine_ = machine;
-        p;
-        num_steps_ = num_steps;
-        proc_ = [||];
-        step_ = [||];
-        table;
-        work_m = Cost_table.work_matrix table;
-        send_m = Cost_table.send_matrix table;
-        recv_m = Cost_table.recv_matrix table;
-        cost_c = Cost_table.step_costs table;
-        wmax_c = Cost_table.work_max table;
-        hmax_c = Cost_table.comm_max table;
-        first_need = mk np;
-        fn_count = mk np;
-        ev_cnt = mk n;
-        placed_ = mkb np;
-        reps_ = Array.make (max n 1) ([] : int list);
-        rep_total = 0;
-        rep_nodes = [];
-        d_work = mk sp;
-        d_send = mk sp;
-        d_recv = mk sp;
-        cell_mark = mkb sp;
-        touched_cells = mk 64;
-        touched_cells_len = 0;
-        touched_steps = mk steps1;
-        touched_steps_len = 0;
-        step_touched = mkb steps1;
-        pred_without = mk max_in;
-        undo_cell = mk 16;
-        undo_kind = mk 16;
-        undo_amt = mk 16;
-        undo_len = 0;
-        ev_q = mk p;
-        ev_ph = mk p;
-        pred_src = mk max_in;
-        pred_comm = mk max_in;
-        pred_fn_base = mk max_in;
-        pred_lam = Array.make max_in [||];
-        row_node = -1;
-        row_base_delta = 0;
-        row_cnt = 0;
-        row_wv = 0;
-        row_cv = 0;
-        row_npred = 0;
-        base_mark = mkb steps1;
-        base_wm = mk steps1;
-        base_hm = mk steps1;
-        base_cost = mk steps1;
-        col_mark = mkb steps1;
-        col_steps = mk steps1;
-        col_steps_len = 0;
-        col_wm = mk steps1;
-        col_hm = mk steps1;
-        col_neg = mkb steps1;
-      }
-    in
-    (* The table was freshly created, so its cells are zero and the
-       delta scratch is zero: exactly the pooled-array invariant. *)
-    pool := st :: !pool
-  end
+  if List.length !pool < max_pooled && not (List.exists big_enough !pool) then
+    pool := build machine dag ~num_steps ~max_in ~proc:[||] ~step:[||] :: !pool
 
 let valid_move st v p2 s2 =
   s2 >= 0 && s2 < st.num_steps_
@@ -1524,95 +1458,4 @@ let release st =
   st.rep_total <- 0;
   Cost_table.clear st.table;
   let pool = Domain.DLS.get pool_key in
-  if List.length !pool < max_pooled then pool := st :: !pool
-
-(* ------------------------------------------------------------------ *)
-(* Read-only scan clones (DESIGN.md Section 5j).
-
-   The sharded hill climber evaluates candidate moves on several
-   domains at once against one shared state. The delta entry points
-   only ever mutate the per-evaluation scratch — the assignment,
-   first_need/fn_count/ev_cnt tables, cost table and its cached maxima
-   are read-only until a move is applied — so a clone that shares every
-   base field and owns a private copy of the scratch arrays is
-   race-free as long as exactly one domain uses it at a time and nobody
-   applies moves through it. Clone scratch comes from its own
-   per-domain pool: it must never pass through {!release}, which would
-   clear (and re-pool) the shared cost table. *)
-
-let clone_pool_key : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let clone_for_scan st =
-  let sp = st.num_steps_ * st.p in
-  let steps1 = max st.num_steps_ 1 in
-  let max_in = Array.length st.pred_src in
-  let pool = Domain.DLS.get clone_pool_key in
-  let pooled =
-    match !pool with
-    | [] -> None
-    | o :: rest ->
-      pool := rest;
-      Some o
-  in
-  let gi get len =
-    match pooled with
-    | Some o when Array.length (get o) >= len -> get o
-    | _ -> Array.make (max len 1) 0
-  in
-  let gb get len =
-    match pooled with
-    | Some o when Array.length (get o) >= len -> get o
-    | _ -> Array.make (max len 1) false
-  in
-  {
-    st with
-    d_work = gi (fun o -> o.d_work) sp;
-    d_send = gi (fun o -> o.d_send) sp;
-    d_recv = gi (fun o -> o.d_recv) sp;
-    cell_mark = gb (fun o -> o.cell_mark) sp;
-    touched_cells = gi (fun o -> o.touched_cells) 64;
-    touched_cells_len = 0;
-    touched_steps = gi (fun o -> o.touched_steps) steps1;
-    touched_steps_len = 0;
-    step_touched = gb (fun o -> o.step_touched) steps1;
-    pred_without = gi (fun o -> o.pred_without) max_in;
-    undo_cell = gi (fun o -> o.undo_cell) 16;
-    undo_kind = gi (fun o -> o.undo_kind) 16;
-    undo_amt = gi (fun o -> o.undo_amt) 16;
-    undo_len = 0;
-    ev_q = gi (fun o -> o.ev_q) st.p;
-    ev_ph = gi (fun o -> o.ev_ph) st.p;
-    pred_src = gi (fun o -> o.pred_src) max_in;
-    pred_comm = gi (fun o -> o.pred_comm) max_in;
-    pred_fn_base = gi (fun o -> o.pred_fn_base) max_in;
-    pred_lam =
-      (match pooled with
-      | Some o when Array.length o.pred_lam >= max_in -> o.pred_lam
-      | _ -> Array.make (max max_in 1) [||]);
-    row_node = -1;
-    row_base_delta = 0;
-    row_cnt = 0;
-    row_wv = 0;
-    row_cv = 0;
-    row_npred = 0;
-    base_mark = gb (fun o -> o.base_mark) steps1;
-    base_wm = gi (fun o -> o.base_wm) steps1;
-    base_hm = gi (fun o -> o.base_hm) steps1;
-    base_cost = gi (fun o -> o.base_cost) steps1;
-    col_mark = gb (fun o -> o.col_mark) steps1;
-    col_steps = gi (fun o -> o.col_steps) steps1;
-    col_steps_len = 0;
-    col_wm = gi (fun o -> o.col_wm) steps1;
-    col_hm = gi (fun o -> o.col_hm) steps1;
-    col_neg = gb (fun o -> o.col_neg) steps1;
-  }
-
-let release_clone st =
-  undo_additions st;
-  for k = 0 to st.col_steps_len - 1 do
-    st.col_mark.(st.col_steps.(k)) <- false
-  done;
-  st.col_steps_len <- 0;
-  reset_scratch st;
-  let pool = Domain.DLS.get clone_pool_key in
   if List.length !pool < max_pooled then pool := st :: !pool

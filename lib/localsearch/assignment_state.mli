@@ -56,23 +56,6 @@ val prewarm : Machine.t -> Dag.t -> num_steps:int -> unit
     level's arrays too small and falls back to allocation. No-op when
     the pool already holds a state of sufficient capacity. *)
 
-val clone_for_scan : t -> t
-(** A read-only evaluation clone: shares every base field of the state
-    (DAG, assignment, first-need tables, cost table) and owns a private
-    copy of the per-evaluation scratch, drawn from a separate
-    per-domain clone pool. The delta entry points ({!delta_cost},
-    {!delta_cost_row}, {!delta_cost_cached}, {!move_window},
-    {!valid_move}) only ever mutate scratch, so several clones may
-    evaluate candidates concurrently on different domains against one
-    shared parent — the sharded hill-climber fan-out (DESIGN.md
-    Section 5j). Callers must not apply moves or replication through a
-    clone, and must return it with {!release_clone} (never
-    {!release}, which would clear the shared cost table). *)
-
-val release_clone : t -> unit
-(** Return a {!clone_for_scan} clone's scratch to the clone pool and
-    invalidate it. Safe while the parent is still live. *)
-
 val machine : t -> Machine.t
 val num_steps : t -> int
 val proc : t -> int -> int

@@ -156,7 +156,8 @@ let replication_phase ~check ~budget st n =
   (!added, !dropped, !evaluated)
 
 let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
-    ?(replicate = false) ?(shards = 1) ?on_apply machine sched =
+    ?(replicate = false) ?(shards = 1) machine sched =
+  if shards <> 1 then invalid_arg "Hc.improve: shards must be 1";
   let dag = sched.Schedule.dag in
   let n = Dag.n dag in
   let initial = Schedule.with_lazy_comm sched in
@@ -241,7 +242,6 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
     let accept v s1 p2 s2 =
       if try_move ~check st v p2 s2 then begin
         incr moves_applied;
-        (match on_apply with Some f -> f v p2 s2 | None -> ());
         if s2 <> s1 then begin
           residents.(s1) <- List.filter (fun w -> w <> v) residents.(s1);
           residents.(s2) <- v :: residents.(s2)
@@ -253,8 +253,7 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
     in
     (* The processors valid at s2, encoded -1 = all, -2 = none, q >= 0 =
        exactly q (a window boundary whose extremal neighbours share one
-       processor). Shared by the applying scan and the read-only
-       proposing scan so both traverse the exact same candidates. *)
+       processor). *)
     let window_sel ~last_pred ~last_pred_proc ~first_succ ~first_succ_proc s2 =
       if s2 < 0 || s2 >= num_steps then -2
       else begin
@@ -344,218 +343,28 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
       enqueue v
     done;
     let continue = ref true in
-    if shards <= 1 || check || n <= 1 then
-      (* Sequential engine — the jobs = 1 fast path the sharded variant
-         is defined against (check mode stays here: its apply/rollback
-         probes must run on the one true state). *)
-      while !continue && not (stop ()) do
-        while (not (queue_empty ())) && not (stop ()) do
-          ignore (scan_node (dequeue ()) : bool)
+    while !continue && not (stop ()) do
+      while (not (queue_empty ())) && not (stop ()) do
+        ignore (scan_node (dequeue ()) : bool)
+      done;
+      if stop () then continue := false
+      else begin
+        (* Verification sweep: the worklist marking is conservative but
+           not provably complete, so confirm the fixpoint with one full
+           pass; any improvement found re-seeds the worklist. This keeps
+           the termination guarantee of the exhaustive sweep (the result
+           is a genuine local minimum) at delta-evaluation prices. *)
+        incr sweeps;
+        let any = ref false in
+        let v = ref 0 in
+        while !v < n && not (stop ()) do
+          if scan_node !v then any := true;
+          incr v
         done;
-        if stop () then continue := false
-        else begin
-          (* Verification sweep: the worklist marking is conservative but
-             not provably complete, so confirm the fixpoint with one full
-             pass; any improvement found re-seeds the worklist. This keeps
-             the termination guarantee of the exhaustive sweep (the result
-             is a genuine local minimum) at delta-evaluation prices. *)
-          incr sweeps;
-          let any = ref false in
-          let v = ref 0 in
-          while !v < n && not (stop ()) do
-            if scan_node !v then any := true;
-            incr v
-          done;
-          if !any then incr sweep_hits;
-          continue := !any
-        end
-      done
-    else begin
-      (* Sharded propose/merge/apply engine (DESIGN.md Section 5j).
-
-         Take a window of nodes from the front of the worklist (without
-         dequeuing), split it into [shards] contiguous slices, and let
-         each slice scan its nodes {e read-only} on a scratch clone of
-         the state ({!Assignment_state.clone_for_scan}), stopping at its
-         first node that has an improving move. Because no proposal
-         mutates the state, every slice sees exactly the state the
-         sequential engine would have seen for each of those nodes; the
-         earliest proposing position [j] in window order is therefore
-         precisely the node at which the sequential engine would apply
-         its next move. The merge step consumes positions [0 .. j]
-         serially: the proposal-free prefix is dequeued with its
-         recorded candidate counts ticked into the budget (no rescan —
-         determinism of the scan on identical state makes the clone's
-         count the sequential count), and position [j] is re-run through
-         the normal applying [scan_node] on the true state, so residents
-         bookkeeping, worklist re-marking and the on_apply hook all take
-         the unmodified sequential path. Any jobs count (and any shard
-         count) is hence bit-identical to the sequential engine — same
-         moves in the same order, same budget consumption, same
-         counters. Wasted speculative scans past [j] are discarded
-         without being ticked.
-
-         The window grows adaptively: proposal-free windows double it
-         (deep scans parallelise well near the fixpoint), any proposal
-         resets it to [shards] (early on, almost every node moves, so
-         speculating further than one move ahead is wasted work). *)
-      let nshards = min shards n in
-      let max_win = min n (nshards * 32) in
-      let win = Array.make max_win 0 in
-      let win_prop = Array.make max_win false in
-      let win_evald = Array.make max_win 0 in
-      let row_bufs = Array.init nshards (fun _ -> Array.make p 0) in
-      let shard_ids = List.init nshards Fun.id in
-      let cur_len = ref 0 in
-      let wsize = ref nshards in
-      (* Read-only mirror of [scan_node]: same window summary, same
-         candidate order, same per-row counting — but evaluated on a
-         clone and never applying. Returns whether the node has an
-         improving move; [evald_out] receives the candidate count of a
-         proposal-free scan (unused for proposers, which are rescanned
-         by the applying path). *)
-      let scan_node_propose cst row_buf v evald_out =
-        let s1 = Assignment_state.step cst v in
-        let p1 = Assignment_state.proc cst v in
-        let last_pred, last_pred_proc, first_succ, first_succ_proc =
-          Assignment_state.move_window cst v
-        in
-        let found = ref false in
-        let evald = ref 0 in
-        let ds = ref (-1) in
-        while (not !found) && !ds <= 1 do
-          let s2 = s1 + !ds in
-          let row = if s2 = s1 then p - 1 else p in
-          let sel =
-            window_sel ~last_pred ~last_pred_proc ~first_succ ~first_succ_proc s2
-          in
-          if sel = -2 then evald := !evald + row
-          else if sel >= 0 then begin
-            let improving =
-              (not (sel = p1 && s2 = s1))
-              && Assignment_state.delta_cost_cached cst v sel s2 < 0
-            in
-            if improving then found := true else evald := !evald + row
-          end
-          else begin
-            Assignment_state.delta_cost_row cst v ~s2 row_buf;
-            let p2 = ref 0 in
-            while (not !found) && !p2 < p do
-              if not (!p2 = p1 && s2 = s1) then begin
-                incr evald;
-                if row_buf.(!p2) < 0 then found := true
-              end;
-              incr p2
-            done
-          end;
-          incr ds
-        done;
-        evald_out := !evald;
-        !found
-      in
-      let propose_task k =
-        let len = !cur_len in
-        let lo = k * len / nshards and hi = (k + 1) * len / nshards in
-        if lo < hi then begin
-          let cst = Assignment_state.clone_for_scan st in
-          let row_buf = row_bufs.(k) in
-          let ev = ref 0 in
-          let i = ref lo in
-          let halted = ref false in
-          while (not !halted) && !i < hi do
-            let found = scan_node_propose cst row_buf win.(!i) ev in
-            win_prop.(!i) <- found;
-            win_evald.(!i) <- !ev;
-            if found then halted := true;
-            incr i
-          done;
-          Assignment_state.release_clone cst
-        end
-      in
-      (* Fan the slices out and return the first proposing position in
-         window order, or [len] if none. Positions after a slice's own
-         proposer are left stale, but they can only sit {e after} the
-         first fresh [true] of their slice, so the ascending scan never
-         reads one. *)
-      let propose_window len =
-        cur_len := len;
-        ignore (Par.map propose_task shard_ids : unit list);
-        let j = ref 0 in
-        while !j < len && not win_prop.(!j) do
-          incr j
-        done;
-        !j
-      in
-      (* Consume window positions 0 .. min(j, len-1): budget-tick the
-         proposal-free prefix, run the true [scan_node] at [j]. [get]
-         maps a window position to its node; [consumed] is called after
-         each position actually processed (the budget can halt the
-         window early, leaving the rest for the next round). Returns
-         whether the scan at [j] applied a move. *)
-      let consume len j ~get ~consumed =
-        let moved = ref false in
-        let i = ref 0 in
-        let halted = ref false in
-        while (not !halted) && !i < len && !i <= j do
-          if stop () then halted := true
-          else begin
-            let v = get !i in
-            if !i = j then begin
-              if scan_node v then moved := true
-            end
-            else begin
-              Budget.charge budget win_evald.(!i);
-              moves_evaluated := !moves_evaluated + win_evald.(!i)
-            end;
-            consumed ();
-            incr i
-          end
-        done;
-        !moved
-      in
-      let adapt j len = wsize := if j < len then nshards else min (2 * !wsize) max_win in
-      while !continue && not (stop ()) do
-        while (not (queue_empty ())) && not (stop ()) do
-          let len = min !wsize !queue_len in
-          if len <= 1 then ignore (scan_node (dequeue ()) : bool)
-          else begin
-            for i = 0 to len - 1 do
-              win.(i) <- queue.((!head + i) mod (n + 1))
-            done;
-            let j = propose_window len in
-            ignore (consume len j ~get:(fun _ -> dequeue ()) ~consumed:ignore : bool);
-            adapt j len
-          end
-        done;
-        if stop () then continue := false
-        else begin
-          (* Sharded verification sweep: same windowed speculation over
-             the full id order the sequential sweep walks. *)
-          incr sweeps;
-          let any = ref false in
-          let v = ref 0 in
-          while !v < n && not (stop ()) do
-            let len = min !wsize (n - !v) in
-            if len <= 1 then begin
-              if scan_node !v then any := true;
-              incr v
-            end
-            else begin
-              let v0 = !v in
-              for i = 0 to len - 1 do
-                win.(i) <- v0 + i
-              done;
-              let j = propose_window len in
-              if consume len j ~get:(fun i -> v0 + i) ~consumed:(fun () -> incr v)
-              then any := true;
-              adapt j len
-            end
-          done;
-          if !any then incr sweep_hits;
-          continue := !any
-        end
-      done
-    end;
+        if !any then incr sweep_hits;
+        continue := !any
+      end
+    done;
     Obs.Metrics.counter "hc.runs" 1;
     Obs.Metrics.counter "hc.moves_evaluated" !moves_evaluated;
     Obs.Metrics.counter "hc.moves_applied" !moves_applied;

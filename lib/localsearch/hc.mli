@@ -43,7 +43,6 @@ val improve :
   ?max_moves:int ->
   ?replicate:bool ->
   ?shards:int ->
-  ?on_apply:(int -> int -> int -> unit) ->
   Machine.t ->
   Schedule.t ->
   Schedule.t * stats
@@ -72,22 +71,11 @@ val improve :
     nothing. With [replicate:false] the result is bit-identical to the
     pre-replication engine.
 
-    [shards] (default [1]) enables the sharded propose/merge/apply
-    engine (DESIGN.md Section 5j): windows of worklist nodes are
-    scanned read-only in parallel on scratch clones of the state via
-    {!Par}, the earliest improving position is re-run through the
-    normal applying scan, and the proposal-free prefix is consumed with
-    its recorded candidate counts. The result — moves, their order,
-    budget consumption, every counter — is bit-identical to
-    [shards = 1] at any jobs setting; [shards <= 1] (and check mode,
-    whose apply/rollback probes need the one true state) takes the
-    sequential path untouched. Values beyond {!Par.jobs} add overhead,
-    not parallelism; callers normally pass the jobs count.
-
-    [on_apply] is invoked as [f v p2 s2] immediately after each applied
-    single-node move, in application order (replication-phase changes
-    are not reported). Used by the test suite to compare applied-move
-    sequences across engine variants. *)
+    [shards] must be [1], its default; any other value raises
+    [Invalid_argument]. It is kept only for the benchmark mirror
+    ([perfbench/layers]), which still passes
+    [Pipeline.limits.hc_shards], and goes with that field under
+    ROADMAP item 8. *)
 
 val replicate_schedule :
   ?check:bool -> ?budget:Budget.t -> Machine.t -> Schedule.t -> Schedule.t

@@ -16,13 +16,13 @@ let default_config =
 (* Project the per-representative assignment onto the current level of
    the coarsening session as a schedule on its quotient DAG, refine with
    HC, and write the result back into the per-representative arrays. *)
-let refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of =
+let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
   let qdag, rep_of_id = Coarsen.quotient session in
   let nq = Dag.n qdag in
   let proc = Array.init nq (fun i -> proc_of.(rep_of_id.(i))) in
   let step = Array.init nq (fun i -> step_of.(rep_of_id.(i))) in
   let sched = Schedule.of_assignment qdag ~proc ~step in
-  let improved, stats = Hc.improve ?budget ~max_moves:refine_moves ~shards machine sched in
+  let improved, stats = Hc.improve ?budget ~max_moves:refine_moves machine sched in
   Obs.Metrics.counter "multilevel.refine_passes" 1;
   Obs.Metrics.counter "multilevel.refine_moves_applied" stats.Hc.moves_applied;
   Array.iteri
@@ -31,8 +31,8 @@ let refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of
       step_of.(r) <- improved.Schedule.step.(i))
     rep_of_id
 
-let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_interval
-    ~refine_moves ~solver ~ratio machine dag =
+let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ~refine_interval ~refine_moves
+    ~solver ~ratio machine dag =
   let n = Dag.n dag in
   let target = max 2 (int_of_float (ratio *. float_of_int n)) in
   let session = Coarsen.start dag in
@@ -82,7 +82,7 @@ let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?(shards = 1) ~refine_int
         done;
         remaining := !remaining - chunk;
         if spent () then incr skipped
-        else refine_level ?budget ~refine_moves ~shards session machine ~proc_of ~step_of
+        else refine_level ?budget ~refine_moves session machine ~proc_of ~step_of
       done;
       Obs.Metrics.counter "multilevel.refine_levels_skipped" !skipped);
   Schedule.compact (Schedule.of_assignment dag ~proc:proc_of ~step:step_of)

@@ -35,7 +35,6 @@ val default_config : config
 val run_ratio :
   ?budget:Budget.t ->
   ?strategy:Coarsen.strategy ->
-  ?shards:int ->
   refine_interval:int ->
   refine_moves:int ->
   solver:(Machine.t -> Dag.t -> Schedule.t) ->
@@ -49,7 +48,4 @@ val run_ratio :
     its config and keeps the cheapest). [budget] bounds the HC
     refinement work across all levels; once it is spent, the remaining
     levels are only projected, with no quotient and no HC run, which
-    gives the same schedule as refining them on a spent budget.
-    [shards] (default 1) is passed to each refinement's {!Hc.improve} —
-    sharded refinement is bit-identical to sequential, so it never
-    changes the result. *)
+    gives the same schedule as refining them on a spent budget. *)

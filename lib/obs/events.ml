@@ -3,12 +3,13 @@
    Shape: one fixed-capacity ring buffer per domain, three preallocated
    flat arrays (timestamp / packed kind+phase / integer argument). The
    record path is: one atomic load of the global state, one DLS load,
-   three array stores, one atomic head bump — no allocation, no lock,
-   no cross-domain traffic (each domain owns its ring; the head is an
-   atomic only so that a crash-dump from another domain reads a
-   coherent prefix). When the ring wraps, the oldest events are
-   overwritten and counted as dropped — recording never blocks and
-   never grows memory.
+   three array stores, one atomic head bump — no lock, no cross-domain
+   traffic (each domain owns its ring; the head is an atomic only so
+   that a crash-dump from another domain reads a coherent prefix). Its
+   one allocation is the boxed float of the clock reading, 2 minor
+   words per event, until Time_source has an integer clock. When the
+   ring wraps, the oldest events are overwritten and counted as
+   dropped — recording never blocks and never grows memory.
 
    Enabling installs a fresh generation; buffers from an earlier
    generation are abandoned (domains lazily re-register), so

@@ -2,9 +2,11 @@
 
     A fixed-capacity ring buffer per domain holding timestamped
     begin/end/instant/sample events in three preallocated flat arrays.
-    The record path allocates nothing, takes no lock and touches no
-    shared cache line: one atomic load of the enable state, one
-    [Domain.DLS] load, three array stores, one head bump. When a ring
+    The record path takes no lock and touches no shared cache line:
+    one atomic load of the enable state, one [Domain.DLS] load, three
+    array stores, one head bump. It is not allocation-free: the float
+    clock reading it stores is boxed, 2 minor words per event, until
+    [Time_source] gains an integer clock (ROADMAP item 11). When a ring
     wraps, the oldest events are overwritten and counted as
     {!dropped} — recording never blocks.
 

@@ -56,19 +56,7 @@ let with_jobs n f =
    hoards tasks another domain could run — the 4-ratio portfolio sweep
    lands here. *)
 
-let default_chunk_factor = 4
-
-let chunk_factor_setting =
-  Atomic.make
-    (match Sys.getenv_opt "BSP_CHUNK_FACTOR" with
-    | Some s ->
-      (match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> default_chunk_factor)
-    | None -> default_chunk_factor)
-
-let chunk_factor () = Atomic.get chunk_factor_setting
-let set_chunk_factor n = Atomic.set chunk_factor_setting (max 1 n)
+let chunk_factor = 4
 
 let chunk_size ~factor ~jobs ~count =
   let factor = max 1 factor and jobs = max 1 jobs in
@@ -437,7 +425,7 @@ let run_batch (f : 'a -> 'b) (inputs : 'a array) : 'b array =
            [chunk_factor] claims per batch; coarse batches
            (n <= factor * j) keep chunk = 1 so no drainer hoards tasks
            another could run. *)
-        chunk = chunk_size ~factor:(chunk_factor ()) ~jobs:j ~count:n;
+        chunk = chunk_size ~factor:chunk_factor ~jobs:j ~count:n;
         next = Atomic.make 0;
         remaining = Atomic.make n;
         done_m = Mutex.create ();

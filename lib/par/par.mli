@@ -86,14 +86,8 @@ val chunk_size : factor:int -> jobs:int -> count:int -> int
     degenerate to chunk 1 so no drainer hoards tasks another domain
     could run. Pure; exposed for tests. *)
 
-val chunk_factor : unit -> int
-(** The current oversubscription factor (>= 1). Initialised from the
-    [BSP_CHUNK_FACTOR] environment variable when it parses as a
-    positive integer, else 4. *)
-
-val set_chunk_factor : int -> unit
-(** Set the oversubscription factor (clamped to >= 1), applied to every
-    subsequently submitted batch. *)
+val chunk_factor : int
+(** The oversubscription factor every batch is sized with: 4. *)
 
 val minor_heap_words : int
 (** The per-domain minor heap size (in words) applied to every domain

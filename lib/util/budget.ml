@@ -67,17 +67,6 @@ let tick t =
     true
   end
 
-let ticks t k =
-  if k <= 0 then not (exhausted t)
-  else if exhausted t then false
-  else begin
-    let c = min k (capacity t) in
-    consume t c;
-    (* Clamped: the budget could not cover the whole batch, so the
-       caller must not keep going. *)
-    c = k
-  end
-
 let charge t k = if k > 0 then consume t (min k (capacity t))
 
 let used_steps t = t.used

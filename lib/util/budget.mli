@@ -28,15 +28,6 @@ val tick : t -> bool
 (** Consume one unit of work; [true] if the budget still allows more
     work, [false] once exhausted. Once exhausted, stays exhausted. *)
 
-val ticks : t -> int -> bool
-(** [ticks t k] consumes up to [k] units at once — one exhaustion probe
-    instead of [k], for consumers whose per-unit work is far cheaper
-    than a tick (the delta-evaluating hill climber decides whole blocks
-    of candidates in O(1)). Consumption is clamped to what the step
-    components still admit, so a {!steps} budget never goes negative and
-    {!used_steps} never over-reports; a clamped call returns [false]
-    because the budget could not cover the whole batch. *)
-
 val capacity : t -> int
 (** Units the step components still admit: [max_int] when only a
     deadline (or nothing) limits the budget, [0] once exhausted. A
@@ -44,11 +35,13 @@ val capacity : t -> int
     then do up to that many units of work without probing again. *)
 
 val charge : t -> int -> unit
-(** [charge t k] consumes up to [k] units, clamped to {!capacity}, as
-    {!ticks} does. Unlike {!ticks} it does not probe the
-    deadline first: it is for consumers that probed {!exhausted} right
-    before the work they now account for, so a scan costs one clock
-    reading, not two. *)
+(** [charge t k] consumes up to [k] units at once, for consumers whose
+    per-unit work is far cheaper than a tick (the hill climber decides
+    whole blocks of candidates in O(1)). Consumption is clamped to
+    {!capacity}, so a {!steps} budget never goes negative and
+    {!used_steps} never over-reports. It does not probe the deadline:
+    it is for consumers that probed {!exhausted} right before the work
+    they now account for, so a scan costs one clock reading, not two. *)
 
 val exhausted : t -> bool
 (** Non-consuming check. *)

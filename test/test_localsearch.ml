@@ -55,6 +55,24 @@ let test_hc_respects_max_moves () =
   let _, stats = Hc.improve ~check:true ~max_moves:2 m s in
   check_bool "capped" true (stats.Hc.moves_applied <= 2)
 
+let test_hc_shards_must_be_one () =
+  (* [?shards] is kept only for the benchmark mirror: 1 runs the one
+     search, any other value is refused. *)
+  let dag = Test_util.chain 6 in
+  let m = Machine.uniform ~p:3 ~g:5 ~l:2 in
+  let s =
+    Schedule.of_assignment dag ~proc:[| 0; 1; 2; 0; 1; 2 |] ~step:[| 0; 1; 2; 3; 4; 5 |]
+  in
+  let stats_of (_, stats) = stats in
+  check_bool "shards 1 is the default search" true
+    (stats_of (Hc.improve m s) = stats_of (Hc.improve ~shards:1 m s));
+  List.iter
+    (fun k ->
+      match Hc.improve ~shards:k m s with
+      | _ -> Alcotest.fail (Printf.sprintf "shards %d accepted" k)
+      | exception Invalid_argument _ -> ())
+    [ 0; 2; 4 ]
+
 let test_worklist_matches_reference () =
   (* The worklist engine explores the same neighbourhood as the
      exhaustive apply/rollback sweep it replaced, but once a move is
@@ -273,37 +291,6 @@ let prop_hc_final_cost_exact =
       let improved, stats = Hc.improve ~check:true ~max_moves:5 m s in
       Bsp_cost.total m improved = stats.Hc.final_cost)
 
-(* The sharded propose/merge/apply engine must be bit-identical to the
-   sequential worklist at every jobs and shard count: same final cost,
-   same stats block, and the exact same applied-move sequence (captured
-   via on_apply). Both an unbounded run and a budget-capped run are
-   compared — the capped case exercises the early-halt path where the
-   budget runs out mid-window and the rest of the window must stay
-   queued exactly as the sequential engine would leave it. *)
-let prop_sharded_bit_identical =
-  Test_util.qtest ~count:25 "sharded hc bit-identical to sequential" gen3
-    (fun (dag, (m, seed)) ->
-      let rng = Rng.create seed in
-      let s = start_schedule rng dag m.Machine.p in
-      let run ~jobs ~shards ~capped =
-        let moves = ref [] in
-        let budget = if capped then Budget.steps 150 else Budget.unlimited () in
-        let sched, stats =
-          Par.with_jobs jobs (fun () ->
-              Hc.improve ~budget ~shards
-                ~on_apply:(fun v p2 s2 -> moves := (v, p2, s2) :: !moves)
-                m s)
-        in
-        (Bsp_cost.total m sched, stats, List.rev !moves)
-      in
-      List.for_all
-        (fun capped ->
-          let base = run ~jobs:1 ~shards:1 ~capped in
-          List.for_all
-            (fun (jobs, shards) -> run ~jobs ~shards ~capped = base)
-            [ (1, 2); (2, 2); (2, 4); (4, 4) ])
-        [ false; true ])
-
 (* Drive the shared incremental state through random valid move
    sequences: every read-only evaluation path (pairwise, base-cached,
    whole-row) must predict exactly the cost change apply_move then
@@ -446,6 +433,7 @@ let () =
           Alcotest.test_case "cost table empty" `Quick test_cost_table_empty;
           Alcotest.test_case "hc improves bad schedule" `Quick test_hc_improves_bad_schedule;
           Alcotest.test_case "hc max moves" `Quick test_hc_respects_max_moves;
+          Alcotest.test_case "hc shards must be 1" `Quick test_hc_shards_must_be_one;
           Alcotest.test_case "hc local minimum stable" `Quick test_hc_local_minimum_stable;
           Alcotest.test_case "worklist matches reference" `Quick
             test_worklist_matches_reference;
@@ -462,7 +450,6 @@ let () =
           prop_hccs_never_worse_and_valid;
           prop_hccs_matches_reference;
           prop_hc_final_cost_exact;
-          prop_sharded_bit_identical;
           prop_delta_matches_apply;
           prop_replicate_delta_matches_apply;
           prop_hc_replicate_never_worse;

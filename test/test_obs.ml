@@ -150,7 +150,7 @@ let test_metrics_span_records_budget_steps () =
   let b = Budget.steps 100 in
   Obs.Metrics.with_registry r (fun () ->
       Obs.Metrics.with_span ~budget:b "stage" (fun () ->
-          check_bool "ticks" true (Budget.ticks b 42)));
+          Budget.charge b 42));
   match Obs.Metrics.span_list r with
   | [ s ] ->
     check_str "path" "stage" s.Obs.Metrics.path;
@@ -564,7 +564,7 @@ let test_spans_recorder_off () =
    the differential check that instrumentation does not change results. *)
 
 (* No wall-clock component, so runs are deterministic. The HC/HCcs caps
-   are ample (never clamped — bulk [Budget.ticks] under-counts when
+   are ample (never clamped — bulk [Budget.charge] under-counts when
    clamped); the branch-and-bound caps may be hit without harming
    exactness, because every explored node performs exactly one tick. *)
 let accounting_limits =

@@ -114,18 +114,13 @@ let test_chunk_size () =
   check "factor 1 = even split" 250 (Par.chunk_size ~factor:1 ~jobs:4 ~count:1000);
   check "factor clamped to >= 1" 10 (Par.chunk_size ~factor:0 ~jobs:1 ~count:10);
   check "jobs clamped to >= 1" 5 (Par.chunk_size ~factor:2 ~jobs:0 ~count:10);
-  check "empty batch still >= 1" 1 (Par.chunk_size ~factor:4 ~jobs:4 ~count:0);
-  let old = Par.chunk_factor () in
-  Par.set_chunk_factor 0;
-  check "set_chunk_factor clamps to >= 1" 1 (Par.chunk_factor ());
-  Par.set_chunk_factor old;
-  check "set_chunk_factor round-trips" old (Par.chunk_factor ())
+  check "empty batch still >= 1" 1 (Par.chunk_size ~factor:4 ~jobs:4 ~count:0)
 
 let test_last_chunk_recorded () =
   (* Every domain that drained the batch must report the batch's chunk
      size in its stats block. *)
   Par.reset_stats ();
-  let expected = Par.chunk_size ~factor:(Par.chunk_factor ()) ~jobs:2 ~count:64 in
+  let expected = Par.chunk_size ~factor:Par.chunk_factor ~jobs:2 ~count:64 in
   ignore (at_jobs 2 (fun () -> Par.map (fun i -> i) (List.init 64 (fun i -> i))));
   let ds = Par.stats () in
   check_bool "some domain drained" true (ds <> []);

@@ -61,7 +61,7 @@ let test_budget_unlimited_independent () =
   (* Each [unlimited ()] is a fresh value: consumption by one consumer
      must not leak into another's [used_steps]. *)
   let a = Budget.unlimited () and b = Budget.unlimited () in
-  check_bool "a ticks" true (Budget.ticks a 500);
+  Budget.charge a 500;
   check "a used" 500 (Budget.used_steps a);
   check "b untouched" 0 (Budget.used_steps b);
   check_bool "b ticks" true (Budget.tick b);
@@ -77,36 +77,16 @@ let test_budget_combine () =
 let test_budget_combine_used_steps () =
   let inner = Budget.steps 100 and clock = Budget.seconds 60.0 in
   let b = Budget.combine inner clock in
-  check_bool "batch" true (Budget.ticks b 7);
+  Budget.charge b 7;
   check_bool "one" true (Budget.tick b);
   (* The pair and both components all saw the same 8 units. *)
   check "pair used" 8 (Budget.used_steps b);
   check "steps component used" 8 (Budget.used_steps inner);
   check "deadline component used" 8 (Budget.used_steps clock)
 
-let test_budget_ticks_clamped () =
-  (* A batch larger than the remaining steps consumes only the remainder
-     and reports failure: the budget can never go negative and claim
-     success. *)
-  let b = Budget.steps 3 in
-  check_bool "overdraw refused" false (Budget.ticks b 10);
-  check "clamped at capacity" 3 (Budget.used_steps b);
-  check_bool "exhausted" true (Budget.exhausted b);
-  check_bool "further ticks refused" false (Budget.tick b);
-  check "no further use" 3 (Budget.used_steps b);
-  (* Exact-capacity batches succeed. *)
-  let c = Budget.steps 5 in
-  check_bool "exact batch ok" true (Budget.ticks c 5);
-  check "exact used" 5 (Budget.used_steps c);
-  check_bool "then exhausted" true (Budget.exhausted c);
-  (* Zero-sized batches succeed without consuming while unexhausted. *)
-  let d = Budget.steps 1 in
-  check_bool "empty batch ok" true (Budget.ticks d 0);
-  check "empty batch free" 0 (Budget.used_steps d)
-
-(* [charge] is [ticks] without the exhaustion probe: it clamps at the
-   step capacity the same way but never reads the clock, so a consumer
-   that probed right before its work pays one clock reading, not two. *)
+(* [charge] clamps at the step capacity and never reads the clock, so
+   a consumer that probed right before its work pays one clock reading,
+   not two; [tick] probes the deadline first. *)
 let test_budget_charge () =
   let reads = ref 0 in
   Time_source.with_source
@@ -128,8 +108,8 @@ let test_budget_charge () =
       check "still no clock" 0 !reads;
       check_bool "exhausted" true (Budget.exhausted b);
       check "exhausted capacity" 0 (Budget.capacity b);
-      ignore (Budget.ticks (Budget.seconds 60.0) 4 : bool);
-      check "ticks probes the deadline" 2 !reads);
+      ignore (Budget.tick (Budget.seconds 60.0) : bool);
+      check "tick probes the deadline" 2 !reads);
   check "deadline only: unbounded capacity" max_int (Budget.capacity (Budget.seconds 60.0))
 
 let test_budget_deadline () =
@@ -369,7 +349,6 @@ let () =
             test_budget_unlimited_independent;
           Alcotest.test_case "combine" `Quick test_budget_combine;
           Alcotest.test_case "combine used_steps" `Quick test_budget_combine_used_steps;
-          Alcotest.test_case "ticks clamped" `Quick test_budget_ticks_clamped;
           Alcotest.test_case "charge without probing" `Quick test_budget_charge;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
         ] );
