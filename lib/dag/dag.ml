@@ -451,6 +451,23 @@ let assign_paper_weights g =
     ~work:(fun v -> if in_degree g v = 0 then 1 else in_degree g v - 1)
     ~comm:(fun _ -> 1)
 
+(* The record (nine fields) plus each physically distinct array, as
+   [Obj.reachable_words] counts them: a header word and one word per
+   element. [arrays] are counted with the DAG's own, so a caller sizing
+   a value that holds this DAG beside arrays of its own shares each
+   array, and the one empty-array atom, once. *)
+let heap_words ?(arrays = []) g =
+  let all =
+    g.succ_off :: g.succ_tgt :: g.pred_off :: g.pred_tgt :: g.work :: g.comm :: g.topo
+    :: g.rank :: arrays
+  in
+  let rec count seen words = function
+    | [] -> words
+    | a :: rest when List.memq a seen -> count seen words rest
+    | a :: rest -> count (a :: seen) (words + 1 + Array.length a) rest
+  in
+  count [] 10 all
+
 (* The CSR form is already canonical — segments sorted and
    deduplicated, node ids dense — so hashing the raw arrays gives a
    structural content address: two DAGs hash equal iff they have the

@@ -153,6 +153,12 @@ val structural_hash : t -> Fnv.t
     and weights always hash equal; distinct DAGs collide only with
     generic 64-bit-hash probability. *)
 
+val heap_words : ?arrays:int array list -> t -> int
+(** The heap words [Obj.reachable_words] counts for the DAG, from its
+    array lengths alone: the record and each physically distinct array
+    once. [arrays] (default none) are counted with it, each array that
+    is physically one of the DAG's or of each other only once. *)
+
 (** {1 Well-formedness} *)
 
 val is_acyclic_edges : n:int -> (int * int) list -> bool

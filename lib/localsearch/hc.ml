@@ -275,6 +275,12 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
       end
     in
     let row_out = Array.make p 0 in
+    (* [clean.(v)] is the [!moves_applied] of v's last scan if that scan
+       found no move: while no move is applied since, a scan of v reads
+       the same state, finds no move again and charges 3p - 1
+       evaluations (every candidate of its three superstep rows). *)
+    let clean = Array.make n (-1) in
+    let no_move_evals = (3 * p) - 1 in
     let scan_node v =
       let s1 = Assignment_state.step st v in
       let p1 = Assignment_state.proc st v in
@@ -337,6 +343,7 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
       done;
       Budget.charge budget !evald;
       moves_evaluated := !moves_evaluated + !evald;
+      if not !moved then clean.(v) <- !moves_applied;
       !moved
     in
     for v = 0 to n - 1 do
@@ -353,12 +360,22 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
            not provably complete, so confirm the fixpoint with one full
            pass; any improvement found re-seeds the worklist. This keeps
            the termination guarantee of the exhaustive sweep (the result
-           is a genuine local minimum) at delta-evaluation prices. *)
+           is a genuine local minimum) at delta-evaluation prices. A
+           node still clean is charged its scan without one (scanned
+           anyway under [check]). *)
         incr sweeps;
         let any = ref false in
         let v = ref 0 in
         while !v < n && not (stop ()) do
-          if scan_node !v then any := true;
+          let was_clean = clean.(!v) = !moves_applied in
+          if was_clean && not check then begin
+            Budget.charge budget no_move_evals;
+            moves_evaluated := !moves_evaluated + no_move_evals
+          end
+          else if scan_node !v then begin
+            if was_clean then failwith "Hc: a node clean since its last scan moved";
+            any := true
+          end;
           incr v
         done;
         if !any then incr sweep_hits;

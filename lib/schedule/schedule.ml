@@ -24,6 +24,12 @@ let empty_rep_off n = Array.make (n + 1) 0
 let num_replicas t = t.rep_off.(Array.length t.rep_off - 1)
 let has_replicas t = num_replicas t > 0
 
+(* The record (seven fields), five words per event and its list cell,
+   and the arrays shared with the DAG's count ({!Dag.heap_words}). *)
+let heap_words t =
+  8 + (8 * List.length t.comm)
+  + Dag.heap_words ~arrays:[ t.proc; t.step; t.rep_off; t.rep_proc; t.rep_step ] t.dag
+
 let iter_replicas t v f =
   for i = t.rep_off.(v) to t.rep_off.(v + 1) - 1 do
     f t.rep_proc.(i) t.rep_step.(i)

@@ -103,6 +103,11 @@ val trivial : Dag.t -> t
     paper's trivial baseline for communication-dominated instances
     (Section 7.3). *)
 
+val heap_words : t -> int
+(** The heap words [Obj.reachable_words] counts for the schedule, its
+    DAG included, from array lengths and the event count
+    ({!Dag.heap_words}). *)
+
 (** {1 Lazy communication schedules}
 
     Simple schedulers only produce the assignment [(pi, tau)]; the

@@ -58,7 +58,7 @@ let lookup ~dir ~dag key =
     | exception (Failure _ | Sys_error _ | Obs.Json.Parse_error _ | End_of_file) ->
       None
 
-let store ~dir ~key ~algorithm ~cost ~seconds_budget schedule =
+let store_text ~dir ~key ~algorithm ~cost ~seconds_budget ~text schedule =
   (* The directory may have been deleted under a running daemon:
      evicting everything is as legal as evicting one entry. *)
   if not (Sys.file_exists dir) then (
@@ -66,7 +66,7 @@ let store ~dir ~key ~algorithm ~cost ~seconds_budget schedule =
   (* Schedule first, meta second: the meta file is the commit point a
      lookup starts from, so a crash between the two writes leaves no
      visible half-entry (and each write is itself atomic). *)
-  Schedule_io.write_file (schedule_path ~dir key) schedule;
+  Atomic_file.write_string (schedule_path ~dir key) text;
   let meta =
     Obs.Json.Obj
       [
@@ -79,3 +79,7 @@ let store ~dir ~key ~algorithm ~cost ~seconds_budget schedule =
       ]
   in
   Atomic_file.write_string (meta_path ~dir key) (Obs.Json.to_string meta ^ "\n")
+
+let store ~dir ~key ~algorithm ~cost ~seconds_budget schedule =
+  store_text ~dir ~key ~algorithm ~cost ~seconds_budget
+    ~text:(Schedule_io.to_string schedule) schedule

@@ -83,5 +83,18 @@ val store :
   unit
 (** Write an entry, creating the directory if it is missing. *)
 
+val store_text :
+  dir:string ->
+  key:string ->
+  algorithm:string ->
+  cost:int ->
+  seconds_budget:float ->
+  text:string ->
+  Schedule.t ->
+  unit
+(** {!store} with the schedule already rendered: [text] must be
+    [Schedule_io.to_string] of the schedule, which here only supplies
+    the meta file's node and superstep counts. *)
+
 val meta_path : dir:string -> string -> string
 val schedule_path : dir:string -> string -> string

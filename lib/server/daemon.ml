@@ -120,18 +120,31 @@ let counter_of_label = function
 
 (* One scheduling request as both transports handle it: the
    [server:request] span (a flight-recorder slice when the recorder is
-   on) around [Engine.handle], and the latency [dt] that feeds the
-   [server.request_seconds] histogram. *)
+   on) around [Engine.answer], and the latency [dt] that feeds the
+   [server.request_seconds] histogram. A computed answer comes with the
+   store that makes it a cache entry; the caller commits it with
+   [store]. *)
 let handle ~memo ~cache_dir req =
   let t_start = Time_source.now () in
   let outcome =
     match
-      Obs.Metrics.with_span "server:request" (fun () -> Engine.handle ~memo ~cache_dir req)
+      Obs.Metrics.with_span "server:request" (fun () -> Engine.answer ~memo ~cache_dir req)
     with
     | r -> Ok r
     | exception (Failure msg | Sys_error msg) -> Error msg
   in
   (outcome, Time_source.now () -. t_start)
+
+(* A computed answer's cache write, in its own [server:store] span and
+   [server.store_seconds] histogram. The answer stands without it: a
+   failed store is counted as [server.store_errors], and the next
+   request for the key computes it again. *)
+let store pending =
+  let t_start = Time_source.now () in
+  (try Obs.Metrics.with_span "server:store" (fun () -> Engine.commit pending)
+   with Failure _ | Sys_error _ | Unix.Unix_error _ ->
+     Obs.Metrics.counter "server.store_errors" 1);
+  Obs.Metrics.histogram "server.store_seconds" (Time_source.now () -. t_start)
 
 let memo_gauge memo = Obs.Metrics.gauge "server.memo_bytes" (float_of_int (Memo.bytes memo))
 
@@ -175,7 +188,10 @@ let process_batch cfg ~memo ~registry ~t0 names =
     parsed;
   let results =
     Par.map
-      (fun (key, req) -> (key, handle ~memo ~cache_dir:cfg.cache_dir req))
+      (fun (key, req) ->
+        let outcome, dt = handle ~memo ~cache_dir:cfg.cache_dir req in
+        (match outcome with Ok (_, Some pending) -> store pending | _ -> ());
+        (key, (Result.map fst outcome, dt)))
       (List.rev !leaders)
   in
   let result_of_key = Hashtbl.create 16 in
@@ -381,33 +397,42 @@ let run_stdio ?(memo = Memo.create ()) ~cache_dir ic oc =
     | Some payload ->
       incr count;
       let fallback_id = Printf.sprintf "stdio-%d" !count in
-      (match
-         Obs.Metrics.with_span "server:parse" (fun () ->
-             Request.parse_any ~memo ~id:fallback_id payload)
-       with
-       | Request.Stats { Request.stats_id } ->
-         Obs.Metrics.counter "server.stats_requests" 1;
-         Obs.Json.to_buffer_compact buf (stats_json ~registry ~t0 ~id:stats_id)
-       | Request.Schedule req ->
-         Obs.Metrics.counter "server.requests" 1;
-         (match handle ~memo ~cache_dir req with
-          | Error msg, _ -> Obs.Json.to_buffer_compact buf (error_reply ~id:req.Request.id msg)
-          | Ok res, dt ->
-            Obs.Metrics.counter
-              (counter_of_label (Engine.status_label res.Engine.status))
-              1;
+      (* What runs after the reply is sent: a miss's store. It runs
+         before the next frame is read, so a repeat of the key in that
+         frame finds the entry. *)
+      let pending =
+        match
+          Obs.Metrics.with_span "server:parse" (fun () ->
+              Request.parse_any ~memo ~id:fallback_id payload)
+        with
+        | Request.Stats { Request.stats_id } ->
+          Obs.Metrics.counter "server.stats_requests" 1;
+          Obs.Json.to_buffer_compact buf (stats_json ~registry ~t0 ~id:stats_id);
+          None
+        | Request.Schedule req -> (
+          Obs.Metrics.counter "server.requests" 1;
+          match handle ~memo ~cache_dir req with
+          | Error msg, _ ->
+            Obs.Json.to_buffer_compact buf (error_reply ~id:req.Request.id msg);
+            None
+          | Ok (res, pending), dt ->
+            Obs.Metrics.counter (counter_of_label (Engine.status_label res.Engine.status)) 1;
             Obs.Metrics.histogram "server.request_seconds" dt;
             Obs.Metrics.with_span "server:encode" (fun () ->
                 add_ok_reply buf ~id:req.Request.id
                   ~cache:(Engine.status_label res.Engine.status)
                   ~key:res.Engine.key ~cost:res.Engine.cost
                   ~supersteps:(Schedule.num_supersteps res.Engine.schedule)
-                  ~seconds:dt res.Engine.escaped));
-         memo_gauge memo
-       | exception (Failure msg | Sys_error msg) ->
-         Obs.Metrics.counter "server.requests" 1;
-         Obs.Json.to_buffer_compact buf (error_reply ~id:fallback_id msg));
+                  ~seconds:dt res.Engine.escaped);
+            pending)
+        | exception (Failure msg | Sys_error msg) ->
+          Obs.Metrics.counter "server.requests" 1;
+          Obs.Json.to_buffer_compact buf (error_reply ~id:fallback_id msg);
+          None
+      in
       send ();
+      Option.iter store pending;
+      memo_gauge memo;
       loop ()
   in
   loop ()

@@ -14,12 +14,13 @@
 
     The loop scans [incoming/] (lexicographic order), treats everything
     pending as one batch, coalesces requests with equal content
-    addresses, runs one {!Engine.handle} task per distinct address on
-    the {!Par} domain pool, and answers each request with the response
-    JSON plus schedule file. Responses are written before the request
-    file is removed and every write is atomic, so a killed daemon
-    leaves each request either fully answered or still queued — and a
-    requeued request is answered from the cache. Producers should
+    addresses, runs one {!Engine.answer} task per distinct address on
+    the {!Par} domain pool (each task commits its own store), and
+    answers each request with the response JSON plus schedule file.
+    Responses are written before the request file is removed and every
+    write is atomic, so a killed daemon leaves each request either fully
+    answered or still queued — and a requeued request is answered from
+    the cache. Producers should
     write-then-rename their request files into [incoming/] so the
     daemon never sees a partial request.
 
@@ -50,7 +51,9 @@
     {b Observability.} Counters [server.requests] (scheduling requests
     and errors), [server.stats_requests], [server.batches],
     [server.cache_hits]/[_misses]/[_refreshes]/[_coalesced],
-    [server.errors]; the session table's ({!Memo}) counters
+    [server.errors], [server.store_errors] (cache stores that failed:
+    the request is still answered, and its next repeat computes
+    again); the session table's ({!Memo}) counters
     [server.memo_hits], [server.memo_misses] (inline bodies parsed and
     cache entries read from disk) and [server.memo_evictions], with its
     size as the gauge [server.memo_bytes]; gauges [server.queue_depth],
@@ -73,6 +76,10 @@
     followers open no span. Beside it, each request's parse runs in a
     [server:parse] span and each answer's encoding (schedule text and
     JSON, and for the queue their write-out) in a [server:encode] span.
+    A computed answer's cache store ({!Engine.commit}) runs in a
+    [server:store] span and feeds the [server.store_seconds]
+    histogram; over stdio it runs after the reply is sent and before
+    the next frame is read.
     All daemon timing reads [Time_source].
 
     {b Shutdown.} Touching [<queue>/stop], SIGTERM or SIGINT all stop
@@ -119,6 +126,9 @@ val run_stdio : ?memo:Memo.t -> cache_dir:string -> in_channel -> out_channel ->
     {!Memo.create} [()] when absent; a caller passes one only to bound
     it by another budget or to inspect it. Requests are handled one at a time in arrival
     order (batching happens across the {!Par} pool only in the
-    directory queue). A request that fails to parse or that the engine
-    rejects gets an error reply and the session goes on; a truncated or
-    oversized frame gets one error reply and ends the session. *)
+    directory queue). A miss is answered before it is stored: the reply
+    is sent, then the entry is written, then the next frame is read, so
+    a repeat of the request in that frame is a hit. A request that
+    fails to parse or that the engine rejects gets an error reply and
+    the session goes on; a truncated or oversized frame gets one error
+    reply and ends the session. *)

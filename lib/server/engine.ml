@@ -115,10 +115,26 @@ type result = {
 }
 
 (* A reply's schedule member, rendered once per entry a session reads
-   or stores. *)
+   from disk. *)
 let escape schedule =
   let buf = Buffer.create 16384 in
   Schedule_io.to_buffer buf ~eol:{|\n|} schedule;
+  Buffer.contents buf
+
+(* The same member from the schedule's rendered text, in one pass: the
+   text holds no byte a JSON string must escape but its line ends. *)
+let escape_text text =
+  let len = String.length text in
+  let buf = Buffer.create (len + (len / 8) + 16) in
+  let start = ref 0 in
+  for i = 0 to len - 1 do
+    if String.unsafe_get text i = '\n' then begin
+      Buffer.add_substring buf text !start (i - !start);
+      Buffer.add_string buf {|\n|};
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf text !start (len - !start);
   Buffer.contents buf
 
 (* The cache lookup. A warm entry is served while its files keep the
@@ -147,7 +163,26 @@ let lookup memo ~cache_dir ~machine ~dag key =
         Some w
       | _ -> None))
 
-let compute_and_store memo ~cache_dir ~key ~cached (req : Request.t) =
+type store = {
+  memo : Memo.t;
+  cache_dir : string;
+  key : string;
+  algorithm : string;
+  warm : Memo.warm;
+  text : string;  (* the entry's schedule file, as [warm.escaped] renders it *)
+}
+
+let commit s =
+  let e = s.warm.Memo.entry in
+  Cache.store_text ~dir:s.cache_dir ~key:s.key ~algorithm:s.algorithm ~cost:e.Cache.cost
+    ~seconds_budget:e.Cache.seconds_budget ~text:s.text e.Cache.schedule;
+  (* Write-through: the entry just stored is warm under the identity its
+     files have now. *)
+  Option.iter
+    (fun ident -> Memo.add_entry s.memo s.key ~ident s.warm)
+    (Cache.ident ~dir:s.cache_dir s.key)
+
+let compute memo ~cache_dir ~key ~cached (req : Request.t) =
   (* Warm-start only applies to the base pipeline; the other budget-
      sensitive method (multilevel) re-solves from scratch and is
      compared against the cached cost below. *)
@@ -166,46 +201,48 @@ let compute_and_store memo ~cache_dir ~key ~cached (req : Request.t) =
      failwith
        ("Engine: produced an invalid schedule: " ^ String.concat "; " errs));
   let cost = Bsp_cost.total req.machine sched in
+  let fresh seconds_budget =
+    let text = Schedule_io.to_string sched in
+    ( {
+        Memo.entry = { Cache.cost; seconds_budget; schedule = sched };
+        escaped = escape_text text;
+      },
+      text )
+  in
   (* Best-so-far semantics: a refresh keeps the cached schedule when
      the re-run did not strictly beat it, and the recorded budget is
      topped up either way so the next identical request is a hit. *)
-  let warm =
+  let warm, text =
     match cached with
-    | None ->
-      let entry = { Cache.cost; seconds_budget = req.seconds; schedule = sched } in
-      { Memo.entry; escaped = escape sched }
+    | None -> fresh req.seconds
     | Some ({ Memo.entry = e; _ } as w) ->
       let seconds_budget = Float.max req.seconds e.Cache.seconds_budget in
-      if e.Cache.cost <= cost then { w with Memo.entry = { e with Cache.seconds_budget } }
-      else
-        {
-          Memo.entry = { Cache.cost; seconds_budget; schedule = sched };
-          escaped = escape sched;
-        }
+      if e.Cache.cost <= cost then
+        ( { w with Memo.entry = { e with Cache.seconds_budget } },
+          Schedule_io.to_string e.Cache.schedule )
+      else fresh seconds_budget
   in
-  let entry = warm.Memo.entry in
-  Cache.store ~dir:cache_dir ~key ~algorithm:req.algorithm ~cost:entry.Cache.cost
-    ~seconds_budget:entry.Cache.seconds_budget entry.Cache.schedule;
-  (* Write-through: the entry just stored is warm under the identity its
-     files have now. *)
-  Option.iter
-    (fun ident -> Memo.add_entry memo key ~ident warm)
-    (Cache.ident ~dir:cache_dir key);
-  warm
+  { memo; cache_dir; key; algorithm = req.algorithm; warm; text }
 
-let handle ?(memo = Memo.create ()) ~cache_dir (req : Request.t) =
+let answer ?(memo = Memo.create ()) ~cache_dir (req : Request.t) =
   if not (is_algorithm req.algorithm) then
     failwith ("Engine: unknown algorithm: " ^ req.algorithm);
   check_seconds req.seconds;
   let key = request_key ~memo req in
-  let status, { Memo.entry; escaped } =
+  let status, { Memo.entry; escaped }, store =
     match lookup memo ~cache_dir ~machine:req.machine ~dag:req.dag key with
     | Some w
       when (not (budget_sensitive req.algorithm))
            || req.seconds <= w.Memo.entry.Cache.seconds_budget ->
-      (Hit, w)
+      (Hit, w, None)
     | cached ->
-      ( (if Option.is_none cached then Miss else Refresh),
-        compute_and_store memo ~cache_dir ~key ~cached req )
+      let store = compute memo ~cache_dir ~key ~cached req in
+      ((if Option.is_none cached then Miss else Refresh), store.warm, Some store)
   in
-  { status; key; cost = entry.Cache.cost; schedule = entry.Cache.schedule; escaped }
+  ( { status; key; cost = entry.Cache.cost; schedule = entry.Cache.schedule; escaped },
+    store )
+
+let handle ?memo ~cache_dir req =
+  let result, store = answer ?memo ~cache_dir req in
+  Option.iter commit store;
+  result

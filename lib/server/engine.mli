@@ -61,17 +61,34 @@ type result = {
   escaped : string;  (** the schedule as a reply carries it, see {!Memo.warm} *)
 }
 
-val handle : ?memo:Memo.t -> cache_dir:string -> Request.t -> result
-(** Serve one request through the cache: look up the content address,
-    return the cached schedule on a hit, otherwise compute, store
-    atomically, and return. [memo] is the session's table (a fresh one
+type store
+(** A computed entry not yet written: its two cache files and its
+    write-through to the session's {!Memo}. *)
+
+val answer : ?memo:Memo.t -> cache_dir:string -> Request.t -> result * store option
+(** Serve one request through the cache, short of writing it: look up
+    the content address and return the cached schedule on a hit;
+    otherwise compute, check and cost the schedule, render its text
+    once, and return the result with the {!store} that makes it an
+    entry ([None] on a hit). [memo] is the session's table (a fresh one
     when absent): an entry warm in it is served while its files keep
     the identity it was stored with ({!Cache.ident}); any other entry is
     read from disk, and one whose schedule is invalid on the request's
     machine or does not cost what its meta file says is a miss. Every
-    entry read or stored is left warm. Raises [Failure] on an unknown
-    algorithm, a [seconds] that is not finite and positive (both
-    checked before the cache, so a hit cannot hide them), an instance
-    whose costs could overflow (checked before any schedule is computed
-    or read from disk, so no entry is ever warm for one) or an internal
-    validity failure; IO errors propagate. *)
+    entry read is left warm. Raises [Failure] on an unknown algorithm, a
+    [seconds] that is not finite and positive (both checked before the
+    cache, so a hit cannot hide them), an instance whose costs could
+    overflow (checked before any schedule is computed or read from
+    disk, so no entry is ever warm for one) or an internal validity
+    failure; IO errors of the lookup propagate. *)
+
+val commit : store -> unit
+(** Write the entry atomically ({!Cache.store_text}: the schedule file
+    with the text the reply was escaped from, then the meta file) and
+    leave it warm in the memo under its files' new identity. IO errors
+    propagate; the memo is then not changed. *)
+
+val handle : ?memo:Memo.t -> cache_dir:string -> Request.t -> result
+(** {!answer}, then {!commit} of its store: one request served and
+    stored. Every entry read or stored is left warm. Raises as
+    {!answer} and {!commit} do. *)

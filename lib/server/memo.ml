@@ -137,7 +137,7 @@ let parse_body t text ~pos parse =
   | None ->
     count "server.memo_misses";
     let dag = parse () in
-    let body_size = String.length text + (8 * Obj.reachable_words (Obj.repr dag)) in
+    let body_size = String.length text + (8 * Dag.heap_words dag) in
     if body_size <= t.budget then begin
       let b = { doc = text; pos; dag; hash = Dag.structural_hash dag; body_size } in
       Mutex.protect t.lock (fun () ->
@@ -175,10 +175,13 @@ let find_entry t key ~ident ~dag =
     count "server.memo_misses";
     None
 
+(* [Obj.reachable_words] of the entry, from array lengths: its record
+   (three fields), the boxed [seconds_budget] and the schedule with its
+   DAG. *)
+let entry_words (e : Cache.entry) = 4 + 2 + Schedule.heap_words e.Cache.schedule
+
 let add_entry t key ~ident warm =
-  let warm_size =
-    String.length warm.escaped + (8 * Obj.reachable_words (Obj.repr warm.entry))
-  in
+  let warm_size = String.length warm.escaped + (8 * entry_words warm.entry) in
   if warm_size <= t.budget then
     Mutex.protect t.lock (fun () ->
         Option.iter (fun s -> remove t (Entry (key, s))) (Hashtbl.find_opt t.entries key);

@@ -1103,9 +1103,11 @@ let test_memo_disk_authority () =
           let r4 = ask req in
           expect "miss" r4;
           check_str "healed schedule" (str_field "schedule" r1) (str_field "schedule" r4);
+          (* the miss stores after its reply and before the next frame is
+             read: that frame is a hit only if the store landed *)
+          expect "hit" (ask req);
           check_str "healed file" (str_field "schedule" r1)
             (In_channel.with_open_bin sched In_channel.input_all);
-          expect "hit" (ask req);
           (* another body for the same DAG: same key, same bytes *)
           let r5 = ask (memo_request ~comment:"% the same instance\n" dag) in
           expect "hit" r5;
@@ -1114,6 +1116,88 @@ let test_memo_disk_authority () =
           let counters = field "counters" (ask "stats\n") in
           check_bool "memo hits counted" true (int_field "server.memo_hits" counters > 0);
           check_bool "memo misses counted" true (int_field "server.memo_misses" counters > 0)))
+
+(* A miss replies before it stores; once one more frame is answered,
+   the entry's files hold the miss's schedule bytes and its meta. *)
+let test_stdio_stores_after_reply () =
+  with_tmp_dir "store-after-reply" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      with_stdio_session ~cache_dir (fun ask ->
+          let r = ask (memo_request (memo_dag ())) in
+          check_str "miss" "miss" (str_field "cache" r);
+          ignore (ask "stats\n");
+          let key = str_field "key" r in
+          check_str "schedule file" (str_field "schedule" r)
+            (In_channel.with_open_bin (Server.Cache.schedule_path ~dir:cache_dir key)
+               In_channel.input_all);
+          let meta = read_json (Server.Cache.meta_path ~dir:cache_dir key) in
+          check_str "meta key" key (str_field "key" meta);
+          check_str "meta algorithm" "bspg" (str_field "algorithm" meta);
+          check "meta cost" (int_field "cost" r) (int_field "cost" meta);
+          check "meta supersteps" (int_field "supersteps" r) (int_field "supersteps" meta)))
+
+(* A store that fails does not fail its request: with the cache
+   directory replaced by a regular file, a miss is still answered, and
+   the failure is counted. *)
+let test_stdio_store_failure () =
+  with_tmp_dir "store-failure" (fun dir ->
+      let cache_dir = Filename.concat dir "cache" in
+      let dag = memo_dag () in
+      with_stdio_session ~cache_dir (fun ask ->
+          let r1 = ask (memo_request dag) in
+          check_str "first ok" "ok" (str_field "status" r1);
+          ignore (ask "stats\n");
+          rm_rf cache_dir;
+          Out_channel.with_open_bin cache_dir (fun oc -> output_string oc "not a directory");
+          let r2 = ask (memo_request ~algorithm:"source" dag) in
+          check_str "second ok" "ok" (str_field "status" r2);
+          check_str "second computed" "miss" (str_field "cache" r2);
+          let stats = ask "stats\n" in
+          check "store errors" 1 (int_field "server.store_errors" (field "counters" stats));
+          check "stores timed" 2
+            (int_field "count" (field "server.store_seconds" (field "histograms" stats)))))
+
+(* The table's sizes come from array lengths; they equal what
+   [Obj.reachable_words] counts for bodies and for entries with and
+   without communication events and replicas. *)
+let test_memo_sizes () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let dag = memo_dag () in
+  List.iter
+    (fun d -> check "DAG words" (words d) (Dag.heap_words d))
+    [
+      dag;
+      Test_util.diamond ();
+      Dag.of_edges ~n:3 ~edges:[] ~work:[| 1; 2; 3 |] ~comm:[| 1; 1; 1 |];
+      Dag.of_edges ~n:0 ~edges:[] ~work:[||] ~comm:[||];
+    ];
+  let memo = Server.Memo.create () in
+  let header = "p 2\nhyperdag\n" in
+  let doc = header ^ Hyperdag_io.to_string dag in
+  let pos = String.length header in
+  let d = Server.Memo.parse_body memo doc ~pos (fun () -> Hyperdag_io.of_string ~pos doc) in
+  check "body bytes" (String.length doc + (8 * words d)) (Server.Memo.bytes memo);
+  let chain = Test_util.chain 2 in
+  let plain = Schedule.trivial dag in
+  let with_comm = Schedule.with_lazy_comm (Bspg.schedule small_machine dag) in
+  let replicated =
+    Schedule.make_replicated chain ~proc:[| 0; 0 |] ~step:[| 0; 1 |]
+      ~comm:[ { Schedule.node = 0; src = 0; dst = 1; step = 0 } ]
+      ~replicas:[ (1, 1, 1) ]
+  in
+  check_bool "events" true (with_comm.Schedule.comm <> []);
+  check_bool "replicas" true (Schedule.has_replicas replicated);
+  List.iter
+    (fun schedule ->
+      let memo = Server.Memo.create () in
+      let entry = { Server.Cache.cost = 1; seconds_budget = Unix.gettimeofday (); schedule } in
+      let ident =
+        let f = { Server.Cache.ino = 1; size = 1; mtime = 1.0 } in
+        { Server.Cache.meta = f; sched = f }
+      in
+      Server.Memo.add_entry memo "k" ~ident { Server.Memo.entry; escaped = "escaped" };
+      check "entry bytes" (7 + (8 * words entry)) (Server.Memo.bytes memo))
+    [ plain; with_comm; replicated ]
 
 (* A warm entry serves the DAG object it was stored for and any
    structurally equal one, rebound to it, but never another DAG that
@@ -1481,5 +1565,9 @@ let () =
           Alcotest.test_case "queue batches equal at -j 1 and -j 2" `Quick
             test_memo_queue_jobs;
           Alcotest.test_case "overflowing costs refused" `Quick test_cost_overflow_refused;
+          Alcotest.test_case "a miss stores after its reply" `Quick
+            test_stdio_stores_after_reply;
+          Alcotest.test_case "a failed store keeps the reply" `Quick test_stdio_store_failure;
+          Alcotest.test_case "sizes from array lengths" `Quick test_memo_sizes;
         ] );
     ]
