@@ -334,10 +334,9 @@ let run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag =
    towards the earlier ratio in the configured list, matching the
    sequential fold this replaces. *)
 let run_multilevel ~limits ?solver_limits
-    ?(config = Multilevel.default_config) machine dag =
-  if config.Multilevel.ratios = [] then
-    invalid_arg "Pipeline.run_multilevel: no ratios configured";
+    ?(ratios = Multilevel.default_config.Multilevel.ratios) machine dag =
+  if ratios = [] then invalid_arg "Pipeline.run_multilevel: no ratios configured";
   Par.best_of
     ~cmp:(fun a b -> compare (cost machine a) (cost machine b))
     (fun ratio -> run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag)
-    config.Multilevel.ratios
+    ratios

@@ -118,13 +118,15 @@ val run_warm :
 val run_multilevel :
   limits:limits ->
   ?solver_limits:limits ->
-  ?config:Multilevel.config ->
+  ?ratios:float list ->
   Machine.t ->
   Dag.t ->
   Schedule.t
 (** The multilevel pipeline of Figure 4: coarsen, solve with the base
     pipeline (without ILPcs), refine, then HCcs + ILPcs on the result.
-    Tries every ratio in [config] and keeps the cheapest.
+    Tries every coarsening ratio in [ratios] (default
+    [Multilevel.default_config]'s) and keeps the cheapest; each pass
+    refines with [Multilevel.default_config]'s interval and move cap.
     [solver_limits] (default [limits]) governs the base pipeline run on
     the coarse DAG; the benchmark harness passes a cheaper configuration
     there to bound total sweep time. *)

@@ -1,21 +1,12 @@
 type stats = {
   moves_applied : int;
   moves_evaluated : int;
-  replicas_added : int;
-  replicas_dropped : int;
   initial_cost : int;
   final_cost : int;
 }
 
 let no_stats initial_cost =
-  {
-    moves_applied = 0;
-    moves_evaluated = 0;
-    replicas_added = 0;
-    replicas_dropped = 0;
-    initial_cost;
-    final_cost = initial_cost;
-  }
+  { moves_applied = 0; moves_evaluated = 0; initial_cost; final_cost = initial_cost }
 
 (* Shared check-mode verification: the read-only delta must agree with
    the mutating path, both forwards and after rolling back. *)
@@ -44,10 +35,11 @@ let try_move ~check st v p2 s2 =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Replication phase (DESIGN.md Section 5g). Runs only after the move
-   search has converged — single-node moves and replication moves never
-   interleave (Assignment_state rejects moves once replicas exist), so
-   replication is a final polish on the move-phase local minimum.
+(* Replication phase (DESIGN.md Section 5g), reached only through
+   [replicate_schedule] on a finished schedule — single-node moves and
+   replication moves never interleave (Assignment_state rejects moves
+   once replicas exist), so replication is a final polish on a
+   move-phase local minimum.
 
    Candidates are seeded from the live event traffic — the per-event
    granularity of the profiler's traffic matrix: replicating u onto a
@@ -152,11 +144,10 @@ let replication_phase ~check ~budget st n =
   done;
   Obs.Metrics.counter "hc.replication_candidates" !evaluated;
   Obs.Metrics.counter "hc.replicas_added" !added;
-  Obs.Metrics.counter "hc.replicas_dropped" !dropped;
-  (!added, !dropped, !evaluated)
+  Obs.Metrics.counter "hc.replicas_dropped" !dropped
 
-let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
-    ?(replicate = false) ?(shards = 1) machine sched =
+let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves ?(shards = 1)
+    machine sched =
   if shards <> 1 then invalid_arg "Hc.improve: shards must be 1";
   let dag = sched.Schedule.dag in
   let n = Dag.n dag in
@@ -389,13 +380,6 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
     Obs.Metrics.gauge_max "hc.worklist_peak" (float_of_int !queue_peak);
     Obs.Metrics.counter "hc.verify_sweeps" !sweeps;
     Obs.Metrics.counter "hc.verify_sweep_hits" !sweep_hits;
-    let replicas_added, replicas_dropped =
-      if replicate && not (stop ()) then begin
-        let a, d, _ = replication_phase ~check ~budget st n in
-        (a, d)
-      end
-      else (0, 0)
-    in
     let result = Assignment_state.snapshot st in
     let final_cost = Bsp_cost.total machine result in
     Assignment_state.release st;
@@ -403,8 +387,6 @@ let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves
       {
         moves_applied = !moves_applied;
         moves_evaluated = !moves_evaluated;
-        replicas_added;
-        replicas_dropped;
         initial_cost;
         final_cost;
       } )
@@ -423,81 +405,9 @@ let replicate_schedule ?(check = false) ?(budget = Budget.unlimited ()) machine 
   if n = 0 || Schedule.num_supersteps sched = 0 then initial
   else begin
     let st = Assignment_state.init machine initial in
-    let _ = replication_phase ~check ~budget st n in
+    replication_phase ~check ~budget st n;
     if check then Assignment_state.check_consistent st;
     let result = Assignment_state.snapshot st in
     Assignment_state.release st;
     result
-  end
-
-(* The seed implementation: exhaustive sweeps with apply/rollback
-   candidate evaluation. Kept as the differential-testing and
-   benchmarking baseline for the delta/worklist engine above. *)
-let improve_reference ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves machine
-    sched =
-  let try_move_rollback st v p2 s2 =
-    let p1 = Assignment_state.proc st v and s1 = Assignment_state.step st v in
-    let before = Assignment_state.total_cost st in
-    Assignment_state.apply_move st v p2 s2;
-    if Assignment_state.total_cost st < before then true
-    else begin
-      Assignment_state.apply_move st v p1 s1;
-      if check && Assignment_state.total_cost st <> before then
-        failwith "Hc: rollback did not restore the total cost";
-      false
-    end
-  in
-  let dag = sched.Schedule.dag in
-  let n = Dag.n dag in
-  let initial = Schedule.with_lazy_comm sched in
-  let initial_cost = Bsp_cost.total machine initial in
-  if n = 0 || Schedule.num_supersteps sched = 0 then (initial, no_stats initial_cost)
-  else begin
-    let st = Assignment_state.init machine initial in
-    let p = machine.Machine.p in
-    let moves_applied = ref 0 in
-    let moves_evaluated = ref 0 in
-    let move_cap = match max_moves with None -> max_int | Some m -> m in
-    let stop () = !moves_applied >= move_cap || Budget.exhausted budget in
-    let improved_any = ref true in
-    while !improved_any && not (stop ()) do
-      improved_any := false;
-      let v = ref 0 in
-      while !v < n && not (stop ()) do
-        let s1 = Assignment_state.step st !v in
-        let moved = ref false in
-        let ds = ref (-1) in
-        while (not !moved) && !ds <= 1 do
-          let s2 = s1 + !ds in
-          let p2 = ref 0 in
-          while (not !moved) && !p2 < p do
-            if not (!p2 = Assignment_state.proc st !v && s2 = s1) then begin
-              ignore (Budget.tick budget : bool);
-              incr moves_evaluated;
-              if Assignment_state.valid_move st !v !p2 s2 && try_move_rollback st !v !p2 s2
-              then begin
-                incr moves_applied;
-                improved_any := true;
-                moved := true
-              end
-            end;
-            incr p2
-          done;
-          incr ds
-        done;
-        incr v
-      done
-    done;
-    let result = Assignment_state.snapshot st in
-    let final_cost = Bsp_cost.total machine result in
-    Assignment_state.release st;
-    ( result,
-      {
-        moves_applied = !moves_applied;
-        moves_evaluated = !moves_evaluated;
-        replicas_added = 0;
-        replicas_dropped = 0;
-        initial_cost;
-        final_cost;
-      } )
   end

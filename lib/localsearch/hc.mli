@@ -31,8 +31,6 @@
 type stats = {
   moves_applied : int;
   moves_evaluated : int;
-  replicas_added : int;  (** by the replication phase; [0] unless enabled *)
-  replicas_dropped : int;
   initial_cost : int;
   final_cost : int;
 }
@@ -41,7 +39,6 @@ val improve :
   ?check:bool ->
   ?budget:Budget.t ->
   ?max_moves:int ->
-  ?replicate:bool ->
   ?shards:int ->
   Machine.t ->
   Schedule.t ->
@@ -62,15 +59,6 @@ val improve :
     improvement moves, which is how the multilevel refinement phase
     bounds its per-level work (Appendix A.5).
 
-    [replicate] (default [false]) runs the node-replication phase after
-    the move search converges (DESIGN.md Section 5g): candidate
-    replications are seeded from the live event traffic (the per-event
-    granularity of {!Profile}'s traffic matrix), evaluated
-    heaviest-first, and applied on strict improvement, with existing
-    replicas reconsidered for dropping, until a full round changes
-    nothing. With [replicate:false] the result is bit-identical to the
-    pre-replication engine.
-
     [shards] must be [1], its default; any other value raises
     [Invalid_argument]. It is kept only for the benchmark mirror
     ([perfbench/layers]), which still passes
@@ -79,27 +67,16 @@ val improve :
 
 val replicate_schedule :
   ?check:bool -> ?budget:Budget.t -> Machine.t -> Schedule.t -> Schedule.t
-(** The replication phase alone: no single-node moves, so the input
-    node-to-processor placement survives verbatim and only replicas are
-    added where they strictly reduce the lazy cost. The input
-    communication schedule is replaced by the lazy one, which can undo a
-    hand-optimised event placement — compare the result's cost against
-    the input's and keep the cheaper, as {!Pipeline.run} does. The input
-    must be replica-free. *)
-
-val improve_reference :
-  ?check:bool ->
-  ?budget:Budget.t ->
-  ?max_moves:int ->
-  Machine.t ->
-  Schedule.t ->
-  Schedule.t * stats
-(** The original engine: exhaustive sweeps over all nodes until a full
-    pass finds no improvement, with every candidate costed by mutating
-    the state and rolling back on rejection. Retained as the
-    differential-testing baseline for {!improve} and as the benchmark
-    reference the delta/worklist speedup is measured against ([check]
-    re-verifies the rollback, as the seed implementation asserted
-    unconditionally). Same first-improvement rule and candidate order,
-    so both engines terminate in local minima of the same
-    neighbourhood. *)
+(** Node replication (DESIGN.md Section 5g), the one way to it: no
+    single-node moves, so the input node-to-processor placement survives
+    verbatim and only replicas are added where they strictly reduce the
+    lazy cost. Candidate replications are seeded from the live event
+    traffic (the per-event granularity of {!Profile}'s traffic matrix),
+    evaluated heaviest-first, and applied on strict improvement, with
+    existing replicas reconsidered for dropping, until a full round
+    changes nothing. Run it on {!improve}'s result to replicate a
+    move-phase local minimum. The input communication schedule is
+    replaced by the lazy one, which can undo a hand-optimised event
+    placement — compare the result's cost against the input's and keep
+    the cheaper, as {!Pipeline.run} does. The input must be
+    replica-free. *)

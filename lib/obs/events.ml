@@ -1,13 +1,14 @@
 (* Per-domain flight recorder (DESIGN.md Section 5i).
 
    Shape: one fixed-capacity ring buffer per domain, three preallocated
-   flat arrays (timestamp / packed kind+phase / integer argument). The
-   record path is: one atomic load of the global state, one DLS load,
-   three array stores, one atomic head bump — no lock, no cross-domain
-   traffic (each domain owns its ring; the head is an atomic only so
-   that a crash-dump from another domain reads a coherent prefix). Its
-   one allocation is the boxed float of the clock reading, 2 minor
-   words per event, until Time_source has an integer clock. When the
+   flat int arrays (timestamp in nanoseconds / packed kind+phase /
+   integer argument). The record path is: one atomic load of the global
+   state, one DLS load, one integer clock read, three array stores, one
+   atomic head bump — no lock, no cross-domain traffic (each domain
+   owns its ring; the head is an atomic only so that a crash-dump from
+   another domain reads a coherent prefix). A call without [?arg] or
+   [?ts] allocates nothing; passing either boxes the option at the call
+   site. When the
    ring wraps, the oldest events are overwritten and counted as
    dropped — recording never blocks and never grows memory.
 
@@ -67,7 +68,7 @@ let kind_name k =
 type buffer = {
   b_gen : int;
   b_index : int;  (* track number: registration order within the generation *)
-  b_ts : float array;
+  b_ts : int array;  (* nanoseconds *)
   b_code : int array;  (* (kind lsl 2) lor phase *)
   b_arg : int array;
   b_head : int Atomic.t;  (* total events this domain ever recorded *)
@@ -77,7 +78,7 @@ type state = {
   st_gen : int;
   st_capacity : int;
   st_mask : int;
-  st_t0 : float;
+  st_t0 : int;
   st_m : Mutex.t;
   mutable st_buffers : buffer list;  (* newest registration first *)
 }
@@ -102,7 +103,7 @@ let enable ?(capacity = default_capacity) () =
          st_gen = !gen_counter;
          st_capacity = cap;
          st_mask = cap - 1;
-         st_t0 = Time_source.now ();
+         st_t0 = Time_source.now_ns ();
          st_m = Mutex.create ();
          st_buffers = [];
        });
@@ -119,7 +120,7 @@ let register_buffer st =
     {
       b_gen = st.st_gen;
       b_index = List.length st.st_buffers;
-      b_ts = Array.make st.st_capacity 0.0;
+      b_ts = Array.make st.st_capacity 0;
       b_code = Array.make st.st_capacity 0;
       b_arg = Array.make st.st_capacity 0;
       b_head = Atomic.make 0;
@@ -144,7 +145,11 @@ let record_at st ts tag kind arg =
   b.b_arg.(i) <- arg;
   Atomic.set b.b_head (h + 1)
 
-let stamp = function Some ts -> ts | None -> Time_source.now ()
+let seconds_of_ns ns = float_of_int ns /. 1e9
+
+let stamp = function
+  | Some ts -> Time_source.ns_of_seconds ts
+  | None -> Time_source.now_ns ()
 
 let begin_ ?(arg = 0) ?ts k =
   match Atomic.get state with
@@ -159,19 +164,19 @@ let end_ ?(arg = 0) ?ts k =
 let instant ?(arg = 0) k =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Time_source.now ()) ph_instant k arg
+  | Some st -> record_at st (Time_source.now_ns ()) ph_instant k arg
 
 let sample k v =
   match Atomic.get state with
   | None -> ()
-  | Some st -> record_at st (Time_source.now ()) ph_sample k v
+  | Some st -> record_at st (Time_source.now_ns ()) ph_sample k v
 
 let span_at ?(arg = 0) k ~start ~stop =
   match Atomic.get state with
   | None -> ()
   | Some st ->
-    record_at st start ph_begin k arg;
-    record_at st stop ph_end k arg
+    record_at st (Time_source.ns_of_seconds start) ph_begin k arg;
+    record_at st (Time_source.ns_of_seconds stop) ph_end k arg
 
 (* ------------------------------------------------------------------ *)
 (* Draining.                                                           *)
@@ -197,7 +202,7 @@ let buffer_events st b =
     acc :=
       {
         ev_domain = b.b_index;
-        ev_ts = b.b_ts.(i);
+        ev_ts = seconds_of_ns b.b_ts.(i);
         ev_kind = code lsr 2;
         ev_phase = phase_of_tag (code land 3);
         ev_arg = b.b_arg.(i);
@@ -237,7 +242,7 @@ let write_chrome_trace path =
   match Atomic.get state with
   | None -> invalid_arg "Obs.Events.write_chrome_trace: recorder not enabled"
   | Some st ->
-    let t0 = st.st_t0 in
+    let t0 = seconds_of_ns st.st_t0 in
     let us t = (t -. t0) *. 1e6 in
     let events = ref [] in
     let emit e = events := e :: !events in

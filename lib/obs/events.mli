@@ -1,13 +1,14 @@
 (** Per-domain flight recorder (DESIGN.md Section 5i).
 
     A fixed-capacity ring buffer per domain holding timestamped
-    begin/end/instant/sample events in three preallocated flat arrays.
-    The record path takes no lock and touches no shared cache line:
-    one atomic load of the enable state, one [Domain.DLS] load, three
-    array stores, one head bump. It is not allocation-free: the float
-    clock reading it stores is boxed, 2 minor words per event, until
-    [Time_source] gains an integer clock (ROADMAP item 11). When a ring
-    wraps, the oldest events are overwritten and counted as
+    begin/end/instant/sample events in three preallocated flat int
+    arrays. The record path takes no lock and touches no shared cache
+    line: one atomic load of the enable state, one [Domain.DLS] load,
+    one integer clock read, three array stores, one head bump. A call
+    that passes neither [~arg] nor [~ts] allocates nothing; passing
+    either boxes the option at the call site (2 minor words), as
+    [Par]'s task events and [Obs.Metrics.with_span]'s slices do. When a
+    ring wraps, the oldest events are overwritten and counted as
     {!dropped} — recording never blocks.
 
     The recorder answers the question the abstract-cost schedule trace
@@ -27,7 +28,8 @@
     Event kinds are small integers interned through {!register_kind}:
     instrumented modules intern fixed kinds once at module-init time,
     and [Obs.Metrics.with_span] interns each span name on first use.
-    Timestamps come from [Time_source.now]. *)
+    Timestamps come from [Time_source.now_ns] and are kept in whole
+    nanoseconds. *)
 
 type kind
 (** An interned event-kind identifier. *)
@@ -58,7 +60,7 @@ val enabled : unit -> bool
     All no-ops while the recorder is disabled. [arg] is a free-form
     integer attached to the event (task index, claim size, ...). [ts]
     stamps a begin or end with a clock reading the caller already took
-    (default: [Time_source.now ()]), so a span timed for another sink
+    (default: [Time_source.now_ns ()]), so a span timed for another sink
     records the same bounds here. *)
 
 val begin_ : ?arg:int -> ?ts:float -> kind -> unit
@@ -81,7 +83,7 @@ type phase = Begin | End | Instant | Sample
 
 type event = {
   ev_domain : int;  (** ring registration order within the generation *)
-  ev_ts : float;
+  ev_ts : float;  (** seconds, from the recorded nanoseconds *)
   ev_kind : kind;
   ev_phase : phase;
   ev_arg : int;

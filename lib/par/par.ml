@@ -232,14 +232,18 @@ let mark_done b =
    drain accumulates the domain's task count and GC deltas into its
    stats slot. *)
 let drain b =
-  (* [Gc.counters] reads only the calling domain's allocation counters.
+  (* [Gc.minor_words] and [Gc.counters] read only the calling domain's
+     allocation counters. Minor words come from [Gc.minor_words], the
+     exact count: [Gc.counters]'s minor figure leaves out the words
+     allocated since the domain's last minor collection (OCaml 5.1), so
+     it falls short by up to a minor heap's worth.
      [Gc.quick_stat] must NOT be used for per-domain words: in OCaml 5
      it samples every live domain, so a drain-window delta would count
      the whole process's allocation — each domain would report roughly
      the process total and the per-domain sum would multi-count it.
      Collection counts are global events anyway (all domains take part
      in a minor cycle), so [quick_stat] remains fine for those. *)
-  let mw0, pw0, _ = Gc.counters () in
+  let mw0 = Gc.minor_words () and _, pw0, _ = Gc.counters () in
   let t0 = Gc.quick_stat () in
   let ran = ref 0 in
   let last = ref false in
@@ -262,7 +266,7 @@ let drain b =
     end
   done;
   if !ran > 0 then begin
-    let mw1, pw1, _ = Gc.counters () in
+    let mw1 = Gc.minor_words () and _, pw1, _ = Gc.counters () in
     let t1 = Gc.quick_stat () in
     let s = my_slot () in
     Atomic.set s.s_tasks (Atomic.get s.s_tasks + !ran);

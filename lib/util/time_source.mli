@@ -2,11 +2,11 @@
     (DESIGN.md Section 5i).
 
     [Budget.seconds] deadlines, [Obs.Metrics.with_span] timing, the
-    flight-recorder timestamps, [Par]'s task timing and the daemon's
-    uptime/latency all read the clock through {!now}, so swapping the
-    source swaps what "time" means for the whole process — tests
-    install a deterministic fake clock and assert exact span durations
-    instead of sleeping.
+    flight-recorder timestamps (through {!now_ns}), [Par]'s task timing
+    and the daemon's uptime/latency all read the clock through {!now},
+    so swapping the source swaps what "time" means for the whole
+    process — tests install a deterministic fake clock and assert exact
+    span durations instead of sleeping.
 
     The source is a process-wide atomic: {!set}/{!with_source} are
     meant for single-threaded test setup, not for concurrent
@@ -18,6 +18,14 @@ val real : unit -> float
 
 val now : unit -> float
 (** The current time according to the installed source. *)
+
+val now_ns : unit -> int
+(** {!now} in whole nanoseconds, rounded. Under {!real} it allocates
+    nothing, which is what the flight recorder's record path needs; a
+    fake source is read through its closure as {!now} is. *)
+
+val ns_of_seconds : float -> int
+(** A {!now} reading in {!now_ns}'s units. *)
 
 val set : (unit -> float) -> unit
 (** Replace the process-wide time source. *)

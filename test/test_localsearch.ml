@@ -89,8 +89,8 @@ let test_worklist_matches_reference () =
       let m = Machine.uniform ~p:4 ~g:3 ~l:2 in
       let s = start_schedule rng dag 4 in
       let worklist_sched, worklist = Hc.improve ~check:true m s in
-      let _, reference = Hc.improve_reference ~check:true m s in
-      let _, at_fixpoint = Hc.improve_reference ~check:true m worklist_sched in
+      let _, reference = Hc_reference.improve ~check:true m s in
+      let _, at_fixpoint = Hc_reference.improve ~check:true m worklist_sched in
       check "worklist result is a local minimum" 0 at_fixpoint.Hc.moves_applied;
       check_bool "worklist no worse than reference" true
         (worklist.Hc.final_cost <= reference.Hc.final_cost))
@@ -402,21 +402,20 @@ let prop_replicate_delta_matches_apply =
       Assignment_state.release st;
       !ok)
 
-(* The move phase is identical with and without replication (the phase
-   runs strictly after move convergence and only applies strict
-   improvements), so enabling it can never produce a worse schedule; the
-   reported cost stays exact and the result valid and reconciling. *)
+(* Replication runs on the move phase's local minimum and applies only
+   strict improvements, so it can never produce a worse schedule; the
+   result stays valid and reconciling. *)
 let prop_hc_replicate_never_worse =
   Test_util.qtest ~count:40 "hc with replication monotone + valid" gen3
     (fun (dag, (m, seed)) ->
       let rng = Rng.create seed in
       let s = start_schedule rng dag m.Machine.p in
-      let _, plain = Hc.improve ~check:true m s in
-      let rep_sched, rep = Hc.improve ~check:true ~replicate:true m s in
+      let plain_sched, plain = Hc.improve ~check:true m s in
+      let rep_sched = Hc.replicate_schedule ~check:true m plain_sched in
+      let rep_cost = Bsp_cost.total m rep_sched in
       Validity.is_valid m rep_sched
-      && rep.Hc.final_cost <= plain.Hc.final_cost
-      && Bsp_cost.total m rep_sched = rep.Hc.final_cost
-      && (rep.Hc.replicas_added > 0 || rep.Hc.final_cost = plain.Hc.final_cost)
+      && rep_cost <= plain.Hc.final_cost
+      && (Schedule.num_replicas rep_sched > 0 || rep_cost = plain.Hc.final_cost)
       && (match
             Profile.reconcile (Profile.compute m rep_sched)
               (Bsp_cost.breakdown m rep_sched)

@@ -402,6 +402,25 @@ let test_events_ring_wrap () =
       check "newest retained arg" 1499
         (List.nth evs (List.length evs - 1)).Obs.Events.ev_arg)
 
+(* The record path allocates nothing: the clock reading is an immediate
+   nanosecond count, so 4000 events after a warm-up (which registers
+   this domain's ring) add no minor-heap words. An explicit [~arg] would
+   box its option at the call site, so none is passed. *)
+let test_events_record_allocates_nothing () =
+  Obs.Events.enable ();
+  Fun.protect ~finally:Obs.Events.disable (fun () ->
+      Obs.Events.instant k_test_a;
+      let w0 = Gc.minor_words () in
+      for i = 1 to 1000 do
+        Obs.Events.begin_ k_test_a;
+        Obs.Events.end_ k_test_a;
+        Obs.Events.instant k_test_b;
+        Obs.Events.sample k_test_b i
+      done;
+      let words = Gc.minor_words () -. w0 in
+      check "events recorded" 4001 (Obs.Events.recorded ());
+      check "minor words for 4000 events" 0 (int_of_float words))
+
 let test_events_chrome_trace () =
   (* Deterministic timestamps via the fake clock: each now () call
      advances 1 ms and begin_/end_ are adjacent calls, so the span's
@@ -642,22 +661,33 @@ let test_pipeline_metrics_json_valid () =
 
 let test_pipeline_instrumentation_differential () =
   (* With [stage_seconds = None] the pipeline is deterministic, so a run
-     with a registry installed must produce exactly the same schedule
-     cost as one without. *)
+     with a registry installed, or with the flight recorder on, must
+     produce exactly the same schedule as one without. *)
   let machine, dag = accounting_instance () in
   let bare, bare_stage = Pipeline.run ~limits:accounting_limits machine dag in
   let r = Obs.Metrics.create () in
-  let instrumented, instr_stage =
+  let registry_run =
     Obs.Metrics.with_registry r (fun () ->
         Pipeline.run ~limits:accounting_limits machine dag)
   in
-  check "same final cost" (Bsp_cost.total machine bare)
-    (Bsp_cost.total machine instrumented);
-  check "same init cost" bare_stage.Pipeline.init_cost instr_stage.Pipeline.init_cost;
-  check "same after_local_search" bare_stage.Pipeline.after_local_search
-    instr_stage.Pipeline.after_local_search;
-  check_str "same winning initialiser" bare_stage.Pipeline.best_init_name
-    instr_stage.Pipeline.best_init_name
+  Obs.Events.enable ();
+  let recorder_run =
+    Fun.protect ~finally:Obs.Events.disable (fun () ->
+        let run = Pipeline.run ~limits:accounting_limits machine dag in
+        check_bool "recorder saw the run" true (Obs.Events.recorded () > 0);
+        run)
+  in
+  List.iter
+    (fun (name, (sched, stage)) ->
+      check_str (name ^ ": same schedule") (Schedule_io.to_string bare)
+        (Schedule_io.to_string sched);
+      check (name ^ ": same init cost") bare_stage.Pipeline.init_cost
+        stage.Pipeline.init_cost;
+      check (name ^ ": same after_local_search") bare_stage.Pipeline.after_local_search
+        stage.Pipeline.after_local_search;
+      check_str (name ^ ": same winning initialiser") bare_stage.Pipeline.best_init_name
+        stage.Pipeline.best_init_name)
+    [ ("registry", registry_run); ("recorder", recorder_run) ]
 
 let test_write_json_file () =
   let r = Obs.Metrics.create () in
@@ -786,6 +816,8 @@ let () =
           Alcotest.test_case "record + dump" `Quick test_events_record_and_dump;
           Alcotest.test_case "ring wrap drops oldest" `Quick test_events_ring_wrap;
           Alcotest.test_case "chrome trace export" `Quick test_events_chrome_trace;
+          Alcotest.test_case "record path allocates nothing" `Quick
+            test_events_record_allocates_nothing;
         ] );
       ( "spans",
         [

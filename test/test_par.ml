@@ -230,10 +230,9 @@ let prop_multilevel_jobs_invariant =
        QCheck2.Gen.(int_range 1 1000)
        (fun seed ->
          let machine, dag = instance_of_seed seed in
-         let config = { Multilevel.default_config with Multilevel.ratios = [ 0.5; 0.3 ] } in
          let run () =
            Bsp_cost.total machine
-             (Pipeline.run_multilevel ~limits:par_limits ~config machine dag)
+             (Pipeline.run_multilevel ~limits:par_limits ~ratios:[ 0.5; 0.3 ] machine dag)
          in
          Par.with_jobs 1 run = Par.with_jobs 4 run))
 

@@ -57,6 +57,21 @@ let test_multilevel_pipeline () =
   let single = Pipeline.run_multilevel_ratio ~limits:fast_test_limits ~ratio:0.3 m dag in
   check_bool "single ratio valid" true (Validity.is_valid m single)
 
+(* [ratios] replaces the default list: a single ratio runs exactly the
+   single-ratio pipeline, and an empty list is refused. *)
+let test_multilevel_ratios () =
+  let rng = Rng.create 9 in
+  let dag = Finegrained.exp (Sparse_matrix.random rng ~n:12 ~q:0.2) ~k:3 in
+  let m = Machine.numa_tree ~p:4 ~g:1 ~l:5 ~delta:3 in
+  let limits = { fast_test_limits with Pipeline.stage_seconds = None } in
+  Alcotest.(check string)
+    "one ratio = run_multilevel_ratio"
+    (Schedule_io.to_string (Pipeline.run_multilevel_ratio ~limits ~ratio:0.3 m dag))
+    (Schedule_io.to_string (Pipeline.run_multilevel ~limits ~ratios:[ 0.3 ] m dag));
+  Alcotest.check_raises "no ratios"
+    (Invalid_argument "Pipeline.run_multilevel: no ratios configured") (fun () ->
+      ignore (Pipeline.run_multilevel ~limits ~ratios:[] m dag))
+
 let test_experiment_evaluate () =
   let rng = Rng.create 11 in
   let dag = Finegrained.exp (Sparse_matrix.random rng ~n:10 ~q:0.2) ~k:2 in
@@ -106,6 +121,7 @@ let () =
           Alcotest.test_case "single processor optimal" `Quick test_pipeline_single_processor;
           Alcotest.test_case "ilp-init enabled" `Quick test_pipeline_ilp_init_enabled;
           Alcotest.test_case "multilevel pipeline" `Quick test_multilevel_pipeline;
+          Alcotest.test_case "multilevel ratios" `Quick test_multilevel_ratios;
           Alcotest.test_case "experiment evaluate" `Quick test_experiment_evaluate;
           Alcotest.test_case "aggregation math" `Quick test_aggregation_math;
         ] );
