@@ -62,16 +62,6 @@ let fold_pred g v ~init f =
   done;
   !acc
 
-let exists_succ g v f =
-  let i = ref g.succ_off.(v) in
-  let stop = g.succ_off.(v + 1) in
-  let found = ref false in
-  while (not !found) && !i < stop do
-    if f (Array.unsafe_get g.succ_tgt !i) then found := true;
-    incr i
-  done;
-  !found
-
 let exists_pred g v f =
   let i = ref g.pred_off.(v) in
   let stop = g.pred_off.(v + 1) in
@@ -82,7 +72,6 @@ let exists_pred g v f =
   done;
   !found
 
-let for_all_succ g v f = not (exists_succ g v (fun w -> not (f w)))
 let for_all_pred g v f = not (exists_pred g v (fun w -> not (f w)))
 
 let total_work g = Array.fold_left ( + ) 0 g.work

@@ -87,9 +87,7 @@ val iter_succ : t -> int -> (int -> unit) -> unit
 val iter_pred : t -> int -> (int -> unit) -> unit
 val fold_succ : t -> int -> init:'a -> ('a -> int -> 'a) -> 'a
 val fold_pred : t -> int -> init:'a -> ('a -> int -> 'a) -> 'a
-val exists_succ : t -> int -> (int -> bool) -> bool
 val exists_pred : t -> int -> (int -> bool) -> bool
-val for_all_succ : t -> int -> (int -> bool) -> bool
 val for_all_pred : t -> int -> (int -> bool) -> bool
 
 val succ_offsets : t -> int array

@@ -22,9 +22,9 @@ type t = {
   wmax_c : int array;
   hmax_c : int array;
   (* first_need.(u * p + q): earliest superstep in which processor q
-     needs the value of u (min step over successors of u assigned to q);
-     max_int when q has no successor of u. Entries exist for every q
-     including proc.(u); only q <> proc.(u) induce lazy communication
+     needs the value of u (min step over the successor placements on
+     q); max_int when q has none. Entries exist for every q; only the
+     processors holding no placement of u induce lazy communication
      events, pinned to phase first_need - 1. *)
   first_need : int array;
   (* fn_count.(u * p + q): how many successors of u on q attain
@@ -113,161 +113,30 @@ type t = {
 
 let no_need = max_int
 
-let machine t = t.machine_
 let num_steps t = t.num_steps_
 let proc t v = t.proc_.(v)
 let step t v = t.step_.(v)
 let total_cost t = Cost_table.total t.table
 
-let recompute_first_need st u =
-  let base = u * st.p in
-  for q = 0 to st.p - 1 do
-    st.first_need.(base + q) <- no_need;
-    st.fn_count.(base + q) <- 0
-  done;
-  (* Every placement of a successor is a consumer: the primary on
-     proc_.(v) and each replica on its own processor, all at step_.(v). *)
-  let consume idx s =
-    if s < st.first_need.(idx) then begin
-      st.first_need.(idx) <- s;
-      st.fn_count.(idx) <- 1
-    end
-    else if s = st.first_need.(idx) then st.fn_count.(idx) <- st.fn_count.(idx) + 1
-  in
-  for i = st.soff.(u) to st.soff.(u + 1) - 1 do
-    let v = Array.unsafe_get st.stgt i in
-    let s = st.step_.(v) in
-    consume (base + st.proc_.(v)) s;
-    if st.rep_total > 0 then
-      List.iter (fun r -> consume (base + r) s) st.reps_.(v)
-  done;
-  let cnt = ref 0 in
-  for q = 0 to st.p - 1 do
-    if st.first_need.(base + q) <> no_need then incr cnt
-  done;
-  st.ev_cnt.(u) <- !cnt
+(* ------------------------------------------------------------------ *)
+(* The lazy event rule (DESIGN.md Section 5g). Placements are primaries
+   and replicas alike; without replicas placed_ marks exactly the
+   primary, so the single-node moves and the replication moves share
+   these helpers. *)
 
-(* Recompute first_need/fn_count of u towards q alone, from the current
-   assignment (used when the unique minimiser moved away). *)
-let rescan_fn st u q =
-  let idx = (u * st.p) + q in
-  let old_fn = st.first_need.(idx) in
-  let m = ref no_need and c = ref 0 in
+(* Earliest step of u's successors other than [v] with a placement on
+   q, or no_need: first_need(u, q) once v stops consuming there. *)
+let min_step_without st u ~v q =
+  let m = ref no_need in
   for i = st.soff.(u) to st.soff.(u + 1) - 1 do
     let w = Array.unsafe_get st.stgt i in
-    if st.proc_.(w) = q then begin
-      let s = st.step_.(w) in
-      if s < !m then begin
-        m := s;
-        c := 1
-      end
-      else if s = !m then incr c
-    end
+    if w <> v && st.placed_.((w * st.p) + q) && st.step_.(w) < !m then m := st.step_.(w)
   done;
-  st.first_need.(idx) <- !m;
-  st.fn_count.(idx) <- !c;
-  if old_fn = no_need && !m <> no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) + 1
-  else if old_fn <> no_need && !m = no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) - 1
+  !m
 
-(* Add (sign = +1) or remove (sign = -1) the lazy communication event of
-   producer u towards destination q, if any. *)
-let source_comm_one st u q sign =
-  let src = st.proc_.(u) in
-  if q <> src then begin
-    let fn = st.first_need.((u * st.p) + q) in
-    if fn <> no_need then begin
-      let vol = sign * Dag.comm st.dag u * Machine.lambda st.machine_ src q in
-      Cost_table.add_send st.table ~step:(fn - 1) ~proc:src vol;
-      Cost_table.add_recv st.table ~step:(fn - 1) ~proc:q vol
-    end
-  end
-
-let source_comm_all st u sign =
-  for q = 0 to st.p - 1 do
-    source_comm_one st u q sign
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Replication-aware bookkeeping (DESIGN.md Section 5g). With
-   rep_total = 0 these coincide exactly with the plain helpers above;
-   the single-node move path keeps the plain versions (moves are
-   rejected once replicas exist), while [init] and the replication
-   moves route through these. *)
-
-(* Nearest placement of u to destination q by lambda: the primary, then
-   the replicas in ascending processor order, improving on strictly
-   shorter distance only — a deterministic tie-break that favours the
-   primary and then the lowest replica processor. *)
-let nearest_src st u q =
-  let src = ref st.proc_.(u) in
-  if st.rep_total > 0 then begin
-    let lam = st.machine_.Machine.lambda in
-    let best = ref lam.(!src).(q) in
-    List.iter
-      (fun r ->
-        let d = lam.(r).(q) in
-        if d < !best then begin
-          best := d;
-          src := r
-        end)
-      st.reps_.(u)
-  end;
-  !src
-
-(* [nearest_src] as if the placement of u on [excl] did not exist —
-   i.e. the source after that replica is dropped (the scan order and
-   tie-break are unchanged, so this is exact). The primary is never
-   excluded. *)
-let nearest_src_without st u q ~excl =
-  let lam = st.machine_.Machine.lambda in
-  let src = ref st.proc_.(u) in
-  let best = ref lam.(!src).(q) in
-  List.iter
-    (fun r ->
-      if r <> excl then begin
-        let d = lam.(r).(q) in
-        if d < !best then begin
-          best := d;
-          src := r
-        end
-      end)
-    st.reps_.(u);
-  !src
-
-(* Source of u's event towards q once a replica of u lands on [cand]:
-   the candidate takes over on a strictly shorter lambda, or on a tie
-   that [nearest_src]'s scan order (primary first, then ascending
-   replica processors) resolves in its favour. Exactness here is what
-   keeps delta_cost_replicate equal to the applied cost change. *)
-let src_with_replica st u ~cand q ~cur =
-  let lam = st.machine_.Machine.lambda in
-  let dc = lam.(cand).(q) and dcur = lam.(cur).(q) in
-  if dc < dcur || (dc = dcur && cur <> st.proc_.(u) && cand < cur) then cand
-  else cur
-
-(* Add/remove the lazy event of producer u towards q in the replicated
-   model: an event exists iff no placement of u sits on q and some
-   consumer placement there needs the value, and it ships from the
-   nearest placement. *)
-let source_comm_one_r st u q sign =
-  if not st.placed_.((u * st.p) + q) then begin
-    let fn = st.first_need.((u * st.p) + q) in
-    if fn <> no_need then begin
-      let src = nearest_src st u q in
-      let vol = sign * Dag.comm st.dag u * Machine.lambda st.machine_ src q in
-      Cost_table.add_send st.table ~step:(fn - 1) ~proc:src vol;
-      Cost_table.add_recv st.table ~step:(fn - 1) ~proc:q vol
-    end
-  end
-
-let source_comm_all_r st u sign =
-  for q = 0 to st.p - 1 do
-    source_comm_one_r st u q sign
-  done
-
-(* Placement-aware [rescan_fn]: a successor consumes on q when any of
-   its placements sits there. *)
-let rescan_fn_r st u q =
+(* Recompute first_need/fn_count of u towards q alone, from the current
+   placements (used when the unique minimiser left q). *)
+let rescan_fn st u q =
   let idx = (u * st.p) + q in
   let old_fn = st.first_need.(idx) in
   let m = ref no_need and c = ref 0 in
@@ -286,6 +155,94 @@ let rescan_fn_r st u q =
   st.fn_count.(idx) <- !c;
   if old_fn = no_need && !m <> no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) + 1
   else if old_fn <> no_need && !m = no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) - 1
+
+(* A consumer placement of u's value appears on q at step s. *)
+let fn_add st u q s =
+  let idx = (u * st.p) + q in
+  let old_fn = st.first_need.(idx) in
+  if s < old_fn then begin
+    (* old_fn = no_need means q had no event from u before. *)
+    if old_fn = no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) + 1;
+    st.first_need.(idx) <- s;
+    st.fn_count.(idx) <- 1
+  end
+  else if s = old_fn then st.fn_count.(idx) <- st.fn_count.(idx) + 1
+
+(* A consumer placement of u's value at step s has left q (placed_ must
+   already say so). Rescans the successors only when it was the unique
+   minimiser. *)
+let fn_remove st u q s =
+  let idx = (u * st.p) + q in
+  if s = st.first_need.(idx) then begin
+    if st.fn_count.(idx) > 1 then st.fn_count.(idx) <- st.fn_count.(idx) - 1
+    else rescan_fn st u q
+  end
+
+(* first_need, fn_count and ev_cnt of u from scratch. Every placement of
+   a successor is a consumer: the primary on proc_.(v) and each replica
+   on its own processor, all at step_.(v). *)
+let recompute_first_need st u =
+  let base = u * st.p in
+  for q = 0 to st.p - 1 do
+    st.first_need.(base + q) <- no_need;
+    st.fn_count.(base + q) <- 0
+  done;
+  st.ev_cnt.(u) <- 0;
+  for i = st.soff.(u) to st.soff.(u + 1) - 1 do
+    let v = Array.unsafe_get st.stgt i in
+    fn_add st u st.proc_.(v) st.step_.(v);
+    if st.rep_total > 0 then List.iter (fun r -> fn_add st u r st.step_.(v)) st.reps_.(v)
+  done
+
+let rec nearest_in lam q excl src best = function
+  | [] -> src
+  | r :: rest ->
+    let d = lam.(r).(q) in
+    if r <> excl && d < best then nearest_in lam q excl r d rest
+    else nearest_in lam q excl src best rest
+
+(* Nearest placement of u to destination q by lambda, ignoring the
+   replica on [excl] (the source once that replica is dropped): the
+   primary, then the replicas in ascending processor order, improving
+   on strictly shorter distance only — a deterministic tie-break that
+   favours the primary and then the lowest replica processor. The
+   primary is never excluded. A top-level scan keeps this
+   allocation-free. *)
+let nearest_src ?(excl = -1) st u q =
+  let lam = st.machine_.Machine.lambda in
+  let src = st.proc_.(u) in
+  nearest_in lam q excl src lam.(src).(q) st.reps_.(u)
+
+(* Source of u's event towards q once a replica of u lands on [cand]:
+   the candidate takes over on a strictly shorter lambda, or on a tie
+   that [nearest_src]'s scan order (primary first, then ascending
+   replica processors) resolves in its favour. Exactness here is what
+   keeps delta_cost_replicate equal to the applied cost change. *)
+let src_with_replica st u ~cand q ~cur =
+  let lam = st.machine_.Machine.lambda in
+  let dc = lam.(cand).(q) and dcur = lam.(cur).(q) in
+  if dc < dcur || (dc = dcur && cur <> st.proc_.(u) && cand < cur) then cand
+  else cur
+
+(* Add (sign = +1) or remove (sign = -1) the lazy event of producer u
+   towards q: it exists iff no placement of u sits on q and some
+   consumer placement there needs the value, and it ships from the
+   nearest placement. *)
+let source_comm_one st u q sign =
+  if not st.placed_.((u * st.p) + q) then begin
+    let fn = st.first_need.((u * st.p) + q) in
+    if fn <> no_need then begin
+      let src = nearest_src st u q in
+      let vol = sign * Dag.comm st.dag u * Machine.lambda st.machine_ src q in
+      Cost_table.add_send st.table ~step:(fn - 1) ~proc:src vol;
+      Cost_table.add_recv st.table ~step:(fn - 1) ~proc:q vol
+    end
+  end
+
+let source_comm_all st u sign =
+  for q = 0 to st.p - 1 do
+    source_comm_one st u q sign
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch pooling (DESIGN.md Section 5f).
@@ -466,7 +423,7 @@ let init machine (sched : Schedule.t) =
   done;
   for u = 0 to n - 1 do
     recompute_first_need st u;
-    source_comm_all_r st u 1
+    source_comm_all st u 1
   done;
   Cost_table.refresh st.table;
   st
@@ -667,14 +624,7 @@ let fn_after st u q v p2 s2 =
     if st.proc_.(v) <> q then old_fn
     else if st.step_.(v) > old_fn then old_fn
     else if st.fn_count.(idx) > 1 then old_fn
-    else begin
-      let m = ref no_need in
-      for i = st.soff.(u) to st.soff.(u + 1) - 1 do
-        let w = Array.unsafe_get st.stgt i in
-        if w <> v && st.proc_.(w) = q && st.step_.(w) < !m then m := st.step_.(w)
-      done;
-      !m
-    end
+    else min_step_without st u ~v q
   in
   if p2 = q && s2 < without_v then s2 else without_v
 
@@ -762,16 +712,11 @@ let delta_cost st v p2 s2 =
            let old_fn = Array.unsafe_get st.first_need idx in
            (* v is a successor of u on p1, so old_fn <= s1 < no_need. *)
            if s1 = old_fn && Array.unsafe_get st.fn_count idx = 1 then begin
-             let m = ref no_need in
-             for i = st.soff.(u) to st.soff.(u + 1) - 1 do
-               let w = Array.unsafe_get st.stgt i in
-               if w <> v && st.proc_.(w) = p1 && st.step_.(w) < !m then
-                 m := st.step_.(w)
-             done;
-             if !m <> old_fn then begin
+             let m = min_step_without st u ~v p1 in
+             if m <> old_fn then begin
                let vol = Dag.comm st.dag u * st.machine_.Machine.lambda.(src).(p1) in
                acc_comm st (old_fn - 1) ~src ~dst:p1 (-vol);
-               if !m <> no_need then acc_comm st (!m - 1) ~src ~dst:p1 vol
+               if m <> no_need then acc_comm st (m - 1) ~src ~dst:p1 vol
              end
            end);
         if p2 <> src then begin
@@ -963,18 +908,13 @@ let build_row_base st v =
          let idx = (u * st.p) + p1 in
          let old_fn = Array.unsafe_get st.first_need idx in
          if s1 = old_fn && Array.unsafe_get st.fn_count idx = 1 then begin
-           let m = ref no_need in
-           for i = st.soff.(u) to st.soff.(u + 1) - 1 do
-             let w = Array.unsafe_get st.stgt i in
-             if w <> v && st.proc_.(w) = p1 && st.step_.(w) < !m then
-               m := st.step_.(w)
-           done;
-           if !m <> old_fn then begin
+           let m = min_step_without st u ~v p1 in
+           if m <> old_fn then begin
              let vol = Dag.comm st.dag u * st.machine_.Machine.lambda.(src).(p1) in
              acc_comm st (old_fn - 1) ~src ~dst:p1 (-vol);
-             if !m <> no_need then acc_comm st (!m - 1) ~src ~dst:p1 vol
+             if m <> no_need then acc_comm st (m - 1) ~src ~dst:p1 vol
            end;
-           !m
+           m
          end
          else old_fn
        end)
@@ -1097,44 +1037,6 @@ let iter_last_touched_steps st f =
 (* ------------------------------------------------------------------ *)
 (* Mutation.                                                           *)
 
-(* Incremental first_need/fn_count update of u towards q when v (a
-   successor of u) moves from (p1, s1) to (p2, s2); proc_/step_ of v
-   must already hold the new values. Falls back to a successor rescan
-   only when the unique minimiser left q. *)
-let update_fn st u q ~p1 ~s1 ~p2 ~s2 =
-  let idx = (u * st.p) + q in
-  let old_fn = st.first_need.(idx) in
-  let removed = q = p1 and added = q = p2 in
-  if removed && added then begin
-    (* v stays on q, moving s1 -> s2 (old_fn <= s1 by definition). *)
-    if s2 < old_fn then begin
-      st.first_need.(idx) <- s2;
-      st.fn_count.(idx) <- 1
-    end
-    else if s2 = old_fn then begin
-      if s1 <> old_fn then st.fn_count.(idx) <- st.fn_count.(idx) + 1
-    end
-    else if s1 = old_fn then begin
-      if st.fn_count.(idx) > 1 then st.fn_count.(idx) <- st.fn_count.(idx) - 1
-      else rescan_fn st u q
-    end
-  end
-  else if removed then begin
-    if s1 = old_fn then begin
-      if st.fn_count.(idx) > 1 then st.fn_count.(idx) <- st.fn_count.(idx) - 1
-      else rescan_fn st u q
-    end
-  end
-  else if added then begin
-    if s2 < old_fn then begin
-      (* old_fn = no_need means q had no event from u before this move. *)
-      if old_fn = no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) + 1;
-      st.first_need.(idx) <- s2;
-      st.fn_count.(idx) <- 1
-    end
-    else if s2 = old_fn then st.fn_count.(idx) <- st.fn_count.(idx) + 1
-  end
-
 (* Apply the move unconditionally (the caller compares delta_cost and
    only applies accepted moves; the state remains a pure function of the
    assignment, so any move can still be undone by its inverse). *)
@@ -1160,8 +1062,10 @@ let apply_move st v p2 s2 =
   st.placed_.((v * st.p) + p2) <- true;
   for i = st.poff.(v) to st.poff.(v + 1) - 1 do
     let u = Array.unsafe_get st.ptgt i in
-    update_fn st u p1 ~p1 ~s1 ~p2 ~s2;
-    if p2 <> p1 then update_fn st u p2 ~p1 ~s1 ~p2 ~s2;
+    (* Adding before removing keeps a same-processor move exact: the
+       removal's rescan (if any) already sees v at s2. *)
+    fn_add st u p2 s2;
+    fn_remove st u p1 s1;
     source_comm_one st u p1 1;
     if p2 <> p1 then source_comm_one st u p2 1
   done;
@@ -1226,7 +1130,6 @@ let valid_drop_replica st v q =
    row base and must not interleave with row evaluations. *)
 let delta_cost_replicate st v q =
   reset_scratch st;
-  st.row_node <- -1;
   let s = st.step_.(v) in
   let cv = Dag.comm st.dag v in
   let lam = st.machine_.Machine.lambda in
@@ -1267,7 +1170,6 @@ let delta_cost_replicate st v q =
    later or vanish. *)
 let delta_cost_drop_replica st v q =
   reset_scratch st;
-  st.row_node <- -1;
   let s = st.step_.(v) in
   let cv = Dag.comm st.dag v in
   let lam = st.machine_.Machine.lambda in
@@ -1277,13 +1179,13 @@ let delta_cost_drop_replica st v q =
     let fn = Array.unsafe_get st.first_need (base + r) in
     if fn <> no_need then begin
       if r = q then begin
-        let src = nearest_src_without st v q ~excl:q in
+        let src = nearest_src ~excl:q st v q in
         acc_comm st (fn - 1) ~src ~dst:q (cv * lam.(src).(q))
       end
       else if not st.placed_.(base + r) then begin
         let cur = nearest_src st v r in
         if cur = q then begin
-          let src = nearest_src_without st v r ~excl:q in
+          let src = nearest_src ~excl:q st v r in
           acc_comm st (fn - 1) ~src:q ~dst:r (-(cv * lam.(q).(r)));
           acc_comm st (fn - 1) ~src ~dst:r (cv * lam.(src).(r))
         end
@@ -1298,17 +1200,12 @@ let delta_cost_drop_replica st v q =
       (* the replica consumes u at step s, so old_fn <= s; the event
          moves only when the replica was the unique attainer *)
       if s = old_fn && Array.unsafe_get st.fn_count idx = 1 then begin
-        let m = ref no_need in
-        for i = st.soff.(u) to st.soff.(u + 1) - 1 do
-          let w = Array.unsafe_get st.stgt i in
-          if w <> v && st.placed_.((w * st.p) + q) && st.step_.(w) < !m then
-            m := st.step_.(w)
-        done;
-        if !m <> old_fn then begin
+        let m = min_step_without st u ~v q in
+        if m <> old_fn then begin
           let src = nearest_src st u q in
           let vol = Dag.comm st.dag u * lam.(src).(q) in
           acc_comm st (old_fn - 1) ~src ~dst:q (-vol);
-          if !m <> no_need then acc_comm st (!m - 1) ~src ~dst:q vol
+          if m <> no_need then acc_comm st (m - 1) ~src ~dst:q vol
         end
       end
     end
@@ -1328,10 +1225,10 @@ let rec insert_sorted q = function
 let apply_replicate st v q =
   st.row_node <- -1;
   let s = st.step_.(v) in
-  source_comm_all_r st v (-1);
+  source_comm_all st v (-1);
   let pbase = st.poff.(v) and pstop = st.poff.(v + 1) in
   for i = pbase to pstop - 1 do
-    source_comm_one_r st (Array.unsafe_get st.ptgt i) q (-1)
+    source_comm_one st (Array.unsafe_get st.ptgt i) q (-1)
   done;
   Cost_table.add_work st.table ~step:s ~proc:q (Dag.work st.dag v);
   st.placed_.((v * st.p) + q) <- true;
@@ -1340,26 +1237,19 @@ let apply_replicate st v q =
   st.rep_nodes <- v :: st.rep_nodes;
   for i = pbase to pstop - 1 do
     let u = Array.unsafe_get st.ptgt i in
-    let idx = (u * st.p) + q in
-    let old_fn = st.first_need.(idx) in
-    if s < old_fn then begin
-      if old_fn = no_need then st.ev_cnt.(u) <- st.ev_cnt.(u) + 1;
-      st.first_need.(idx) <- s;
-      st.fn_count.(idx) <- 1
-    end
-    else if s = old_fn then st.fn_count.(idx) <- st.fn_count.(idx) + 1;
-    source_comm_one_r st u q 1
+    fn_add st u q s;
+    source_comm_one st u q 1
   done;
-  source_comm_all_r st v 1;
+  source_comm_all st v 1;
   Cost_table.refresh st.table
 
 let apply_drop_replica st v q =
   st.row_node <- -1;
   let s = st.step_.(v) in
-  source_comm_all_r st v (-1);
+  source_comm_all st v (-1);
   let pbase = st.poff.(v) and pstop = st.poff.(v + 1) in
   for i = pbase to pstop - 1 do
-    source_comm_one_r st (Array.unsafe_get st.ptgt i) q (-1)
+    source_comm_one st (Array.unsafe_get st.ptgt i) q (-1)
   done;
   Cost_table.add_work st.table ~step:s ~proc:q (-(Dag.work st.dag v));
   st.placed_.((v * st.p) + q) <- false;
@@ -1368,14 +1258,10 @@ let apply_drop_replica st v q =
   (* rep_nodes keeps v: release tolerates duplicates and empty lists *)
   for i = pbase to pstop - 1 do
     let u = Array.unsafe_get st.ptgt i in
-    let idx = (u * st.p) + q in
-    if s = st.first_need.(idx) then begin
-      if st.fn_count.(idx) > 1 then st.fn_count.(idx) <- st.fn_count.(idx) - 1
-      else rescan_fn_r st u q (* v's placed bit is already clear *)
-    end;
-    source_comm_one_r st u q 1
+    fn_remove st u q s (* v's placed bit is already clear *);
+    source_comm_one st u q 1
   done;
-  source_comm_all_r st v 1;
+  source_comm_all st v 1;
   Cost_table.refresh st.table
 
 let snapshot st =

@@ -4,8 +4,10 @@
     to another processor and/or an adjacent superstep — and needs the
     cost of each candidate in (near-)constant time. This module owns that
     machinery: the assignment arrays, the per-(node, processor)
-    first-need table pinning the lazy communication events, and the
-    incremental {!Cost_table}.
+    first-need table pinning the lazy communication events (those of
+    {!Schedule.lazy_comm}, or of {!Schedule.lazy_comm_replicated} once
+    the state holds replicas: one placement-aware rule covers both), and
+    the incremental {!Cost_table}.
 
     The state is a pure function of the assignment [(pi, tau)], so any
     applied move can be rolled back exactly by applying the inverse
@@ -35,8 +37,10 @@ val init : Machine.t -> Schedule.t -> t
 
     States draw their scratch arrays from a per-domain pool fed by
     {!release}, so a search loop that releases its states runs
-    allocation-free across iterations — the point of the pooling is to
-    keep the parallel candidate fan-out off the minor heap (DESIGN.md
+    allocation-free across iterations: with the pool warm, [init] and
+    [release] allocate only the state record and a few small boxes,
+    whatever the instance's size. The point of the pooling is to keep
+    the parallel candidate fan-out off the minor heap (DESIGN.md
     Section 5f). *)
 
 val release : t -> unit
@@ -56,7 +60,6 @@ val prewarm : Machine.t -> Dag.t -> num_steps:int -> unit
     level's arrays too small and falls back to allocation. No-op when
     the pool already holds a state of sufficient capacity. *)
 
-val machine : t -> Machine.t
 val num_steps : t -> int
 val proc : t -> int -> int
 val step : t -> int -> int

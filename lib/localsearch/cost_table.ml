@@ -136,9 +136,6 @@ let total t = t.total
 let step_cost t s = t.step_cost_.(s)
 let step_costs t = t.step_cost_
 
-let work t ~step ~proc = t.work.(step).(proc)
-let send t ~step ~proc = t.send.(step).(proc)
-let recv t ~step ~proc = t.recv.(step).(proc)
 
 let work_matrix t = t.work
 let send_matrix t = t.send

@@ -56,10 +56,6 @@ val step_cost : t -> int -> int
     {!refresh}. Read-only delta evaluation compares a candidate's
     recomputed superstep cost against this cached value. *)
 
-val work : t -> step:int -> proc:int -> int
-val send : t -> step:int -> proc:int -> int
-val recv : t -> step:int -> proc:int -> int
-
 val step_costs : t -> int array
 (** The cached per-superstep cost vector behind {!step_cost}, as a
     read-only view (same caveats as the matrix accessors below). *)

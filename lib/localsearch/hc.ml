@@ -50,51 +50,36 @@ let try_move ~check st v p2 s2 =
    every strict improvement, then reconsiders existing replicas for
    dropping; rounds repeat until one passes without a change. *)
 
-let try_replicate ~check st v q =
-  let delta = Assignment_state.delta_cost_replicate st v q in
-  if delta < 0 then begin
+(* Accept a replication move [apply] (a replica added or dropped) iff
+   its read-only [delta] is negative. In check mode the delta must match
+   the applied change, and a rejected move is applied and rolled back
+   through its inverse [undo], which must restore the total exactly. *)
+let try_replica_move ~check st ~name delta apply undo v q =
+  let accept = delta < 0 in
+  if accept || check then begin
     let before = Assignment_state.total_cost st in
-    Assignment_state.apply_replicate st v q;
+    apply st v q;
     if check && Assignment_state.total_cost st <> before + delta then
-      failwith "Hc: delta_cost_replicate disagrees with apply_replicate";
-    true
-  end
-  else begin
-    if check then begin
-      let before = Assignment_state.total_cost st in
-      Assignment_state.apply_replicate st v q;
-      if Assignment_state.total_cost st <> before + delta then
-        failwith "Hc: delta_cost_replicate disagrees with apply_replicate";
-      (* a just-placed replica is always droppable: its consumers on q
-         were strictly later than v in the pre-move (valid) schedule *)
-      Assignment_state.apply_drop_replica st v q;
+      failwith ("Hc: " ^ name ^ " disagrees with the applied move");
+    if not accept then begin
+      undo st v q;
       if Assignment_state.total_cost st <> before then
         failwith "Hc: replica rollback did not restore the total cost"
-    end;
-    false
-  end
+    end
+  end;
+  accept
+
+(* A just-placed replica is always droppable: its consumers on q were
+   strictly later than v in the pre-move (valid) schedule. *)
+let try_replicate ~check st v q =
+  try_replica_move ~check st ~name:"delta_cost_replicate"
+    (Assignment_state.delta_cost_replicate st v q)
+    Assignment_state.apply_replicate Assignment_state.apply_drop_replica v q
 
 let try_drop ~check st v q =
-  let delta = Assignment_state.delta_cost_drop_replica st v q in
-  if delta < 0 then begin
-    let before = Assignment_state.total_cost st in
-    Assignment_state.apply_drop_replica st v q;
-    if check && Assignment_state.total_cost st <> before + delta then
-      failwith "Hc: delta_cost_drop_replica disagrees with apply_drop_replica";
-    true
-  end
-  else begin
-    if check then begin
-      let before = Assignment_state.total_cost st in
-      Assignment_state.apply_drop_replica st v q;
-      if Assignment_state.total_cost st <> before + delta then
-        failwith "Hc: delta_cost_drop_replica disagrees with apply_drop_replica";
-      Assignment_state.apply_replicate st v q;
-      if Assignment_state.total_cost st <> before then
-        failwith "Hc: replica rollback did not restore the total cost"
-    end;
-    false
-  end
+  try_replica_move ~check st ~name:"delta_cost_drop_replica"
+    (Assignment_state.delta_cost_drop_replica st v q)
+    Assignment_state.apply_drop_replica Assignment_state.apply_replicate v q
 
 let replication_phase ~check ~budget st n =
   let added = ref 0 and dropped = ref 0 and evaluated = ref 0 in

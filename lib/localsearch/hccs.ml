@@ -15,31 +15,20 @@ type pair = {
   mutable cur : int;
 }
 
-(* Flat [n * p] tables instead of (node, processor)-tuple-keyed
-   hashtables: tuple keys allocate a box per probe and hash it, which in
-   the parallel sweep turns this pre-pass into minor-heap churn. The
-   dense table is at most n * p ints — small at the p <= 16 of the
-   experiments — and doubles as a deterministic emission order. *)
 let no_need = max_int
 
+(* The pairs are the events of the lazy schedule, which emits them in
+   ascending (node, dst) order: the order the scan relies on. The
+   input's direct events index a flat [n * p] table rather than a
+   (node, processor)-keyed hashtable, whose tuple keys would allocate a
+   box per probe. *)
 let required_pairs machine (sched : Schedule.t) =
   let dag = sched.Schedule.dag in
-  let n = Dag.n dag in
   let p = machine.Machine.p in
   let proc = sched.Schedule.proc and step = sched.Schedule.step in
-  (* first_need.(u * p + dst): earliest superstep a successor of u on
-     dst needs the value of u; entries only for dst <> proc.(u). *)
-  let first_need = Array.make (max (n * p) 1) no_need in
-  for v = 0 to n - 1 do
-    Dag.iter_pred dag v (fun u ->
-        if proc.(u) <> proc.(v) then begin
-          let idx = (u * p) + proc.(v) in
-          if step.(v) < first_need.(idx) then first_need.(idx) <- step.(v)
-        end)
-  done;
   (* Start each pair from the input schedule's direct event when one fits
      the window; otherwise from the lazy position (window end). *)
-  let initial = Array.make (max (n * p) 1) no_need in
+  let initial = Array.make (max (Dag.n dag * p) 1) no_need in
   List.iter
     (fun (e : Schedule.comm_event) ->
       if e.src = proc.(e.node) then begin
@@ -47,35 +36,23 @@ let required_pairs machine (sched : Schedule.t) =
         if e.step < initial.(idx) then initial.(idx) <- e.step
       end)
     sched.Schedule.comm;
-  (* Emitting in ascending (node, dst) order produces the sorted pair
-     order the scan relies on directly — no sort needed. *)
-  let acc = ref [] in
-  for u = n - 1 downto 0 do
-    let base = u * p in
-    for dst = p - 1 downto 0 do
-      let s0 = first_need.(base + dst) in
-      if s0 <> no_need then begin
-        let src = proc.(u) in
-        let lo = step.(u) and hi = s0 - 1 in
-        let cur =
-          let s = initial.(base + dst) in
-          if s >= lo && s <= hi then s else hi
-        in
-        acc :=
-          {
-            node = u;
-            src;
-            dst;
-            vol = Dag.comm dag u * Machine.lambda machine src dst;
-            lo;
-            hi;
-            cur;
-          }
-          :: !acc
-      end
-    done
-  done;
-  !acc
+  List.map
+    (fun (e : Schedule.comm_event) ->
+      let lo = step.(e.node) and hi = e.step in
+      let cur =
+        let s = initial.((e.node * p) + e.dst) in
+        if s >= lo && s <= hi then s else hi
+      in
+      {
+        node = e.node;
+        src = e.src;
+        dst = e.dst;
+        vol = Dag.comm dag e.node * Machine.lambda machine e.src e.dst;
+        lo;
+        hi;
+        cur;
+      })
+    (Schedule.lazy_comm dag ~proc ~step)
 
 let improve ?(budget = Budget.unlimited ()) machine (sched : Schedule.t) =
   let dag = sched.Schedule.dag in

@@ -49,10 +49,12 @@ type pair = {
 }
 
 val required_pairs : Machine.t -> Schedule.t -> pair list
-(** One entry per (node, destination) pair the assignment requires,
-    initialised from the input schedule's direct events where they fit
-    the window, and lazily otherwise. Shared with the ILPcs formulation,
-    which optimises the same decision space exactly. *)
+(** One entry per event of the assignment's lazy schedule
+    ({!Schedule.lazy_comm}), in its ascending (node, destination) order:
+    the window ends at the lazy phase. Each pair starts from the input
+    schedule's direct event where one fits the window, and at the lazy
+    phase otherwise. Shared with the ILPcs formulation, which optimises
+    the same decision space exactly. *)
 
 val improve :
   ?budget:Budget.t -> Machine.t -> Schedule.t -> Schedule.t * stats

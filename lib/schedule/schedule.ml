@@ -151,12 +151,17 @@ let lazy_comm dag ~proc ~step =
     let p = !p in
     let no_need = max_int in
     let first_need = Array.make (n * p) no_need in
+    (* Direct CSR loops: an [iter_pred] closure would capture [v] and so
+       be allocated once per node. *)
+    let poff = Dag.pred_offsets dag and ptgt = Dag.pred_targets dag in
     for v = 0 to n - 1 do
-      Dag.iter_pred dag v (fun u ->
-          if proc.(u) <> proc.(v) then begin
-            let idx = (u * p) + proc.(v) in
-            if step.(v) < first_need.(idx) then first_need.(idx) <- step.(v)
-          end)
+      for i = poff.(v) to poff.(v + 1) - 1 do
+        let u = ptgt.(i) in
+        if proc.(u) <> proc.(v) then begin
+          let idx = (u * p) + proc.(v) in
+          if step.(v) < first_need.(idx) then first_need.(idx) <- step.(v)
+        end
+      done
     done;
     let acc = ref [] in
     for u = n - 1 downto 0 do
@@ -184,7 +189,7 @@ let with_lazy_comm t =
   if has_replicas t then
     invalid_arg
       "Schedule.with_lazy_comm: schedule has replicas (use \
-       with_lazy_comm_replicated)";
+       lazy_comm_replicated)";
   { t with comm = lazy_comm t.dag ~proc:t.proc ~step:t.step }
 
 (* Earliest step at which any placement (primary or replica) of [u]
@@ -257,9 +262,6 @@ let lazy_comm_replicated machine t =
     done;
     !acc
   end
-
-let with_lazy_comm_replicated machine t =
-  { t with comm = lazy_comm_replicated machine t }
 
 let of_assignment_replicated machine dag ~proc ~step ~replicas =
   let t = make_replicated dag ~proc ~step ~comm:[] ~replicas in
@@ -349,13 +351,3 @@ let compact ?(relazy = false) t =
       }
     end
   end
-
-let copy t =
-  {
-    t with
-    proc = Array.copy t.proc;
-    step = Array.copy t.step;
-    rep_off = Array.copy t.rep_off;
-    rep_proc = Array.copy t.rep_proc;
-    rep_step = Array.copy t.rep_step;
-  }

@@ -146,11 +146,8 @@ val of_assignment_replicated :
 val with_lazy_comm : t -> t
 (** Replace [comm] by the lazy schedule of the assignment. Raises
     [Invalid_argument] on a replicated schedule — use
-    {!with_lazy_comm_replicated} there, which needs the machine's
+    {!lazy_comm_replicated} there, which needs the machine's
     [lambda] to pick senders. *)
-
-val with_lazy_comm_replicated : Machine.t -> t -> t
-(** Replace [comm] by the replica-aware lazy schedule. *)
 
 val drop_replicas : t -> t
 (** Forget all replicas and re-derive the (plain) lazy communication
@@ -177,6 +174,3 @@ val compact : ?relazy:bool -> t -> t
 
 val used_supersteps : t -> int
 (** Number of distinct supersteps that contain at least one placement. *)
-
-val copy : t -> t
-(** Deep copy (fresh arrays; the DAG is shared, being immutable). *)

@@ -1,11 +1,57 @@
 (* The per-candidate HCcs loop of the first implementation, kept as the
-   oracle for the differential property in test_localsearch.ml: every
+   oracle for the differential properties in test_localsearch.ml: every
    candidate phase probes the budget, ticks one step and re-derives both
    touched superstep maxima by scanning their O(p) rows. Hccs.improve
    must reproduce its communication events, its stats and its budget
    consumption exactly. *)
 
 open Hccs
+
+(* The first implementation's pair derivation, kept as the oracle for
+   Hccs.required_pairs (which reads its pairs off Schedule.lazy_comm):
+   one first-need pass over every edge, then one pair per (node,
+   destination) need in ascending (node, dst) order, started from the
+   input's direct event when it fits the window. *)
+let required_pairs machine (sched : Schedule.t) =
+  let dag = sched.Schedule.dag in
+  let n = Dag.n dag in
+  let p = machine.Machine.p in
+  let proc = sched.Schedule.proc and step = sched.Schedule.step in
+  let no_need = max_int in
+  let first_need = Array.make (max (n * p) 1) no_need in
+  for v = 0 to n - 1 do
+    Dag.iter_pred dag v (fun u ->
+        if proc.(u) <> proc.(v) then begin
+          let idx = (u * p) + proc.(v) in
+          if step.(v) < first_need.(idx) then first_need.(idx) <- step.(v)
+        end)
+  done;
+  let initial = Array.make (max (n * p) 1) no_need in
+  List.iter
+    (fun (e : Schedule.comm_event) ->
+      if e.src = proc.(e.node) then begin
+        let idx = (e.node * p) + e.dst in
+        if e.step < initial.(idx) then initial.(idx) <- e.step
+      end)
+    sched.Schedule.comm;
+  let acc = ref [] in
+  for u = n - 1 downto 0 do
+    for dst = p - 1 downto 0 do
+      let s0 = first_need.((u * p) + dst) in
+      if s0 <> no_need then begin
+        let src = proc.(u) in
+        let lo = step.(u) and hi = s0 - 1 in
+        let cur =
+          let s = initial.((u * p) + dst) in
+          if s >= lo && s <= hi then s else hi
+        in
+        acc :=
+          { node = u; src; dst; vol = Dag.comm dag u * Machine.lambda machine src dst; lo; hi; cur }
+          :: !acc
+      end
+    done
+  done;
+  !acc
 
 let improve ?(budget = Budget.unlimited ()) machine (sched : Schedule.t) =
   let dag = sched.Schedule.dag in

@@ -280,6 +280,68 @@ let prop_hccs_matches_reference =
            (fun k -> same (fun () -> Some (Budget.steps k)))
            [ 0; 1; share ])
 
+(* A search loop that releases its states runs off the minor heap:
+   once the pool holds a state big enough for the instance, init and
+   release allocate only the state record and a few small boxes, about
+   a hundred words whatever the DAG's size. A per-node or per-event
+   allocation in init reads in the thousands on these inputs.
+   Each reading is the minimum of five calls, so a minor collection
+   inside one call cannot inflate it. *)
+let test_pooled_init_allocation () =
+  let words ~family ~target ~seed m =
+    let dag =
+      Finegrained.generate_sized (Rng.create seed) ~family ~shape:Finegrained.Wide ~target
+    in
+    let sched = Bspg.schedule m dag in
+    Assignment_state.prewarm m dag ~num_steps:(Schedule.num_supersteps sched);
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let before = Gc.minor_words () in
+      Assignment_state.release (Assignment_state.init m sched);
+      best := Float.min !best (Gc.minor_words () -. before)
+    done;
+    !best
+  in
+  let small =
+    words ~family:Finegrained.Spmv ~target:2000 ~seed:7 (Machine.uniform ~p:8 ~g:3 ~l:5)
+  in
+  let large =
+    words ~family:Finegrained.Exp ~target:4000 ~seed:100
+      (Machine.numa_tree ~p:8 ~g:5 ~l:20 ~delta:3)
+  in
+  check_bool (Printf.sprintf "spmv-2k reads %.0f words" small) true (small <= 200.);
+  check_bool (Printf.sprintf "exp-4k reads %.0f words" large) true (large <= 200.)
+
+(* Hccs.required_pairs reads its pairs off Schedule.lazy_comm; the
+   reference derives them from a first-need pass of its own. They must
+   agree on lazy schedules and on schedules whose events were moved
+   anywhere (inside or outside their windows), re-sourced or dropped,
+   which changes where each pair starts. *)
+let prop_required_pairs_match_reference =
+  Test_util.qtest ~count:300 "hccs pairs match reference"
+    QCheck2.Gen.(
+      pair (Test_util.arb_dag ~max_n:40 ()) (pair (Test_util.arb_machine ()) (int_bound 100_000)))
+    (fun (dag, (m, seed)) ->
+      let rng = Rng.create seed in
+      let lazy_sched = start_schedule rng dag m.Machine.p in
+      let steps = Schedule.num_supersteps lazy_sched in
+      let perturbed =
+        List.filter_map
+          (fun (e : Schedule.comm_event) ->
+            match Rng.int rng 4 with
+            | 0 -> None
+            | 1 -> Some { e with src = Rng.int rng m.Machine.p }
+            | _ -> Some { e with step = Rng.int rng steps })
+          lazy_sched.Schedule.comm
+      in
+      List.for_all
+        (fun s -> Hccs.required_pairs m s = Hccs_reference.required_pairs m s)
+        [
+          lazy_sched;
+          Schedule.make dag ~proc:lazy_sched.Schedule.proc ~step:lazy_sched.Schedule.step
+            ~comm:perturbed;
+        ])
+
 (* The incremental tables must agree exactly with the reference cost
    evaluator after a full HC run (the apply/undo cycle keeps state
    consistent). This is implicitly checked by final_cost above; here we
@@ -442,12 +504,14 @@ let () =
           Alcotest.test_case "replicate_schedule on a NUMA broadcast" `Quick
             test_replicate_schedule_broadcast;
           Alcotest.test_case "replication guards" `Quick test_replication_guards;
+          Alcotest.test_case "pooled init allocation" `Quick test_pooled_init_allocation;
         ] );
       ( "property",
         [
           prop_hc_never_worse_and_valid;
           prop_hccs_never_worse_and_valid;
           prop_hccs_matches_reference;
+          prop_required_pairs_match_reference;
           prop_hc_final_cost_exact;
           prop_delta_matches_apply;
           prop_replicate_delta_matches_apply;
