@@ -317,26 +317,33 @@ let polish_comm limits machine sched =
   end
   else hccs
 
-let run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag =
+let run_multilevel_ratio ~limits ?solver_limits ?contractions ~ratio machine dag =
   let solver_limits = Option.value ~default:limits solver_limits in
   let ml_budget = stage_budget limits limits.hc_evals in
   let sched =
     Obs.Metrics.with_span ~budget:ml_budget (Printf.sprintf "multilevel:%g" ratio)
       (fun () ->
-        Multilevel.run_ratio ~budget:ml_budget
+        Multilevel.run_ratio ~budget:ml_budget ?contractions
           ~refine_interval:Multilevel.default_config.Multilevel.refine_interval
           ~refine_moves:Multilevel.default_config.Multilevel.refine_moves
           ~solver:(base_solver solver_limits) ~ratio machine dag)
   in
   polish_comm limits machine sched
 
-(* One task per coarsening ratio; [Par.best_of] breaks cost ties
-   towards the earlier ratio in the configured list, matching the
-   sequential fold this replaces. *)
+(* One coarsening, to the smallest ratio's target, then one task per
+   ratio that replays its prefix in a fresh session (DESIGN.md Section
+   5j); [Par.best_of] breaks cost ties towards the earlier ratio in the
+   configured list, matching the sequential fold this replaces. *)
 let run_multilevel ~limits ?solver_limits
     ?(ratios = Multilevel.default_config.Multilevel.ratios) machine dag =
   if ratios = [] then invalid_arg "Pipeline.run_multilevel: no ratios configured";
+  let contractions =
+    Obs.Metrics.with_span "coarsen" (fun () ->
+        Multilevel.coarsening
+          ~strategy:Multilevel.default_config.Multilevel.strategy ~ratios dag)
+  in
   Par.best_of
     ~cmp:(fun a b -> compare (cost machine a) (cost machine b))
-    (fun ratio -> run_multilevel_ratio ~limits ?solver_limits ~ratio machine dag)
+    (fun ratio ->
+      run_multilevel_ratio ~limits ?solver_limits ~contractions ~ratio machine dag)
     ratios

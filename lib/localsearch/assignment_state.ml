@@ -118,6 +118,23 @@ let proc t v = t.proc_.(v)
 let step t v = t.step_.(v)
 let total_cost t = Cost_table.total t.table
 
+(* [Schedule.num_supersteps] of a replica-free assignment of [n]
+   nodes: 1 + its largest superstep, 0 for the empty DAG. *)
+let steps_used n step =
+  let used = ref (if n = 0 then 0 else 1) in
+  for v = 0 to n - 1 do
+    if step.(v) >= !used then used := step.(v) + 1
+  done;
+  !used
+
+(* The table keeps every superstep it started with, and charges [l]
+   for each; {!snapshot}'s schedule ends at its last used superstep.
+   A trailing superstep the search emptied holds no work and no
+   communication phase (a lazy event precedes a consumer), so it
+   contributes exactly [l] and nothing else. *)
+let snapshot_cost t =
+  total_cost t - ((t.num_steps_ - steps_used (Dag.n t.dag) t.step_) * t.machine_.Machine.l)
+
 (* ------------------------------------------------------------------ *)
 (* The lazy event rule (DESIGN.md Section 5g). Placements are primaries
    and replicas alike; without replicas placed_ marks exactly the
@@ -379,16 +396,15 @@ let build ?pooled machine dag ~num_steps ~max_in ~proc ~step =
     col_neg = gb (fun o -> o.col_neg) steps1;
   }
 
-let init machine (sched : Schedule.t) =
-  let dag = sched.Schedule.dag in
+(* The one builder behind [init] and [of_assignment]: the state works
+   on [proc]/[step] in place. [replicas], when given, is the schedule
+   whose replica side table joins the placement. *)
+let create ?replicas machine dag ~num_steps ~proc ~step =
   let n = Dag.n dag in
   let p = machine.Machine.p in
   let st =
-    build ?pooled:(take_pooled ()) machine dag
-      ~num_steps:(Schedule.num_supersteps sched) ~max_in:(max_in_degree dag)
-      (* Exact length: [snapshot] hands these to consumers that check
-         the length against the DAG. *)
-      ~proc:(Array.copy sched.Schedule.proc) ~step:(Array.copy sched.Schedule.step)
+    build ?pooled:(take_pooled ()) machine dag ~num_steps ~max_in:(max_in_degree dag)
+      ~proc ~step
   in
   for v = 0 to n - 1 do
     st.placed_.((v * p) + st.proc_.(v)) <- true
@@ -397,22 +413,24 @@ let init machine (sched : Schedule.t) =
      and the first_need bookkeeping rely on every placement of a node
      attaining the same step. [Hc] only produces such schedules; reject
      anything else loudly. *)
-  if Schedule.has_replicas sched then
-    for v = 0 to n - 1 do
-      let acc = ref [] in
-      Schedule.iter_replicas sched v (fun q s ->
-          if s <> st.step_.(v) then
-            invalid_arg
-              "Assignment_state.init: replicas must share their node's superstep";
-          st.placed_.((v * p) + q) <- true;
-          st.rep_total <- st.rep_total + 1;
-          acc := q :: !acc);
-      if !acc <> [] then begin
-        (* iter_replicas runs in ascending processor order *)
-        st.reps_.(v) <- List.rev !acc;
-        st.rep_nodes <- v :: st.rep_nodes
-      end
-    done;
+  Option.iter
+    (fun sched ->
+      for v = 0 to n - 1 do
+        let acc = ref [] in
+        Schedule.iter_replicas sched v (fun q s ->
+            if s <> st.step_.(v) then
+              invalid_arg
+                "Assignment_state.init: replicas must share their node's superstep";
+            st.placed_.((v * p) + q) <- true;
+            st.rep_total <- st.rep_total + 1;
+            acc := q :: !acc);
+        if !acc <> [] then begin
+          (* iter_replicas runs in ascending processor order *)
+          st.reps_.(v) <- List.rev !acc;
+          st.rep_nodes <- v :: st.rep_nodes
+        end
+      done)
+    replicas;
   for v = 0 to n - 1 do
     let wv = Dag.work dag v in
     Cost_table.add_work st.table ~step:st.step_.(v) ~proc:st.proc_.(v) wv;
@@ -427,6 +445,20 @@ let init machine (sched : Schedule.t) =
   done;
   Cost_table.refresh st.table;
   st
+
+let init machine (sched : Schedule.t) =
+  create
+    ?replicas:(if Schedule.has_replicas sched then Some sched else None)
+    machine sched.Schedule.dag ~num_steps:(Schedule.num_supersteps sched)
+    (* Exact length: [snapshot] hands these to consumers that check
+       the length against the DAG. *)
+    ~proc:(Array.copy sched.Schedule.proc) ~step:(Array.copy sched.Schedule.step)
+
+let of_assignment machine dag ~proc ~step =
+  let n = Dag.n dag in
+  if Array.length proc <> n || Array.length step <> n then
+    invalid_arg "Assignment_state.of_assignment: assignment length mismatch";
+  create machine dag ~num_steps:(steps_used n step) ~proc ~step
 
 (* Park a state with max-capacity backing arrays so subsequent [init]s
    at this size or below run allocation-free. The multilevel driver

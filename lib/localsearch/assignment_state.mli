@@ -43,6 +43,16 @@ val init : Machine.t -> Schedule.t -> t
     the parallel candidate fan-out off the minor heap (DESIGN.md
     Section 5f). *)
 
+val of_assignment : Machine.t -> Dag.t -> proc:int array -> step:int array -> t
+(** Build the state of a replica-free assignment {e in place}: the
+    state takes [proc] and [step] over (no copy) and {!apply_move}
+    writes every accepted move into them, so after a search the arrays
+    hold its result. The number of supersteps is
+    [Schedule.num_supersteps] of the assignment. The caller must not
+    change the arrays while the state is live. Same pooling as
+    {!init}, which shares its builder. Raises [Invalid_argument] when
+    an array's length differs from the DAG's node count. *)
+
 val release : t -> unit
 (** Return the state's backing arrays to the calling domain's pool for
     reuse by a later {!init}, and invalidate the state — the caller must
@@ -64,6 +74,12 @@ val num_steps : t -> int
 val proc : t -> int -> int
 val step : t -> int -> int
 val total_cost : t -> int
+
+val snapshot_cost : t -> int
+(** [Bsp_cost.total] of {!snapshot}, read from the cost table in O(n)
+    without building the schedule: {!total_cost} less the latency [l]
+    of each trailing superstep the search emptied, which the table
+    keeps and the snapshot drops. *)
 
 val valid_move : t -> int -> int -> int -> bool
 (** [valid_move st v p' s'] — would reassigning [v] to [(p', s')] keep

@@ -131,250 +131,276 @@ let replication_phase ~check ~budget st n =
   Obs.Metrics.counter "hc.replicas_added" !added;
   Obs.Metrics.counter "hc.replicas_dropped" !dropped
 
+(* The one search loop: greedy first improvement over a dirty-node
+   worklist on a live state, recording the hc.* counters. Both costs in
+   the stats come from the state's cost table; [check] holds them to
+   [Bsp_cost.total] of the state's lazy schedule before and after. *)
+let search ~check ~budget ~max_moves machine dag st =
+  let lazy_cost () = Bsp_cost.total machine (Assignment_state.snapshot st) in
+  let initial_cost = Assignment_state.total_cost st in
+  if check && initial_cost <> lazy_cost () then
+    failwith "Hc: the state's initial cost disagrees with Bsp_cost";
+  let n = Dag.n dag in
+  let p = machine.Machine.p in
+  let num_steps = Assignment_state.num_steps st in
+  let moves_applied = ref 0 in
+  let moves_evaluated = ref 0 in
+  let move_cap = match max_moves with None -> max_int | Some m -> m in
+  let stop () = !moves_applied >= move_cap || Budget.exhausted budget in
+  (* Dirty-node worklist: a FIFO ring (capacity n + 1 suffices since a
+     node is enqueued at most once at a time) plus a membership flag.
+     The local length/peak/total counters feed the observability layer
+     at the end of the run. *)
+  let queue = Array.make (n + 1) 0 in
+  let head = ref 0 and tail = ref 0 in
+  let queued = Array.make n false in
+  let enqueued_total = ref 0 in
+  let queue_len = ref 0 in
+  let queue_peak = ref 0 in
+  let sweeps = ref 0 and sweep_hits = ref 0 in
+  let enqueue v =
+    if not queued.(v) then begin
+      queued.(v) <- true;
+      queue.(!tail) <- v;
+      tail := (!tail + 1) mod (n + 1);
+      incr enqueued_total;
+      incr queue_len;
+      if !queue_len > !queue_peak then queue_peak := !queue_len
+    end
+  in
+  let dequeue () =
+    let v = queue.(!head) in
+    head := (!head + 1) mod (n + 1);
+    queued.(v) <- false;
+    decr queue_len;
+    v
+  in
+  let queue_empty () = !head = !tail in
+  (* Nodes resident per superstep, so an accepted move can re-enqueue
+     exactly the nodes whose neighbourhood costs it disturbed. *)
+  let residents = Array.make num_steps [] in
+  for v = n - 1 downto 0 do
+    residents.(Assignment_state.step st v) <- v :: residents.(Assignment_state.step st v)
+  done;
+  (* An accepted move of v disturbed the supersteps recorded by the
+     delta evaluation. Re-enqueue: v and its neighbourhood (validity
+     windows and first_need sets changed), the other successors of v's
+     predecessors (they share those first_need sets), the residents of
+     the touched supersteps and their neighbours (their work cells and
+     superstep maxima changed), and the predecessors of nodes resident
+     just after a touched superstep (their lazy events are pinned into
+     its communication phase). *)
+  let mark_after_move v =
+    enqueue v;
+    Dag.iter_pred dag v enqueue;
+    Dag.iter_succ dag v enqueue;
+    Dag.iter_pred dag v (fun u -> Dag.iter_succ dag u enqueue);
+    Assignment_state.iter_last_touched_steps st (fun s ->
+        List.iter enqueue residents.(s);
+        if s > 0 then List.iter enqueue residents.(s - 1);
+        if s + 1 < num_steps then
+          List.iter
+            (fun w ->
+              enqueue w;
+              Dag.iter_pred dag w enqueue)
+            residents.(s + 1))
+  in
+  (* First-improvement scan of one node's neighbourhood: every
+     processor, superstep within +-1 (Appendix A.3), in the same
+     candidate order as the reference sweep. One pred/succ scan
+     summarises validity for the whole neighbourhood; whole blocks of
+     invalid candidates are then decided in O(1) — most supersteps
+     admit either every processor or exactly one, so per-candidate
+     work happens only on candidates that reach the delta evaluator.
+     Evaluated candidates are counted per block and charged in bulk:
+     every caller probes [stop ()] right before a scan, so the charge
+     does not read the clock a second time. *)
+  let accept v s1 p2 s2 =
+    if try_move ~check st v p2 s2 then begin
+      incr moves_applied;
+      if s2 <> s1 then begin
+        residents.(s1) <- List.filter (fun w -> w <> v) residents.(s1);
+        residents.(s2) <- v :: residents.(s2)
+      end;
+      mark_after_move v;
+      true
+    end
+    else false
+  in
+  (* The processors valid at s2, encoded -1 = all, -2 = none, q >= 0 =
+     exactly q (a window boundary whose extremal neighbours share one
+     processor). *)
+  let window_sel ~last_pred ~last_pred_proc ~first_succ ~first_succ_proc s2 =
+    if s2 < 0 || s2 >= num_steps then -2
+    else begin
+      let lo =
+        if s2 > last_pred then -1
+        else if s2 = last_pred && last_pred_proc >= 0 then last_pred_proc
+        else -2
+      in
+      let hi =
+        if s2 < first_succ then -1
+        else if s2 = first_succ && first_succ_proc >= 0 then first_succ_proc
+        else -2
+      in
+      if lo = -2 || hi = -2 then -2
+      else if lo = -1 then hi
+      else if hi = -1 then lo
+      else if lo = hi then lo
+      else -2
+    end
+  in
+  let row_out = Array.make p 0 in
+  (* [clean.(v)] is the [!moves_applied] of v's last scan if that scan
+     found no move: while no move is applied since, a scan of v reads
+     the same state, finds no move again and charges 3p - 1
+     evaluations (every candidate of its three superstep rows). *)
+  let clean = Array.make n (-1) in
+  let no_move_evals = (3 * p) - 1 in
+  let scan_node v =
+    let s1 = Assignment_state.step st v in
+    let p1 = Assignment_state.proc st v in
+    let last_pred, last_pred_proc, first_succ, first_succ_proc =
+      Assignment_state.move_window st v
+    in
+    let moved = ref false in
+    let evald = ref 0 in
+    let ds = ref (-1) in
+    while (not !moved) && !ds <= 1 do
+      let s2 = s1 + !ds in
+      (* Number of candidates in this superstep row: the identity
+         (p1, s1) is not a candidate. *)
+      let row = if s2 = s1 then p - 1 else p in
+      let sel =
+        window_sel ~last_pred ~last_pred_proc ~first_succ ~first_succ_proc s2
+      in
+      if sel = -2 then evald := !evald + row
+      else if sel >= 0 then begin
+        (* The reference sweep would reject p2 < sel one by one; count
+           them, then evaluate the single valid candidate (screened
+           against the node's resident removal base, so a boundary
+           superstep shares the base built for its full rows). *)
+        let improving =
+          (not (sel = p1 && s2 = s1))
+          && begin
+               let d = Assignment_state.delta_cost_cached st v sel s2 in
+               if check && d <> Assignment_state.delta_cost st v sel s2 then
+                 failwith "Hc: delta_cost_cached disagrees with delta_cost";
+               d < 0
+             end
+        in
+        if improving && accept v s1 sel s2 then begin
+          moved := true;
+          evald := !evald + sel + 1 - (if s2 = s1 && p1 < sel then 1 else 0)
+        end
+        else evald := !evald + row
+      end
+      else begin
+        (* Every processor is a valid target at s2: evaluate the whole
+           row off one shared removal base. *)
+        Assignment_state.delta_cost_row st v ~s2 row_out;
+        if check then
+          for q = 0 to p - 1 do
+            if
+              (not (q = p1 && s2 = s1))
+              && row_out.(q) <> Assignment_state.delta_cost st v q s2
+            then failwith "Hc: delta_cost_row disagrees with delta_cost"
+          done;
+        let p2 = ref 0 in
+        while (not !moved) && !p2 < p do
+          if not (!p2 = p1 && s2 = s1) then begin
+            incr evald;
+            if row_out.(!p2) < 0 && accept v s1 !p2 s2 then moved := true
+          end;
+          incr p2
+        done
+      end;
+      incr ds
+    done;
+    Budget.charge budget !evald;
+    moves_evaluated := !moves_evaluated + !evald;
+    if not !moved then clean.(v) <- !moves_applied;
+    !moved
+  in
+  for v = 0 to n - 1 do
+    enqueue v
+  done;
+  let continue = ref true in
+  while !continue && not (stop ()) do
+    while (not (queue_empty ())) && not (stop ()) do
+      ignore (scan_node (dequeue ()) : bool)
+    done;
+    if stop () then continue := false
+    else begin
+      (* Verification sweep: the worklist marking is conservative but
+         not provably complete, so confirm the fixpoint with one full
+         pass; any improvement found re-seeds the worklist. This keeps
+         the termination guarantee of the exhaustive sweep (the result
+         is a genuine local minimum) at delta-evaluation prices. A
+         node still clean is charged its scan without one (scanned
+         anyway under [check]). *)
+      incr sweeps;
+      let any = ref false in
+      let v = ref 0 in
+      while !v < n && not (stop ()) do
+        let was_clean = clean.(!v) = !moves_applied in
+        if was_clean && not check then begin
+          Budget.charge budget no_move_evals;
+          moves_evaluated := !moves_evaluated + no_move_evals
+        end
+        else if scan_node !v then begin
+          if was_clean then failwith "Hc: a node clean since its last scan moved";
+          any := true
+        end;
+        incr v
+      done;
+      if !any then incr sweep_hits;
+      continue := !any
+    end
+  done;
+  Obs.Metrics.counter "hc.runs" 1;
+  Obs.Metrics.counter "hc.moves_evaluated" !moves_evaluated;
+  Obs.Metrics.counter "hc.moves_applied" !moves_applied;
+  Obs.Metrics.counter "hc.worklist_enqueued" !enqueued_total;
+  Obs.Metrics.gauge_max "hc.worklist_peak" (float_of_int !queue_peak);
+  Obs.Metrics.counter "hc.verify_sweeps" !sweeps;
+  Obs.Metrics.counter "hc.verify_sweep_hits" !sweep_hits;
+  let final_cost = Assignment_state.snapshot_cost st in
+  if check && final_cost <> lazy_cost () then
+    failwith "Hc: the state's final cost disagrees with Bsp_cost";
+  {
+    moves_applied = !moves_applied;
+    moves_evaluated = !moves_evaluated;
+    initial_cost;
+    final_cost;
+  }
+
 let improve ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves ?(shards = 1)
     machine sched =
   if shards <> 1 then invalid_arg "Hc.improve: shards must be 1";
   let dag = sched.Schedule.dag in
-  let n = Dag.n dag in
-  let initial = Schedule.with_lazy_comm sched in
-  let initial_cost = Bsp_cost.total machine initial in
-  if n = 0 || Schedule.num_supersteps sched = 0 then (initial, no_stats initial_cost)
+  if Dag.n dag = 0 then begin
+    let initial = Schedule.with_lazy_comm sched in
+    (initial, no_stats (Bsp_cost.total machine initial))
+  end
   else begin
-    let st = Assignment_state.init machine initial in
-    let p = machine.Machine.p in
-    let num_steps = Assignment_state.num_steps st in
-    let moves_applied = ref 0 in
-    let moves_evaluated = ref 0 in
-    let move_cap = match max_moves with None -> max_int | Some m -> m in
-    let stop () = !moves_applied >= move_cap || Budget.exhausted budget in
-    (* Dirty-node worklist: a FIFO ring (capacity n + 1 suffices since a
-       node is enqueued at most once at a time) plus a membership flag.
-       The local length/peak/total counters feed the observability layer
-       at the end of the run. *)
-    let queue = Array.make (n + 1) 0 in
-    let head = ref 0 and tail = ref 0 in
-    let queued = Array.make n false in
-    let enqueued_total = ref 0 in
-    let queue_len = ref 0 in
-    let queue_peak = ref 0 in
-    let sweeps = ref 0 and sweep_hits = ref 0 in
-    let enqueue v =
-      if not queued.(v) then begin
-        queued.(v) <- true;
-        queue.(!tail) <- v;
-        tail := (!tail + 1) mod (n + 1);
-        incr enqueued_total;
-        incr queue_len;
-        if !queue_len > !queue_peak then queue_peak := !queue_len
-      end
-    in
-    let dequeue () =
-      let v = queue.(!head) in
-      head := (!head + 1) mod (n + 1);
-      queued.(v) <- false;
-      decr queue_len;
-      v
-    in
-    let queue_empty () = !head = !tail in
-    (* Nodes resident per superstep, so an accepted move can re-enqueue
-       exactly the nodes whose neighbourhood costs it disturbed. *)
-    let residents = Array.make num_steps [] in
-    for v = n - 1 downto 0 do
-      residents.(Assignment_state.step st v) <- v :: residents.(Assignment_state.step st v)
-    done;
-    (* An accepted move of v disturbed the supersteps recorded by the
-       delta evaluation. Re-enqueue: v and its neighbourhood (validity
-       windows and first_need sets changed), the other successors of v's
-       predecessors (they share those first_need sets), the residents of
-       the touched supersteps and their neighbours (their work cells and
-       superstep maxima changed), and the predecessors of nodes resident
-       just after a touched superstep (their lazy events are pinned into
-       its communication phase). *)
-    let mark_after_move v =
-      enqueue v;
-      Dag.iter_pred dag v enqueue;
-      Dag.iter_succ dag v enqueue;
-      Dag.iter_pred dag v (fun u -> Dag.iter_succ dag u enqueue);
-      Assignment_state.iter_last_touched_steps st (fun s ->
-          List.iter enqueue residents.(s);
-          if s > 0 then List.iter enqueue residents.(s - 1);
-          if s + 1 < num_steps then
-            List.iter
-              (fun w ->
-                enqueue w;
-                Dag.iter_pred dag w enqueue)
-              residents.(s + 1))
-    in
-    (* First-improvement scan of one node's neighbourhood: every
-       processor, superstep within +-1 (Appendix A.3), in the same
-       candidate order as the reference sweep. One pred/succ scan
-       summarises validity for the whole neighbourhood; whole blocks of
-       invalid candidates are then decided in O(1) — most supersteps
-       admit either every processor or exactly one, so per-candidate
-       work happens only on candidates that reach the delta evaluator.
-       Evaluated candidates are counted per block and charged in bulk:
-       every caller probes [stop ()] right before a scan, so the charge
-       does not read the clock a second time. *)
-    let accept v s1 p2 s2 =
-      if try_move ~check st v p2 s2 then begin
-        incr moves_applied;
-        if s2 <> s1 then begin
-          residents.(s1) <- List.filter (fun w -> w <> v) residents.(s1);
-          residents.(s2) <- v :: residents.(s2)
-        end;
-        mark_after_move v;
-        true
-      end
-      else false
-    in
-    (* The processors valid at s2, encoded -1 = all, -2 = none, q >= 0 =
-       exactly q (a window boundary whose extremal neighbours share one
-       processor). *)
-    let window_sel ~last_pred ~last_pred_proc ~first_succ ~first_succ_proc s2 =
-      if s2 < 0 || s2 >= num_steps then -2
-      else begin
-        let lo =
-          if s2 > last_pred then -1
-          else if s2 = last_pred && last_pred_proc >= 0 then last_pred_proc
-          else -2
-        in
-        let hi =
-          if s2 < first_succ then -1
-          else if s2 = first_succ && first_succ_proc >= 0 then first_succ_proc
-          else -2
-        in
-        if lo = -2 || hi = -2 then -2
-        else if lo = -1 then hi
-        else if hi = -1 then lo
-        else if lo = hi then lo
-        else -2
-      end
-    in
-    let row_out = Array.make p 0 in
-    (* [clean.(v)] is the [!moves_applied] of v's last scan if that scan
-       found no move: while no move is applied since, a scan of v reads
-       the same state, finds no move again and charges 3p - 1
-       evaluations (every candidate of its three superstep rows). *)
-    let clean = Array.make n (-1) in
-    let no_move_evals = (3 * p) - 1 in
-    let scan_node v =
-      let s1 = Assignment_state.step st v in
-      let p1 = Assignment_state.proc st v in
-      let last_pred, last_pred_proc, first_succ, first_succ_proc =
-        Assignment_state.move_window st v
-      in
-      let moved = ref false in
-      let evald = ref 0 in
-      let ds = ref (-1) in
-      while (not !moved) && !ds <= 1 do
-        let s2 = s1 + !ds in
-        (* Number of candidates in this superstep row: the identity
-           (p1, s1) is not a candidate. *)
-        let row = if s2 = s1 then p - 1 else p in
-        let sel =
-          window_sel ~last_pred ~last_pred_proc ~first_succ ~first_succ_proc s2
-        in
-        if sel = -2 then evald := !evald + row
-        else if sel >= 0 then begin
-          (* The reference sweep would reject p2 < sel one by one; count
-             them, then evaluate the single valid candidate (screened
-             against the node's resident removal base, so a boundary
-             superstep shares the base built for its full rows). *)
-          let improving =
-            (not (sel = p1 && s2 = s1))
-            && begin
-                 let d = Assignment_state.delta_cost_cached st v sel s2 in
-                 if check && d <> Assignment_state.delta_cost st v sel s2 then
-                   failwith "Hc: delta_cost_cached disagrees with delta_cost";
-                 d < 0
-               end
-          in
-          if improving && accept v s1 sel s2 then begin
-            moved := true;
-            evald := !evald + sel + 1 - (if s2 = s1 && p1 < sel then 1 else 0)
-          end
-          else evald := !evald + row
-        end
-        else begin
-          (* Every processor is a valid target at s2: evaluate the whole
-             row off one shared removal base. *)
-          Assignment_state.delta_cost_row st v ~s2 row_out;
-          if check then
-            for q = 0 to p - 1 do
-              if
-                (not (q = p1 && s2 = s1))
-                && row_out.(q) <> Assignment_state.delta_cost st v q s2
-              then failwith "Hc: delta_cost_row disagrees with delta_cost"
-            done;
-          let p2 = ref 0 in
-          while (not !moved) && !p2 < p do
-            if not (!p2 = p1 && s2 = s1) then begin
-              incr evald;
-              if row_out.(!p2) < 0 && accept v s1 !p2 s2 then moved := true
-            end;
-            incr p2
-          done
-        end;
-        incr ds
-      done;
-      Budget.charge budget !evald;
-      moves_evaluated := !moves_evaluated + !evald;
-      if not !moved then clean.(v) <- !moves_applied;
-      !moved
-    in
-    for v = 0 to n - 1 do
-      enqueue v
-    done;
-    let continue = ref true in
-    while !continue && not (stop ()) do
-      while (not (queue_empty ())) && not (stop ()) do
-        ignore (scan_node (dequeue ()) : bool)
-      done;
-      if stop () then continue := false
-      else begin
-        (* Verification sweep: the worklist marking is conservative but
-           not provably complete, so confirm the fixpoint with one full
-           pass; any improvement found re-seeds the worklist. This keeps
-           the termination guarantee of the exhaustive sweep (the result
-           is a genuine local minimum) at delta-evaluation prices. A
-           node still clean is charged its scan without one (scanned
-           anyway under [check]). *)
-        incr sweeps;
-        let any = ref false in
-        let v = ref 0 in
-        while !v < n && not (stop ()) do
-          let was_clean = clean.(!v) = !moves_applied in
-          if was_clean && not check then begin
-            Budget.charge budget no_move_evals;
-            moves_evaluated := !moves_evaluated + no_move_evals
-          end
-          else if scan_node !v then begin
-            if was_clean then failwith "Hc: a node clean since its last scan moved";
-            any := true
-          end;
-          incr v
-        done;
-        if !any then incr sweep_hits;
-        continue := !any
-      end
-    done;
-    Obs.Metrics.counter "hc.runs" 1;
-    Obs.Metrics.counter "hc.moves_evaluated" !moves_evaluated;
-    Obs.Metrics.counter "hc.moves_applied" !moves_applied;
-    Obs.Metrics.counter "hc.worklist_enqueued" !enqueued_total;
-    Obs.Metrics.gauge_max "hc.worklist_peak" (float_of_int !queue_peak);
-    Obs.Metrics.counter "hc.verify_sweeps" !sweeps;
-    Obs.Metrics.counter "hc.verify_sweep_hits" !sweep_hits;
+    if Schedule.has_replicas sched then
+      invalid_arg "Hc.improve: the input schedule has replicas";
+    let st = Assignment_state.init machine sched in
+    let stats = search ~check ~budget ~max_moves machine dag st in
     let result = Assignment_state.snapshot st in
-    let final_cost = Bsp_cost.total machine result in
     Assignment_state.release st;
-    ( result,
-      {
-        moves_applied = !moves_applied;
-        moves_evaluated = !moves_evaluated;
-        initial_cost;
-        final_cost;
-      } )
+    (result, stats)
+  end
+
+let improve_assignment ?(check = false) ?(budget = Budget.unlimited ()) ?max_moves machine
+    dag ~proc ~step =
+  if Dag.n dag = 0 then no_stats 0
+  else begin
+    let st = Assignment_state.of_assignment machine dag ~proc ~step in
+    let stats = search ~check ~budget ~max_moves machine dag st in
+    Assignment_state.release st;
+    stats
   end
 
 (* Replication-only pass over an already-optimised schedule: the move

@@ -46,13 +46,16 @@ val improve :
 (** Run the greedy first-improvement search. The input communication
     schedule is replaced by the lazy one (HC is specified over lazy
     schedules — Appendix A); the output cost is therefore measured on the
-    lazy schedule too and never exceeds the input's lazy cost. The input
-    must be replica-free (raises [Invalid_argument] otherwise).
+    lazy schedule too and never exceeds the input's lazy cost. Both
+    costs in the stats are read from the search state's cost table. The
+    input must be replica-free (raises [Invalid_argument] otherwise).
 
     [check] (default [false]) cross-validates every read-only delta
     against an apply/rollback round-trip of the mutating path — the
     debug-assertion mode the test suite runs in; release and benchmark
-    runs leave it off so rejected candidates stay read-only.
+    runs leave it off so rejected candidates stay read-only. It also
+    holds the stats' costs to [Bsp_cost.total] of the lazy input and of
+    the result.
 
     [budget] is ticked once per evaluated candidate move (use it for
     wall-clock limits); [max_moves] caps the number of {e applied}
@@ -64,6 +67,24 @@ val improve :
     ([perfbench/layers]), which still passes
     [Pipeline.limits.hc_shards], and goes with that field under
     ROADMAP item 8. *)
+
+val improve_assignment :
+  ?check:bool ->
+  ?budget:Budget.t ->
+  ?max_moves:int ->
+  Machine.t ->
+  Dag.t ->
+  proc:int array ->
+  step:int array ->
+  stats
+(** {!improve} on a replica-free assignment, in place: the search runs
+    on [proc]/[step] themselves ({!Assignment_state.of_assignment}), so
+    when it returns they hold the same assignment as {!improve}'s
+    result on [Schedule.of_assignment dag ~proc ~step] (before
+    compaction), with the same stats and [hc.*] counters. No schedule
+    and no communication list is built; when [moves_applied = 0] the
+    arrays are untouched. This is the multilevel refinement's entry
+    point. *)
 
 val replicate_schedule :
   ?check:bool -> ?budget:Budget.t -> Machine.t -> Schedule.t -> Schedule.t

@@ -16,7 +16,17 @@
     falls back to Bland's rule after a run of degenerate pivots, which
     guarantees termination; an overall pivot cap turns pathological
     instances into an explicit {!Iteration_limit} outcome rather than a
-    hang. *)
+    hang.
+
+    {b Tableau pool.} The dense tableau's rows come from a per-domain
+    pool ([Domain.DLS]), zero-filled to each solve's width, so a run of
+    similar solves (ILPinit's branch-and-bound) reuses one set of rows
+    instead of allocating a tableau per solve. The pool grows to the
+    union of the shapes it has served while that stays within 2^18
+    floats (2 MB) per domain; a tableau larger than that is allocated
+    for its solve alone. Only the solve's own rows and columns are
+    read, so results and pivot counts do not depend on what the pool
+    served before. *)
 
 type sense = Le | Ge | Eq
 

@@ -425,6 +425,29 @@ let coarsen_to ?(strategy = Paper_rule) t ~target =
     end
   done
 
+(* Re-apply a recorded contraction sequence. [coarsen_to] is a
+   deterministic function of the session state, and it checks the
+   target before every contraction, so a run to a larger target stops
+   at a prefix of a run to a smaller one: replaying that prefix
+   rebuilds the larger target's level without selecting a single
+   edge. *)
+let replay t contractions ~target =
+  let target = max 1 target in
+  let rec go = function
+    | { kept; removed } :: rest when t.alive_count > target ->
+      let n = Array.length t.alive_flag in
+      if
+        kept < 0 || kept >= n || removed < 0 || removed >= n
+        || (not t.alive_flag.(kept))
+        || (not t.alive_flag.(removed))
+        || not (seg_mem t.succ_a.(kept) t.succ_len.(kept) removed)
+      then invalid_arg "Coarsen.replay: contraction is not an edge of the current level";
+      contract t kept removed;
+      go rest
+    | _ -> ()
+  in
+  go contractions
+
 let quotient t =
   let n = Array.length t.alive_flag in
   (* Dense renumbering via the session's stamp scratch rather than a

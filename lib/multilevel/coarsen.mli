@@ -46,13 +46,35 @@ type strategy =
 
 val coarsen_to : ?strategy:strategy -> t -> target:int -> unit
 (** Contract edges until at most [target] nodes remain (or no
-    contractable edge exists, which cannot happen above 1 node).
-    [strategy] defaults to [Paper_rule]. *)
+    contractable edge exists, which happens when only edgeless
+    components are left to merge). [strategy] defaults to
+    [Paper_rule]. *)
 
 val history : t -> contraction list
 (** All contractions performed, oldest first. Materialised from the
     flat history on each call; use {!num_contractions} when only the
-    count is needed. *)
+    count is needed.
+
+    {b Prefix property.} [coarsen_to] is a deterministic function of
+    the session state and tests the target before every contraction,
+    so on the same DAG and strategy the history of a run to target
+    [t1] is the first [n - t1] contractions of a run to any smaller
+    target [t2] (all of them when the run to [t2] stops early, which
+    only happens when no contractable edge is left, and then the run
+    to [t1] stops at the same point). {!replay} rebuilds the [t1]
+    level from that prefix. *)
+
+val replay : t -> contraction list -> target:int -> unit
+(** [replay t history ~target] re-applies [history] in order, stopping
+    once at most [target] nodes remain or the list ends. On a fresh
+    session over the same DAG, replaying the history of a
+    [coarsen_to ~target:t2] run with [~target:t1 >= t2] leaves the
+    session exactly as [coarsen_to ~target:t1] would (same
+    {!quotient}, same {!undo_last} sequence), without selecting any
+    edge. Each contraction must join the endpoints of an edge of the
+    current level ([Invalid_argument] otherwise); that it keeps the
+    level acyclic is not re-checked, so pass only histories recorded
+    on the same DAG. *)
 
 val num_contractions : t -> int
 (** Number of contractions currently recorded (the length of

@@ -14,31 +14,45 @@ let default_config =
   }
 
 (* Project the per-representative assignment onto the current level of
-   the coarsening session as a schedule on its quotient DAG, refine with
-   HC, and write the result back into the per-representative arrays. *)
+   the coarsening session, refine it with HC in place, and write the
+   result back into the per-representative arrays when a move was
+   applied. *)
 let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
   let qdag, rep_of_id = Coarsen.quotient session in
   let nq = Dag.n qdag in
   let proc = Array.init nq (fun i -> proc_of.(rep_of_id.(i))) in
   let step = Array.init nq (fun i -> step_of.(rep_of_id.(i))) in
-  let sched = Schedule.of_assignment qdag ~proc ~step in
-  let improved, stats = Hc.improve ?budget ~max_moves:refine_moves machine sched in
+  let stats =
+    Hc.improve_assignment ?budget ~max_moves:refine_moves machine qdag ~proc ~step
+  in
   Obs.Metrics.counter "multilevel.refine_passes" 1;
   Obs.Metrics.counter "multilevel.refine_moves_applied" stats.Hc.moves_applied;
-  Array.iteri
-    (fun i r ->
-      proc_of.(r) <- improved.Schedule.proc.(i);
-      step_of.(r) <- improved.Schedule.step.(i))
-    rep_of_id
+  if stats.Hc.moves_applied > 0 then
+    Array.iteri
+      (fun i r ->
+        proc_of.(r) <- proc.(i);
+        step_of.(r) <- step.(i))
+      rep_of_id
 
-let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ~refine_interval ~refine_moves
-    ~solver ~ratio machine dag =
+let target ~ratio n = max 2 (int_of_float (ratio *. float_of_int n))
+
+let coarsening ?(strategy = Coarsen.Paper_rule) ~ratios dag =
   let n = Dag.n dag in
-  let target = max 2 (int_of_float (ratio *. float_of_int n)) in
+  let target = List.fold_left (fun acc ratio -> min acc (target ~ratio n)) n ratios in
+  let session = Coarsen.start dag in
+  Coarsen.coarsen_to ~strategy session ~target;
+  Coarsen.history session
+
+let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?contractions ~refine_interval
+    ~refine_moves ~solver ~ratio machine dag =
+  let n = Dag.n dag in
+  let target = target ~ratio n in
   let session = Coarsen.start dag in
   let qdag, rep_of_id =
     Obs.Metrics.with_span "coarsen" (fun () ->
-        Coarsen.coarsen_to ~strategy session ~target;
+        (match contractions with
+         | Some history -> Coarsen.replay session history ~target
+         | None -> Coarsen.coarsen_to ~strategy session ~target);
         Coarsen.quotient session)
   in
   Obs.Metrics.counter "multilevel.runs" 1;

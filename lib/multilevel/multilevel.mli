@@ -32,9 +32,19 @@ val default_config : config
 (** [ratios = [0.3; 0.15]], [refine_interval = 5], [refine_moves = 100],
     the paper's edge-selection rule. *)
 
+val coarsening :
+  ?strategy:Coarsen.strategy -> ratios:float list -> Dag.t -> Coarsen.contraction list
+(** The contraction history of one coarsening of the DAG to the
+    smallest target of [ratios] (each ratio's target is
+    [max 2 (ratio * n)]). By {!Coarsen.history}'s prefix property it
+    holds every ratio's level: pass it to {!run_ratio} as
+    [contractions] for each ratio, with the same [strategy] (default
+    [Paper_rule]). *)
+
 val run_ratio :
   ?budget:Budget.t ->
   ?strategy:Coarsen.strategy ->
+  ?contractions:Coarsen.contraction list ->
   refine_interval:int ->
   refine_moves:int ->
   solver:(Machine.t -> Dag.t -> Schedule.t) ->
@@ -45,7 +55,13 @@ val run_ratio :
 (** One coarsen-solve-refine pass at a single ratio, returning the
     refined schedule without the final HCcs/ILPcs polish, which the
     caller owns ({!Pipeline.run_multilevel} runs one pass per ratio of
-    its config and keeps the cheapest). [budget] bounds the HC
+    its config and keeps the cheapest). With [contractions] (a
+    {!coarsening} of the same DAG to this ratio's target or a smaller
+    one) the level is rebuilt by {!Coarsen.replay} in a fresh session
+    and [strategy] is not consulted; without it the pass coarsens on
+    its own. Both give the same schedule. [budget] bounds the HC
     refinement work across all levels; once it is spent, the remaining
     levels are only projected, with no quotient and no HC run, which
-    gives the same schedule as refining them on a spent budget. *)
+    gives the same schedule as refining them on a spent budget. Each
+    refinement runs {!Hc.improve_assignment} on the level's assignment
+    arrays in place. *)

@@ -46,19 +46,6 @@ let iter_placements t v f =
   f t.proc.(v) t.step.(v);
   iter_replicas t v f
 
-let make dag ~proc ~step ~comm =
-  if Array.length proc <> Dag.n dag || Array.length step <> Dag.n dag then
-    invalid_arg "Schedule.make: assignment length mismatch";
-  {
-    dag;
-    proc = Array.copy proc;
-    step = Array.copy step;
-    comm;
-    rep_off = empty_rep_off (Dag.n dag);
-    rep_proc = no_extras;
-    rep_step = no_extras;
-  }
-
 (* Build the CSR side table from an explicit (node, proc, step) list.
    Entries are sorted by (node, proc) so iteration order — and hence
    everything derived from it (lazy events, IO, rendering) — is
@@ -99,14 +86,21 @@ let build_replica_table n ~proc ~replicas =
   if count = 0 then (rep_off, no_extras, no_extras)
   else (rep_off, rep_proc, rep_step)
 
-let make_replicated dag ~proc ~step ~comm ~replicas =
+(* The one constructor that takes [proc] and [step] over; [make] and
+   [make_replicated] hand it copies. *)
+let make_owned dag ~proc ~step ~comm ~replicas =
   if Array.length proc <> Dag.n dag || Array.length step <> Dag.n dag then
-    invalid_arg "Schedule.make_replicated: assignment length mismatch";
-  let proc = Array.copy proc and step = Array.copy step in
+    invalid_arg "Schedule: assignment length mismatch";
   let rep_off, rep_proc, rep_step =
-    build_replica_table (Dag.n dag) ~proc ~replicas
+    if replicas = [] then (empty_rep_off (Dag.n dag), no_extras, no_extras)
+    else build_replica_table (Dag.n dag) ~proc ~replicas
   in
   { dag; proc; step; comm; rep_off; rep_proc; rep_step }
+
+let make_replicated dag ~proc ~step ~comm ~replicas =
+  make_owned dag ~proc:(Array.copy proc) ~step:(Array.copy step) ~comm ~replicas
+
+let make dag ~proc ~step ~comm = make_replicated dag ~proc ~step ~comm ~replicas:[]
 
 let num_supersteps t =
   if Dag.n t.dag = 0 then 0

@@ -70,6 +70,18 @@ val make_replicated :
     entries, on a replica duplicating the node's primary placement, and
     on duplicate [(node, proc)] pairs. *)
 
+val make_owned :
+  Dag.t ->
+  proc:int array ->
+  step:int array ->
+  comm:comm_event list ->
+  replicas:(int * int * int) list ->
+  t
+(** {!make_replicated} ([replicas = []] gives {!make}'s schedule) that
+    takes [proc] and [step] over instead of copying them: the caller
+    must not keep or mutate them. For this library's decoders
+    ({!Schedule_io}), which fill fresh arrays only to hand them over. *)
+
 (** {1 Replica accessors} *)
 
 val num_replicas : t -> int

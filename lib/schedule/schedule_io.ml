@@ -91,18 +91,16 @@ let of_string dag text =
     | _ -> failwith "Schedule_io: bad comm event line"
   done;
   let comm = List.rev !events in
-  if num_reps = 0 then Schedule.make dag ~proc ~step ~comm
-  else begin
-    let replicas = ref [] in
-    for _ = 1 to num_reps do
-      match Text_codec.next_ints sc ~what ints with
-      | 3 when ints.(0) >= 0 && ints.(0) < n ->
-        replicas := (ints.(0), ints.(1), ints.(2)) :: !replicas
-      | _ -> failwith "Schedule_io: bad replica line"
-    done;
-    try Schedule.make_replicated dag ~proc ~step ~comm ~replicas:(List.rev !replicas)
-    with Invalid_argument msg -> failwith ("Schedule_io: " ^ msg)
-  end
+  let replicas = ref [] in
+  for _ = 1 to num_reps do
+    match Text_codec.next_ints sc ~what ints with
+    | 3 when ints.(0) >= 0 && ints.(0) < n ->
+      replicas := (ints.(0), ints.(1), ints.(2)) :: !replicas
+    | _ -> failwith "Schedule_io: bad replica line"
+  done;
+  (* [proc] and [step] are this call's own: hand them over uncopied *)
+  try Schedule.make_owned dag ~proc ~step ~comm ~replicas:(List.rev !replicas)
+  with Invalid_argument msg -> failwith ("Schedule_io: " ^ msg)
 
 let write oc t = output_string oc (to_string t)
 let write_file path t = Atomic_file.write path (fun oc -> write oc t)

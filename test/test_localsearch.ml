@@ -485,6 +485,55 @@ let prop_hc_replicate_never_worse =
          | Ok () -> true
          | Error _ -> false))
 
+(* The multilevel refinement runs HC on its level's assignment arrays
+   in place. Under any budget, move cap and check mode it must leave
+   the arrays as Hc.improve leaves its result on the same assignment,
+   with the same stats and the same hc.* counters. *)
+let hc_counters =
+  [
+    "hc.runs";
+    "hc.moves_evaluated";
+    "hc.moves_applied";
+    "hc.worklist_enqueued";
+    "hc.verify_sweeps";
+    "hc.verify_sweep_hits";
+  ]
+
+let prop_in_place_matches_improve =
+  Test_util.qtest ~count:100 "in-place hc matches improve"
+    QCheck2.Gen.(
+      pair gen3
+        (triple
+           (oneofl [ Some 0; Some 7; Some 300; Some 5_000; None ])
+           (oneofl [ None; Some 0; Some 1; Some 3; Some 100 ])
+           bool))
+    (fun ((dag, (m, seed)), (steps, max_moves, check)) ->
+      let rng = Rng.create seed in
+      let s = start_schedule rng dag m.Machine.p in
+      let budget () =
+        match steps with Some k -> Budget.steps k | None -> Budget.unlimited ()
+      in
+      let counted f =
+        let r = Obs.Metrics.create () in
+        let x = Obs.Metrics.with_registry r f in
+        ( x,
+          List.map (Obs.Metrics.counter_value r) hc_counters,
+          Obs.Metrics.gauge_value r "hc.worklist_peak" )
+      in
+      let (improved, stats), counters, peak =
+        counted (fun () -> Hc.improve ~check ~budget:(budget ()) ?max_moves m s)
+      in
+      let proc = Array.copy s.Schedule.proc and step = Array.copy s.Schedule.step in
+      let stats', counters', peak' =
+        counted (fun () ->
+            Hc.improve_assignment ~check ~budget:(budget ()) ?max_moves m dag ~proc ~step)
+      in
+      proc = improved.Schedule.proc
+      && step = improved.Schedule.step
+      && stats = stats' && counters = counters' && peak = peak'
+      && (stats.Hc.moves_applied > 0
+         || (proc = s.Schedule.proc && step = s.Schedule.step)))
+
 let () =
   Alcotest.run "localsearch"
     [
@@ -516,5 +565,6 @@ let () =
           prop_delta_matches_apply;
           prop_replicate_delta_matches_apply;
           prop_hc_replicate_never_worse;
+          prop_in_place_matches_improve;
         ] );
     ]

@@ -170,54 +170,57 @@ let prop_simplex_optimality =
    duplicate indices, all three senses, shifted, bounded and fixed
    variables make degenerate pivots, phase 1 and the Bland fallback
    common; a tight pivot cap sometimes ends both mid-solve. *)
+let random_lp rng ~n ~m =
+  let lb = Array.init n (fun _ -> float_of_int (Rng.int rng 3 - 1)) in
+  let ub =
+    Array.map
+      (fun l ->
+        match Rng.int rng 3 with
+        | 0 -> infinity
+        | 1 -> l
+        | _ -> l +. float_of_int (1 + Rng.int rng 4))
+      lb
+  in
+  (* Most rows hold at an integer point inside the bounds, a third of
+     them tightly (a degenerate vertex); the rest are random and may
+     make the LP infeasible. *)
+  let x0 =
+    Array.init n (fun j ->
+        let span = if Float.is_finite ub.(j) then ub.(j) -. lb.(j) else 3.0 in
+        lb.(j) +. float_of_int (Rng.int rng (int_of_float span + 1)))
+  in
+  let coeff () = float_of_int (if Rng.bernoulli rng 0.5 then 0 else Rng.int rng 7 - 3) in
+  let terms () =
+    List.filter_map
+      (fun j -> if Rng.bernoulli rng 0.6 then Some (j, coeff ()) else None)
+      (List.init n Fun.id)
+    @ if Rng.bernoulli rng 0.2 then [ (Rng.int rng n, coeff ()) ] else []
+  in
+  let rows =
+    Array.init m (fun _ ->
+        let coeffs = terms () in
+        let at_x0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
+        let slack = float_of_int (if Rng.bernoulli rng 0.3 then 0 else Rng.int rng 5) in
+        match Rng.int rng 7 with
+        | 0 | 1 -> (coeffs, Simplex.Le, at_x0 +. slack)
+        | 2 | 3 -> (coeffs, Simplex.Ge, at_x0 -. slack)
+        | 4 | 5 -> (coeffs, Simplex.Eq, at_x0)
+        | _ ->
+          let sense =
+            match Rng.int rng 3 with 0 -> Simplex.Le | 1 -> Simplex.Ge | _ -> Simplex.Eq
+          in
+          (coeffs, sense, float_of_int (Rng.int rng 13 - 4)))
+  in
+  (terms (), rows, lb, ub)
+
 let arb_lp =
   QCheck2.Gen.(
     let* seed = int_bound 1_000_000 in
     let* n = int_range 1 10 in
     let* m = int_range 0 10 in
     let* max_pivots = oneofl [ None; None; Some 3; Some 12 ] in
-    let rng = Rng.create seed in
-    let lb = Array.init n (fun _ -> float_of_int (Rng.int rng 3 - 1)) in
-    let ub =
-      Array.map
-        (fun l ->
-          match Rng.int rng 3 with
-          | 0 -> infinity
-          | 1 -> l
-          | _ -> l +. float_of_int (1 + Rng.int rng 4))
-        lb
-    in
-    (* Most rows hold at an integer point inside the bounds, a third of
-       them tightly (a degenerate vertex); the rest are random and may
-       make the LP infeasible. *)
-    let x0 =
-      Array.init n (fun j ->
-          let span = if Float.is_finite ub.(j) then ub.(j) -. lb.(j) else 3.0 in
-          lb.(j) +. float_of_int (Rng.int rng (int_of_float span + 1)))
-    in
-    let coeff () = float_of_int (if Rng.bernoulli rng 0.5 then 0 else Rng.int rng 7 - 3) in
-    let terms () =
-      List.filter_map
-        (fun j -> if Rng.bernoulli rng 0.6 then Some (j, coeff ()) else None)
-        (List.init n Fun.id)
-      @ if Rng.bernoulli rng 0.2 then [ (Rng.int rng n, coeff ()) ] else []
-    in
-    let rows =
-      Array.init m (fun _ ->
-          let coeffs = terms () in
-          let at_x0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
-          let slack = float_of_int (if Rng.bernoulli rng 0.3 then 0 else Rng.int rng 5) in
-          match Rng.int rng 7 with
-          | 0 | 1 -> (coeffs, Simplex.Le, at_x0 +. slack)
-          | 2 | 3 -> (coeffs, Simplex.Ge, at_x0 -. slack)
-          | 4 | 5 -> (coeffs, Simplex.Eq, at_x0)
-          | _ ->
-            let sense =
-              match Rng.int rng 3 with 0 -> Simplex.Le | 1 -> Simplex.Ge | _ -> Simplex.Eq
-            in
-            (coeffs, sense, float_of_int (Rng.int rng 13 - 4)))
-    in
-    return (n, terms (), rows, lb, ub, max_pivots))
+    let obj, rows, lb, ub = random_lp (Rng.create seed) ~n ~m in
+    return (n, obj, rows, lb, ub, max_pivots))
 
 let solve_counting minimize (n, obj, rows, lb, ub, max_pivots) =
   let reg = Obs.Metrics.create () in
@@ -227,19 +230,92 @@ let solve_counting minimize (n, obj, rows, lb, ub, max_pivots) =
   in
   (r, Obs.Metrics.counter_value reg "lp.pivots")
 
+let same_answer r r' =
+  match (r, r') with
+  | Simplex.Optimal a, Simplex.Optimal b ->
+    Float.equal a.obj b.obj && Array.for_all2 Float.equal a.x b.x
+  | Simplex.Infeasible, Simplex.Infeasible
+  | Simplex.Unbounded, Simplex.Unbounded
+  | Simplex.Iteration_limit, Simplex.Iteration_limit -> true
+  | _ -> false
+
+let matches_reference lp =
+  let r, pivots = solve_counting Simplex.minimize lp in
+  let r', pivots' = solve_counting Simplex_reference.minimize lp in
+  pivots = pivots' && same_answer r r'
+
 let prop_matches_dense_reference =
-  Test_util.qtest ~count:1000 "simplex matches dense reference" arb_lp (fun lp ->
-      let r, pivots = solve_counting Simplex.minimize lp in
-      let r', pivots' = solve_counting Simplex_reference.minimize lp in
-      pivots = pivots'
-      &&
-      match (r, r') with
-      | Simplex.Optimal a, Simplex.Optimal b ->
-        Float.equal a.obj b.obj && Array.for_all2 Float.equal a.x b.x
-      | Simplex.Infeasible, Simplex.Infeasible
-      | Simplex.Unbounded, Simplex.Unbounded
-      | Simplex.Iteration_limit, Simplex.Iteration_limit -> true
-      | _ -> false)
+  Test_util.qtest ~count:1000 "simplex matches dense reference" arb_lp matches_reference
+
+(* Tableau rows come from a per-domain pool, zero-filled to each solve's
+   width and grown to the union of the shapes served. A solve after a
+   larger one reads a prefix of longer, dirtier rows; a solve after a
+   smaller one grows the pool. Interleaving the sizes must not change a
+   pivot. *)
+let lp_of_seed ?max_pivots ~n ~m seed =
+  let obj, rows, lb, ub = random_lp (Rng.create seed) ~n ~m in
+  (n, obj, rows, lb, ub, max_pivots)
+
+let arb_pool_sequence =
+  QCheck2.Gen.(
+    let size lo hi = pair (int_range lo hi) (int_range lo hi) in
+    let* large1 = size 15 40 and* small = size 1 6 and* large2 = size 15 40 in
+    let* seed = int_bound 1_000_000 in
+    return
+      (List.mapi
+         (fun i (n, m) -> lp_of_seed ~n ~m (seed + i))
+         [ large1; small; large2 ]))
+
+let prop_pooled_rows_match_reference =
+  Test_util.qtest ~count:40 "pooled rows: large, small, large match reference"
+    arb_pool_sequence (List.for_all matches_reference)
+
+(* 400 x 400 has at least 400 rows of at least 801 entries: more than
+   the pool keeps, so it takes rows of its own; the pivot cap bounds
+   the reference's dense pivots. *)
+let over_cap = lp_of_seed ~max_pivots:60 ~n:400 ~m:400 7
+
+let test_over_cap_interleaved () =
+  List.iteri
+    (fun i lp ->
+      Alcotest.(check bool) (Printf.sprintf "model %d matches reference" i) true
+        (matches_reference lp))
+    [ over_cap; lp_of_seed ~n:5 ~m:4 3; lp_of_seed ~n:30 ~m:30 4; over_cap ]
+
+(* Each domain has its own pool: two domains solving interleaved
+   sequences at once must each get the reference's answers. *)
+let test_two_domains () =
+  let seq k =
+    List.init 6 (fun i ->
+        lp_of_seed ~n:(if i mod 2 = 0 then 30 + k else 3) ~m:(25 + i) ((100 * k) + i))
+  in
+  let solve minimize (n, obj, rows, lb, ub, max_pivots) =
+    minimize ?max_pivots ~num_vars:n ~obj ~rows ~lb ~ub ()
+  in
+  let expected k = List.map (solve Simplex_reference.minimize) (seq k) in
+  let run k () = List.map (solve Simplex.minimize) (seq k) in
+  let d1 = Domain.spawn (run 1) and d2 = Domain.spawn (run 2) in
+  let got1 = Domain.join d1 and got2 = Domain.join d2 in
+  Alcotest.(check bool) "domain 1" true (List.for_all2 same_answer got1 (expected 1));
+  Alcotest.(check bool) "domain 2" true (List.for_all2 same_answer got2 (expected 2))
+
+(* A fresh tableau for this model is about 20k words (a hundred rows of
+   about 200 floats, each below the major-heap threshold, so minor
+   words see it); a warm solve allocates only the model's own rows,
+   bases and lists. *)
+let test_warm_solve_allocation () =
+  let n, obj, rows, lb, ub, _ = lp_of_seed ~n:60 ~m:60 5 in
+  let solve () =
+    ignore (Simplex.minimize ~num_vars:n ~obj ~rows ~lb ~ub () : Simplex.result)
+  in
+  solve ();
+  let words = ref infinity in
+  for _ = 1 to 3 do
+    let before = Gc.minor_words () in
+    solve ();
+    words := Float.min !words (Gc.minor_words () -. before)
+  done;
+  if !words > 12_000. then Alcotest.failf "warm solve allocated %.0f minor words" !words
 
 let () =
   Alcotest.run "lp"
@@ -255,5 +331,16 @@ let () =
           Alcotest.test_case "negative rhs flip" `Quick test_negative_rhs_flip;
           Alcotest.test_case "degenerate" `Quick test_degenerate;
         ] );
-      ("property", [ prop_simplex_optimality; prop_matches_dense_reference ]);
+      ( "pool",
+        [
+          Alcotest.test_case "over the cap, interleaved" `Quick test_over_cap_interleaved;
+          Alcotest.test_case "two domains" `Quick test_two_domains;
+          Alcotest.test_case "warm solve allocation" `Quick test_warm_solve_allocation;
+        ] );
+      ( "property",
+        [
+          prop_simplex_optimality;
+          prop_matches_dense_reference;
+          prop_pooled_rows_match_reference;
+        ] );
     ]

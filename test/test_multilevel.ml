@@ -178,6 +178,90 @@ let prop_refine_skip_matches_reference =
       && (steps <> Some 0 || runs = 0)
       && (steps <> None || skipped = 0))
 
+(* One coarsening serves every ratio: replaying the first n - t1
+   contractions of a run to t2 <= t1 must rebuild the level a run to t1
+   reaches from scratch, down to the quotient's CSR, weights and
+   representative map and the order undo_last restores the nodes in.
+   Sparse DAGs leave edgeless components, where both runs stop short of
+   their target. *)
+let arb_replay =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* n = int_range 1 40 in
+    let* edge_prob = oneofl [ 0.0; 0.03; 0.1; 0.3 ] in
+    let* strategy = oneofl [ Coarsen.Paper_rule; Coarsen.Comm_matching ] in
+    let* t2 = int_range 1 n in
+    let* t1 = int_range t2 n in
+    let dag = Test_util.random_dag (Rng.create seed) ~n ~edge_prob ~max_w:5 ~max_c:4 in
+    return (dag, strategy, t1, t2))
+
+let level_of session =
+  let qdag, rep_of_id = Coarsen.quotient session in
+  ( ( Dag.succ_offsets qdag,
+      Dag.succ_targets qdag,
+      Array.init (Dag.n qdag) (Dag.work qdag),
+      Array.init (Dag.n qdag) (Dag.comm qdag) ),
+    rep_of_id )
+
+let undo_all session =
+  let rec go acc =
+    match Coarsen.undo_last session with Some c -> go (c :: acc) | None -> List.rev acc
+  in
+  go []
+
+let prop_replay_matches_coarsen =
+  Test_util.qtest ~count:200 "replayed prefix = coarsen to the larger target" arb_replay
+    (fun (dag, strategy, t1, t2) ->
+      let deep = Coarsen.start dag in
+      Coarsen.coarsen_to ~strategy deep ~target:t2;
+      let replayed = Coarsen.start dag in
+      Coarsen.replay replayed (Coarsen.history deep) ~target:t1;
+      let direct = Coarsen.start dag in
+      Coarsen.coarsen_to ~strategy direct ~target:t1;
+      Coarsen.num_contractions replayed = Coarsen.num_contractions direct
+      && Coarsen.num_contractions replayed
+         = min (Dag.n dag - t1) (Coarsen.num_contractions deep)
+      && level_of replayed = level_of direct
+      && undo_all replayed = undo_all direct)
+
+let test_replay_rejects_foreign_history () =
+  let dag = Test_util.chain 4 in
+  let session = Coarsen.start dag in
+  Alcotest.check_raises "not an edge"
+    (Invalid_argument "Coarsen.replay: contraction is not an edge of the current level")
+    (fun () ->
+      Coarsen.replay session [ { Coarsen.kept = 0; removed = 2 } ] ~target:1)
+
+(* The pipeline's one-coarsening path: run_ratio on a shared history
+   gives the bytes and the counters of a pass that coarsens on its own. *)
+let prop_shared_coarsening_matches =
+  Test_util.qtest ~count:40 "run_ratio on a shared coarsening"
+    QCheck2.Gen.(pair (Test_util.arb_dag ~max_n:60 ()) (oneofl [ 4; 8 ]))
+    (fun (dag, p) ->
+      let m = Machine.numa_tree ~p ~g:3 ~l:5 ~delta:2 in
+      let ratios = Multilevel.default_config.Multilevel.ratios in
+      let contractions = Multilevel.coarsening ~ratios dag in
+      let solver mach d = Bspg.schedule mach d in
+      let run ?contractions ratio =
+        let r = Obs.Metrics.create () in
+        let s =
+          Obs.Metrics.with_registry r (fun () ->
+              Multilevel.run_ratio ?contractions ~refine_interval:2 ~refine_moves:5 ~solver
+                ~ratio m dag)
+        in
+        ( Schedule_io.to_string s,
+          List.map
+            (Obs.Metrics.counter_value r)
+            [
+              "multilevel.contractions";
+              "multilevel.refine_passes";
+              "multilevel.refine_moves_applied";
+              "hc.runs";
+              "hc.moves_evaluated";
+            ] )
+      in
+      List.for_all (fun ratio -> run ~contractions ratio = run ratio) ratios)
+
 let () =
   Alcotest.run "multilevel"
     [
@@ -187,6 +271,8 @@ let () =
           Alcotest.test_case "uncontractable skipped" `Quick test_uncontractable_edge_skipped;
           Alcotest.test_case "undo restores structure" `Quick test_undo_restores_structure;
           Alcotest.test_case "owner tracking" `Quick test_owner_tracking;
+          Alcotest.test_case "replay rejects a foreign history" `Quick
+            test_replay_rejects_foreign_history;
         ] );
       ( "driver",
         [
@@ -200,5 +286,7 @@ let () =
           prop_undo_roundtrip;
           prop_multilevel_valid;
           prop_refine_skip_matches_reference;
+          prop_replay_matches_coarsen;
+          prop_shared_coarsening_matches;
         ] );
     ]
