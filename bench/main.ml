@@ -761,9 +761,12 @@ let localsearch () =
     }
   in
   let reg = Obs.Metrics.create () in
-  let _, stage =
+  let stage =
     Par.with_jobs 1 (fun () ->
-        Obs.Metrics.with_registry reg (fun () -> Pipeline.run ~limits:pipeline_limits m dag))
+        Obs.Metrics.with_registry reg (fun () ->
+            let sched, stage = Pipeline.run ~limits:pipeline_limits m dag in
+            Pipeline.publish_result m sched ~cost:stage.Pipeline.final_cost;
+            stage))
   in
   let pipe_hc_evals = Obs.Metrics.counter_value reg "hc.moves_evaluated" in
   let pipe_hccs_evals = Obs.Metrics.counter_value reg "hccs.moves_evaluated" in

@@ -60,6 +60,7 @@ let run input p g l delta machine_file algorithm seconds output seed quiet show 
      List.iter prerr_endline errs;
      failwith "internal error: scheduler produced an invalid schedule");
   let b = Obs.Metrics.with_span "cli:cost" (fun () -> Bsp_cost.breakdown machine schedule) in
+  Pipeline.publish_result machine schedule ~cost:b.Bsp_cost.total;
   if not quiet then begin
     Printf.printf "instance:   %s (%d nodes, %d edges)\n" input (Dag.n dag)
       (Dag.num_edges dag);

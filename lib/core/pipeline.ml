@@ -74,11 +74,11 @@ let local_search ?(label = "init") limits machine sched =
         Superstep_merge.greedy machine (Schedule.compact hc))
   in
   let hccs_budget = stage_budget limits limits.hccs_evals in
-  let hccs, _ =
+  let hccs, stats =
     Obs.Metrics.with_span ~budget:hccs_budget ("hccs:" ^ label) (fun () ->
         Hccs.improve ~budget:hccs_budget machine hc)
   in
-  hccs
+  (hccs, stats.Hccs.final_cost)
 
 let cost machine s = Bsp_cost.total machine s
 
@@ -133,8 +133,7 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
         let init_cost = cost machine init in
         Obs.Metrics.series_point "pipeline.init_cost" ~label:name
           (float_of_int init_cost);
-        let improved = local_search ~label:name limits machine init in
-        let improved_cost = cost machine improved in
+        let improved, improved_cost = local_search ~label:name limits machine init in
         Obs.Metrics.series_point "pipeline.after_local_search" ~label:name
           (float_of_int improved_cost);
         (name, init_cost, improved, improved_cost))
@@ -154,38 +153,60 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
   let best = ref best and best_cost = ref best_cost in
   let ilp_full_optimal = ref false in
   if limits.use_ilp then begin
-    (* ILPfull on small models; skip the rest when it proved optimality. *)
+    (* The ILP stages first decide from counts whether any sub-solve can
+       run; only then do they copy, re-lazify or cost [!best]. Skipping
+       an idle ILPfull call is exact: every candidate leaves local search
+       through HCcs, which starts from the lazy schedule of its input
+       and only improves it, so the lazy copy ILPfull would hand back
+       never costs less than [!best]. *)
     let full_budget = stage_budget limits limits.ilp_full_nodes in
-    let full_sched, full_report =
+    let full =
       Obs.Metrics.with_span ~budget:full_budget "ilp_full" (fun () ->
-          Ilp_schedulers.full ~budget:full_budget ~max_vars:limits.ilp_full_max_vars
-            ~max_nodes:limits.ilp_full_nodes machine (Schedule.with_lazy_comm !best))
+          if
+            Ilp_schedulers.full_is_noop ~max_vars:limits.ilp_full_max_vars machine !best
+          then None
+          else
+            Some
+              (Ilp_schedulers.full ~budget:full_budget
+                 ~max_vars:limits.ilp_full_max_vars ~max_nodes:limits.ilp_full_nodes
+                 machine (Schedule.with_lazy_comm !best)))
     in
-    ilp_full_optimal :=
-      full_report.Ilp_schedulers.sub_solves > 0 && full_report.Ilp_schedulers.proven_optimal;
-    if cost machine full_sched < !best_cost then begin
-      best := full_sched;
-      best_cost := cost machine full_sched
-    end;
+    (match full with
+     | None -> ()
+     | Some (full_sched, full_report) ->
+       ilp_full_optimal :=
+         full_report.Ilp_schedulers.sub_solves > 0
+         && full_report.Ilp_schedulers.proven_optimal;
+       if full_report.Ilp_schedulers.cost_after < !best_cost then begin
+         best := full_sched;
+         best_cost := full_report.Ilp_schedulers.cost_after
+       end);
     Obs.Metrics.series_point "pipeline.best_cost" ~label:"ilp_full"
       (float_of_int !best_cost);
     if not !ilp_full_optimal then begin
       let part_budget = stage_budget limits limits.ilp_part_nodes in
-      let part_sched, _ =
+      let part_sched =
         Obs.Metrics.with_span ~budget:part_budget "ilp_part" (fun () ->
-            Ilp_schedulers.part ~budget:part_budget ~max_vars:limits.ilp_part_max_vars
-              ~max_nodes:limits.ilp_part_nodes machine (Schedule.with_lazy_comm !best))
+            let input = Schedule.with_lazy_comm !best in
+            if
+              Ilp_schedulers.part_is_noop ~max_vars:limits.ilp_part_max_vars machine !best
+            then input
+            else
+              fst
+                (Ilp_schedulers.part ~budget:part_budget
+                   ~max_vars:limits.ilp_part_max_vars ~max_nodes:limits.ilp_part_nodes
+                   machine input))
       in
       (* The partial ILP reasons over lazy communication; give its result
          the same HCcs polish before comparing. *)
       let polish_budget = stage_budget limits limits.hccs_evals in
-      let part_sched, _ =
+      let part_sched, polish =
         Obs.Metrics.with_span ~budget:polish_budget "hccs:ilp_part" (fun () ->
             Hccs.improve ~budget:polish_budget machine part_sched)
       in
-      if cost machine part_sched < !best_cost then begin
+      if polish.Hccs.final_cost < !best_cost then begin
         best := part_sched;
-        best_cost := cost machine part_sched
+        best_cost := polish.Hccs.final_cost
       end;
       Obs.Metrics.series_point "pipeline.best_cost" ~label:"ilp_part"
         (float_of_int !best_cost)
@@ -194,14 +215,14 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
   let after_ilp_part = !best_cost in
   if limits.use_ilp && not !ilp_full_optimal then begin
     let cs_budget = stage_budget limits limits.ilp_cs_nodes in
-    let cs_sched, _ =
+    let cs_sched, cs_report =
       Obs.Metrics.with_span ~budget:cs_budget "ilp_cs" (fun () ->
           Ilp_schedulers.comm_schedule ~budget:cs_budget
             ~max_vars:limits.ilp_cs_max_vars ~max_nodes:limits.ilp_cs_nodes machine !best)
     in
-    if cost machine cs_sched < !best_cost then begin
+    if cs_report.Ilp_schedulers.cost_after < !best_cost then begin
       best := cs_sched;
-      best_cost := cost machine cs_sched
+      best_cost := cs_report.Ilp_schedulers.cost_after
     end
   end;
   (* Node replication as the last improvement stage (DESIGN.md §5g):
@@ -225,35 +246,6 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
   end;
   Obs.Metrics.series_point "pipeline.best_cost" ~label:"final"
     (float_of_int !best_cost);
-  Obs.Metrics.gauge "pipeline.final_cost" (float_of_int !best_cost);
-  (* Cost attribution of the winning schedule, surfaced as profile.*
-     gauges in --metrics snapshots. Computing the profile is O(schedule),
-     so skip it entirely when nobody is listening. *)
-  (match Obs.Metrics.current () with
-   | None -> ()
-   | Some _ ->
-     let prof = Profile.compute machine !best in
-     Obs.Metrics.gauge "profile.num_supersteps"
-       (float_of_int prof.Profile.num_supersteps);
-     Obs.Metrics.gauge "profile.work_total" (float_of_int prof.Profile.work_total);
-     Obs.Metrics.gauge "profile.comm_total" (float_of_int prof.Profile.comm_total);
-     Obs.Metrics.gauge "profile.latency_total"
-       (float_of_int prof.Profile.latency_total);
-     Obs.Metrics.gauge "profile.lower_bound" (float_of_int prof.Profile.lower_bound);
-     Obs.Metrics.gauge "profile.gap_ratio" (Profile.gap_ratio prof);
-     let max_imb =
-       Array.fold_left
-         (fun acc (ss : Profile.superstep) -> Float.max acc ss.Profile.work_imbalance)
-         1.0 prof.Profile.supersteps
-     in
-     Obs.Metrics.gauge "profile.max_work_imbalance" max_imb;
-     let bottleneck = ref 0 in
-     Array.iteri
-       (fun q w -> if w > prof.Profile.proc_work.(!bottleneck) then bottleneck := q)
-       prof.Profile.proc_work;
-     Obs.Metrics.gauge "profile.bottleneck_proc" (float_of_int !bottleneck);
-     Obs.Metrics.gauge "profile.bottleneck_utilisation"
-       (Profile.work_utilisation prof !bottleneck));
   ( !best,
     {
       best_init_name;
@@ -263,6 +255,37 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
       final_cost = !best_cost;
       ilp_full_optimal = !ilp_full_optimal;
     } )
+
+(* The run-level gauges describe the schedule a run returns, so they are
+   set once, where a result leaves the system (the CLI and
+   [Engine.answer]), and never inside a pipeline: a multilevel run's
+   coarse solves are pipelines too. The profile is O(schedule), so
+   nothing is computed when nobody is listening. *)
+let publish_result machine sched ~cost =
+  match Obs.Metrics.current () with
+  | None -> ()
+  | Some _ ->
+    Obs.Metrics.gauge "pipeline.final_cost" (float_of_int cost);
+    let prof = Profile.compute machine sched in
+    Obs.Metrics.gauge "profile.num_supersteps" (float_of_int prof.Profile.num_supersteps);
+    Obs.Metrics.gauge "profile.work_total" (float_of_int prof.Profile.work_total);
+    Obs.Metrics.gauge "profile.comm_total" (float_of_int prof.Profile.comm_total);
+    Obs.Metrics.gauge "profile.latency_total" (float_of_int prof.Profile.latency_total);
+    Obs.Metrics.gauge "profile.lower_bound" (float_of_int prof.Profile.lower_bound);
+    Obs.Metrics.gauge "profile.gap_ratio" (Profile.gap_ratio prof);
+    let max_imb =
+      Array.fold_left
+        (fun acc (ss : Profile.superstep) -> Float.max acc ss.Profile.work_imbalance)
+        1.0 prof.Profile.supersteps
+    in
+    Obs.Metrics.gauge "profile.max_work_imbalance" max_imb;
+    let bottleneck = ref 0 in
+    Array.iteri
+      (fun q w -> if w > prof.Profile.proc_work.(!bottleneck) then bottleneck := q)
+      prof.Profile.proc_work;
+    Obs.Metrics.gauge "profile.bottleneck_proc" (float_of_int !bottleneck);
+    Obs.Metrics.gauge "profile.bottleneck_utilisation"
+      (Profile.work_utilisation prof !bottleneck)
 
 let run ~limits ?(with_trivial_init = true) machine dag =
   Obs.Metrics.with_span "pipeline" (fun () ->

@@ -92,11 +92,20 @@ val run :
     [with_trivial_init] (default [true]) includes the trivial
     single-processor schedule among the initial candidates; the
     multilevel coarse-solving phase turns it off (see
-    {!stage_costs.best_init_name}). When an {!Obs.Metrics} registry is
-    installed, the winning schedule's {!Profile} summary is recorded as
+    {!stage_costs.best_init_name}). It sets no run-level gauge: a
+    multilevel run's coarse solves are pipelines too, so the caller
+    that returns a result publishes it ({!publish_result}). *)
+
+val publish_result : Machine.t -> Schedule.t -> cost:int -> unit
+(** Set the run-level gauges of the ambient {!Obs.Metrics} registry from
+    the schedule a run returns and its {!Bsp_cost.total}:
+    [pipeline.final_cost], and the schedule's {!Profile} summary as
     [profile.*] gauges (supersteps, work/comm/latency split, lower-bound
     gap, peak work imbalance, bottleneck processor and its
-    utilisation). *)
+    utilisation). The [scheduler] CLI calls it for every algorithm, and
+    [Engine.answer] for a computed answer of [pipeline] or
+    [multilevel]. No-op, and no profile computed, without an installed
+    registry. *)
 
 val run_warm :
   limits:limits ->

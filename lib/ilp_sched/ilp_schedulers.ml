@@ -52,12 +52,19 @@ let solve_interval ?budget ?max_nodes machine dag ~proc ~step spec =
   in
   (applied, outcome)
 
+(* ILPfull models every node over every superstep: [estimate_vars] of
+   that spec, from counts alone. *)
+let full_is_noop ?(max_vars = 2000) machine (sched : Schedule.t) =
+  let num_steps = Schedule.num_supersteps sched in
+  let p = machine.Machine.p in
+  num_steps = 0 || Dag.n sched.Schedule.dag * num_steps * p * p > max_vars
+
 let full ?budget ?(max_vars = 2000) ?max_nodes machine (sched : Schedule.t) =
   let dag = sched.Schedule.dag in
   let cost_before = Bsp_cost.total machine sched in
-  let num_steps = Schedule.num_supersteps sched in
-  if num_steps = 0 then (sched, no_op_report cost_before)
+  if full_is_noop ~max_vars machine sched then (sched, no_op_report cost_before)
   else begin
+    let num_steps = Schedule.num_supersteps sched in
     let spec =
       {
         Ilp_interval.dag;
@@ -69,27 +76,80 @@ let full ?budget ?(max_vars = 2000) ?max_nodes machine (sched : Schedule.t) =
         s_hi = num_steps - 1;
       }
     in
-    if Ilp_interval.estimate_vars spec > max_vars then (sched, no_op_report cost_before)
-    else begin
-      let proc = spec.Ilp_interval.proc and step = spec.Ilp_interval.step in
-      let applied, outcome =
-        solve_interval ?budget ?max_nodes machine dag ~proc ~step spec
-      in
-      let result =
-        if applied then Schedule.compact (Schedule.of_assignment dag ~proc ~step)
-        else sched
-      in
-      let cost_after = Bsp_cost.total machine result in
-      ( result,
-        {
-          improved = cost_after < cost_before;
-          cost_before;
-          cost_after;
-          bb_nodes = outcome.Branch_bound.nodes_explored;
-          sub_solves = 1;
-          proven_optimal = outcome.Branch_bound.proven_optimal;
-        } )
-    end
+    let proc = spec.Ilp_interval.proc and step = spec.Ilp_interval.step in
+    let applied, outcome =
+      solve_interval ?budget ?max_nodes machine dag ~proc ~step spec
+    in
+    let result =
+      if applied then Schedule.compact (Schedule.of_assignment dag ~proc ~step)
+      else sched
+    in
+    let cost_after = Bsp_cost.total machine result in
+    ( result,
+      {
+        improved = cost_after < cost_before;
+        cost_before;
+        cost_after;
+        bb_nodes = outcome.Branch_bound.nodes_explored;
+        sub_solves = 1;
+        proven_optimal = outcome.Branch_bound.proven_optimal;
+      } )
+  end
+
+(* ILPpart's intervals are sized from per-superstep node counts kept as
+   prefix sums: [pre.(s)] nodes sit in supersteps [0 .. s - 1]. Steps
+   outside [0, num_steps) are in no interval. *)
+let count_steps pre step =
+  let num_steps = Array.length pre - 1 in
+  Array.fill pre 0 (num_steps + 1) 0;
+  for v = 0 to Array.length step - 1 do
+    let s = step.(v) in
+    if s >= 0 && s < num_steps then pre.(s + 1) <- pre.(s + 1) + 1
+  done;
+  for s = 1 to num_steps do
+    pre.(s) <- pre.(s) + pre.(s - 1)
+  done
+
+(* The variable estimate [|V0| * |S0| * P^2] of the interval [s1, s2]. *)
+let interval_size pre ~p s1 s2 = (pre.(s2 + 1) - pre.(s1)) * (s2 - s1 + 1) * p * p
+
+(* The interval ending at [s2], grown back until the estimate exceeds
+   the cap (always covering at least one superstep): its first step. *)
+let grow_interval pre ~p ~max_vars s2 =
+  let s1 = ref s2 in
+  while !s1 > 0 && interval_size pre ~p (!s1 - 1) s2 <= max_vars do
+    decr s1
+  done;
+  !s1
+
+(* Whether the interval gets a sub-solve: it holds a node and its model
+   stays within four times the cap. *)
+let interval_solves pre ~p ~max_vars s1 s2 =
+  pre.(s2 + 1) > pre.(s1) && interval_size pre ~p s1 s2 <= max_vars * 4
+
+let part_is_noop ?(max_vars = 600) machine (sched : Schedule.t) =
+  let num_steps = Schedule.num_supersteps sched in
+  if Schedule.has_replicas sched then false
+  else if num_steps = 0 then true
+  else begin
+    let p = machine.Machine.p in
+    let pre = Array.make (num_steps + 1) 0 in
+    count_steps pre sched.Schedule.step;
+    (* An empty superstep would make the final compaction change the
+       result. Otherwise, until a sub-solve moves a node the intervals
+       are those of the counts as they are now. *)
+    let empty = ref false in
+    for s = 0 to num_steps - 1 do
+      if pre.(s + 1) = pre.(s) then empty := true
+    done;
+    let solves = ref false in
+    let s2 = ref (num_steps - 1) in
+    while (not !solves) && !s2 >= 0 do
+      let s1 = grow_interval pre ~p ~max_vars !s2 in
+      if interval_solves pre ~p ~max_vars s1 !s2 then solves := true;
+      s2 := s1 - 1
+    done;
+    not (!empty || !solves)
   end
 
 let part ?budget ?(max_vars = 600) ?max_nodes machine (sched : Schedule.t) =
@@ -101,6 +161,8 @@ let part ?budget ?(max_vars = 600) ?max_nodes machine (sched : Schedule.t) =
   else begin
     let proc = Array.copy sched.Schedule.proc in
     let step = Array.copy sched.Schedule.step in
+    let pre = Array.make (num_steps + 1) 0 in
+    count_steps pre step;
     let nodes_of_interval s1 s2 =
       let acc = ref [] in
       for v = Dag.n dag - 1 downto 0 do
@@ -110,29 +172,22 @@ let part ?budget ?(max_vars = 600) ?max_nodes machine (sched : Schedule.t) =
     in
     let bb_nodes = ref 0 and sub_solves = ref 0 in
     let all_optimal = ref true in
-    (* Intervals from back to front, grown until the variable estimate
-       exceeds the cap (always covering at least one superstep). *)
+    (* Intervals from back to front. An applied sub-solve moves nodes, so
+       the counts are taken again after it. *)
     let s2 = ref (num_steps - 1) in
     while !s2 >= 0 do
-      let s1 = ref !s2 in
-      let size s1' =
-        List.length (nodes_of_interval s1' !s2) * (!s2 - s1' + 1) * p * p
-      in
-      while !s1 > 0 && size (!s1 - 1) <= max_vars do
-        decr s1
-      done;
-      let v0 = nodes_of_interval !s1 !s2 in
-      if v0 <> [] && size !s1 <= max_vars * 4 then begin
-        let spec =
-          { Ilp_interval.dag; machine; proc; step; v0; s_lo = !s1; s_hi = !s2 }
-        in
-        let _, outcome = solve_interval ?budget ?max_nodes machine dag ~proc ~step spec in
+      let s1 = grow_interval pre ~p ~max_vars !s2 in
+      if interval_solves pre ~p ~max_vars s1 !s2 then begin
+        let v0 = nodes_of_interval s1 !s2 in
+        let spec = { Ilp_interval.dag; machine; proc; step; v0; s_lo = s1; s_hi = !s2 } in
+        let applied, outcome = solve_interval ?budget ?max_nodes machine dag ~proc ~step spec in
+        if applied then count_steps pre step;
         incr sub_solves;
         bb_nodes := !bb_nodes + outcome.Branch_bound.nodes_explored;
         if not outcome.Branch_bound.proven_optimal then all_optimal := false
       end
-      else if v0 <> [] then all_optimal := false;
-      s2 := !s1 - 1
+      else if pre.(!s2 + 1) > pre.(s1) then all_optimal := false;
+      s2 := s1 - 1
     done;
     let result = Schedule.compact (Schedule.of_assignment dag ~proc ~step) in
     let result = if Bsp_cost.total machine result < cost_before then result else sched in
@@ -202,8 +257,11 @@ let comm_schedule ?budget ?(max_vars = 1500) ?max_nodes machine (sched : Schedul
   let cost_before = Bsp_cost.total machine sched in
   let num_steps = Schedule.num_supersteps sched in
   let pairs = Array.of_list (Hccs.required_pairs machine sched) in
+  (* Integer comparisons: a tuple key would allocate two pairs per
+     comparison. *)
   Array.sort
-    (fun (a : Hccs.pair) (b : Hccs.pair) -> compare (a.node, a.dst) (b.node, b.dst))
+    (fun (a : Hccs.pair) (b : Hccs.pair) ->
+      if a.node <> b.node then Int.compare a.node b.node else Int.compare a.dst b.dst)
     pairs;
   if num_steps = 0 || Array.length pairs = 0 then (sched, no_op_report cost_before)
   else begin

@@ -16,8 +16,8 @@
 
 type report = {
   improved : bool;
-  cost_before : int;
-  cost_after : int;
+  cost_before : int;  (** {!Bsp_cost.total} of the input *)
+  cost_after : int;  (** {!Bsp_cost.total} of the returned schedule *)
   bb_nodes : int;  (** branch-and-bound nodes over all sub-solves *)
   sub_solves : int;  (** number of ILP models solved *)
   proven_optimal : bool;
@@ -37,6 +37,21 @@ val full :
     range. Returns the input untouched (with [sub_solves = 0]) when the
     estimated variable count exceeds [max_vars] (default 2000, the
     analogue of the paper's 20000-variable CBC gate). *)
+
+val full_is_noop : ?max_vars:int -> Machine.t -> Schedule.t -> bool
+(** Whether {!full} with this [max_vars] (same default) would run no
+    sub-solve and return its input: the schedule has no superstep, or
+    its [n * S * P^2] variable estimate exceeds the cap. Decided from
+    the node and superstep counts; reads only the assignment, so a
+    schedule and its {!Schedule.with_lazy_comm} copy answer alike. *)
+
+val part_is_noop : ?max_vars:int -> Machine.t -> Schedule.t -> bool
+(** Whether {!part} with this [max_vars] (same default), given the
+    schedule's {!Schedule.with_lazy_comm} copy, would run no sub-solve
+    and return that copy: no interval would be solved and no superstep
+    is empty (compaction would otherwise change the result). Decided
+    from per-superstep node counts as prefix sums, in O(n + S) time and
+    O(S) words; false for a replicated schedule. *)
 
 val part :
   ?budget:Budget.t ->

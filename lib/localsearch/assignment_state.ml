@@ -1,3 +1,12 @@
+type worklist = {
+  ring : int array;
+  queued : bool array;
+  clean : int array;
+  res_head : int array;
+  res_next : int array;
+  res_prev : int array;
+}
+
 type t = {
   dag : Dag.t;
   (* Aliases of the DAG's CSR adjacency arrays, so every hot loop
@@ -109,11 +118,15 @@ type t = {
   col_wm : int array;
   col_hm : int array;
   col_neg : bool array;
+  (* [Hc]'s worklist scratch, pooled with the rest (see [worklist] in
+     the interface). Contents are unspecified between searches. *)
+  wl : worklist;
 }
 
 let no_need = max_int
 
 let num_steps t = t.num_steps_
+let worklist t = t.wl
 let proc t v = t.proc_.(v)
 let step t v = t.step_.(v)
 let total_cost t = Cost_table.total t.table
@@ -394,6 +407,15 @@ let build ?pooled machine dag ~num_steps ~max_in ~proc ~step =
     col_wm = gi (fun o -> o.col_wm) steps1;
     col_hm = gi (fun o -> o.col_hm) steps1;
     col_neg = gb (fun o -> o.col_neg) steps1;
+    wl =
+      {
+        ring = gi (fun o -> o.wl.ring) (n + 1);
+        queued = gb (fun o -> o.wl.queued) n;
+        clean = gi (fun o -> o.wl.clean) n;
+        res_head = gi (fun o -> o.wl.res_head) steps1;
+        res_next = gi (fun o -> o.wl.res_next) n;
+        res_prev = gi (fun o -> o.wl.res_prev) n;
+      };
   }
 
 (* The one builder behind [init] and [of_assignment]: the state works
@@ -513,7 +535,7 @@ let valid_move st v p2 s2 =
    below the earliest successor (strictly, unless every earliest
    successor sits on p2). Summarising the four quantities once per node
    makes the per-candidate check O(1) instead of a pred/succ scan. *)
-let move_window st v =
+let move_window st v out =
   let last_pred = ref (-1) and last_pred_proc = ref (-1) in
   for i = st.poff.(v) to st.poff.(v + 1) - 1 do
     let u = Array.unsafe_get st.ptgt i in
@@ -535,7 +557,10 @@ let move_window st v =
     else if s = !first_succ && st.proc_.(w) <> !first_succ_proc then
       first_succ_proc := -1
   done;
-  (!last_pred, !last_pred_proc, !first_succ, !first_succ_proc)
+  out.(0) <- !last_pred;
+  out.(1) <- !last_pred_proc;
+  out.(2) <- !first_succ;
+  out.(3) <- !first_succ_proc
 
 (* ------------------------------------------------------------------ *)
 (* Read-only delta evaluation.                                         *)

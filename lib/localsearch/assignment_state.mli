@@ -70,6 +70,24 @@ val prewarm : Machine.t -> Dag.t -> num_steps:int -> unit
     level's arrays too small and falls back to allocation. No-op when
     the pool already holds a state of sufficient capacity. *)
 
+(** {1 Hill-climbing worklist scratch} *)
+
+type worklist = {
+  ring : int array;  (** a FIFO ring of at least [n + 1] slots *)
+  queued : bool array;  (** per node: in the ring *)
+  clean : int array;  (** per node: stamp of its last move-free scan *)
+  res_head : int array;  (** per superstep: first resident node, or -1 *)
+  res_next : int array;  (** per node: next resident of its superstep *)
+  res_prev : int array;  (** per node: previous resident of its superstep *)
+}
+(** Scratch pooled with the state, so that a search over it allocates
+    nothing per node. Each array holds at least the entries described
+    ([n] per node, [num_steps] per superstep); the contents are
+    unspecified when a state is built or reused, and {!Hc} initialises
+    the entries it reads. *)
+
+val worklist : t -> worklist
+
 val num_steps : t -> int
 val proc : t -> int -> int
 val step : t -> int -> int
@@ -85,10 +103,12 @@ val valid_move : t -> int -> int -> int -> bool
 (** [valid_move st v p' s'] — would reassigning [v] to [(p', s')] keep
     the schedule valid (under lazy communication)? *)
 
-val move_window : t -> int -> int * int * int * int
-(** [(last_pred, last_pred_proc, first_succ, first_succ_proc)] for one
-    node: the latest predecessor superstep (or [-1]) and the earliest
-    successor superstep (or {!num_steps}), each with the common
+val move_window : t -> int -> int array -> unit
+(** [move_window st v out] writes [last_pred], [last_pred_proc],
+    [first_succ] and [first_succ_proc] to [out.(0)] .. [out.(3)], so a
+    scan allocates no tuple per node: the latest predecessor superstep
+    (or [-1]) and the earliest successor superstep (or {!num_steps}),
+    each with the common
     processor of the nodes attaining it ([-1] if they disagree). A
     candidate [(p', s')] is valid iff [s'] is in range and
 

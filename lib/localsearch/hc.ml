@@ -148,12 +148,14 @@ let search ~check ~budget ~max_moves machine dag st =
   let move_cap = match max_moves with None -> max_int | Some m -> m in
   let stop () = !moves_applied >= move_cap || Budget.exhausted budget in
   (* Dirty-node worklist: a FIFO ring (capacity n + 1 suffices since a
-     node is enqueued at most once at a time) plus a membership flag.
-     The local length/peak/total counters feed the observability layer
-     at the end of the run. *)
-  let queue = Array.make (n + 1) 0 in
+     node is enqueued at most once at a time) plus a membership flag,
+     both the state's pooled scratch. The local length/peak/total
+     counters feed the observability layer at the end of the run. *)
+  let wl = Assignment_state.worklist st in
+  let queue = wl.Assignment_state.ring in
   let head = ref 0 and tail = ref 0 in
-  let queued = Array.make n false in
+  let queued = wl.Assignment_state.queued in
+  Array.fill queued 0 n false;
   let enqueued_total = ref 0 in
   let queue_len = ref 0 in
   let queue_peak = ref 0 in
@@ -177,11 +179,37 @@ let search ~check ~budget ~max_moves machine dag st =
   in
   let queue_empty () = !head = !tail in
   (* Nodes resident per superstep, so an accepted move can re-enqueue
-     exactly the nodes whose neighbourhood costs it disturbed. *)
-  let residents = Array.make num_steps [] in
+     exactly the nodes whose neighbourhood costs it disturbed. Each
+     superstep's residents form a doubly linked list over the pooled
+     [res_*] arrays, in ascending id order at the start; a move unlinks
+     its node, keeping the others' order, and puts it first in its new
+     superstep. That order decides the enqueue order. *)
+  let res_head = wl.Assignment_state.res_head in
+  let res_next = wl.Assignment_state.res_next in
+  let res_prev = wl.Assignment_state.res_prev in
+  Array.fill res_head 0 num_steps (-1);
+  let push_resident s v =
+    let h = res_head.(s) in
+    res_next.(v) <- h;
+    res_prev.(v) <- -1;
+    if h >= 0 then res_prev.(h) <- v;
+    res_head.(s) <- v
+  in
+  let unlink_resident s v =
+    let next = res_next.(v) and prev = res_prev.(v) in
+    if prev >= 0 then res_next.(prev) <- next else res_head.(s) <- next;
+    if next >= 0 then res_prev.(next) <- prev
+  in
   for v = n - 1 downto 0 do
-    residents.(Assignment_state.step st v) <- v :: residents.(Assignment_state.step st v)
+    push_resident (Assignment_state.step st v) v
   done;
+  let enqueue_residents s =
+    let w = ref res_head.(s) in
+    while !w >= 0 do
+      enqueue !w;
+      w := res_next.(!w)
+    done
+  in
   (* An accepted move of v disturbed the supersteps recorded by the
      delta evaluation. Re-enqueue: v and its neighbourhood (validity
      windows and first_need sets changed), the other successors of v's
@@ -196,14 +224,16 @@ let search ~check ~budget ~max_moves machine dag st =
     Dag.iter_succ dag v enqueue;
     Dag.iter_pred dag v (fun u -> Dag.iter_succ dag u enqueue);
     Assignment_state.iter_last_touched_steps st (fun s ->
-        List.iter enqueue residents.(s);
-        if s > 0 then List.iter enqueue residents.(s - 1);
-        if s + 1 < num_steps then
-          List.iter
-            (fun w ->
-              enqueue w;
-              Dag.iter_pred dag w enqueue)
-            residents.(s + 1))
+        enqueue_residents s;
+        if s > 0 then enqueue_residents (s - 1);
+        if s + 1 < num_steps then begin
+          let w = ref res_head.(s + 1) in
+          while !w >= 0 do
+            enqueue !w;
+            Dag.iter_pred dag !w enqueue;
+            w := res_next.(!w)
+          done
+        end)
   in
   (* First-improvement scan of one node's neighbourhood: every
      processor, superstep within +-1 (Appendix A.3), in the same
@@ -219,8 +249,8 @@ let search ~check ~budget ~max_moves machine dag st =
     if try_move ~check st v p2 s2 then begin
       incr moves_applied;
       if s2 <> s1 then begin
-        residents.(s1) <- List.filter (fun w -> w <> v) residents.(s1);
-        residents.(s2) <- v :: residents.(s2)
+        unlink_resident s1 v;
+        push_resident s2 v
       end;
       mark_after_move v;
       true
@@ -255,14 +285,16 @@ let search ~check ~budget ~max_moves machine dag st =
      found no move: while no move is applied since, a scan of v reads
      the same state, finds no move again and charges 3p - 1
      evaluations (every candidate of its three superstep rows). *)
-  let clean = Array.make n (-1) in
+  let clean = wl.Assignment_state.clean in
+  Array.fill clean 0 n (-1);
   let no_move_evals = (3 * p) - 1 in
+  let window = Array.make 4 0 in
   let scan_node v =
     let s1 = Assignment_state.step st v in
     let p1 = Assignment_state.proc st v in
-    let last_pred, last_pred_proc, first_succ, first_succ_proc =
-      Assignment_state.move_window st v
-    in
+    Assignment_state.move_window st v window;
+    let last_pred = window.(0) and last_pred_proc = window.(1) in
+    let first_succ = window.(2) and first_succ_proc = window.(3) in
     let moved = ref false in
     let evald = ref 0 in
     let ds = ref (-1) in

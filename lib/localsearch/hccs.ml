@@ -17,30 +17,53 @@ type pair = {
 
 let no_need = max_int
 
+let key_below (e : Schedule.comm_event) node dst =
+  e.node < node || (e.node = node && e.dst < dst)
+
+let rec sorted_by_key = function
+  | (a : Schedule.comm_event) :: ((b : Schedule.comm_event) :: _ as rest) ->
+    (not (key_below b a.node a.dst)) && sorted_by_key rest
+  | _ -> true
+
+(* The input's events from the first whose (node, dst) is not below
+   the given one. *)
+let rec skip_below node dst = function
+  | e :: rest when key_below e node dst -> skip_below node dst rest
+  | events -> events
+
+(* The earliest phase of a direct event (sent from [src], the node's
+   own processor) for this (node, dst) at the head of [events]. *)
+let rec first_direct node dst src best = function
+  | (e : Schedule.comm_event) :: rest when e.node = node && e.dst = dst ->
+    first_direct node dst src (if e.src = src && e.step < best then e.step else best) rest
+  | _ -> best
+
 (* The pairs are the events of the lazy schedule, which emits them in
-   ascending (node, dst) order: the order the scan relies on. The
-   input's direct events index a flat [n * p] table rather than a
-   (node, processor)-keyed hashtable, whose tuple keys would allocate a
-   box per probe. *)
+   ascending (node, dst) order: the order the scan relies on. Each pair
+   starts from the input's earliest direct event for its (node, dst)
+   when that fits the window, otherwise from the lazy position (window
+   end). The input's events are joined to the lazy ones in one pass in
+   (node, dst) order — the order of every schedule this library builds;
+   an input in any other order is sorted first — so no per-(node,
+   processor) table is allocated. *)
 let required_pairs machine (sched : Schedule.t) =
   let dag = sched.Schedule.dag in
-  let p = machine.Machine.p in
   let proc = sched.Schedule.proc and step = sched.Schedule.step in
-  (* Start each pair from the input schedule's direct event when one fits
-     the window; otherwise from the lazy position (window end). *)
-  let initial = Array.make (max (Dag.n dag * p) 1) no_need in
-  List.iter
-    (fun (e : Schedule.comm_event) ->
-      if e.src = proc.(e.node) then begin
-        let idx = (e.node * p) + e.dst in
-        if e.step < initial.(idx) then initial.(idx) <- e.step
-      end)
-    sched.Schedule.comm;
-  List.map
-    (fun (e : Schedule.comm_event) ->
+  let input =
+    if sorted_by_key sched.Schedule.comm then sched.Schedule.comm
+    else
+      List.stable_sort
+        (fun (a : Schedule.comm_event) (b : Schedule.comm_event) ->
+          if a.node <> b.node then Int.compare a.node b.node else Int.compare a.dst b.dst)
+        sched.Schedule.comm
+  in
+  let[@tail_mod_cons] rec join input = function
+    | [] -> []
+    | (e : Schedule.comm_event) :: rest ->
+      let input = skip_below e.node e.dst input in
       let lo = step.(e.node) and hi = e.step in
       let cur =
-        let s = initial.((e.node * p) + e.dst) in
+        let s = first_direct e.node e.dst proc.(e.node) no_need input in
         if s >= lo && s <= hi then s else hi
       in
       {
@@ -51,8 +74,10 @@ let required_pairs machine (sched : Schedule.t) =
         lo;
         hi;
         cur;
-      })
-    (Schedule.lazy_comm dag ~proc ~step)
+      }
+      :: join input rest
+  in
+  join input (Schedule.lazy_comm dag ~proc ~step)
 
 let improve ?(budget = Budget.unlimited ()) machine (sched : Schedule.t) =
   let dag = sched.Schedule.dag in
@@ -72,9 +97,10 @@ let improve ?(budget = Budget.unlimited ()) machine (sched : Schedule.t) =
   Cost_table.refresh table;
   let to_schedule () =
     let comm =
-      Array.to_list pairs
-      |> List.map (fun pair ->
-             { Schedule.node = pair.node; src = pair.src; dst = pair.dst; step = pair.cur })
+      Array.fold_right
+        (fun pair acc ->
+          { Schedule.node = pair.node; src = pair.src; dst = pair.dst; step = pair.cur } :: acc)
+        pairs []
     in
     Schedule.make dag ~proc:sched.Schedule.proc ~step:sched.Schedule.step ~comm
   in

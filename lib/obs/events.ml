@@ -6,11 +6,11 @@
    state, one DLS load, one integer clock read, three array stores, one
    atomic head bump — no lock, no cross-domain traffic (each domain
    owns its ring; the head is an atomic only so that a crash-dump from
-   another domain reads a coherent prefix). A call without [?arg] or
-   [?ts] allocates nothing; passing either boxes the option at the call
-   site. When the
-   ring wraps, the oldest events are overwritten and counted as
-   dropped — recording never blocks and never grows memory.
+   another domain reads a coherent prefix). Arguments and timestamps
+   are plain ints with sentinels ([no_arg], [clock]), so no call boxes
+   anything and the record path allocates nothing. When the ring wraps,
+   the oldest events are overwritten and counted as dropped — recording
+   never blocks and never grows memory.
 
    Enabling installs a fresh generation; buffers from an earlier
    generation are abandoned (domains lazily re-register), so
@@ -44,10 +44,12 @@ type kinds = { names : string array; ids : kind Names.t }
 let kinds_m = Mutex.create ()
 let kinds : kinds Atomic.t = Atomic.make { names = [||]; ids = Names.empty }
 
+(* [find] rather than [find_opt]: a hit returns the bare int, where the
+   option would be allocated on every span. *)
 let register_kind name =
-  match Names.find_opt name (Atomic.get kinds).ids with
-  | Some k -> k
-  | None ->
+  match Names.find name (Atomic.get kinds).ids with
+  | k -> k
+  | exception Not_found ->
     Mutex.protect kinds_m (fun () ->
         let r = Atomic.get kinds in
         match Names.find_opt name r.ids with
@@ -147,21 +149,22 @@ let record_at st ts tag kind arg =
 
 let seconds_of_ns ns = float_of_int ns /. 1e9
 
-let stamp = function
-  | Some ts -> Time_source.ns_of_seconds ts
-  | None -> Time_source.now_ns ()
+let no_arg = 0
+let clock = min_int
 
-let begin_ ?(arg = 0) ?ts k =
+let[@inline] stamp ts = if ts = clock then Time_source.now_ns () else ts
+
+let begin_ ~arg ~ts k =
   match Atomic.get state with
   | None -> ()
   | Some st -> record_at st (stamp ts) ph_begin k arg
 
-let end_ ?(arg = 0) ?ts k =
+let end_ ~arg ~ts k =
   match Atomic.get state with
   | None -> ()
   | Some st -> record_at st (stamp ts) ph_end k arg
 
-let instant ?(arg = 0) k =
+let instant ~arg k =
   match Atomic.get state with
   | None -> ()
   | Some st -> record_at st (Time_source.now_ns ()) ph_instant k arg
@@ -171,12 +174,12 @@ let sample k v =
   | None -> ()
   | Some st -> record_at st (Time_source.now_ns ()) ph_sample k v
 
-let span_at ?(arg = 0) k ~start ~stop =
+let span_at ~arg k ~start ~stop =
   match Atomic.get state with
   | None -> ()
   | Some st ->
-    record_at st (Time_source.ns_of_seconds start) ph_begin k arg;
-    record_at st (Time_source.ns_of_seconds stop) ph_end k arg
+    record_at st start ph_begin k arg;
+    record_at st stop ph_end k arg
 
 (* ------------------------------------------------------------------ *)
 (* Draining.                                                           *)

@@ -4,12 +4,13 @@
     begin/end/instant/sample events in three preallocated flat int
     arrays. The record path takes no lock and touches no shared cache
     line: one atomic load of the enable state, one [Domain.DLS] load,
-    one integer clock read, three array stores, one head bump. A call
-    that passes neither [~arg] nor [~ts] allocates nothing; passing
-    either boxes the option at the call site (2 minor words), as
-    [Par]'s task events and [Obs.Metrics.with_span]'s slices do. When a
-    ring wraps, the oldest events are overwritten and counted as
-    {!dropped} — recording never blocks.
+    one integer clock read, three array stores, one head bump. Every
+    argument is a plain int — a free-form [arg] with the {!no_arg}
+    sentinel and a nanosecond timestamp with the {!clock} sentinel — so
+    no call boxes an option and the record path allocates nothing, for
+    [Par]'s task and claim events and [Obs.Metrics.with_span]'s slices
+    alike. When a ring wraps, the oldest events are overwritten and
+    counted as {!dropped} — recording never blocks.
 
     The recorder answers the question the abstract-cost schedule trace
     (PR 3) cannot: what did the {i solver} actually do on each domain,
@@ -58,24 +59,33 @@ val enabled : unit -> bool
 (** {1 Recording}
 
     All no-ops while the recorder is disabled. [arg] is a free-form
-    integer attached to the event (task index, claim size, ...). [ts]
-    stamps a begin or end with a clock reading the caller already took
-    (default: [Time_source.now_ns ()]), so a span timed for another sink
-    records the same bounds here. *)
+    integer attached to the event (task index, claim size, ...), or
+    {!no_arg}. [ts] and the bounds of {!span_at} are timestamps in
+    [Time_source.now_ns] units: a clock reading the caller already took,
+    so a span timed for another sink records the same bounds here, or
+    {!clock} to read the clock at record time (and only while the
+    recorder is on). *)
 
-val begin_ : ?arg:int -> ?ts:float -> kind -> unit
-val end_ : ?arg:int -> ?ts:float -> kind -> unit
-val instant : ?arg:int -> kind -> unit
+val no_arg : int
+(** [0]: the [arg] of an event that carries none. *)
+
+val clock : int
+(** The [ts] that stamps an event with [Time_source.now_ns ()] taken
+    when it is recorded. No clock reading equals it. *)
+
+val begin_ : arg:int -> ts:int -> kind -> unit
+val end_ : arg:int -> ts:int -> kind -> unit
+val instant : arg:int -> kind -> unit
 
 val sample : kind -> int -> unit
 (** A counter sample ([value] over time) — exported as a Chrome
     counter track per domain, used for GC statistics deltas. *)
 
-val span_at : ?arg:int -> kind -> start:float -> stop:float -> unit
+val span_at : arg:int -> kind -> start:int -> stop:int -> unit
 (** Record an already-measured span: a begin at [start] and an end at
-    [stop], both with [arg]. Lets callers that know a span's bounds
-    after the fact (queue-wait measured at task start) backfill it with
-    exact timestamps. *)
+    [stop] (nanoseconds, as {!begin_}'s [ts]), both with [arg]. Lets
+    callers that know a span's bounds after the fact (queue-wait
+    measured at task start) backfill it with exact timestamps. *)
 
 (** {1 Draining} *)
 

@@ -193,12 +193,16 @@ let span ?budget ?kind reg name f =
       path
   in
   let t0 = Time_source.now () in
-  (match kind with Some k -> Events.begin_ ~ts:t0 k | None -> ());
+  (match kind with
+   | Some k -> Events.begin_ ~arg:Events.no_arg ~ts:(Time_source.ns_of_seconds t0) k
+   | None -> ());
   let steps0 = match budget with None -> 0 | Some b -> Budget.used_steps b in
   Fun.protect
     ~finally:(fun () ->
       let t1 = Time_source.now () in
-      (match kind with Some k -> Events.end_ ~ts:t1 k | None -> ());
+      (match kind with
+       | Some k -> Events.end_ ~arg:Events.no_arg ~ts:(Time_source.ns_of_seconds t1) k
+       | None -> ());
       match reg with
       | None -> ()
       | Some t ->
@@ -249,11 +253,27 @@ let series_point name ~label v =
 
 let histogram name v = match current () with None -> () | Some t -> observe t name v
 
+(* A span with the recorder as its only sink: a begin/end pair and no
+   registry work, so it allocates nothing beyond what [f] does. *)
+let recorded kind f =
+  Events.begin_ ~arg:Events.no_arg ~ts:Events.clock kind;
+  match f () with
+  | v ->
+    Events.end_ ~arg:Events.no_arg ~ts:Events.clock kind;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Events.end_ ~arg:Events.no_arg ~ts:Events.clock kind;
+    Printexc.raise_with_backtrace e bt
+
 (* The recorder-off path costs one atomic load on top of the registry
    lookup; with neither sink the body runs bare. *)
 let with_span ?budget name f =
   let reg = current () in
-  if Events.enabled () then span ?budget ~kind:(Events.register_kind name) reg name f
+  if Events.enabled () then begin
+    let kind = Events.register_kind name in
+    match reg with None -> recorded kind f | Some _ -> span ?budget ~kind reg name f
+  end
   else match reg with None -> f () | Some _ -> span ?budget reg name f
 
 (* ------------------------------------------------------------------ *)

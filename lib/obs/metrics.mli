@@ -147,7 +147,9 @@ val with_span : ?budget:Budget.t -> string -> (unit -> 'a) -> 'a
     Both sinks share one clock reading at each end, so a slice's
     duration equals the seconds the registry adds. Exceptions
     propagate; the span still closes in both. With neither sink the
-    callback just runs. *)
+    callback just runs. With the recorder as the only sink (no
+    registry installed) the span allocates nothing beyond what the
+    callback does. *)
 
 (** {1 Reading and reporting} *)
 

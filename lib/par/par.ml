@@ -302,7 +302,7 @@ let worker () =
   Domain.DLS.set in_worker true;
   tune_gc ();
   let rec loop () =
-    Obs.Events.begin_ k_idle;
+    Obs.Events.begin_ ~arg:Obs.Events.no_arg ~ts:Obs.Events.clock k_idle;
     Mutex.lock pool_m;
     let rec await () =
       if !shutdown then None
@@ -315,7 +315,7 @@ let worker () =
     in
     let b = await () in
     Mutex.unlock pool_m;
-    Obs.Events.end_ k_idle;
+    Obs.Events.end_ ~arg:Obs.Events.no_arg ~ts:Obs.Events.clock k_idle;
     match b with
     | None -> ()
     | Some b ->
@@ -362,21 +362,24 @@ type 'b cell = Pending | Done of 'b | Raised of exn * Printexc.raw_backtrace
    installed, so histogram counts match across jobs settings;
    "par.queue_wait_seconds" exists only on the parallel path — at
    jobs=1 nothing ever waits. Uninstrumented runs (no registry, no
-   recorder) skip every clock read. *)
+   recorder) skip every clock read. Clock readings are integer
+   nanoseconds, shared by the recorder's slice and the histogram. *)
+let seconds_between t0 t1 = float_of_int (t1 - t0) /. 1e9
+
+let task_done ~index t_start =
+  let t_stop = Time_source.now_ns () in
+  Obs.Events.end_ ~arg:index ~ts:t_stop k_task;
+  Obs.Metrics.histogram "par.task_seconds" (seconds_between t_start t_stop)
+
 let timed_task ~index f x =
-  let t_start = Time_source.now () in
-  Obs.Events.begin_ ~arg:index k_task;
-  let finish () =
-    let t_stop = Time_source.now () in
-    Obs.Events.end_ ~arg:index k_task;
-    Obs.Metrics.histogram "par.task_seconds" (t_stop -. t_start)
-  in
+  let t_start = Time_source.now_ns () in
+  Obs.Events.begin_ ~arg:index ~ts:t_start k_task;
   match f x with
   | y ->
-    finish ();
+    task_done ~index t_start;
     y
   | exception e ->
-    finish ();
+    task_done ~index t_start;
     raise e
 
 let run_batch (f : 'a -> 'b) (inputs : 'a array) : 'b array =
@@ -394,7 +397,7 @@ let run_batch (f : 'a -> 'b) (inputs : 'a array) : 'b array =
     tune_gc ();
     let parent = Obs.Metrics.current () in
     let instrumented = parent <> None || Obs.Events.enabled () in
-    let submit_ts = if instrumented then Time_source.now () else 0.0 in
+    let submit_ts = if instrumented then Time_source.now_ns () else 0 in
     if instrumented then Obs.Events.instant ~arg:n k_batch;
     let children = Array.init n (fun _ -> Option.map Obs.Metrics.create_child parent) in
     let results = Array.make n Pending in
@@ -408,9 +411,10 @@ let run_batch (f : 'a -> 'b) (inputs : 'a array) : 'b array =
           (* The queue wait is known exactly once the task starts:
              backfill it as a span from batch submission to now, then
              time the run itself. *)
-          let t_start = Time_source.now () in
+          let t_start = Time_source.now_ns () in
           Obs.Events.span_at ~arg:i k_queue_wait ~start:submit_ts ~stop:t_start;
-          Obs.Metrics.histogram "par.queue_wait_seconds" (t_start -. submit_ts);
+          Obs.Metrics.histogram "par.queue_wait_seconds"
+            (seconds_between submit_ts t_start);
           timed_task ~index:i exec ()
         end
       in

@@ -21,11 +21,27 @@ let tables machine (t : Schedule.t) ~num_steps =
   let dag = t.dag in
   (* Every placement computes the node, so every placement pays its
      work: the primary on (step v, proc v) and each replica on its own
-     (step, proc) cell. *)
+     (step, proc) cell. Direct loops over the assignment and the
+     replica CSR: a placement callback would capture the node's weight
+     and so be allocated once per node. *)
+  let proc = t.proc and step = t.step in
+  let rep_off = t.rep_off and rep_proc = t.rep_proc and rep_step = t.rep_step in
+  let replicated = Array.length rep_off > 0 in
   for v = 0 to Dag.n dag - 1 do
     let wv = Dag.work dag v in
-    Schedule.iter_placements t v (fun q s ->
-        if s < num_steps then work.(s).(q) <- work.(s).(q) + wv)
+    let s = step.(v) in
+    if s < num_steps then begin
+      let row = work.(s) in
+      row.(proc.(v)) <- row.(proc.(v)) + wv
+    end;
+    if replicated then
+      for i = rep_off.(v) to rep_off.(v + 1) - 1 do
+        let s = rep_step.(i) in
+        if s < num_steps then begin
+          let row = work.(s) in
+          row.(rep_proc.(i)) <- row.(rep_proc.(i)) + wv
+        end
+      done
   done;
   List.iter
     (fun (e : comm_event) ->

@@ -27,7 +27,8 @@ type breakdown = {
 }
 
 val total : Machine.t -> Schedule.t -> int
-(** Total schedule cost. Does not verify validity. *)
+(** Total schedule cost. Does not verify validity. Allocates O(S * p)
+    words for [S] supersteps, independent of the node count. *)
 
 val superstep_cost : Machine.t -> work_max:int -> comm_max:int -> int
 (** [superstep_cost m ~work_max ~comm_max] is

@@ -10,19 +10,23 @@ type t = {
   rep_step : int array;
 }
 
-(* Shared empty replica tables: a fresh [rep_off] per schedule would be
-   n + 1 words of garbage for the overwhelmingly common replica-free
-   case. [rep_off] is all zeros for an empty table, so one physical
-   array per length can back every replica-free schedule of that DAG —
-   but sharing across lengths is not worth a cache, so we just allocate
-   the zero array once per construction via [empty_rep_off]. The
-   [rep_proc]/[rep_step] pair is genuinely shared. *)
+(* A replica-free schedule keeps all three replica arrays empty: the
+   empty array is one shared atom, so constructing a plain schedule
+   allocates nothing for its replica table. Every reader below goes
+   through [num_replicas]/[rep_lo]/[rep_hi], which read an empty [rep_off]
+   as "no replicas". *)
 let no_extras : int array = [||]
 
-let empty_rep_off n = Array.make (n + 1) 0
+let num_replicas t =
+  let len = Array.length t.rep_off in
+  if len = 0 then 0 else t.rep_off.(len - 1)
 
-let num_replicas t = t.rep_off.(Array.length t.rep_off - 1)
 let has_replicas t = num_replicas t > 0
+
+(* The replica segment of [v]: empty for every node of a replica-free
+   schedule. *)
+let[@inline] rep_lo t v = if Array.length t.rep_off = 0 then 0 else t.rep_off.(v)
+let[@inline] rep_hi t v = if Array.length t.rep_off = 0 then 0 else t.rep_off.(v + 1)
 
 (* The record (seven fields), five words per event and its list cell,
    and the arrays shared with the DAG's count ({!Dag.heap_words}). *)
@@ -31,13 +35,13 @@ let heap_words t =
   + Dag.heap_words ~arrays:[ t.proc; t.step; t.rep_off; t.rep_proc; t.rep_step ] t.dag
 
 let iter_replicas t v f =
-  for i = t.rep_off.(v) to t.rep_off.(v + 1) - 1 do
+  for i = rep_lo t v to rep_hi t v - 1 do
     f t.rep_proc.(i) t.rep_step.(i)
   done
 
 let replicas t v =
   let acc = ref [] in
-  for i = t.rep_off.(v + 1) - 1 downto t.rep_off.(v) do
+  for i = rep_hi t v - 1 downto rep_lo t v do
     acc := (t.rep_proc.(i), t.rep_step.(i)) :: !acc
   done;
   !acc
@@ -83,7 +87,7 @@ let build_replica_table n ~proc ~replicas =
   for v = 0 to n - 1 do
     rep_off.(v + 1) <- rep_off.(v + 1) + rep_off.(v)
   done;
-  if count = 0 then (rep_off, no_extras, no_extras)
+  if count = 0 then (no_extras, no_extras, no_extras)
   else (rep_off, rep_proc, rep_step)
 
 (* The one constructor that takes [proc] and [step] over; [make] and
@@ -92,7 +96,7 @@ let make_owned dag ~proc ~step ~comm ~replicas =
   if Array.length proc <> Dag.n dag || Array.length step <> Dag.n dag then
     invalid_arg "Schedule: assignment length mismatch";
   let rep_off, rep_proc, rep_step =
-    if replicas = [] then (empty_rep_off (Dag.n dag), no_extras, no_extras)
+    if replicas = [] then (no_extras, no_extras, no_extras)
     else build_replica_table (Dag.n dag) ~proc ~replicas
   in
   { dag; proc; step; comm; rep_off; rep_proc; rep_step }
@@ -124,45 +128,49 @@ let trivial dag =
     proc = Array.make n 0;
     step = Array.make n 0;
     comm = [];
-    rep_off = empty_rep_off n;
+    rep_off = no_extras;
     rep_proc = no_extras;
     rep_step = no_extras;
   }
 
-(* first_need.(u * p + dst) is the earliest superstep the destination
-   processor dst needs the value of u. A flat table over the processors
-   actually used (p = 1 + max proc) replaces the historical
-   (node, processor)-tuple-keyed hashtable: tuple keys allocate a box
-   per probe, and this runs once per candidate schedule inside the
-   parallel sweeps. Emission in ascending (node, dst) order also makes
-   the event list deterministic instead of hash-ordered. *)
+(* Events come out in ascending (node, dst) order, built back to front.
+   Each node's first need per destination processor is gathered from
+   its own successor segment into a scratch row over the processors
+   actually used (p = 1 + max proc), and the emission loop resets the
+   entries it reads, so a call allocates its event list and O(p) words
+   whatever n is. Only the destinations between the lowest and highest
+   touched processor are visited, so a node without cross-processor
+   successors costs its segment scan alone. *)
 let lazy_comm dag ~proc ~step =
   let n = Dag.n dag in
   if n = 0 then []
   else begin
     let p = ref 1 in
-    Array.iter (fun q -> if q + 1 > !p then p := q + 1) proc;
-    let p = !p in
-    let no_need = max_int in
-    let first_need = Array.make (n * p) no_need in
-    (* Direct CSR loops: an [iter_pred] closure would capture [v] and so
-       be allocated once per node. *)
-    let poff = Dag.pred_offsets dag and ptgt = Dag.pred_targets dag in
     for v = 0 to n - 1 do
-      for i = poff.(v) to poff.(v + 1) - 1 do
-        let u = ptgt.(i) in
-        if proc.(u) <> proc.(v) then begin
-          let idx = (u * p) + proc.(v) in
-          if step.(v) < first_need.(idx) then first_need.(idx) <- step.(v)
-        end
-      done
+      if proc.(v) >= !p then p := proc.(v) + 1
     done;
+    let no_need = max_int in
+    let need = Array.make !p no_need in
+    let soff = Dag.succ_offsets dag and stgt = Dag.succ_targets dag in
     let acc = ref [] in
     for u = n - 1 downto 0 do
-      let base = u * p in
-      for dst = p - 1 downto 0 do
-        let s = first_need.(base + dst) in
-        if s <> no_need then acc := { node = u; src = proc.(u); dst; step = s - 1 } :: !acc
+      let pu = proc.(u) in
+      let lo = ref max_int and hi = ref (-1) in
+      for i = soff.(u) to soff.(u + 1) - 1 do
+        let v = stgt.(i) in
+        let q = proc.(v) in
+        if q <> pu then begin
+          if step.(v) < need.(q) then need.(q) <- step.(v);
+          if q < !lo then lo := q;
+          if q > !hi then hi := q
+        end
+      done;
+      for dst = !hi downto !lo do
+        let s = need.(dst) in
+        if s <> no_need then begin
+          acc := { node = u; src = pu; dst; step = s - 1 } :: !acc;
+          need.(dst) <- no_need
+        end
       done
     done;
     !acc
@@ -174,7 +182,7 @@ let of_assignment dag ~proc ~step =
     proc = Array.copy proc;
     step = Array.copy step;
     comm = lazy_comm dag ~proc ~step;
-    rep_off = empty_rep_off (Dag.n dag);
+    rep_off = no_extras;
     rep_proc = no_extras;
     rep_step = no_extras;
   }
@@ -191,7 +199,7 @@ let with_lazy_comm t =
 let placement_step_on t u q =
   let best = ref max_int in
   if t.proc.(u) = q then best := t.step.(u);
-  for i = t.rep_off.(u) to t.rep_off.(u + 1) - 1 do
+  for i = rep_lo t u to rep_hi t u - 1 do
     if t.rep_proc.(i) = q && t.rep_step.(i) < !best then best := t.rep_step.(i)
   done;
   !best
@@ -241,7 +249,7 @@ let lazy_comm_replicated machine t =
             else max_int
           in
           let best = ref best in
-          for i = t.rep_off.(u) to t.rep_off.(u + 1) - 1 do
+          for i = rep_lo t u to rep_hi t u - 1 do
             if t.rep_step.(i) <= phase then begin
               let lam = Machine.lambda machine t.rep_proc.(i) dst in
               if lam < !best then begin
@@ -333,15 +341,10 @@ let compact ?(relazy = false) t =
           (fun (e : comm_event) -> { e with step = phase_remap e.step })
           t.comm
       in
+      (* Nothing writes a replica table after its construction, so the
+         offsets and processors are shared; [Array.map] of a
+         replica-free schedule's empty table returns the empty atom. *)
       let rep_step = Array.map (fun x -> remap.(x)) t.rep_step in
-      {
-        t with
-        proc = Array.copy t.proc;
-        step;
-        comm;
-        rep_step;
-        rep_off = Array.copy t.rep_off;
-        rep_proc = Array.copy t.rep_proc;
-      }
+      { t with proc = Array.copy t.proc; step; comm; rep_step }
     end
   end

@@ -23,9 +23,13 @@
     working on them unchanged — while the extra replicas live in a flat
     CSR-style side table ([rep_off]/[rep_proc]/[rep_step]): the replicas
     of node [v] occupy indices [rep_off.(v) .. rep_off.(v+1) - 1], sorted
-    by processor. A replica-free schedule has an all-zero [rep_off] and
-    empty payload arrays, so the representation costs nothing on the
-    common path. Replica work is charged like primary work
+    by processor. A replica-free schedule has all three arrays empty
+    (length 0, the shared empty-array atom): the representation costs
+    nothing on the common path, and building a plain schedule allocates
+    no replica table. Every constructor here keeps that form canonical —
+    a replicated constructor given no replicas yields the empty tables
+    too — and no code writes a replica table after construction, so
+    schedules may share them. Replica work is charged like primary work
     (see {!Bsp_cost}); an edge is satisfied if {e any} placement of the
     source is present in time on the consumer's processor
     (see {!Validity}).
@@ -46,7 +50,8 @@ type t = {
   step : int array;  (** [tau]: node -> superstep (primary placement) *)
   comm : comm_event list;  (** [Gamma] *)
   rep_off : int array;
-      (** CSR offsets into [rep_proc]/[rep_step]; length [n + 1]. *)
+      (** CSR offsets into [rep_proc]/[rep_step]: length [n + 1], or 0
+          when the schedule has no replicas. *)
   rep_proc : int array;  (** replica processors, sorted per node *)
   rep_step : int array;  (** replica supersteps, parallel to [rep_proc] *)
 }
@@ -131,7 +136,9 @@ val heap_words : t -> int
     once per destination). *)
 
 val lazy_comm : Dag.t -> proc:int array -> step:int array -> comm_event list
-(** Replica-unaware lazy schedule of a plain assignment. *)
+(** Replica-unaware lazy schedule of a plain assignment, in ascending
+    [(node, dst)] order. Allocates the event list and O(p) words of
+    scratch, independent of the node count. *)
 
 val lazy_comm_replicated : Machine.t -> t -> comm_event list
 (** Replica-aware lazy schedule: a consumer placement is locally

@@ -237,6 +237,12 @@ let answer ?(memo = Memo.create ()) ~cache_dir (req : Request.t) =
       (Hit, w, None)
     | cached ->
       let store = compute memo ~cache_dir ~key ~cached req in
+      (* As before the gauges moved here, only the search-based methods
+         publish them: a baseline miss pays no profile. *)
+      if budget_sensitive req.algorithm then begin
+        let e = store.warm.Memo.entry in
+        Pipeline.publish_result req.machine e.Cache.schedule ~cost:e.Cache.cost
+      end;
       ((if Option.is_none cached then Miss else Refresh), store.warm, Some store)
   in
   ( { status; key; cost = entry.Cache.cost; schedule = entry.Cache.schedule; escaped },

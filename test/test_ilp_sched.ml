@@ -171,6 +171,39 @@ let prop_part_safe =
       Validity.is_valid m improved
       && report.Ilp_schedulers.cost_after <= report.Ilp_schedulers.cost_before)
 
+(* The count-based gates decide exactly what the stages do: ILPfull is
+   idle iff it runs no sub-solve, and ILPpart is idle iff it runs no
+   sub-solve and returns its (lazy) input, which it does unless a
+   compaction changes the schedule. Steps with and without gaps and
+   caps from tiny to ample put cases on both sides of each gate. *)
+let prop_noop_gates_match_stages =
+  Test_util.qtest ~count:60 "ilp stage gates = stage behaviour"
+    QCheck2.Gen.(
+      pair (Test_util.arb_dag ~max_n:14 ())
+        (pair (Test_util.arb_machine ~max_p:4 ()) (pair (int_bound 10_000) (int_bound 3))))
+    (fun (dag, (m, (seed, cap))) ->
+      let rng = Rng.create seed in
+      let level = Dag.wavefronts dag in
+      let proc = Array.init (Dag.n dag) (fun _ -> Rng.int rng m.Machine.p) in
+      let gaps = Rng.bool rng in
+      let step =
+        if gaps then Array.map (fun l -> (l * (1 + Rng.int rng 2)) + Rng.int rng 2) level
+        else level
+      in
+      let s = Schedule.of_assignment dag ~proc ~step in
+      let max_vars = List.nth [ 1; 4; 40; 400 ] cap in
+      let part_result, part_report =
+        Ilp_schedulers.part ~budget:(Budget.steps 4) ~max_vars ~max_nodes:2 m s
+      in
+      let _, full_report =
+        Ilp_schedulers.full ~budget:(Budget.steps 4) ~max_vars ~max_nodes:2 m s
+      in
+      Ilp_schedulers.full_is_noop ~max_vars m s = (full_report.Ilp_schedulers.sub_solves = 0)
+      && Ilp_schedulers.part_is_noop ~max_vars m s
+         = (part_report.Ilp_schedulers.sub_solves = 0
+           && Schedule.used_supersteps s = Schedule.num_supersteps s)
+      && ((not (Ilp_schedulers.part_is_noop ~max_vars m s)) || part_result == s))
+
 let prop_comm_schedule_safe =
   Test_util.qtest ~count:25 "ilpcs safe"
     QCheck2.Gen.(pair (Test_util.arb_dag ~max_n:16 ()) (pair (Test_util.arb_machine ~max_p:4 ()) (int_bound 10_000)))
@@ -206,5 +239,6 @@ let () =
           Alcotest.test_case "ilpinit spent budget solves nothing" `Quick
             test_init_spent_budget_solves_nothing;
         ] );
-      ("property", [ prop_part_safe; prop_comm_schedule_safe ]);
+      ( "property",
+        [ prop_part_safe; prop_noop_gates_match_stages; prop_comm_schedule_safe ] );
     ]

@@ -316,7 +316,8 @@ let test_pooled_init_allocation () =
    reference derives them from a first-need pass of its own. They must
    agree on lazy schedules and on schedules whose events were moved
    anywhere (inside or outside their windows), re-sourced or dropped,
-   which changes where each pair starts. *)
+   which changes where each pair starts, and on event lists in any
+   order. *)
 let prop_required_pairs_match_reference =
   Test_util.qtest ~count:300 "hccs pairs match reference"
     QCheck2.Gen.(
@@ -334,13 +335,20 @@ let prop_required_pairs_match_reference =
             | _ -> Some { e with step = Rng.int rng steps })
           lazy_sched.Schedule.comm
       in
+      (* The same events out of (node, dst) order, relays included. *)
+      let shuffled =
+        let a = Array.of_list (perturbed @ perturbed) in
+        Rng.shuffle rng a;
+        Array.to_list a
+      in
       List.for_all
         (fun s -> Hccs.required_pairs m s = Hccs_reference.required_pairs m s)
-        [
-          lazy_sched;
-          Schedule.make dag ~proc:lazy_sched.Schedule.proc ~step:lazy_sched.Schedule.step
-            ~comm:perturbed;
-        ])
+        (lazy_sched
+        :: List.map
+             (fun comm ->
+               Schedule.make dag ~proc:lazy_sched.Schedule.proc
+                 ~step:lazy_sched.Schedule.step ~comm)
+             [ perturbed; shuffled ]))
 
 (* The incremental tables must agree exactly with the reference cost
    evaluator after a full HC run (the apply/undo cycle keeps state

@@ -345,12 +345,14 @@ let test_prometheus_exposition () =
 
 let k_test_a = Obs.Events.register_kind "test_a"
 let k_test_b = Obs.Events.register_kind "test_b"
+let no_arg = Obs.Events.no_arg
+let clock = Obs.Events.clock
 
 let test_events_disabled_noop () =
   Obs.Events.disable ();
-  Obs.Events.begin_ k_test_a;
-  Obs.Events.end_ k_test_a;
-  Obs.Events.instant k_test_b;
+  Obs.Events.begin_ ~arg:no_arg ~ts:clock k_test_a;
+  Obs.Events.end_ ~arg:no_arg ~ts:clock k_test_a;
+  Obs.Events.instant ~arg:no_arg k_test_b;
   check_bool "disabled dump empty" true (Obs.Events.dump () = []);
   check "disabled recorded" 0 (Obs.Events.recorded ());
   check_bool "trace export refuses while disabled" true
@@ -365,9 +367,9 @@ let test_events_record_and_dump () =
     (Obs.Events.register_kind "test_a" = k_test_a);
   Obs.Events.enable ();
   Fun.protect ~finally:Obs.Events.disable (fun () ->
-      Obs.Events.begin_ ~arg:7 k_test_a;
-      Obs.Events.end_ ~arg:7 k_test_a;
-      Obs.Events.instant k_test_b;
+      Obs.Events.begin_ ~arg:7 ~ts:clock k_test_a;
+      Obs.Events.end_ ~arg:7 ~ts:clock k_test_a;
+      Obs.Events.instant ~arg:no_arg k_test_b;
       Obs.Events.sample k_test_b 42;
       check "recorded" 4 (Obs.Events.recorded ());
       check "no drops" 0 (Obs.Events.dropped ());
@@ -403,23 +405,46 @@ let test_events_ring_wrap () =
         (List.nth evs (List.length evs - 1)).Obs.Events.ev_arg)
 
 (* The record path allocates nothing: the clock reading is an immediate
-   nanosecond count, so 4000 events after a warm-up (which registers
-   this domain's ring) add no minor-heap words. An explicit [~arg] would
-   box its option at the call site, so none is passed. *)
+   nanosecond count and every argument a plain int, so 4000 events after
+   a warm-up (which registers this domain's ring) add no minor-heap
+   words — [Par]'s way of calling too (a task index and the caller's own
+   timestamps), and a [with_span] with the recorder as its only sink. *)
 let test_events_record_allocates_nothing () =
   Obs.Events.enable ();
   Fun.protect ~finally:Obs.Events.disable (fun () ->
-      Obs.Events.instant k_test_a;
+      Obs.Events.instant ~arg:no_arg k_test_a;
       let w0 = Gc.minor_words () in
       for i = 1 to 1000 do
-        Obs.Events.begin_ k_test_a;
-        Obs.Events.end_ k_test_a;
-        Obs.Events.instant k_test_b;
+        Obs.Events.begin_ ~arg:no_arg ~ts:clock k_test_a;
+        Obs.Events.end_ ~arg:no_arg ~ts:clock k_test_a;
+        Obs.Events.instant ~arg:no_arg k_test_b;
         Obs.Events.sample k_test_b i
       done;
       let words = Gc.minor_words () -. w0 in
       check "events recorded" 4001 (Obs.Events.recorded ());
-      check "minor words for 4000 events" 0 (int_of_float words))
+      check "minor words for 4000 events" 0 (int_of_float words);
+      let w0 = Gc.minor_words () in
+      for i = 1 to 1000 do
+        let t = Time_source.now_ns () in
+        Obs.Events.begin_ ~arg:i ~ts:t k_test_a;
+        Obs.Events.instant ~arg:(i + 1) k_test_b;
+        Obs.Events.span_at ~arg:i k_test_b ~start:t ~stop:(Time_source.now_ns ());
+        Obs.Events.end_ ~arg:i ~ts:(Time_source.now_ns ()) k_test_a
+      done;
+      check "minor words for 5000 events with ~arg and ~ts" 0
+        (int_of_float (Gc.minor_words () -. w0));
+      let registry = Obs.Metrics.current () in
+      Obs.Metrics.clear ();
+      let body () = () in
+      Obs.Metrics.with_span "test_span" body;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        Obs.Metrics.with_span "test_span" body
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Option.iter Obs.Metrics.install registry;
+      check "minor words for 1000 recorder-only spans" 0 (int_of_float words);
+      check "every event recorded" (4001 + 5000 + 2002) (Obs.Events.recorded ()))
 
 let test_events_chrome_trace () =
   (* Deterministic timestamps via the fake clock: each now () call
@@ -438,11 +463,11 @@ let test_events_chrome_trace () =
           !t)
         (fun () ->
           Obs.Events.enable ();
-          Obs.Events.begin_ ~arg:3 k_test_a;
-          Obs.Events.end_ ~arg:3 k_test_a;
-          Obs.Events.instant k_test_b;
+          Obs.Events.begin_ ~arg:3 ~ts:clock k_test_a;
+          Obs.Events.end_ ~arg:3 ~ts:clock k_test_a;
+          Obs.Events.instant ~arg:no_arg k_test_b;
           Obs.Events.sample k_test_b 5;
-          Obs.Events.begin_ k_test_b;
+          Obs.Events.begin_ ~arg:no_arg ~ts:clock k_test_b;
           (* left open on purpose: must close at the track's last ts *)
           Obs.Events.write_chrome_trace path);
       let json = read_json_file path in
@@ -750,6 +775,55 @@ let test_cli_io_spans () =
         [ "cli:parse"; "scheduler:bspg"; "cli:validity"; "cli:cost"; "cli:write" ]
         (span_paths (read_json_file (file "metrics.json"))))
 
+(* The run-level gauges describe the schedule the CLI writes, for every
+   algorithm, as [evaluate] reads it back. On this spmv instance a
+   multilevel run's last coarse solve (a pipeline of its own) costs
+   more than the returned schedule, so a gauge left by an inner
+   pipeline would show. *)
+let test_cli_metrics_describe_schedule () =
+  with_temp_dir (fun file ->
+      let bin name =
+        Filename.concat (Filename.dirname Sys.executable_name)
+          (Filename.concat Filename.parent_dir_name ("bin/" ^ name ^ ".exe"))
+      in
+      let dag =
+        Finegrained.generate_sized (Rng.create 3) ~family:Finegrained.Spmv
+          ~shape:Finegrained.Wide ~target:300
+      in
+      Hyperdag_io.write_file (file "in.hdag") dag;
+      let machine = [ "-p"; "8"; "-g"; "1"; "-l"; "5" ] in
+      List.iter
+        (fun algorithm ->
+          let run = Filename.quote_command (bin "scheduler") ~stdout:(file "stdout")
+              ([ file "in.hdag"; "-a"; algorithm; "--seconds"; "2"; "-q"; "--metrics";
+                 file "metrics.json"; "-o"; file "out.schedule" ] @ machine)
+          in
+          check (algorithm ^ ": scheduler exit code") 0 (Sys.command run);
+          let eval = Filename.quote_command (bin "evaluate") ~stdout:(file "eval")
+              ([ file "in.hdag"; file "out.schedule" ] @ machine)
+          in
+          check (algorithm ^ ": evaluate exit code") 0 (Sys.command eval);
+          let steps, cost =
+            Scanf.sscanf
+              (In_channel.with_open_bin (file "eval") In_channel.input_all)
+              "valid schedule: %d supersteps, cost %d" (fun s c -> (s, c))
+          in
+          let gauges =
+            match Obs.Json.member "gauges" (read_json_file (file "metrics.json")) with
+            | Some g -> g
+            | None -> Alcotest.fail "no gauges"
+          in
+          let gauge name =
+            match Obs.Json.member name gauges with
+            | Some (Obs.Json.Float x) -> int_of_float x
+            | Some (Obs.Json.Int x) -> x
+            | _ -> Alcotest.failf "%s: no %s gauge" algorithm name
+          in
+          check (algorithm ^ ": pipeline.final_cost") cost (gauge "pipeline.final_cost");
+          check (algorithm ^ ": profile.num_supersteps") steps
+            (gauge "profile.num_supersteps"))
+        Server.Engine.algorithm_names)
+
 let test_daemon_io_spans () =
   with_temp_dir (fun file ->
       let r = Obs.Metrics.create () in
@@ -846,5 +920,7 @@ let () =
           Alcotest.test_case "cli parse, validity, cost and write spans" `Quick
             test_cli_io_spans;
           Alcotest.test_case "daemon parse and encode spans" `Quick test_daemon_io_spans;
+          Alcotest.test_case "--metrics describes the written schedule, every -a" `Quick
+            test_cli_metrics_describe_schedule;
         ] );
     ]

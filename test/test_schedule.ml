@@ -478,6 +478,129 @@ let prop_compact_never_worse =
       let c = Schedule.compact s in
       Validity.is_valid m c && Bsp_cost.total m c <= Bsp_cost.total m s)
 
+(* The lazy events from a p-sized scratch equal those of the n x p
+   first-need table, in the same order, for any assignment — valid or
+   not. *)
+let prop_lazy_comm_oracle =
+  Test_util.qtest ~count:200 "lazy_comm = n x p table oracle" gen3
+    (fun (dag, (m, seed)) ->
+      let rng = Rng.create seed in
+      let n = Dag.n dag in
+      let proc = Array.init n (fun _ -> Rng.int rng m.Machine.p) in
+      let step = Array.init n (fun _ -> Rng.int rng 6) in
+      Schedule.lazy_comm dag ~proc ~step = Schedule_reference.lazy_comm dag ~proc ~step)
+
+(* Validity over flat arrival arrays reports the same messages, in the
+   same order, as the list-based check, on schedules broken in every way
+   it reports: out-of-range placements, early consumers, events dropped,
+   moved, redirected or for unknown nodes, and bad replica tables. *)
+let prop_validity_oracle =
+  Test_util.qtest ~count:300 "Validity.errors = list-based oracle" gen3
+    (fun (dag, (m, seed)) ->
+      let rng = Rng.create seed in
+      let n = Dag.n dag and p = m.Machine.p in
+      let proc, step, replicas = random_replicated rng dag m in
+      let replicas = if Rng.bool rng then replicas else [] in
+      let s = Schedule.of_assignment_replicated m dag ~proc ~step ~replicas in
+      let pick () = Rng.int rng 6 = 0 in
+      (* Half the cases keep every index in range, so the precedence
+         and relay checks run; the rest also break the ranges. *)
+      let ranges = Rng.bool rng in
+      let comm =
+        List.filter_map
+          (fun (e : Schedule.comm_event) ->
+            if not (pick ()) then Some e
+            else
+              match Rng.int rng 5 with
+              | 0 -> None
+              | 1 -> Some { e with step = max 0 (e.step + Rng.int rng 3 - 1) }
+              | 2 -> Some { e with src = Rng.int rng p }
+              | 3 when ranges -> Some { e with dst = Rng.int rng (p + 1) }
+              | 4 when ranges -> Some { e with node = Rng.int rng (n + 1); step = e.step - 1 }
+              | _ -> Some { e with step = e.step + 1 })
+          s.Schedule.comm
+      in
+      let proc =
+        Array.map (fun q -> if ranges && pick () then Rng.int rng (p + 1) else q) proc
+      in
+      let step =
+        Array.map (fun x -> if pick () then if ranges then x - 1 else max 0 (x - 2) else x) step
+      in
+      let rep_proc =
+        Array.map
+          (fun q -> if ranges && pick () then Rng.int rng (p + 1) - 1 else q)
+          s.Schedule.rep_proc
+      in
+      let rep_off =
+        if Array.length s.Schedule.rep_off = 0 && pick () then Array.make (n + 1) 0
+        else s.Schedule.rep_off
+      in
+      let broken = { s with Schedule.proc; step; comm; rep_off; rep_proc } in
+      Validity.errors m broken = Schedule_reference.validity_errors m broken
+      && Validity.errors m s = [])
+
+(* Allocation of the schedule layer on the inputs the CI pins at p = 8:
+   spmv-2k (generator seed 7) and exp-4k (seed 100), each scheduled by
+   BSPg, and each reading the least of a few warm calls. *)
+let alloc_instances =
+  lazy
+    (List.map
+       (fun (name, family, target, seed) ->
+         let dag =
+           Finegrained.generate_sized (Rng.create seed) ~family ~shape:Finegrained.Wide
+             ~target
+         in
+         let m = Machine.uniform ~p:8 ~g:3 ~l:5 in
+         (name, m, Bspg.schedule m dag))
+       [ ("spmv-2k", Finegrained.Spmv, 2000, 7); ("exp-4k", Finegrained.Exp, 4000, 100) ])
+
+(* The cost allocates its three S x p tables (a spine and S rows each)
+   and the S superstep records: nothing per node. *)
+let test_cost_alloc () =
+  List.iter
+    (fun (name, m, s) ->
+      let steps = Schedule.num_supersteps s and p = m.Machine.p in
+      let bound = (3 * (1 + (steps * (p + 2)))) + (6 * steps) + 64 in
+      let words = Test_util.min_allocated_words (fun () -> ignore (Bsp_cost.total m s)) in
+      check_bool
+        (Printf.sprintf "%s: Bsp_cost.total allocates %d words, bound O(S p) = %d" name
+           words bound)
+        true (words <= bound))
+    (Lazy.force alloc_instances)
+
+(* The lazy events cost their list (a five-word record and a three-word
+   cell each) and a scratch row over the processors. *)
+let test_lazy_comm_alloc () =
+  List.iter
+    (fun (name, m, s) ->
+      let dag = s.Schedule.dag and proc = s.Schedule.proc and step = s.Schedule.step in
+      let events = List.length (Schedule.lazy_comm dag ~proc ~step) in
+      let bound = (8 * events) + (2 * (m.Machine.p + 1)) + 32 in
+      let words =
+        Test_util.min_allocated_words (fun () -> ignore (Schedule.lazy_comm dag ~proc ~step))
+      in
+      check_bool
+        (Printf.sprintf "%s: lazy_comm allocates %d words for %d events, bound %d" name
+           words events bound)
+        true (words <= bound))
+    (Lazy.force alloc_instances)
+
+(* Checking a valid schedule allocates a few words per node: its
+   per-node event offsets and two words per event. *)
+let test_validity_alloc () =
+  List.iter
+    (fun (name, m, s) ->
+      let n = Dag.n s.Schedule.dag in
+      let words =
+        Test_util.min_allocated_words (fun () ->
+            match Validity.check m s with Ok () -> () | Error _ -> assert false)
+      in
+      check_bool
+        (Printf.sprintf "%s: Validity.check allocates %d words for %d nodes, bound 4 per node"
+           name words n)
+        true (words <= 4 * n))
+    (Lazy.force alloc_instances)
+
 let () =
   Alcotest.run "schedule"
     [
@@ -504,6 +627,15 @@ let () =
           Alcotest.test_case "render utilisation summary" `Quick test_render_summary;
           Alcotest.test_case "render without comm" `Quick test_render_no_comm;
         ] );
+      (* Group names stay no longer than "property": Alcotest pads every
+         test name to the longest group name and truncates the rest to 80
+         columns, which would cut the longest property name short. *)
+      ( "alloc",
+        [
+          Alcotest.test_case "Bsp_cost.total is O(S p)" `Quick test_cost_alloc;
+          Alcotest.test_case "lazy_comm is its events plus O(p)" `Quick test_lazy_comm_alloc;
+          Alcotest.test_case "Validity.check of a valid schedule" `Quick test_validity_alloc;
+        ] );
       ( "property",
         [
           prop_lazy_valid;
@@ -512,5 +644,7 @@ let () =
           prop_text_oracle;
           prop_collapse_replicas_exact;
           prop_compact_never_worse;
+          prop_lazy_comm_oracle;
+          prop_validity_oracle;
         ] );
     ]

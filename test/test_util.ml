@@ -75,3 +75,25 @@ let min_allocated_bytes ?(repeats = 5) f =
     best := Float.min !best (Gc.allocated_bytes () -. before)
   done;
   !best
+
+(* Words allocated by one call of [f], as the minimum over [repeats]
+   calls: minor-heap words, exact through [Gc.minor_words], plus words
+   allocated straight into the major heap (arrays above the minor-heap
+   size limit), which [Gc.counters] reports as major words that were not
+   promoted. The two [Gc.counters] readings box a few words of their
+   own; an empty call's reading is subtracted. *)
+let min_allocated_words ?(repeats = 5) f =
+  let measure g =
+    let best = ref infinity in
+    for _ = 1 to repeats do
+      let m0 = Gc.minor_words () in
+      let _, p0, j0 = Gc.counters () in
+      g ();
+      let _, p1, j1 = Gc.counters () in
+      let m1 = Gc.minor_words () in
+      best := Float.min !best (m1 -. m0 +. (j1 -. j0 -. (p1 -. p0)))
+    done;
+    !best
+  in
+  let own = measure (fun () -> ()) in
+  int_of_float (measure f -. own)
