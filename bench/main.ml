@@ -653,8 +653,8 @@ let table14 () =
     [ ("C15", ml_ratio_getter 0.15); ("C30", ml_ratio_getter 0.3); ("Copt", ml_opt_getter) ]
 
 (* Ablations of the design choices DESIGN.md calls out: the HDagg
-   aggregation pass, the superstep-merge pass inside our local search,
-   and the coarsening strategy. *)
+   aggregation pass and the superstep-merge pass inside our local
+   search. *)
 let ablations () =
   header "Ablations (design-choice studies, small dataset)";
   let d = dataset "small" in
@@ -691,30 +691,7 @@ let ablations () =
   Printf.printf "local search (vs Cilk): HC %.3f  +merge %.3f  +HCcs %.3f\n"
     (geo (fun (c, _, _, hc, _, _) -> r hc c))
     (geo (fun (c, _, _, _, mg, _) -> r mg c))
-    (geo (fun (c, _, _, _, _, cs) -> r cs c));
-  (* Coarsening-strategy ablation: the paper's edge-selection rule vs a
-     communication-weighted matching, both through the same multilevel
-     driver on a communication-heavy machine. *)
-  let numa = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
-  let solver mach dg =
-    let init = Bspg.schedule mach dg in
-    Schedule.compact (fst (Hc.improve ~budget:(Budget.steps 50_000) mach init))
-  in
-  let strat_rows =
-    List.map
-      (fun inst ->
-        let dag = inst.Datasets.dag in
-        let run strategy =
-          Bsp_cost.total numa
-            (Multilevel.run_ratio ~strategy ~refine_interval:5 ~refine_moves:100 ~solver
-               ~ratio:0.3 numa dag)
-        in
-        (run Coarsen.Paper_rule, run Coarsen.Comm_matching))
-      d.Datasets.instances
-  in
-  Printf.printf
-    "coarsening strategy: comm-matching / paper-rule cost ratio = %.3f (P=8, delta=4)\n"
-    (Statistics.geometric_mean (List.map (fun (a, b) -> r b a) strat_rows))
+    (geo (fun (c, _, _, _, _, cs) -> r cs c))
 
 (* ------------------------------------------------------------------ *)
 (* Local-search snapshot for the regression guard. Every run below is

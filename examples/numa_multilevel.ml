@@ -31,8 +31,10 @@ let () =
   in
   let base, _ = Pipeline.run ~limits machine dag in
   let base_cost = Bsp_cost.total machine base in
-  let ml15 = Pipeline.run_multilevel_ratio ~limits ~ratio:0.15 machine dag in
-  let ml30 = Pipeline.run_multilevel_ratio ~limits ~ratio:0.3 machine dag in
+  (* One coarsening to the smaller ratio's target holds both levels. *)
+  let contractions = Multilevel.coarsening ~ratios:[ 0.15; 0.3 ] dag in
+  let ml15 = Pipeline.run_multilevel_ratio ~limits ~contractions ~ratio:0.15 machine dag in
+  let ml30 = Pipeline.run_multilevel_ratio ~limits ~contractions ~ratio:0.3 machine dag in
   let ml15_cost = Bsp_cost.total machine ml15 in
   let ml30_cost = Bsp_cost.total machine ml30 in
 

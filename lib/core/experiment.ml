@@ -72,15 +72,17 @@ let evaluate options machine dag =
   let ours_sched, stage = Pipeline.run ~limits:options.limits machine dag in
   let ours = checked "pipeline" machine ours_sched in
   let multilevel =
-    if options.with_multilevel then
+    if options.with_multilevel then begin
+      let contractions = Multilevel.coarsening ~ratios:options.ml_ratios dag in
       Par.map
         (fun ratio ->
           let ml =
             Pipeline.run_multilevel_ratio ~limits:options.limits
-              ?solver_limits:options.ml_solver_limits ~ratio machine dag
+              ?solver_limits:options.ml_solver_limits ~contractions ~ratio machine dag
           in
           (ratio, checked "multilevel" machine ml))
         options.ml_ratios
+    end
     else []
   in
   { trivial; cilk; bl_est; etf; hdagg; stage; ours; multilevel }

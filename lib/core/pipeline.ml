@@ -82,7 +82,19 @@ let local_search ?(label = "init") limits machine sched =
 
 let cost machine s = Bsp_cost.total machine s
 
-let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
+(* ILPcs, the one call of the communication-schedule ILP: the last ILP
+   stage of a full pipeline, and the last stage of a multilevel pass's
+   polish. *)
+let ilp_cs ~label limits machine sched =
+  let cs_budget = stage_budget limits limits.ilp_cs_nodes in
+  Obs.Metrics.with_span ~budget:cs_budget label (fun () ->
+      Ilp_schedulers.comm_schedule ~budget:cs_budget ~max_vars:limits.ilp_cs_max_vars
+        ~max_nodes:limits.ilp_cs_nodes machine sched)
+
+(* The stages of Figure 3. A [coarse] run is a multilevel coarse solve
+   (Figure 4): it has no trivial candidate and no ILPcs, which runs once
+   on the uncoarsened schedule instead ([polish_comm]). *)
+let run_stages ?(extra_inits = []) ~limits ~coarse machine dag =
   (* Each candidate is (name, step cap of its own budget if it takes
      one, initialiser given that budget). *)
   let inits =
@@ -90,17 +102,17 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
       ("bspg", None, fun _ -> Bspg.schedule machine dag);
       ("source", None, fun _ -> Source_heuristic.schedule machine dag);
     ]
-    @ (if with_trivial_init then
+    @ (if coarse then []
+       else
          (* The trivial single-processor schedule as a safety net: in
             communication-dominated instances it is sometimes the best
             solution any method finds (Section 7.3), and carrying it
             through the pipeline guarantees the framework never returns
-            anything more expensive. The multilevel coarse-solving phase
-            excludes it: hill climbing cannot leave a single-superstep
-            schedule (no neighbouring superstep exists), so it would trap
-            the refinement phase. *)
-         [ ("trivial", None, fun _ -> Schedule.trivial dag) ]
-       else [])
+            anything more expensive. A coarse solve excludes it: hill
+            climbing cannot leave a single-superstep schedule (no
+            neighbouring superstep exists), so it would trap the
+            refinement phase. *)
+         [ ("trivial", None, fun _ -> Schedule.trivial dag) ])
     @
     if limits.use_ilp && limits.use_ilp_init then
       [
@@ -213,13 +225,8 @@ let run_stages ?(extra_inits = []) ~limits ~with_trivial_init machine dag =
     end
   end;
   let after_ilp_part = !best_cost in
-  if limits.use_ilp && not !ilp_full_optimal then begin
-    let cs_budget = stage_budget limits limits.ilp_cs_nodes in
-    let cs_sched, cs_report =
-      Obs.Metrics.with_span ~budget:cs_budget "ilp_cs" (fun () ->
-          Ilp_schedulers.comm_schedule ~budget:cs_budget
-            ~max_vars:limits.ilp_cs_max_vars ~max_nodes:limits.ilp_cs_nodes machine !best)
-    in
+  if limits.use_ilp && (not !ilp_full_optimal) && not coarse then begin
+    let cs_sched, cs_report = ilp_cs ~label:"ilp_cs" limits machine !best in
     if cs_report.Ilp_schedulers.cost_after < !best_cost then begin
       best := cs_sched;
       best_cost := cs_report.Ilp_schedulers.cost_after
@@ -287,9 +294,8 @@ let publish_result machine sched ~cost =
     Obs.Metrics.gauge "profile.bottleneck_utilisation"
       (Profile.work_utilisation prof !bottleneck)
 
-let run ~limits ?(with_trivial_init = true) machine dag =
-  Obs.Metrics.with_span "pipeline" (fun () ->
-      run_stages ~limits ~with_trivial_init machine dag)
+let run ~limits machine dag =
+  Obs.Metrics.with_span "pipeline" (fun () -> run_stages ~limits ~coarse:false machine dag)
 
 (* Warm-started run: the serve daemon's budget-topped re-optimize path
    (DESIGN.md Section 5h). The cached schedule joins the initial
@@ -300,7 +306,7 @@ let run ~limits ?(with_trivial_init = true) machine dag =
    make of the warm start. The caller still compares the final cost
    against the cached cost before replacing a cache entry, because
    re-lazification can shed a hand-optimised communication schedule. *)
-let run_warm ~limits ?(with_trivial_init = true) ~warm machine dag =
+let run_warm ~limits ~warm machine dag =
   if Dag.n warm.Schedule.dag <> Dag.n dag then
     invalid_arg "Pipeline.run_warm: warm schedule is over a different DAG";
   let extra_inits =
@@ -311,45 +317,35 @@ let run_warm ~limits ?(with_trivial_init = true) ~warm machine dag =
     ]
   in
   Obs.Metrics.with_span "pipeline" (fun () ->
-      run_stages ~extra_inits ~limits ~with_trivial_init machine dag)
+      run_stages ~extra_inits ~limits ~coarse:false machine dag)
 
-(* The base pipeline as a multilevel solving-phase callback: ILPcs is
-   withheld until after uncoarsening (Figure 4). *)
-let base_solver limits machine dag =
+(* The multilevel solving-phase callback: the pipeline as a coarse run. *)
+let coarse_solve limits machine dag =
   let sched, _ =
-    run
-      ~limits:{ limits with ilp_cs_nodes = 0; ilp_cs_max_vars = 0 }
-      ~with_trivial_init:false machine dag
+    Obs.Metrics.with_span "pipeline" (fun () -> run_stages ~limits ~coarse:true machine dag)
   in
   Schedule.with_lazy_comm sched
 
+(* ILPcs hands back its input unless it found a strictly cheaper
+   schedule. *)
 let polish_comm limits machine sched =
   let hccs_budget = stage_budget limits limits.hccs_evals in
   let hccs, _ =
     Obs.Metrics.with_span ~budget:hccs_budget "hccs:polish" (fun () ->
         Hccs.improve ~budget:hccs_budget machine sched)
   in
-  if limits.use_ilp then begin
-    let cs_budget = stage_budget limits limits.ilp_cs_nodes in
-    let cs, _ =
-      Obs.Metrics.with_span ~budget:cs_budget "ilp_cs:polish" (fun () ->
-          Ilp_schedulers.comm_schedule ~budget:cs_budget
-            ~max_vars:limits.ilp_cs_max_vars ~max_nodes:limits.ilp_cs_nodes machine hccs)
-    in
-    if cost machine cs < cost machine hccs then cs else hccs
-  end
-  else hccs
+  if limits.use_ilp then fst (ilp_cs ~label:"ilp_cs:polish" limits machine hccs) else hccs
 
-let run_multilevel_ratio ~limits ?solver_limits ?contractions ~ratio machine dag =
+let run_multilevel_ratio ~limits ?solver_limits ~contractions ~ratio machine dag =
   let solver_limits = Option.value ~default:limits solver_limits in
   let ml_budget = stage_budget limits limits.hc_evals in
   let sched =
     Obs.Metrics.with_span ~budget:ml_budget (Printf.sprintf "multilevel:%g" ratio)
       (fun () ->
-        Multilevel.run_ratio ~budget:ml_budget ?contractions
+        Multilevel.run_ratio ~budget:ml_budget ~contractions
           ~refine_interval:Multilevel.default_config.Multilevel.refine_interval
           ~refine_moves:Multilevel.default_config.Multilevel.refine_moves
-          ~solver:(base_solver solver_limits) ~ratio machine dag)
+          ~solver:(coarse_solve solver_limits) ~ratio machine dag)
   in
   polish_comm limits machine sched
 
@@ -360,11 +356,7 @@ let run_multilevel_ratio ~limits ?solver_limits ?contractions ~ratio machine dag
 let run_multilevel ~limits ?solver_limits
     ?(ratios = Multilevel.default_config.Multilevel.ratios) machine dag =
   if ratios = [] then invalid_arg "Pipeline.run_multilevel: no ratios configured";
-  let contractions =
-    Obs.Metrics.with_span "coarsen" (fun () ->
-        Multilevel.coarsening
-          ~strategy:Multilevel.default_config.Multilevel.strategy ~ratios dag)
-  in
+  let contractions = Multilevel.coarsening ~ratios dag in
   Par.best_of
     ~cmp:(fun a b -> compare (cost machine a) (cost machine b))
     (fun ratio ->

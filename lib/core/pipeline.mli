@@ -81,20 +81,15 @@ type stage_costs = {
   ilp_full_optimal : bool;
 }
 
-val run :
-  limits:limits ->
-  ?with_trivial_init:bool ->
-  Machine.t ->
-  Dag.t ->
-  Schedule.t * stage_costs
+val run : limits:limits -> Machine.t -> Dag.t -> Schedule.t * stage_costs
 (** The base pipeline of Figure 3. The returned schedule is valid and
     compacted, with an explicit (optimised) communication schedule.
-    [with_trivial_init] (default [true]) includes the trivial
-    single-processor schedule among the initial candidates; the
-    multilevel coarse-solving phase turns it off (see
-    {!stage_costs.best_init_name}). It sets no run-level gauge: a
-    multilevel run's coarse solves are pipelines too, so the caller
-    that returns a result publishes it ({!publish_result}). *)
+    The trivial single-processor schedule is among the initial
+    candidates (see {!stage_costs.best_init_name}). A multilevel coarse
+    solve runs the same stages without that candidate and without
+    ILPcs ({!run_multilevel}). It sets no run-level gauge: a multilevel
+    run's coarse solves are pipelines too, so the caller that returns a
+    result publishes it ({!publish_result}). *)
 
 val publish_result : Machine.t -> Schedule.t -> cost:int -> unit
 (** Set the run-level gauges of the ambient {!Obs.Metrics} registry from
@@ -109,7 +104,6 @@ val publish_result : Machine.t -> Schedule.t -> cost:int -> unit
 
 val run_warm :
   limits:limits ->
-  ?with_trivial_init:bool ->
   warm:Schedule.t ->
   Machine.t ->
   Dag.t ->
@@ -132,7 +126,8 @@ val run_multilevel :
   Dag.t ->
   Schedule.t
 (** The multilevel pipeline of Figure 4: coarsen, solve with the base
-    pipeline (without ILPcs), refine, then HCcs + ILPcs on the result.
+    pipeline without the trivial candidate and without ILPcs, refine,
+    then HCcs + ILPcs on the result.
     Tries every coarsening ratio in [ratios] (default
     [Multilevel.default_config]'s) and keeps the cheapest. The DAG is
     coarsened once, to the smallest ratio's target, and every ratio's
@@ -145,12 +140,13 @@ val run_multilevel :
 val run_multilevel_ratio :
   limits:limits ->
   ?solver_limits:limits ->
-  ?contractions:Coarsen.contraction list ->
+  contractions:Coarsen.contraction list ->
   ratio:float ->
   Machine.t ->
   Dag.t ->
   Schedule.t
 (** Single-ratio variant for the C15/C30 ablation (Tables 13, 14), and
-    {!run_multilevel}'s per-ratio task, which passes the shared
-    [contractions] ({!Multilevel.coarsening}; see
+    {!run_multilevel}'s per-ratio task. [contractions] is one
+    {!Multilevel.coarsening} of the DAG to this ratio's target or a
+    smaller one, shared by every ratio of an instance (see
     {!Multilevel.run_ratio}). *)

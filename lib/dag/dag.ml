@@ -226,14 +226,42 @@ let rec sort_segment a lo hi =
       a.(!j + 1) <- x
     done
 
+(* The predecessor CSR of a canonical successor CSR (sorted,
+   duplicate-free segments; m = succ_off.(n)), by a counting pass.
+   Scattering u ascending makes every predecessor segment sorted and
+   duplicate-free for free. The offsets array is its own fill cursor:
+   counted into [pred_off.(v + 1)] and prefix-summed, [pred_off.(v)]
+   walks from the start of v's segment to its end, which is where
+   v + 1's starts; one shift then restores the starts. *)
+let pred_csr ~n ~succ_off ~succ_tgt =
+  let m = succ_off.(n) in
+  let pred_off = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    let v = Array.unsafe_get succ_tgt i + 1 in
+    Array.unsafe_set pred_off v (Array.unsafe_get pred_off v + 1)
+  done;
+  for v = 1 to n do
+    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
+  done;
+  let pred_tgt = Array.make m 0 in
+  for u = 0 to n - 1 do
+    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
+      let v = Array.unsafe_get succ_tgt i in
+      let c = Array.unsafe_get pred_off v in
+      Array.unsafe_set pred_tgt c u;
+      Array.unsafe_set pred_off v (c + 1)
+    done
+  done;
+  for v = n downto 1 do
+    pred_off.(v) <- pred_off.(v - 1)
+  done;
+  pred_off.(0) <- 0;
+  (pred_off, pred_tgt)
+
 (* Build both CSR directions from the raw edges (src.(i), dst.(i)),
    i < m: check, count, fill, sort each successor segment, compact out
-   duplicates, then derive the predecessor side by a counting pass over
-   the deduplicated successors (iterating u ascending makes every
-   predecessor segment sorted and duplicate-free for free). Each offsets
-   array is its own fill cursor: counted into [off.(u + 1)] and
-   prefix-summed, [off.(u)] walks from the start of u's segment to its
-   end, which is where u + 1's starts. *)
+   duplicates, then derive the predecessor side with [pred_csr]. The
+   successor offsets are their own fill cursor in the same way. *)
 let build_csr ~n ~src ~dst ~m =
   if n < 0 then invalid_arg "Dag: negative node count";
   for i = 0 to m - 1 do
@@ -277,27 +305,7 @@ let build_csr ~n ~src ~dst ~m =
   succ_off.(n) <- !write;
   let m' = !write in
   let succ_tgt = if m' = m then succ_tgt else Array.sub succ_tgt 0 m' in
-  let pred_off = Array.make (n + 1) 0 in
-  for i = 0 to m' - 1 do
-    let v = Array.unsafe_get succ_tgt i + 1 in
-    Array.unsafe_set pred_off v (Array.unsafe_get pred_off v + 1)
-  done;
-  for v = 1 to n do
-    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
-  done;
-  let pred_tgt = Array.make m' 0 in
-  for u = 0 to n - 1 do
-    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-      let v = Array.unsafe_get succ_tgt i in
-      let c = Array.unsafe_get pred_off v in
-      Array.unsafe_set pred_tgt c u;
-      Array.unsafe_set pred_off v (c + 1)
-    done
-  done;
-  for v = n downto 1 do
-    pred_off.(v) <- pred_off.(v - 1)
-  done;
-  pred_off.(0) <- 0;
+  let pred_off, pred_tgt = pred_csr ~n ~succ_off ~succ_tgt in
   (succ_off, succ_tgt, pred_off, pred_tgt)
 
 (* [work] and [comm] become the DAG's own. *)
@@ -335,10 +343,8 @@ let of_edge_arrays ~n ~src ~dst ~m ~work ~comm =
 
 (* CSR-direct construction: the caller hands over canonical successor
    segments (sorted, deduplicated, loop-free), so only the predecessor
-   side and the topo caches remain to be derived — no edge list, no
-   sort, no dedup pass. Iterating u ascending when scattering makes the
-   predecessor segments sorted and duplicate-free for free, exactly as
-   in [build_csr]. *)
+   side ([pred_csr], as in [build_csr]) and the topo caches remain to
+   be derived — no edge list, no sort, no dedup pass. *)
 let of_csr_unchecked ~n ~succ_off ~succ_tgt ~work ~comm =
   if n < 0 then invalid_arg "Dag: negative node count";
   if Array.length succ_off <> n + 1 || succ_off.(0) <> 0 then
@@ -362,25 +368,7 @@ let of_csr_unchecked ~n ~succ_off ~succ_tgt ~work ~comm =
     if comm.(u) < 0 then invalid_arg "Dag: negative comm weight"
   done;
   let succ_tgt = if Array.length succ_tgt = m then succ_tgt else Array.sub succ_tgt 0 m in
-  let indeg = Array.make (max n 1) 0 in
-  for i = 0 to m - 1 do
-    let v = succ_tgt.(i) in
-    indeg.(v) <- indeg.(v) + 1
-  done;
-  let pred_off = Array.make (n + 1) 0 in
-  for v = 1 to n do
-    pred_off.(v) <- pred_off.(v - 1) + indeg.(v - 1)
-  done;
-  let pred_tgt = Array.make m 0 in
-  let cursor = indeg in
-  Array.blit pred_off 0 cursor 0 n;
-  for u = 0 to n - 1 do
-    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-      let v = succ_tgt.(i) in
-      pred_tgt.(cursor.(v)) <- u;
-      cursor.(v) <- cursor.(v) + 1
-    done
-  done;
+  let pred_off, pred_tgt = pred_csr ~n ~succ_off ~succ_tgt in
   match compute_topo ~n ~succ_off ~succ_tgt ~pred_off with
   | None -> failwith "Dag: graph contains a directed cycle"
   | Some (topo, rank) -> { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }

@@ -49,8 +49,6 @@ type t = {
   ord_tmp : int array;
   dfs_stamp : int array;
   mutable dfs_gen : int;
-  match_stamp : int array;
-  mutable match_gen : int;
 }
 
 let members_push m x =
@@ -140,8 +138,6 @@ let start dag =
     ord_tmp = Array.make m0 0;
     dfs_stamp = Array.make n 0;
     dfs_gen = 0;
-    match_stamp = Array.make n 0;
-    match_gen = 0;
   }
 
 let original t = t.original
@@ -303,7 +299,7 @@ let undo_last t =
 (* ------------------------------------------------------------------ *)
 (* Candidate selection.                                                *)
 
-type strategy = Paper_rule | Comm_matching
+type strategy = Paper_rule
 
 (* Fill the session edge buffers with the current coarse edges in the
    historical candidate order — u ascending, v descending within u
@@ -366,7 +362,9 @@ let stable_sort_range ord tmp lo hi cmp =
     done
   end
 
-let coarsen_to ?(strategy = Paper_rule) t ~target =
+(* [strategy] has one value; the argument stays for the benchmark
+   mirror (coarsen.mli). *)
+let coarsen_to ?strategy:(_ = Paper_rule) t ~target =
   let target = max 1 target in
   let made_progress = ref true in
   while t.alive_count > target && !made_progress do
@@ -376,49 +374,31 @@ let coarsen_to ?(strategy = Paper_rule) t ~target =
       for i = 0 to k - 1 do
         t.ord.(i) <- i
       done;
-      (match strategy with
-       | Paper_rule ->
-         (* Smallest third by combined work weight, largest c(u) first
-            within it; the remaining edges serve as fallback in the same
-            secondary order. *)
-         stable_sort_range t.ord t.ord_tmp 0 k (fun i j ->
-             compare
-               (t.work.(t.e_u.(i)) + t.work.(t.e_v.(i)))
-               (t.work.(t.e_u.(j)) + t.work.(t.e_v.(j))));
-         let third = max 1 ((k + 2) / 3) in
-         let by_comm lo hi =
-           stable_sort_range t.ord t.ord_tmp lo hi (fun i j ->
-               compare t.comm.(t.e_u.(j)) t.comm.(t.e_u.(i)))
-         in
-         by_comm 0 (min third k);
-         by_comm (min third k) k
-       | Comm_matching ->
-         stable_sort_range t.ord t.ord_tmp 0 k (fun i j ->
-             compare t.comm.(t.e_u.(j)) t.comm.(t.e_u.(i))));
-      t.match_gen <- t.match_gen + 1;
-      let gen = t.match_gen in
+      (* Smallest third by combined work weight, largest c(u) first
+         within it; the remaining edges serve as fallback in the same
+         secondary order. *)
+      stable_sort_range t.ord t.ord_tmp 0 k (fun i j ->
+          compare
+            (t.work.(t.e_u.(i)) + t.work.(t.e_v.(i)))
+            (t.work.(t.e_u.(j)) + t.work.(t.e_v.(j))));
+      let third = max 1 ((k + 2) / 3) in
+      let by_comm lo hi =
+        stable_sort_range t.ord t.ord_tmp lo hi (fun i j ->
+            compare t.comm.(t.e_u.(j)) t.comm.(t.e_u.(i)))
+      in
+      by_comm 0 (min third k);
+      by_comm (min third k) k;
       for idx = 0 to k - 1 do
         let e = t.ord.(idx) in
         let u = t.e_u.(e) and v = t.e_v.(e) in
-        let blocked_by_matching =
-          match strategy with
-          | Paper_rule -> false
-          | Comm_matching -> t.match_stamp.(u) = gen || t.match_stamp.(v) = gen
-        in
         if
           t.alive_count > target
-          && (not blocked_by_matching)
           && t.alive_flag.(u)
           && t.alive_flag.(v)
           && seg_mem t.succ_a.(u) t.succ_len.(u) v
           && not (has_alternative_path t u v)
         then begin
           contract t u v;
-          (match strategy with
-           | Paper_rule -> ()
-           | Comm_matching ->
-             t.match_stamp.(u) <- gen;
-             t.match_stamp.(v) <- gen);
           made_progress := true
         end
       done

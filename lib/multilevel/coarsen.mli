@@ -34,21 +34,19 @@ val original : t -> Dag.t
 val num_alive : t -> int
 (** Current number of coarse nodes. *)
 
-type strategy =
-  | Paper_rule
-      (** the paper's selection: smallest third by [w u + w v], then
-          largest [c u] (Appendix A.5) *)
-  | Comm_matching
-      (** greedy matching rounds by decreasing [c u]: every node takes
-          part in at most one contraction per round, which spreads the
-          clustering evenly — one of the "more complex DAG contraction
-          methods" the paper leaves to future work *)
+(** The one edge-selection rule, the paper's: smallest third by
+    [w u + w v], then largest [c u] (Appendix A.5). The type,
+    {!coarsen_to}'s [?strategy] and [Multilevel.config.strategy] are
+    kept only for the benchmark mirror ([perfbench/layers]), which
+    passes the config's value through; they go when the mirror next
+    changes. A new rule (such as ROADMAP item 3's depth-aware one)
+    replaces this one and must keep {!history}'s prefix property. *)
+type strategy = Paper_rule
 
 val coarsen_to : ?strategy:strategy -> t -> target:int -> unit
 (** Contract edges until at most [target] nodes remain (or no
     contractable edge exists, which happens when only edgeless
-    components are left to merge). [strategy] defaults to
-    [Paper_rule]. *)
+    components are left to merge). *)
 
 val history : t -> contraction list
 (** All contractions performed, oldest first. Materialised from the
@@ -57,7 +55,7 @@ val history : t -> contraction list
 
     {b Prefix property.} [coarsen_to] is a deterministic function of
     the session state and tests the target before every contraction,
-    so on the same DAG and strategy the history of a run to target
+    so on the same DAG the history of a run to target
     [t1] is the first [n - t1] contractions of a run to any smaller
     target [t2] (all of them when the run to [t2] stops early, which
     only happens when no contractable edge is left, and then the run

@@ -36,23 +36,22 @@ let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
 
 let target ~ratio n = max 2 (int_of_float (ratio *. float_of_int n))
 
-let coarsening ?(strategy = Coarsen.Paper_rule) ~ratios dag =
-  let n = Dag.n dag in
-  let target = List.fold_left (fun acc ratio -> min acc (target ~ratio n)) n ratios in
-  let session = Coarsen.start dag in
-  Coarsen.coarsen_to ~strategy session ~target;
-  Coarsen.history session
+let coarsening ~ratios dag =
+  Obs.Metrics.with_span "coarsen" (fun () ->
+      let n = Dag.n dag in
+      let target = List.fold_left (fun acc ratio -> min acc (target ~ratio n)) n ratios in
+      let session = Coarsen.start dag in
+      Coarsen.coarsen_to session ~target;
+      Coarsen.history session)
 
-let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ?contractions ~refine_interval
-    ~refine_moves ~solver ~ratio machine dag =
+let run_ratio ?budget ~contractions ~refine_interval ~refine_moves ~solver ~ratio machine
+    dag =
   let n = Dag.n dag in
   let target = target ~ratio n in
   let session = Coarsen.start dag in
   let qdag, rep_of_id =
     Obs.Metrics.with_span "coarsen" (fun () ->
-        (match contractions with
-         | Some history -> Coarsen.replay session history ~target
-         | None -> Coarsen.coarsen_to ~strategy session ~target);
+        Coarsen.replay session contractions ~target;
         Coarsen.quotient session)
   in
   Obs.Metrics.counter "multilevel.runs" 1;

@@ -25,26 +25,24 @@ type config = {
   ratios : float list;  (** coarsening targets as fractions of [n] *)
   refine_interval : int;  (** uncontractions between refinement rounds *)
   refine_moves : int;  (** max HC moves per refinement round *)
-  strategy : Coarsen.strategy;  (** edge-selection rule for coarsening *)
+  strategy : Coarsen.strategy;
+      (** always [Paper_rule]; read only by the benchmark mirror (see
+          {!Coarsen.strategy}) *)
 }
 
 val default_config : config
-(** [ratios = [0.3; 0.15]], [refine_interval = 5], [refine_moves = 100],
-    the paper's edge-selection rule. *)
+(** [ratios = [0.3; 0.15]], [refine_interval = 5], [refine_moves = 100]. *)
 
-val coarsening :
-  ?strategy:Coarsen.strategy -> ratios:float list -> Dag.t -> Coarsen.contraction list
+val coarsening : ratios:float list -> Dag.t -> Coarsen.contraction list
 (** The contraction history of one coarsening of the DAG to the
     smallest target of [ratios] (each ratio's target is
     [max 2 (ratio * n)]). By {!Coarsen.history}'s prefix property it
     holds every ratio's level: pass it to {!run_ratio} as
-    [contractions] for each ratio, with the same [strategy] (default
-    [Paper_rule]). *)
+    [contractions] for each ratio. Runs in a ["coarsen"] span. *)
 
 val run_ratio :
   ?budget:Budget.t ->
-  ?strategy:Coarsen.strategy ->
-  ?contractions:Coarsen.contraction list ->
+  contractions:Coarsen.contraction list ->
   refine_interval:int ->
   refine_moves:int ->
   solver:(Machine.t -> Dag.t -> Schedule.t) ->
@@ -55,11 +53,11 @@ val run_ratio :
 (** One coarsen-solve-refine pass at a single ratio, returning the
     refined schedule without the final HCcs/ILPcs polish, which the
     caller owns ({!Pipeline.run_multilevel} runs one pass per ratio of
-    its config and keeps the cheapest). With [contractions] (a
+    its config and keeps the cheapest). [contractions] is a
     {!coarsening} of the same DAG to this ratio's target or a smaller
-    one) the level is rebuilt by {!Coarsen.replay} in a fresh session
-    and [strategy] is not consulted; without it the pass coarsens on
-    its own. Both give the same schedule. [budget] bounds the HC
+    one; the pass rebuilds its level by {!Coarsen.replay} in a fresh
+    session, which by the prefix property is the level a coarsening to
+    this ratio's own target reaches. [budget] bounds the HC
     refinement work across all levels; once it is spent, the remaining
     levels are only projected, with no quotient and no HC run, which
     gives the same schedule as refining them on a spent budget. Each

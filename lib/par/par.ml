@@ -74,15 +74,7 @@ let chunk_size ~factor ~jobs ~count =
    setting to itself once: workers at spawn, the submitter on its first
    parallel batch. *)
 
-let default_minor_heap_words = 2 * 1024 * 1024 (* x8 bytes = 16 MiB per domain *)
-
-let minor_heap_words =
-  match Sys.getenv_opt "BSP_MINOR_HEAP" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> n
-    | _ -> default_minor_heap_words)
-  | None -> default_minor_heap_words
+let minor_heap_words = 2 * 1024 * 1024 (* x8 bytes = 16 MiB per domain *)
 
 let gc_tuned : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 

@@ -91,15 +91,14 @@ val chunk_factor : int
 
 val minor_heap_words : int
 (** The per-domain minor heap size (in words) applied to every domain
-    that participates in a parallel batch: the value of the
-    [BSP_MINOR_HEAP] environment variable when it parses as a positive
-    integer, else 2M words (16 MiB). In OCaml 5 a minor collection
+    that participates in a parallel batch: 2M words (16 MiB). In
+    OCaml 5 a minor collection
     stops {e all} domains, so allocation-heavy tasks on a default-sized
     minor heap (256k words) serialise the pool through stop-the-world
     pauses; a larger nursery makes them proportionally rarer. Applied
     by each domain to itself — workers at spawn, the submitter on its
     first parallel batch — and never shrinks a larger configured
-    heap. *)
+    heap, so [OCAMLRUNPARAM=s=] can set one. *)
 
 (** {1 Per-domain statistics}
 

@@ -299,10 +299,8 @@ let used_supersteps t =
    phase of the last surviving superstep <= s, which keeps it after its
    source's computation and before its consumers' — for a lazy [comm]
    this coincides exactly with re-deriving the lazy schedule on the
-   renumbered assignment. [~relazy:true] restores the historical
-   behaviour of discarding [comm] and re-deriving it lazily (replica-free
-   schedules only). *)
-let compact ?(relazy = false) t =
+   renumbered assignment. *)
+let compact t =
   let s = num_supersteps t in
   if s = 0 then t
   else begin
@@ -320,31 +318,22 @@ let compact ?(relazy = false) t =
     done;
     let new_steps = !next in
     let step = Array.map (fun x -> remap.(x)) t.step in
-    if relazy then begin
-      if has_replicas t then
-        invalid_arg "Schedule.compact: ~relazy:true on a replicated schedule";
-      of_assignment t.dag ~proc:t.proc ~step
-    end
-    else begin
-      (* Phase [ph] maps to the index of the last used superstep <= ph
-         (clamped to phase 0 for events before any computation; phases
-         past the old horizon keep their offset past the new one). *)
-      let phase_remap ph =
-        if ph >= s then ph - (s - new_steps)
-        else begin
-          let r = remap.(ph) + (if used.(ph) then 0 else -1) in
-          if r < 0 then 0 else r
-        end
-      in
-      let comm =
-        List.map
-          (fun (e : comm_event) -> { e with step = phase_remap e.step })
-          t.comm
-      in
-      (* Nothing writes a replica table after its construction, so the
-         offsets and processors are shared; [Array.map] of a
-         replica-free schedule's empty table returns the empty atom. *)
-      let rep_step = Array.map (fun x -> remap.(x)) t.rep_step in
-      { t with proc = Array.copy t.proc; step; comm; rep_step }
-    end
+    (* Phase [ph] maps to the index of the last used superstep <= ph
+       (clamped to phase 0 for events before any computation; phases
+       past the old horizon keep their offset past the new one). *)
+    let phase_remap ph =
+      if ph >= s then ph - (s - new_steps)
+      else begin
+        let r = remap.(ph) + (if used.(ph) then 0 else -1) in
+        if r < 0 then 0 else r
+      end
+    in
+    let comm =
+      List.map (fun (e : comm_event) -> { e with step = phase_remap e.step }) t.comm
+    in
+    (* Nothing writes a replica table after its construction, so the
+       offsets and processors are shared; [Array.map] of a replica-free
+       schedule's empty table returns the empty atom. *)
+    let rep_step = Array.map (fun x -> remap.(x)) t.rep_step in
+    { t with proc = Array.copy t.proc; step; comm; rep_step }
   end

@@ -177,7 +177,7 @@ val assignment_valid : Dag.t -> proc:int array -> step:int array -> bool
     [(u, v)] satisfies [step u <= step v] when on the same processor and
     [step u < step v] when on different processors. *)
 
-val compact : ?relazy:bool -> t -> t
+val compact : t -> t
 (** Remove supersteps in which nothing is computed (by a primary node or
     a replica), renumbering the remaining ones. By default the
     communication schedule is {e preserved}: each event's phase is
@@ -186,10 +186,8 @@ val compact : ?relazy:bool -> t -> t
     consumers' first use — for a (semantically) lazy [comm] this
     coincides exactly with re-deriving the lazy schedule, and for a
     hand-optimised [Gamma] (e.g. from {!Hccs}) the optimisation survives.
-    [~relazy:true] restores the historical behaviour of discarding [comm]
-    and re-deriving the lazy schedule of the renumbered assignment; it is
-    only meaningful for replica-free schedules and raises
-    [Invalid_argument] otherwise. *)
+    To re-derive the lazy schedule instead, build the renumbered
+    assignment with {!of_assignment}. *)
 
 val used_supersteps : t -> int
 (** Number of distinct supersteps that contain at least one placement. *)

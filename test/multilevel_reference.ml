@@ -1,8 +1,10 @@
-(* The uncoarsening loop of the first implementation, kept as the oracle
-   for the refinement-skip property in test_multilevel.ml: it builds a
-   quotient and runs HC after every chunk of uncontractions, even once
-   the budget is spent and every pass is a no-op. Multilevel.run_ratio
-   must reproduce its schedules byte for byte. *)
+(* The multilevel pass of the first implementation, kept as the oracle
+   for the shared-coarsening and refinement-skip properties in
+   test_multilevel.ml: it coarsens to its own ratio's target, and it
+   builds a quotient and runs HC after every chunk of uncontractions,
+   even once the budget is spent and every pass is a no-op.
+   Multilevel.run_ratio on a shared coarsening must reproduce its
+   schedules byte for byte. *)
 
 let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
   let qdag, rep_of_id = Coarsen.quotient session in
@@ -17,12 +19,11 @@ let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
       step_of.(r) <- improved.Schedule.step.(i))
     rep_of_id
 
-let run_ratio ?budget ?(strategy = Coarsen.Paper_rule) ~refine_interval ~refine_moves
-    ~solver ~ratio machine dag =
+let run_ratio ?budget ~refine_interval ~refine_moves ~solver ~ratio machine dag =
   let n = Dag.n dag in
   let target = max 2 (int_of_float (ratio *. float_of_int n)) in
   let session = Coarsen.start dag in
-  Coarsen.coarsen_to ~strategy session ~target;
+  Coarsen.coarsen_to session ~target;
   let qdag, rep_of_id = Coarsen.quotient session in
   let coarse = solver machine qdag in
   let proc_of = Array.make n 0 in

@@ -64,14 +64,14 @@ let test_owner_tracking () =
   check "all merged to one owner" root (Coarsen.owner session 2);
   check_bool "owner alive" true (Coarsen.alive session root)
 
-(* One [run_ratio] pass per ratio of the default config, keeping the
-   cheapest (the earlier ratio on ties), as [Pipeline.run_multilevel]
-   does before its final polish. *)
+(* One [run_ratio] pass per ratio of the default config on one shared
+   coarsening, keeping the cheapest (the earlier ratio on ties), as
+   [Pipeline.run_multilevel] does before its final polish. *)
 let best_over_ratios ~solver m dag =
   let config = Multilevel.default_config in
+  let contractions = Multilevel.coarsening ~ratios:config.Multilevel.ratios dag in
   let pass ratio =
-    Multilevel.run_ratio ~strategy:config.Multilevel.strategy
-      ~refine_interval:config.Multilevel.refine_interval
+    Multilevel.run_ratio ~contractions ~refine_interval:config.Multilevel.refine_interval
       ~refine_moves:config.Multilevel.refine_moves ~solver ~ratio m dag
   in
   match List.map pass config.Multilevel.ratios with
@@ -88,7 +88,11 @@ let test_multilevel_run_valid () =
   let solver mach d = Bspg.schedule mach d in
   let s = best_over_ratios ~solver m dag in
   check_bool "valid" true (Validity.is_valid m s);
-  let single = Multilevel.run_ratio ~refine_interval:5 ~refine_moves:100 ~solver ~ratio:0.3 m dag in
+  let contractions = Multilevel.coarsening ~ratios:[ 0.3 ] dag in
+  let single =
+    Multilevel.run_ratio ~contractions ~refine_interval:5 ~refine_moves:100 ~solver ~ratio:0.3
+      m dag
+  in
   check_bool "single ratio valid" true (Validity.is_valid m single)
 
 let test_multilevel_beats_trivial_on_comm_heavy () =
@@ -160,10 +164,11 @@ let prop_refine_skip_matches_reference =
         let s = Obs.Metrics.with_registry r (fun () -> f (budget ())) in
         (Schedule_io.to_string s, r)
       in
+      let contractions = Multilevel.coarsening ~ratios:[ 0.3 ] dag in
       let bytes, r =
         run (fun budget ->
-            Multilevel.run_ratio ~budget ~refine_interval:2 ~refine_moves:5 ~solver ~ratio:0.3
-              m dag)
+            Multilevel.run_ratio ~budget ~contractions ~refine_interval:2 ~refine_moves:5
+              ~solver ~ratio:0.3 m dag)
       in
       let ref_bytes, ref_r =
         run (fun budget ->
@@ -189,11 +194,10 @@ let arb_replay =
     let* seed = int_bound 1_000_000 in
     let* n = int_range 1 40 in
     let* edge_prob = oneofl [ 0.0; 0.03; 0.1; 0.3 ] in
-    let* strategy = oneofl [ Coarsen.Paper_rule; Coarsen.Comm_matching ] in
     let* t2 = int_range 1 n in
     let* t1 = int_range t2 n in
     let dag = Test_util.random_dag (Rng.create seed) ~n ~edge_prob ~max_w:5 ~max_c:4 in
-    return (dag, strategy, t1, t2))
+    return (dag, t1, t2))
 
 let level_of session =
   let qdag, rep_of_id = Coarsen.quotient session in
@@ -211,13 +215,13 @@ let undo_all session =
 
 let prop_replay_matches_coarsen =
   Test_util.qtest ~count:200 "replayed prefix = coarsen to the larger target" arb_replay
-    (fun (dag, strategy, t1, t2) ->
+    (fun (dag, t1, t2) ->
       let deep = Coarsen.start dag in
-      Coarsen.coarsen_to ~strategy deep ~target:t2;
+      Coarsen.coarsen_to deep ~target:t2;
       let replayed = Coarsen.start dag in
       Coarsen.replay replayed (Coarsen.history deep) ~target:t1;
       let direct = Coarsen.start dag in
-      Coarsen.coarsen_to ~strategy direct ~target:t1;
+      Coarsen.coarsen_to direct ~target:t1;
       Coarsen.num_contractions replayed = Coarsen.num_contractions direct
       && Coarsen.num_contractions replayed
          = min (Dag.n dag - t1) (Coarsen.num_contractions deep)
@@ -232,35 +236,32 @@ let test_replay_rejects_foreign_history () =
     (fun () ->
       Coarsen.replay session [ { Coarsen.kept = 0; removed = 2 } ] ~target:1)
 
-(* The pipeline's one-coarsening path: run_ratio on a shared history
-   gives the bytes and the counters of a pass that coarsens on its own. *)
-let prop_shared_coarsening_matches =
-  Test_util.qtest ~count:40 "run_ratio on a shared coarsening"
+(* The pipeline's one-coarsening path: every ratio's pass on one shared
+   history gives the bytes and the HC work of the reference pass, which
+   coarsens to its own target. *)
+let prop_shared_coarsening_matches_reference =
+  Test_util.qtest ~count:40 "shared coarsening = reference's own"
     QCheck2.Gen.(pair (Test_util.arb_dag ~max_n:60 ()) (oneofl [ 4; 8 ]))
     (fun (dag, p) ->
       let m = Machine.numa_tree ~p ~g:3 ~l:5 ~delta:2 in
       let ratios = Multilevel.default_config.Multilevel.ratios in
       let contractions = Multilevel.coarsening ~ratios dag in
       let solver mach d = Bspg.schedule mach d in
-      let run ?contractions ratio =
+      let run f =
         let r = Obs.Metrics.create () in
-        let s =
-          Obs.Metrics.with_registry r (fun () ->
-              Multilevel.run_ratio ?contractions ~refine_interval:2 ~refine_moves:5 ~solver
-                ~ratio m dag)
-        in
+        let s = Obs.Metrics.with_registry r f in
         ( Schedule_io.to_string s,
-          List.map
-            (Obs.Metrics.counter_value r)
-            [
-              "multilevel.contractions";
-              "multilevel.refine_passes";
-              "multilevel.refine_moves_applied";
-              "hc.runs";
-              "hc.moves_evaluated";
-            ] )
+          List.map (Obs.Metrics.counter_value r) [ "hc.runs"; "hc.moves_evaluated" ] )
       in
-      List.for_all (fun ratio -> run ~contractions ratio = run ratio) ratios)
+      List.for_all
+        (fun ratio ->
+          run (fun () ->
+              Multilevel.run_ratio ~contractions ~refine_interval:2 ~refine_moves:5 ~solver
+                ~ratio m dag)
+          = run (fun () ->
+                Multilevel_reference.run_ratio ~refine_interval:2 ~refine_moves:5 ~solver
+                  ~ratio m dag))
+        ratios)
 
 let () =
   Alcotest.run "multilevel"
@@ -287,6 +288,6 @@ let () =
           prop_multilevel_valid;
           prop_refine_skip_matches_reference;
           prop_replay_matches_coarsen;
-          prop_shared_coarsening_matches;
+          prop_shared_coarsening_matches_reference;
         ] );
     ]

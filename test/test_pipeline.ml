@@ -54,8 +54,36 @@ let test_multilevel_pipeline () =
   let m = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
   let ml = Pipeline.run_multilevel ~limits:fast_test_limits m dag in
   check_bool "valid" true (Validity.is_valid m ml);
-  let single = Pipeline.run_multilevel_ratio ~limits:fast_test_limits ~ratio:0.3 m dag in
+  let contractions = Multilevel.coarsening ~ratios:[ 0.3 ] dag in
+  let single =
+    Pipeline.run_multilevel_ratio ~limits:fast_test_limits ~contractions ~ratio:0.3 m dag
+  in
   check_bool "single ratio valid" true (Validity.is_valid m single)
+
+(* A coarse solve is the pipeline without ILPcs: no ILPcs span opens
+   below a ratio's coarse pipeline, while the polish of the uncoarsened
+   schedule still runs it. *)
+let test_multilevel_coarse_solves_skip_ilp_cs () =
+  let rng = Rng.create 9 in
+  let dag = Finegrained.exp (Sparse_matrix.random rng ~n:15 ~q:0.15) ~k:3 in
+  let m = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
+  let r = Obs.Metrics.create () in
+  let ml =
+    Obs.Metrics.with_registry r (fun () ->
+        Pipeline.run_multilevel ~limits:fast_test_limits m dag)
+  in
+  check_bool "valid" true (Validity.is_valid m ml);
+  let paths =
+    List.map (fun (s : Obs.Metrics.span_stats) -> s.Obs.Metrics.path) (Obs.Metrics.span_list r)
+  in
+  let below_ratio p = Test_util.contains_substring p "multilevel:" in
+  check_bool "coarse pipelines ran" true
+    (List.exists (fun p -> below_ratio p && String.ends_with ~suffix:"/pipeline" p) paths);
+  check_bool "no ILPcs in a coarse solve" false
+    (List.exists
+       (fun p -> below_ratio p && Test_util.contains_substring p "/pipeline/ilp_cs")
+       paths);
+  check_bool "ILPcs polish ran" true (List.mem "ilp_cs:polish" paths)
 
 (* [ratios] replaces the default list: a single ratio runs exactly the
    single-ratio pipeline, and an empty list is refused. *)
@@ -64,9 +92,11 @@ let test_multilevel_ratios () =
   let dag = Finegrained.exp (Sparse_matrix.random rng ~n:12 ~q:0.2) ~k:3 in
   let m = Machine.numa_tree ~p:4 ~g:1 ~l:5 ~delta:3 in
   let limits = { fast_test_limits with Pipeline.stage_seconds = None } in
+  let contractions = Multilevel.coarsening ~ratios:[ 0.3 ] dag in
   Alcotest.(check string)
     "one ratio = run_multilevel_ratio"
-    (Schedule_io.to_string (Pipeline.run_multilevel_ratio ~limits ~ratio:0.3 m dag))
+    (Schedule_io.to_string
+       (Pipeline.run_multilevel_ratio ~limits ~contractions ~ratio:0.3 m dag))
     (Schedule_io.to_string (Pipeline.run_multilevel ~limits ~ratios:[ 0.3 ] m dag));
   Alcotest.check_raises "no ratios"
     (Invalid_argument "Pipeline.run_multilevel: no ratios configured") (fun () ->
@@ -122,6 +152,8 @@ let () =
           Alcotest.test_case "ilp-init enabled" `Quick test_pipeline_ilp_init_enabled;
           Alcotest.test_case "multilevel pipeline" `Quick test_multilevel_pipeline;
           Alcotest.test_case "multilevel ratios" `Quick test_multilevel_ratios;
+          Alcotest.test_case "multilevel coarse solves skip ILPcs" `Quick
+            test_multilevel_coarse_solves_skip_ilp_cs;
           Alcotest.test_case "experiment evaluate" `Quick test_experiment_evaluate;
           Alcotest.test_case "aggregation math" `Quick test_aggregation_math;
         ] );

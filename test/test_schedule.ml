@@ -232,7 +232,7 @@ let test_make_replicated_rejects () =
 
 let test_compact_preserves_comm () =
   (* An event placed earlier than its lazy phase (as HCcs does) must
-     survive compaction; only ~relazy:true re-derives the lazy phase. *)
+     survive compaction. *)
   let dag =
     Dag.of_edges ~n:3 ~edges:[ (0, 1) ] ~work:[| 1; 1; 1 |] ~comm:[| 1; 1; 1 |]
   in
@@ -248,10 +248,7 @@ let test_compact_preserves_comm () =
   Alcotest.(check (array int)) "renumbered" [| 0; 2; 1 |] c.Schedule.step;
   check_bool "compacted valid" true (Validity.is_valid m c);
   check "event preserved" 1 (List.length c.Schedule.comm);
-  check "event keeps its early phase" 0 (List.hd c.Schedule.comm).Schedule.step;
-  let r = Schedule.compact ~relazy:true s in
-  check "relazy re-derives the lazy phase" 1 (List.hd r.Schedule.comm).Schedule.step;
-  check_bool "relazy valid" true (Validity.is_valid m r)
+  check "event keeps its early phase" 0 (List.hd c.Schedule.comm).Schedule.step
 
 let test_compact_replicated () =
   let m = Machine.uniform ~p:2 ~g:1 ~l:3 in
@@ -268,12 +265,7 @@ let test_compact_replicated () =
   Alcotest.(check (list (pair int int)))
     "replica placement" [ (1, 0) ] (Schedule.replicas c 0);
   check_bool "valid" true (Validity.is_valid m c);
-  check_bool "cheaper" true (Bsp_cost.total m c < Bsp_cost.total m s);
-  (* relazy compaction is replica-free-only by contract. *)
-  (try
-     ignore (Schedule.compact ~relazy:true s : Schedule.t);
-     Alcotest.fail "relazy accepted a replicated schedule"
-   with Invalid_argument _ -> ())
+  check_bool "cheaper" true (Bsp_cost.total m c < Bsp_cost.total m s)
 
 let test_classical_conversion () =
   let dag = Test_util.chain 3 in
