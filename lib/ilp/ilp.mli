@@ -4,7 +4,12 @@
     Section 4.4 (ILPfull, ILPpart, ILPinit, ILPcs). Variables are either
     binary or continuous with bounds; constraints are sparse linear rows;
     the objective is always minimised. Solving happens in
-    {!Branch_bound}. *)
+    {!Branch_bound}.
+
+    The model is stored as a flat {!Simplex.lp}: each added row is
+    appended to CSR arrays (row starts, column indices, an unboxed
+    [float array] of coefficients, senses, right-hand sides), and the
+    objective is kept the same way. *)
 
 type t
 
@@ -43,4 +48,14 @@ val lp_relaxation :
   t ->
   Simplex.result
 (** Solve the LP relaxation (binaries relaxed to [[0, 1]]), with the
-    bounds of the variables in [fix] clamped to the given values. *)
+    bounds of the variables in [fix] clamped to the given values (a
+    variable listed twice takes its last value).
+
+    Variables whose bounds are then equal are eliminated first: their
+    terms move into the row right-hand sides and the objective constant,
+    and a row left without terms is dropped once its constant is checked
+    ([Infeasible] when it fails). The reduced LP keeps the rows, and
+    each row's terms, in insertion order. It is written into per-domain
+    scratch that grows to the union of the models served while that
+    stays within 2^18 words (larger models get scratch of their own), so
+    a warm call allocates only its result. *)

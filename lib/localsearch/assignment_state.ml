@@ -103,6 +103,9 @@ type t = {
   mutable row_wv : int;
   mutable row_cv : int;
   mutable row_npred : int;
+  (* [overlay_step_maxima]'s two results. *)
+  mutable ov_wm : int;
+  mutable ov_hm : int;
   (* Per-step maxima/cost of the removal base (valid where base_mark),
      and the per-column combination scratch: col_wm/col_hm start from
      the base (or cached) maxima and absorb the column's addition cells
@@ -397,6 +400,8 @@ let build ?pooled machine dag ~num_steps ~max_in ~proc ~step =
     row_wv = 0;
     row_cv = 0;
     row_npred = 0;
+    ov_wm = 0;
+    ov_hm = 0;
     base_mark = gb (fun o -> o.base_mark) steps1;
     base_wm = gi (fun o -> o.base_wm) steps1;
     base_hm = gi (fun o -> o.base_hm) steps1;
@@ -889,7 +894,8 @@ let undo_additions st =
 
 (* Work and h-relation maxima of one superstep under the current
    scratch overlay (same unsafe-indexing invariant as
-   {!cost_of_touched}). *)
+   {!cost_of_touched}), left in [ov_wm] and [ov_hm]: a returned pair
+   would be allocated on every call. *)
 let overlay_step_maxima st s =
   let off = s * st.p in
   let work_row = Array.unsafe_get st.work_m s in
@@ -904,7 +910,8 @@ let overlay_step_maxima st s =
     let h = if snd > rcv then snd else rcv in
     if h > !hm then hm := h
   done;
-  (!wm, !hm)
+  st.ov_wm <- !wm;
+  st.ov_hm <- !hm
 
 (* Deltas of a whole candidate row — v to (p2, s2) for every p2 — as
    one shared removal base (v leaves (p1, s1): its work cell, its
@@ -986,7 +993,8 @@ let build_row_base st v =
   let base_delta = ref 0 in
   for k = 0 to st.touched_steps_len - 1 do
     let s = Array.unsafe_get st.touched_steps k in
-    let wm, hm = overlay_step_maxima st s in
+    overlay_step_maxima st s;
+    let wm = st.ov_wm and hm = st.ov_hm in
     let c = wm + (g * hm) + l in
     Array.unsafe_set st.base_mark s true;
     Array.unsafe_set st.base_wm s wm;
@@ -1050,8 +1058,8 @@ let eval_column st ~p1 ~p2 ~s2 =
       else Array.unsafe_get cached s
     in
     if Array.unsafe_get st.col_neg s then begin
-      let wm, hm = overlay_step_maxima st s in
-      delta := !delta + wm + (g * hm) + l - before
+      overlay_step_maxima st s;
+      delta := !delta + st.ov_wm + (g * st.ov_hm) + l - before
     end
     else
       delta :=

@@ -1,5 +1,20 @@
 type sense = Le | Ge | Eq
 
+type lp = {
+  mutable num_vars : int;
+  mutable lb : float array;
+  mutable ub : float array;
+  mutable obj_len : int;
+  mutable obj_col : int array;
+  mutable obj_coef : float array;
+  mutable num_rows : int;
+  mutable row_start : int array;
+  mutable row_col : int array;
+  mutable row_coef : float array;
+  mutable row_sense : sense array;
+  mutable row_rhs : float array;
+}
+
 type result =
   | Optimal of { obj : float; x : float array }
   | Infeasible
@@ -12,21 +27,21 @@ let feas_eps = 1e-7
 (* Tableau layout: [m] constraint rows over columns
    [0 .. total_cols - 1] plus the right-hand side in column [total_cols].
    [basis.(i)] is the column basic in row [i]. The objective row is kept
-   separately in [zrow] (reduced costs) with its value in [zval]. [nz]
-   is the pivot's index buffer for the pivot row's nonzero columns,
-   allocated once per solve. [artificial] flags the artificial columns,
-   which phase 2 never lets enter. *)
+   separately in [zrow] (reduced costs), with its value in
+   [zrow.(total_cols)]. [nz] is the pivot's index buffer for the pivot
+   row's nonzero columns. [artificial] flags the artificial columns,
+   which phase 2 never lets enter. Every array can be longer than the
+   solve's shape (a pooled workspace); only the solve's own prefix is
+   read. *)
 type tableau = {
-  m : int;
-  total_cols : int;
-  t : float array array;
-      (* at least m rows of at least total_cols + 1 entries; only those
-         are read (pooled rows can be longer) *)
-  basis : int array;
-  artificial : bool array;
-  zrow : float array;
-  mutable zval : float;
-  nz : int array;  (* total_cols + 1 entries *)
+  mutable m : int;
+  mutable total_cols : int;
+  mutable t : float array array;  (* m rows of total_cols + 1 entries *)
+  mutable basis : int array;  (* m *)
+  mutable artificial : bool array;  (* total_cols *)
+  mutable zrow : float array;  (* total_cols + 1 *)
+  mutable nz : int array;  (* total_cols + 1 *)
+  mutable pivots : int;  (* this solve's, both phases *)
 }
 
 (* Normalise the pivot row and note its nonzero columns; every other
@@ -67,7 +82,7 @@ let pivot tab ~row ~col =
       let j = nz.(e) in
       if j < tab.total_cols then tab.zrow.(j) <- tab.zrow.(j) -. (f *. r.(j))
     done;
-    tab.zval <- tab.zval -. (f *. r.(tab.total_cols));
+    tab.zrow.(tab.total_cols) <- tab.zrow.(tab.total_cols) -. (f *. r.(tab.total_cols));
     tab.zrow.(col) <- 0.0
   end;
   tab.basis.(row) <- col
@@ -75,11 +90,11 @@ let pivot tab ~row ~col =
 (* One simplex phase on the current zrow; [no_artificial] keeps the
    artificial columns from entering (phase 2). Returns [`Opt],
    [`Unbounded] or [`Limit]. *)
-let run_phase tab ~no_artificial ~max_pivots pivots =
+let run_phase tab ~no_artificial ~max_pivots =
   let status = ref `Run in
   let degenerate_run = ref 0 in
   while !status = `Run do
-    if !pivots >= max_pivots then status := `Limit
+    if tab.pivots >= max_pivots then status := `Limit
     else begin
       (* Entering column: Dantzig rule (most negative reduced cost),
          Bland (first negative) after a degenerate streak. *)
@@ -124,208 +139,249 @@ let run_phase tab ~no_artificial ~max_pivots pivots =
         else begin
           if !best_ratio < eps then incr degenerate_run else degenerate_run := 0;
           pivot tab ~row:!row ~col;
-          incr pivots
+          tab.pivots <- tab.pivots + 1
         end
       end
     end
   done;
   (!status :> [ `Opt | `Unbounded | `Limit | `Run ])
 
-(* Tableau rows come from a per-domain pool: ILPinit's branch-and-bound
-   solves hundreds of LPs of similar shape, and a fresh dense tableau
-   per solve was most of the words it allocated. The pool keeps one
-   rectangle of rows, grown to the union of the shapes it has served
-   while that stays within [pool_cap] floats; a solve that needs more
-   allocates its own rows, as every solve once did. Domain-local, so
-   parallel solves never share rows; a solve never re-enters itself. *)
+(* Tableau rows and the per-solve arrays come from a per-domain pool:
+   ILPinit's branch-and-bound solves hundreds of LPs of similar shape,
+   and a fresh dense tableau per solve was most of the words it
+   allocated. The pool keeps one rectangle of rows, grown to the union
+   of the shapes it has served while that stays within [pool_cap]
+   floats; a solve that needs more allocates its own workspace, as
+   every solve once did. Domain-local, so parallel solves never share
+   rows; a solve never re-enters itself. *)
 let pool_cap = 1 lsl 18
 
-let pool_key : float array array ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [||])
+let fresh m total_cols =
+  {
+    m;
+    total_cols;
+    t = Array.make_matrix m (total_cols + 1) 0.0;
+    basis = Array.make m (-1);
+    artificial = Array.make total_cols false;
+    zrow = Array.make (total_cols + 1) 0.0;
+    nz = Array.make (total_cols + 1) 0;
+    pivots = 0;
+  }
 
-(* [m] rows whose first [width] entries are zero. *)
-let tableau_rows m width =
-  if m * width > pool_cap then Array.make_matrix m width 0.0
-  else begin
-    let pool = Domain.DLS.get pool_key in
-    let have = Array.length !pool in
-    let have_width = if have = 0 then 0 else Array.length !pool.(0) in
-    if have < m || have_width < width then begin
-      let rows = max m have and cols = max width have_width in
-      pool :=
-        if rows * cols > pool_cap then Array.make_matrix m width 0.0
-        else Array.make_matrix rows cols 0.0
-    end;
-    let t = !pool in
-    for i = 0 to m - 1 do
-      Array.fill t.(i) 0 width 0.0
-    done;
-    t
-  end
+let pool_key : tableau Domain.DLS.key = Domain.DLS.new_key (fun () -> fresh 0 0)
 
-let minimize ?max_pivots ~num_vars ~obj ~rows ~lb ~ub () =
-  if Array.length lb <> num_vars || Array.length ub <> num_vars then
-    invalid_arg "Simplex.minimize: bound array length mismatch";
-  Array.iteri
-    (fun j l ->
-      if not (Float.is_finite l) then
-        invalid_arg "Simplex.minimize: lower bounds must be finite";
-      if l > ub.(j) +. eps then invalid_arg "Simplex.minimize: lb > ub")
-    lb;
-  (* Shift x = lb + y with y >= 0; finite upper bounds become rows. *)
-  let ub_rows =
-    let acc = ref [] in
-    for j = num_vars - 1 downto 0 do
-      if Float.is_finite ub.(j) then acc := ([ (j, 1.0) ], Le, ub.(j) -. lb.(j)) :: !acc
-    done;
-    !acc
-  in
-  let shift_row (coeffs, sense, b) =
-    let b' =
-      List.fold_left (fun acc (j, a) -> acc -. (a *. lb.(j))) b coeffs
-    in
-    (coeffs, sense, b')
-  in
-  let all_rows = Array.of_list (List.map shift_row (Array.to_list rows) @ ub_rows) in
-  let m = Array.length all_rows in
-  (* Column layout: y variables, then one slack/surplus or artificial
-     per row as needed. First pass counts extra columns. *)
-  let extra = ref 0 in
-  let row_info =
-    Array.map
-      (fun (coeffs, sense, b) ->
-        let flip = b < 0.0 in
-        let sense =
-          if not flip then sense
-          else match sense with Le -> Ge | Ge -> Le | Eq -> Eq
-        in
-        let slots = match sense with Le -> 1 | Ge -> 2 | Eq -> 1 in
-        extra := !extra + slots;
-        (coeffs, sense, b, flip))
-      all_rows
-  in
-  let total_cols = num_vars + !extra in
-  let t = tableau_rows m (total_cols + 1) in
-  let basis = Array.make m (-1) in
-  let artificial = Array.make total_cols false in
-  let next_col = ref num_vars in
-  Array.iteri
-    (fun i (coeffs, sense, b, flip) ->
-      let sign = if flip then -1.0 else 1.0 in
-      List.iter (fun (j, a) -> t.(i).(j) <- t.(i).(j) +. (sign *. a)) coeffs;
-      t.(i).(total_cols) <- sign *. b;
-      (match sense with
-       | Le ->
-         let s = !next_col in
-         incr next_col;
-         t.(i).(s) <- 1.0;
-         basis.(i) <- s
-       | Ge ->
-         let s = !next_col in
-         incr next_col;
-         t.(i).(s) <- -1.0;
-         let a = !next_col in
-         incr next_col;
-         t.(i).(a) <- 1.0;
-         artificial.(a) <- true;
-         basis.(i) <- a
-       | Eq ->
-         let a = !next_col in
-         incr next_col;
-         t.(i).(a) <- 1.0;
-         artificial.(a) <- true;
-         basis.(i) <- a);
-      ())
-    row_info;
+(* A workspace for [m] rows over [total_cols] columns: the first
+   [total_cols + 1] entries of each of the [m] rows, of [zrow] and the
+   first [total_cols] of [artificial] are cleared. *)
+let workspace m total_cols =
+  let width = total_cols + 1 in
   let tab =
-    {
-      m;
-      total_cols;
-      t;
-      basis;
-      artificial;
-      zrow = Array.make total_cols 0.0;
-      zval = 0.0;
-      nz = Array.make (total_cols + 1) 0;
-    }
+    if m * width > pool_cap then fresh m total_cols
+    else begin
+      let w = Domain.DLS.get pool_key in
+      let have = Array.length w.t in
+      let have_width = if have = 0 then 0 else Array.length w.t.(0) in
+      if have < m || have_width < width then begin
+        let rows = max m have and cols = max width have_width in
+        let rows, cols = if rows * cols > pool_cap then (m, width) else (rows, cols) in
+        w.t <- Array.make_matrix rows cols 0.0;
+        w.basis <- Array.make rows (-1);
+        w.artificial <- Array.make (cols - 1) false;
+        w.zrow <- Array.make cols 0.0;
+        w.nz <- Array.make cols 0
+      end;
+      w
+    end
   in
-  let pivots = ref 0 in
+  tab.m <- m;
+  tab.total_cols <- total_cols;
+  tab.pivots <- 0;
+  for i = 0 to m - 1 do
+    Array.fill tab.t.(i) 0 width 0.0
+  done;
+  Array.fill tab.artificial 0 total_cols false;
+  Array.fill tab.zrow 0 width 0.0;
+  tab
+
+(* Put row [i]'s slack/surplus/artificial columns from [next_col] on
+   (its coefficients and right-hand side already in, negated when
+   [flip]); returns the next free column. A flipped row trades Le for
+   Ge. *)
+let place_row tab i sense ~flip next_col =
+  let ti = tab.t.(i) in
+  let sense = if not flip then sense else match sense with Le -> Ge | Ge -> Le | Eq -> Eq in
+  match sense with
+  | Le ->
+    ti.(next_col) <- 1.0;
+    tab.basis.(i) <- next_col;
+    next_col + 1
+  | Ge ->
+    ti.(next_col) <- -1.0;
+    let a = next_col + 1 in
+    ti.(a) <- 1.0;
+    tab.artificial.(a) <- true;
+    tab.basis.(i) <- a;
+    next_col + 2
+  | Eq ->
+    ti.(next_col) <- 1.0;
+    tab.artificial.(next_col) <- true;
+    tab.basis.(i) <- next_col;
+    next_col + 1
+
+(* Columns [place_row] gives a row. *)
+let columns_of sense ~flip =
+  match sense with Le -> if flip then 2 else 1 | Ge -> if flip then 1 else 2 | Eq -> 1
+
+(* Load the real objective, price out the basic columns and run phase
+   2; [x] is read off the final basis. *)
+let phase2 tab lp ~max_pivots =
+  let tc = tab.total_cols and z = tab.zrow and lb = lp.lb in
+  Array.fill z 0 (tc + 1) 0.0;
+  for e = 0 to lp.obj_len - 1 do
+    let j = lp.obj_col.(e) in
+    z.(j) <- z.(j) +. lp.obj_coef.(e)
+  done;
+  (* Objective constant from the lb shift: c . lb. *)
+  let shift_const = ref 0.0 in
+  for e = 0 to lp.obj_len - 1 do
+    shift_const := !shift_const +. (lp.obj_coef.(e) *. lb.(lp.obj_col.(e)))
+  done;
+  for i = 0 to tab.m - 1 do
+    let b = tab.basis.(i) in
+    let cb = if b < tc then z.(b) else 0.0 in
+    if Float.abs cb > eps then begin
+      let ti = tab.t.(i) in
+      for j = 0 to tc - 1 do
+        z.(j) <- z.(j) -. (cb *. ti.(j))
+      done;
+      z.(tc) <- z.(tc) -. (cb *. ti.(tc));
+      z.(b) <- 0.0
+    end
+  done;
+  match run_phase tab ~no_artificial:true ~max_pivots with
+  | `Unbounded -> Unbounded
+  | `Limit -> Iteration_limit
+  | `Opt | `Run ->
+    let n = lp.num_vars in
+    let x = Array.sub lb 0 n in
+    for i = 0 to tab.m - 1 do
+      let b = tab.basis.(i) in
+      if b < n then x.(b) <- lb.(b) +. tab.t.(i).(tc)
+    done;
+    (* zrow.(tc) tracks -(objective of the shifted problem). *)
+    Optimal { obj = -.z.(tc) +. !shift_const; x }
+
+(* Phase 1 minimises the sum of artificials: price the unit costs on
+   artificials through the initial basis (subtract every
+   artificial-basic row), run, and drive the artificials left in the
+   basis out where possible. [None] when phase 2 may start. *)
+let phase1 tab ~max_pivots =
+  let tc = tab.total_cols and z = tab.zrow and artificial = tab.artificial in
+  for i = 0 to tab.m - 1 do
+    if artificial.(tab.basis.(i)) then begin
+      let ti = tab.t.(i) in
+      for j = 0 to tc - 1 do
+        z.(j) <- z.(j) -. ti.(j)
+      done;
+      z.(tc) <- z.(tc) -. ti.(tc)
+    end
+  done;
+  (* Artificial columns themselves cost 1. *)
+  for j = 0 to tc - 1 do
+    if artificial.(j) then z.(j) <- z.(j) +. 1.0
+  done;
+  match run_phase tab ~no_artificial:false ~max_pivots with
+  | `Unbounded -> Some Infeasible (* phase-1 objective is bounded below by 0 *)
+  | `Limit -> Some Iteration_limit
+  | `Opt | `Run ->
+    if -.z.(tc) > feas_eps then Some Infeasible
+    else begin
+      (* A row with only artificial support is redundant and harmless:
+         its artificial stays basic at value ~0 and phase 2 never
+         selects artificial columns. *)
+      for i = 0 to tab.m - 1 do
+        if artificial.(tab.basis.(i)) then begin
+          let ti = tab.t.(i) in
+          let col = ref (-1) in
+          for j = 0 to tc - 1 do
+            if !col < 0 && (not artificial.(j)) && Float.abs ti.(j) > feas_eps then col := j
+          done;
+          if !col >= 0 then pivot tab ~row:i ~col:!col
+        end
+      done;
+      None
+    end
+
+let minimize ?max_pivots lp =
+  let n = lp.num_vars and lb = lp.lb and ub = lp.ub in
+  for j = 0 to n - 1 do
+    if not (Float.is_finite lb.(j)) then
+      invalid_arg "Simplex.minimize: lower bounds must be finite";
+    if lb.(j) > ub.(j) +. eps then invalid_arg "Simplex.minimize: lb > ub"
+  done;
+  (* Shift x = lb + y with y >= 0, so row i's right-hand side becomes
+     rhs.(i) - sum a * lb (written out twice below: a float-returning
+     helper would box its result); finite upper bounds become rows after
+     the model's, in ascending variable order. Column layout: y
+     variables, then the slack/surplus/artificial columns row by row;
+     the first pass counts them. *)
+  let rows = lp.num_rows in
+  let m = ref rows and total_cols = ref n in
+  for i = 0 to rows - 1 do
+    let b = ref lp.row_rhs.(i) in
+    for e = lp.row_start.(i) to lp.row_start.(i + 1) - 1 do
+      b := !b -. (lp.row_coef.(e) *. lb.(lp.row_col.(e)))
+    done;
+    total_cols := !total_cols + columns_of lp.row_sense.(i) ~flip:(!b < 0.0)
+  done;
+  for j = 0 to n - 1 do
+    if Float.is_finite ub.(j) then begin
+      incr m;
+      total_cols := !total_cols + columns_of Le ~flip:(ub.(j) -. lb.(j) < 0.0)
+    end
+  done;
+  let m = !m and total_cols = !total_cols in
+  let tab = workspace m total_cols in
+  let next_col = ref n in
+  for i = 0 to rows - 1 do
+    let b = ref lp.row_rhs.(i) in
+    for e = lp.row_start.(i) to lp.row_start.(i + 1) - 1 do
+      b := !b -. (lp.row_coef.(e) *. lb.(lp.row_col.(e)))
+    done;
+    let flip = !b < 0.0 in
+    let sign = if flip then -1.0 else 1.0 in
+    let ti = tab.t.(i) in
+    for e = lp.row_start.(i) to lp.row_start.(i + 1) - 1 do
+      let j = lp.row_col.(e) in
+      ti.(j) <- ti.(j) +. (sign *. lp.row_coef.(e))
+    done;
+    ti.(total_cols) <- sign *. !b;
+    next_col := place_row tab i lp.row_sense.(i) ~flip !next_col
+  done;
+  let i = ref rows in
+  for j = 0 to n - 1 do
+    if Float.is_finite ub.(j) then begin
+      let b = ub.(j) -. lb.(j) in
+      let flip = b < 0.0 in
+      let sign = if flip then -1.0 else 1.0 in
+      let ti = tab.t.(!i) in
+      ti.(j) <- ti.(j) +. (sign *. 1.0);
+      ti.(total_cols) <- sign *. b;
+      next_col := place_row tab !i Le ~flip !next_col;
+      incr i
+    end
+  done;
   let max_pivots =
     match max_pivots with Some k -> k | None -> 200 * (m + total_cols) + 2000
   in
-  (* Phase 1: minimise the sum of artificials. Reduced costs = price the
-     unit costs on artificials through the initial basis, i.e. subtract
-     every artificial-basic row. *)
-  let has_artificial = Array.exists (fun b -> b) artificial in
-  let phase2 () =
-    (* Load the real objective and price out basic columns. *)
-    Array.fill tab.zrow 0 total_cols 0.0;
-    tab.zval <- 0.0;
-    List.iter (fun (j, c) -> tab.zrow.(j) <- tab.zrow.(j) +. c) obj;
-    (* Objective constant from the lb shift: c . lb. *)
-    let shift_const = List.fold_left (fun acc (j, c) -> acc +. (c *. lb.(j))) 0.0 obj in
-    for i = 0 to m - 1 do
-      let b = tab.basis.(i) in
-      let cb = if b < total_cols then tab.zrow.(b) else 0.0 in
-      if Float.abs cb > eps then begin
-        for j = 0 to total_cols - 1 do
-          tab.zrow.(j) <- tab.zrow.(j) -. (cb *. tab.t.(i).(j))
-        done;
-        tab.zval <- tab.zval -. (cb *. tab.t.(i).(total_cols));
-        tab.zrow.(b) <- 0.0
-      end
-    done;
-    match run_phase tab ~no_artificial:true ~max_pivots pivots with
-    | `Unbounded -> Unbounded
-    | `Limit -> Iteration_limit
-    | `Opt | `Run ->
-      let x = Array.copy lb in
-      for i = 0 to m - 1 do
-        if tab.basis.(i) < num_vars then
-          x.(tab.basis.(i)) <- lb.(tab.basis.(i)) +. tab.t.(i).(total_cols)
-      done;
-      (* zval tracks -(objective of the shifted problem). *)
-      Optimal { obj = -.tab.zval +. shift_const; x }
-  in
+  let has_artificial = ref false in
+  for j = 0 to total_cols - 1 do
+    if tab.artificial.(j) then has_artificial := true
+  done;
   let result =
-    if not has_artificial then phase2 ()
-    else begin
-      for i = 0 to m - 1 do
-        if artificial.(tab.basis.(i)) then begin
-          for j = 0 to total_cols - 1 do
-            tab.zrow.(j) <- tab.zrow.(j) -. tab.t.(i).(j)
-          done;
-          tab.zval <- tab.zval -. tab.t.(i).(total_cols)
-        end
-      done;
-      (* Artificial columns themselves cost 1. *)
-      Array.iteri
-        (fun j is_a -> if is_a then tab.zrow.(j) <- tab.zrow.(j) +. 1.0)
-        artificial;
-      match run_phase tab ~no_artificial:false ~max_pivots pivots with
-      | `Unbounded -> Infeasible (* phase-1 objective is bounded below by 0 *)
-      | `Limit -> Iteration_limit
-      | `Opt | `Run ->
-        if -.tab.zval > feas_eps then Infeasible
-        else begin
-          (* Drive remaining artificials out of the basis where possible;
-             a row with only artificial support is redundant and harmless
-             (its artificial stays basic at value ~0 and phase 2 never
-             selects artificial columns). *)
-          for i = 0 to m - 1 do
-            if artificial.(tab.basis.(i)) then begin
-              let col = ref (-1) in
-              for j = 0 to total_cols - 1 do
-                if !col < 0 && (not artificial.(j)) && Float.abs tab.t.(i).(j) > feas_eps
-                then col := j
-              done;
-              if !col >= 0 then pivot tab ~row:i ~col:!col
-            end
-          done;
-          phase2 ()
-        end
-    end
+    if not !has_artificial then phase2 tab lp ~max_pivots
+    else match phase1 tab ~max_pivots with Some r -> r | None -> phase2 tab lp ~max_pivots
   in
   Obs.Metrics.counter "lp.solves" 1;
-  Obs.Metrics.counter "lp.pivots" !pivots;
+  Obs.Metrics.counter "lp.pivots" tab.pivots;
   result

@@ -18,10 +18,11 @@
     instances into an explicit {!Iteration_limit} outcome rather than a
     hang.
 
-    {b Tableau pool.} The dense tableau's rows come from a per-domain
-    pool ([Domain.DLS]), zero-filled to each solve's width, so a run of
-    similar solves (ILPinit's branch-and-bound) reuses one set of rows
-    instead of allocating a tableau per solve. The pool grows to the
+    {b Tableau pool.} The dense tableau's rows, its basis, objective row
+    and pivot buffers come from a per-domain pool ([Domain.DLS]),
+    cleared to each solve's shape, so a run of similar solves
+    (ILPinit's branch-and-bound) reuses one workspace instead of
+    allocating one per solve. The pool grows to the
     union of the shapes it has served while that stays within 2^18
     floats (2 MB) per domain; a tableau larger than that is allocated
     for its solve alone. Only the solve's own rows and columns are
@@ -30,22 +31,43 @@
 
 type sense = Le | Ge | Eq
 
+(** A linear program in flat (compressed sparse row) form. Only the
+    prefixes the counts name are read, so the arrays can be longer
+    scratch that a caller reuses from solve to solve:
+
+    - variables [0 .. num_vars - 1] with bounds [lb.(j)] (finite) and
+      [ub.(j)] (may be [infinity]), [lb.(j) <= ub.(j)];
+    - the objective [sum obj_coef.(e) * x.(obj_col.(e))] over
+      [e < obj_len];
+    - rows [i < num_rows], row [i] being
+      [sum row_coef.(e) * x.(row_col.(e)) {row_sense.(i)} row_rhs.(i)]
+      over [row_start.(i) <= e < row_start.(i + 1)].
+
+    Duplicate indices in a row or in the objective are summed, in
+    order. *)
+type lp = {
+  mutable num_vars : int;
+  mutable lb : float array;
+  mutable ub : float array;
+  mutable obj_len : int;
+  mutable obj_col : int array;
+  mutable obj_coef : float array;
+  mutable num_rows : int;
+  mutable row_start : int array;
+  mutable row_col : int array;
+  mutable row_coef : float array;
+  mutable row_sense : sense array;
+  mutable row_rhs : float array;
+}
+
 type result =
   | Optimal of { obj : float; x : float array }
   | Infeasible
   | Unbounded
   | Iteration_limit
 
-val minimize :
-  ?max_pivots:int ->
-  num_vars:int ->
-  obj:(int * float) list ->
-  rows:((int * float) list * sense * float) array ->
-  lb:float array ->
-  ub:float array ->
-  unit ->
-  result
-(** [obj] and each row's left-hand side are sparse (variable index,
-    coefficient) lists; duplicate indices are summed. [ub.(j)] may be
-    [infinity]; [lb.(j)] must be finite and [<= ub.(j)].
-    [max_pivots] defaults to a generous multiple of the problem size. *)
+val minimize : ?max_pivots:int -> lp -> result
+(** Minimise [lp]'s objective. [x] has [num_vars] entries. The solve
+    only reads [lp], and allocates nothing but its result while its
+    tableau fits the pool. [max_pivots] defaults to a generous multiple
+    of the problem size. *)

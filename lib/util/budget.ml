@@ -1,7 +1,7 @@
 type kind =
   | Unlimited
   | Steps of { mutable remaining : int }
-  | Deadline of float
+  | Deadline of int  (* Time_source.now_ns units *)
   | Pair of t * t
 
 and t = { kind : kind; mutable used : int; mutable dead : bool }
@@ -15,7 +15,17 @@ let unlimited () = make Unlimited
 
 let steps n = make (Steps { remaining = n })
 
-let seconds s = make (Deadline (Time_source.now () +. s))
+(* The deadline in nanoseconds, saturating: [Engine] accepts any finite
+   [seconds], and a deadline past [max_int] ns must stay in the future
+   rather than wrap into an always-exhausted budget. *)
+let seconds s =
+  let at = Time_source.now () +. s in
+  let ns = at *. 1e9 in
+  make
+    (Deadline
+       (if not (ns < 0x1p63) then max_int
+        else if ns <= -0x1p63 then min_int
+        else Time_source.ns_of_seconds at))
 
 let combine a b = make (Pair (a, b))
 
@@ -27,10 +37,11 @@ let rec exhausted t =
       | Unlimited -> false
       | Steps { remaining } -> remaining <= 0
       (* The default source is gettimeofday, a vDSO call (~tens of
-         ns): probing on every check is cheap and lets deadlines
-         interrupt consumers whose per-tick work is expensive (one
-         branch-and-bound node can cost an entire LP solve). *)
-      | Deadline deadline -> Time_source.now () >= deadline
+         ns), read unboxed: probing on every check is cheap, allocates
+         nothing and lets deadlines interrupt consumers whose per-tick
+         work is expensive (one branch-and-bound node can cost an
+         entire LP solve). *)
+      | Deadline deadline -> Time_source.now_ns () >= deadline
       | Pair (a, b) -> exhausted a || exhausted b
     in
     if d then t.dead <- true;

@@ -18,7 +18,10 @@ val steps : int -> t
 (** [steps n] is exhausted after [n] calls to {!tick} succeed. *)
 
 val seconds : float -> t
-(** [seconds s] is exhausted [s] seconds after its creation. *)
+(** [seconds s] is exhausted [s] seconds after its creation. The
+    deadline is held in whole nanoseconds of {!Time_source.now_ns},
+    saturating, so a deadline beyond the int range (say [seconds 1e300])
+    never fires. *)
 
 val combine : t -> t -> t
 (** Exhausted as soon as either component is exhausted. Ticks are
@@ -44,7 +47,8 @@ val charge : t -> int -> unit
     they now account for, so a scan costs one clock reading, not two. *)
 
 val exhausted : t -> bool
-(** Non-consuming check. *)
+(** Non-consuming check. Under the real clock it allocates nothing, so
+    consumers can probe once per scan. *)
 
 val used_steps : t -> int
 (** Units successfully consumed through this budget value. For a

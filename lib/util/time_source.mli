@@ -1,9 +1,10 @@
 (** The pluggable wall-clock source behind every timing measurement
     (DESIGN.md Section 5i).
 
-    [Budget.seconds] deadlines, [Obs.Metrics.with_span] timing, the
-    flight-recorder timestamps (through {!now_ns}), [Par]'s task timing
-    and the daemon's uptime/latency all read the clock through {!now},
+    [Budget.seconds] deadlines (set through {!now}, probed through
+    {!now_ns}), [Obs.Metrics.with_span] timing, the flight-recorder
+    timestamps (through {!now_ns}), [Par]'s task timing and the daemon's
+    uptime/latency all read the clock through this source,
     so swapping the source swaps what "time" means for the whole
     process — tests install a deterministic fake clock and assert exact
     span durations instead of sleeping.
@@ -21,8 +22,9 @@ val now : unit -> float
 
 val now_ns : unit -> int
 (** {!now} in whole nanoseconds, rounded. Under {!real} it allocates
-    nothing, which is what the flight recorder's record path needs; a
-    fake source is read through its closure as {!now} is. *)
+    nothing, which is what the flight recorder's record path and
+    [Budget.exhausted]'s deadline probe need; a fake source is read
+    through its closure as {!now} is. *)
 
 val ns_of_seconds : float -> int
 (** A {!now} reading in {!now_ns}'s units. *)

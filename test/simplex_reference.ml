@@ -1,8 +1,11 @@
 (* The dense two-phase simplex of the first implementation, kept as the
-   oracle for the differential property in test_lp.ml: its [pivot]
-   updates every column of every row. Simplex.minimize, which updates
-   only the pivot row's nonzero columns, must reproduce its status,
-   objective, solution and pivot count exactly. *)
+   oracle for the differential properties in test_lp.ml: it takes the LP
+   as lists of (variable, coefficient) terms and its [pivot] updates
+   every column of every row. Simplex.minimize, which reads a flat LP
+   and updates only the pivot row's nonzero columns on pooled rows, must
+   reproduce its status, objective, solution and pivot count exactly.
+   [lp_relaxation] below is the list-based Ilp.lp_relaxation of the same
+   implementation, the oracle for the flat, pooled one. *)
 
 type sense = Simplex.sense = Le | Ge | Eq
 
@@ -270,3 +273,105 @@ let minimize ?max_pivots ~num_vars ~obj ~rows ~lb ~ub () =
   Obs.Metrics.counter "lp.solves" 1;
   Obs.Metrics.counter "lp.pivots" !pivots;
   result
+
+(* The flat LP of a list-form one, for calling Simplex.minimize on the
+   inputs of the list-form [minimize]. *)
+let flat ~num_vars ~obj ~rows ~lb ~ub =
+  let rows = Array.to_list rows in
+  let terms = List.concat_map (fun (coeffs, _, _) -> coeffs) rows in
+  let row_start = Array.make (List.length rows + 1) 0 in
+  List.iteri
+    (fun i (coeffs, _, _) -> row_start.(i + 1) <- row_start.(i) + List.length coeffs)
+    rows;
+  {
+    Simplex.num_vars;
+    lb;
+    ub;
+    obj_len = List.length obj;
+    obj_col = Array.of_list (List.map fst obj);
+    obj_coef = Array.of_list (List.map snd obj);
+    num_rows = List.length rows;
+    row_start;
+    row_col = Array.of_list (List.map fst terms);
+    row_coef = Array.of_list (List.map snd terms);
+    row_sense = Array.of_list (List.map (fun (_, sense, _) -> sense) rows);
+    row_rhs = Array.of_list (List.map (fun (_, _, b) -> b) rows);
+  }
+
+(* The LP relaxation of a model given as its variables' bounds, its rows
+   in insertion order and its objective, with the variables in [fix]
+   fixed: fixed variables are eliminated into the right-hand sides and
+   the objective constant, and rows left without terms are checked and
+   dropped, before the list-form [minimize] runs. *)
+let lp_relaxation ?max_pivots ?(fix = []) ~bounds ~rows ~obj () =
+  let nvars = Array.length bounds in
+  let lb = Array.map fst bounds in
+  let ub = Array.map snd bounds in
+  List.iter
+    (fun (v, value) ->
+      lb.(v) <- value;
+      ub.(v) <- value)
+    fix;
+  let fixed = Array.init nvars (fun j -> lb.(j) = ub.(j)) in
+  let dense = Array.make nvars (-1) in
+  let free_count = ref 0 in
+  for j = 0 to nvars - 1 do
+    if not fixed.(j) then begin
+      dense.(j) <- !free_count;
+      incr free_count
+    end
+  done;
+  let reduce coeffs =
+    let const = ref 0.0 in
+    let terms =
+      List.filter_map
+        (fun (v, c) ->
+          if fixed.(v) then begin
+            const := !const +. (c *. lb.(v));
+            None
+          end
+          else Some (dense.(v), c))
+        coeffs
+    in
+    (terms, !const)
+  in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun (coeffs, sense, b) ->
+           let terms, const = reduce coeffs in
+           (terms, sense, b -. const))
+         rows)
+  in
+  let tol = 1e-7 in
+  let infeasible_constant =
+    Array.exists
+      (fun (terms, sense, b) ->
+        terms = []
+        &&
+        match sense with
+        | Le -> b < -.tol
+        | Ge -> b > tol
+        | Eq -> Float.abs b > tol)
+      rows
+  in
+  if infeasible_constant then Infeasible
+  else begin
+    let rows = Array.of_list (List.filter (fun (terms, _, _) -> terms <> []) (Array.to_list rows)) in
+    let obj_terms, obj_const = reduce obj in
+    let lb' = Array.make !free_count 0.0 and ub' = Array.make !free_count infinity in
+    for j = 0 to nvars - 1 do
+      if not fixed.(j) then begin
+        lb'.(dense.(j)) <- lb.(j);
+        ub'.(dense.(j)) <- ub.(j)
+      end
+    done;
+    match minimize ?max_pivots ~num_vars:!free_count ~obj:obj_terms ~rows ~lb:lb' ~ub:ub' () with
+    | Optimal { obj; x } ->
+      let full = Array.copy lb in
+      for j = 0 to nvars - 1 do
+        if not fixed.(j) then full.(j) <- x.(dense.(j))
+      done;
+      Optimal { obj = obj +. obj_const; x = full }
+    | other -> other
+  end

@@ -124,6 +124,37 @@ let prop_bspg_matches_reference =
       Schedule_io.to_string (Bspg.schedule m dag)
       = Schedule_io.to_string (Bspg_reference.schedule m dag))
 
+(* Differential check of the array-based Source against the first
+   implementation (source_reference.ml): the schedule text must be
+   identical. Besides the tie DAGs above, deep DAGs whose edges mostly
+   join near ids give long chains and so many supersteps, with
+   absorption (a successor whose predecessors share a processor) on
+   most of them. *)
+let arb_deep_dag =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* n = int_range 1 200 in
+    let* reach = int_range 1 4 in
+    let rng = Rng.create seed in
+    let edges = ref [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to min (n - 1) (u + reach) do
+        if Rng.bernoulli rng 0.5 then edges := (u, v) :: !edges
+      done;
+      if u + 1 < n && Rng.bernoulli rng 0.05 then
+        edges := (u, u + 1 + Rng.int rng (n - u - 1)) :: !edges
+    done;
+    let work = Array.init n (fun _ -> Rng.int rng 5) in
+    let comm = Array.init n (fun _ -> Rng.int rng 4) in
+    return (Dag.of_edges ~n ~edges:!edges ~work ~comm))
+
+let prop_source_matches_reference =
+  Test_util.qtest ~count:400 "source matches reference"
+    QCheck2.Gen.(pair (oneof [ arb_tie_dag; arb_deep_dag ]) arb_diff_machine)
+    (fun (dag, m) ->
+      Schedule_io.to_string (Source_heuristic.schedule m dag)
+      = Schedule_io.to_string (Source_reference.schedule m dag))
+
 (* Golden outputs: the exact [Schedule_io.to_string] text of every
    initialiser and baseline on two generated DAGs, pinned as an MD5
    digest next to the BSP cost. Adjacency must be visited in ascending
@@ -255,7 +286,13 @@ let () =
           Alcotest.test_case "absorbs successors" `Quick test_source_absorbs_successors;
           Alcotest.test_case "round robin balances" `Quick test_source_round_robin_balances;
         ] );
-      ("property", [ prop_heuristics_valid; prop_bspg_sane_cost; prop_bspg_matches_reference ]);
+      ( "property",
+        [
+          prop_heuristics_valid;
+          prop_bspg_sane_cost;
+          prop_bspg_matches_reference;
+          prop_source_matches_reference;
+        ] );
       ( "golden",
         [
           Alcotest.test_case "schedule text pinned" `Quick test_golden_schedules;

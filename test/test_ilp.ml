@@ -137,6 +137,154 @@ let prop_bb_matches_exhaustive =
       bb.Branch_bound.proven_optimal
       && Float.abs (bb.Branch_bound.objective -. ex.Branch_bound.objective) < 1e-5)
 
+(* Differential check of the flat, pooled LP relaxation against the
+   list-based one of the first implementation (simplex_reference.ml):
+   status, objective, every coordinate of [x] (by [Float.equal]) and
+   the pivot count must agree. Models mix binaries and bounded, free and
+   fixed continuous variables; rows carry duplicate and zero terms, some
+   are empty, and fixing all of a row's variables leaves a constant that
+   may fail. Fix lists may repeat a variable. Each case solves a large,
+   a small and a large model in turn on the same domain, so scratch left
+   stale by a larger model reaches a smaller one. *)
+let random_model rng ~n ~m =
+  let bounds =
+    Array.init n (fun _ ->
+        let l = float_of_int (Rng.int rng 3 - 1) in
+        match Rng.int rng 4 with
+        | 0 -> `Binary
+        | 1 -> `Continuous (l, l)
+        | 2 -> `Continuous (l, infinity)
+        | _ -> `Continuous (l, l +. float_of_int (1 + Rng.int rng 4)))
+  in
+  (* Most rows hold at an integer point inside the bounds, which most
+     fixes keep; the rest are random and may make the model, or a
+     constant left by fixing, infeasible. *)
+  let x0 =
+    Array.map
+      (function
+        | `Binary -> float_of_int (Rng.int rng 2)
+        | `Continuous (l, u) ->
+          let span = if Float.is_finite u then u -. l else 3.0 in
+          l +. float_of_int (Rng.int rng (int_of_float span + 1)))
+      bounds
+  in
+  let coeff () = float_of_int (if Rng.bernoulli rng 0.3 then 0 else Rng.int rng 7 - 3) in
+  let terms () =
+    if Rng.bernoulli rng 0.1 then []
+    else
+      List.filter_map
+        (fun j -> if Rng.bernoulli rng 0.5 then Some (j, coeff ()) else None)
+        (List.init n Fun.id)
+      @ List.init (Rng.int rng 3) (fun _ -> (Rng.int rng n, coeff ()))
+  in
+  let rows =
+    List.init m (fun _ ->
+        let coeffs = terms () in
+        let at_x0 = List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0.0 coeffs in
+        let slack = float_of_int (if Rng.bernoulli rng 0.3 then 0 else Rng.int rng 4) in
+        match Rng.int rng 7 with
+        | 0 | 1 -> (coeffs, Simplex.Le, at_x0 +. slack)
+        | 2 | 3 -> (coeffs, Simplex.Ge, at_x0 -. slack)
+        | 4 | 5 -> (coeffs, Simplex.Eq, at_x0)
+        | _ ->
+          let sense =
+            match Rng.int rng 3 with 0 -> Simplex.Le | 1 -> Simplex.Ge | _ -> Simplex.Eq
+          in
+          (coeffs, sense, float_of_int (Rng.int rng 11 - 3)))
+  in
+  let obj = terms () in
+  let fix =
+    List.init (Rng.int rng (n + 2)) (fun _ ->
+        let v = Rng.int rng n in
+        if Rng.bernoulli rng 0.8 then (v, x0.(v))
+        else
+          (v, match bounds.(v) with
+            | `Binary -> float_of_int (Rng.int rng 2)
+            | `Continuous _ -> float_of_int (Rng.int rng 4 - 1)))
+  in
+  let max_pivots = if Rng.bernoulli rng 0.2 then Some (Rng.int rng 12) else None in
+  (bounds, rows, obj, fix, max_pivots)
+
+let build_model (bounds, rows, obj, _, _) =
+  let m = Ilp.create () in
+  Array.iter
+    (function
+      | `Binary -> ignore (Ilp.binary m "b" : Ilp.var)
+      | `Continuous (lb, ub) -> ignore (Ilp.continuous m ~lb ~ub "c" : Ilp.var))
+    bounds;
+  List.iter
+    (fun (coeffs, sense, b) ->
+      match sense with
+      | Simplex.Le -> Ilp.add_le m coeffs b
+      | Simplex.Ge -> Ilp.add_ge m coeffs b
+      | Simplex.Eq -> Ilp.add_eq m coeffs b)
+    rows;
+  Ilp.set_objective m obj;
+  m
+
+let counting_pivots f =
+  let reg = Obs.Metrics.create () in
+  let r = Obs.Metrics.with_registry reg f in
+  (r, Obs.Metrics.counter_value reg "lp.pivots")
+
+let relaxation_matches_reference ((bounds, rows, obj, fix, max_pivots) as spec) =
+  let model = build_model spec in
+  let r, pivots = counting_pivots (fun () -> Ilp.lp_relaxation ?max_pivots ~fix model) in
+  let bounds =
+    Array.map (function `Binary -> (0.0, 1.0) | `Continuous (lb, ub) -> (lb, ub)) bounds
+  in
+  let r', pivots' =
+    counting_pivots (fun () ->
+        Simplex_reference.lp_relaxation ?max_pivots ~fix ~bounds ~rows ~obj ())
+  in
+  pivots = pivots'
+  &&
+  match (r, r') with
+  | Simplex.Optimal a, Simplex.Optimal b ->
+    Float.equal a.obj b.obj && Array.for_all2 Float.equal a.x b.x
+  | Simplex.Infeasible, Simplex.Infeasible
+  | Simplex.Unbounded, Simplex.Unbounded
+  | Simplex.Iteration_limit, Simplex.Iteration_limit -> true
+  | _ -> false
+
+let prop_relaxation_matches_reference =
+  Test_util.qtest ~count:300 "lp relaxation matches list reference"
+    QCheck2.Gen.(
+      let size lo hi = pair (int_range lo hi) (int_range lo hi) in
+      let* large1 = size 8 24 and* small = size 1 4 and* large2 = size 8 24 in
+      let* seed = int_bound 1_000_000 in
+      return
+        (List.mapi
+           (fun i (n, m) -> random_model (Rng.create (seed + i)) ~n ~m)
+           [ large1; small; large2 ]))
+    (List.for_all relaxation_matches_reference)
+
+(* Once its scratch is warm, a relaxation allocates its result: the
+   reduced solution, the full one and their two result blocks, plus the
+   optional argument's box. *)
+let test_warm_relaxation_allocation () =
+  let n = 40 in
+  let m = Ilp.create () in
+  let bins = Array.init n (fun i -> Ilp.binary m (Printf.sprintf "b%d" i)) in
+  let w = Ilp.continuous m "w" in
+  Array.iteri
+    (fun i v -> Ilp.add_le m [ (v, 1.0); (bins.((i + 1) mod n), 1.0) ] 1.0)
+    bins;
+  Ilp.add_ge m ((w, 1.0) :: Array.to_list (Array.map (fun v -> (v, -1.0)) bins)) 0.0;
+  Ilp.set_objective m ((w, 1.0) :: Array.to_list (Array.map (fun v -> (v, -2.0)) bins));
+  let fix = [ (bins.(0), 1.0); (bins.(5), 0.0) ] in
+  let solve () =
+    match Ilp.lp_relaxation ~fix m with
+    | Simplex.Optimal _ -> ()
+    | _ -> Alcotest.fail "expected an optimal relaxation"
+  in
+  solve ();
+  let words = Test_util.min_allocated_words solve in
+  let vars = Ilp.num_vars m in
+  let result = (vars - 2 + 1) + (vars + 1) + (2 * (3 + 2)) + 2 in
+  if words > result then
+    Alcotest.failf "warm relaxation allocated %d words, its result is %d" words result
+
 let () =
   Alcotest.run "ilp"
     [
@@ -150,6 +298,7 @@ let () =
           Alcotest.test_case "node cap" `Quick test_node_cap;
           Alcotest.test_case "constraint checker" `Quick test_constraints_satisfied_helper;
           Alcotest.test_case "binary flags" `Quick test_is_binary_flags;
+          Alcotest.test_case "warm relaxation allocation" `Quick test_warm_relaxation_allocation;
         ] );
-      ("property", [ prop_bb_matches_exhaustive ]);
+      ("property", [ prop_bb_matches_exhaustive; prop_relaxation_matches_reference ]);
     ]

@@ -312,6 +312,32 @@ let test_pooled_init_allocation () =
   check_bool (Printf.sprintf "spmv-2k reads %.0f words" small) true (small <= 200.);
   check_bool (Printf.sprintf "exp-4k reads %.0f words" large) true (large <= 200.)
 
+(* A hill climber at a local minimum still scans every node, probing
+   a deadline budget once per scan and costing candidate rows through
+   the overlay maxima. Neither allocates, so a warm run's words do not
+   grow with the DAG: 600 and 6000 nodes read the same. A boxed clock
+   reading per probe or a pair per costed superstep reads thousands of
+   words apart. *)
+let test_warm_hc_allocation () =
+  let m = Machine.numa_tree ~p:8 ~g:5 ~l:20 ~delta:3 in
+  let words target =
+    let dag =
+      Finegrained.generate_sized (Rng.create 100) ~family:Finegrained.Exp
+        ~shape:Finegrained.Wide ~target
+    in
+    let sched = Bspg.schedule m dag in
+    let proc = Array.copy sched.Schedule.proc and step = Array.copy sched.Schedule.step in
+    Assignment_state.prewarm m dag ~num_steps:(Schedule.num_supersteps sched);
+    let run () =
+      let budget = Budget.combine (Budget.steps max_int) (Budget.seconds 600.0) in
+      ignore (Hc.improve_assignment ~budget m dag ~proc ~step : Hc.stats)
+    in
+    run ();
+    Test_util.min_allocated_words run
+  in
+  let small = words 600 and large = words 6000 in
+  check (Printf.sprintf "600 nodes read %d words, 6000 nodes %d" small large) small large
+
 (* Hccs.required_pairs reads its pairs off Schedule.lazy_comm; the
    reference derives them from a first-need pass of its own. They must
    agree on lazy schedules and on schedules whose events were moved
@@ -562,6 +588,7 @@ let () =
             test_replicate_schedule_broadcast;
           Alcotest.test_case "replication guards" `Quick test_replication_guards;
           Alcotest.test_case "pooled init allocation" `Quick test_pooled_init_allocation;
+          Alcotest.test_case "warm hc allocation" `Quick test_warm_hc_allocation;
         ] );
       ( "property",
         [

@@ -7,10 +7,14 @@ let opt = function
   | Simplex.Unbounded -> Alcotest.fail "unexpected Unbounded"
   | Simplex.Iteration_limit -> Alcotest.fail "unexpected Iteration_limit"
 
+(* Simplex.minimize on an LP given in the list form of the reference. *)
+let minimize ?max_pivots ~num_vars ~obj ~rows ~lb ~ub () =
+  Simplex.minimize ?max_pivots (Simplex_reference.flat ~num_vars ~obj ~rows ~lb ~ub)
+
 let test_textbook_max () =
   (* max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> (8/5, 6/5). *)
   let r =
-    Simplex.minimize ~num_vars:2
+    minimize ~num_vars:2
       ~obj:[ (0, -1.0); (1, -1.0) ]
       ~rows:
         [|
@@ -26,7 +30,7 @@ let test_textbook_max () =
 
 let test_infeasible () =
   let r =
-    Simplex.minimize ~num_vars:1 ~obj:[ (0, 1.0) ]
+    minimize ~num_vars:1 ~obj:[ (0, 1.0) ]
       ~rows:[| ([ (0, 1.0) ], Simplex.Le, -1.0) |]
       ~lb:[| 0.0 |] ~ub:[| infinity |] ()
   in
@@ -34,7 +38,7 @@ let test_infeasible () =
 
 let test_unbounded () =
   let r =
-    Simplex.minimize ~num_vars:1 ~obj:[ (0, -1.0) ] ~rows:[||] ~lb:[| 0.0 |]
+    minimize ~num_vars:1 ~obj:[ (0, -1.0) ] ~rows:[||] ~lb:[| 0.0 |]
       ~ub:[| infinity |] ()
   in
   check_bool "unbounded" true (r = Simplex.Unbounded)
@@ -42,7 +46,7 @@ let test_unbounded () =
 let test_equality_and_bounds () =
   (* min x - y s.t. x + y = 3, 0 <= x <= 1 -> x = 0, y = 3. *)
   let r =
-    Simplex.minimize ~num_vars:2
+    minimize ~num_vars:2
       ~obj:[ (0, 1.0); (1, -1.0) ]
       ~rows:[| ([ (0, 1.0); (1, 1.0) ], Simplex.Eq, 3.0) |]
       ~lb:[| 0.0; 0.0 |] ~ub:[| 1.0; infinity |] ()
@@ -55,7 +59,7 @@ let test_equality_and_bounds () =
 let test_ge_constraints () =
   (* min 2x + 3y s.t. x + y >= 4, x >= 1 -> (4, 0) obj 8. *)
   let r =
-    Simplex.minimize ~num_vars:2
+    minimize ~num_vars:2
       ~obj:[ (0, 2.0); (1, 3.0) ]
       ~rows:
         [|
@@ -71,7 +75,7 @@ let test_ge_constraints () =
 let test_shifted_lower_bounds () =
   (* min x + y with x >= 2, y >= 3 and x + y >= 7 -> obj 7. *)
   let r =
-    Simplex.minimize ~num_vars:2
+    minimize ~num_vars:2
       ~obj:[ (0, 1.0); (1, 1.0) ]
       ~rows:[| ([ (0, 1.0); (1, 1.0) ], Simplex.Ge, 7.0) |]
       ~lb:[| 2.0; 3.0 |] ~ub:[| infinity; infinity |] ()
@@ -84,7 +88,7 @@ let test_shifted_lower_bounds () =
 let test_negative_rhs_flip () =
   (* -x <= -2 is x >= 2. *)
   let r =
-    Simplex.minimize ~num_vars:1 ~obj:[ (0, 1.0) ]
+    minimize ~num_vars:1 ~obj:[ (0, 1.0) ]
       ~rows:[| ([ (0, -1.0) ], Simplex.Le, -2.0) |]
       ~lb:[| 0.0 |] ~ub:[| infinity |] ()
   in
@@ -95,7 +99,7 @@ let test_degenerate () =
   (* Multiple redundant constraints through the optimum; exercises the
      Bland fallback without cycling. *)
   let r =
-    Simplex.minimize ~num_vars:2
+    minimize ~num_vars:2
       ~obj:[ (0, -1.0) ]
       ~rows:
         [|
@@ -138,7 +142,7 @@ let prop_simplex_optimality =
       let rows = Array.append rows [| cap |] in
       let obj = List.init n (fun j -> (j, float_of_int (Rng.int rng 9 - 4))) in
       let lb = Array.make n 0.0 and ub = Array.make n infinity in
-      match Simplex.minimize ~num_vars:n ~obj ~rows ~lb ~ub () with
+      match minimize ~num_vars:n ~obj ~rows ~lb ~ub () with
       | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit -> false
       | Simplex.Optimal { obj = v; x } ->
         let feasible pt =
@@ -240,7 +244,7 @@ let same_answer r r' =
   | _ -> false
 
 let matches_reference lp =
-  let r, pivots = solve_counting Simplex.minimize lp in
+  let r, pivots = solve_counting minimize lp in
   let r', pivots' = solve_counting Simplex_reference.minimize lp in
   pivots = pivots' && same_answer r r'
 
@@ -293,29 +297,28 @@ let test_two_domains () =
     minimize ?max_pivots ~num_vars:n ~obj ~rows ~lb ~ub ()
   in
   let expected k = List.map (solve Simplex_reference.minimize) (seq k) in
-  let run k () = List.map (solve Simplex.minimize) (seq k) in
+  let run k () = List.map (solve minimize) (seq k) in
   let d1 = Domain.spawn (run 1) and d2 = Domain.spawn (run 2) in
   let got1 = Domain.join d1 and got2 = Domain.join d2 in
   Alcotest.(check bool) "domain 1" true (List.for_all2 same_answer got1 (expected 1));
   Alcotest.(check bool) "domain 2" true (List.for_all2 same_answer got2 (expected 2))
 
-(* A fresh tableau for this model is about 20k words (a hundred rows of
-   about 200 floats, each below the major-heap threshold, so minor
-   words see it); a warm solve allocates only the model's own rows,
-   bases and lists. *)
+(* A fresh workspace for this model is about 20k words (a hundred rows
+   of about 200 floats, each below the major-heap threshold, so minor
+   words see it); a warm solve of the flat LP allocates only its
+   result: [x] and the result's own few words. Seed 13 gives an
+   optimal LP, so [x] is built. *)
 let test_warm_solve_allocation () =
-  let n, obj, rows, lb, ub, _ = lp_of_seed ~n:60 ~m:60 5 in
+  let n, obj, rows, lb, ub, _ = lp_of_seed ~n:60 ~m:60 13 in
+  let lp = Simplex_reference.flat ~num_vars:n ~obj ~rows ~lb ~ub in
   let solve () =
-    ignore (Simplex.minimize ~num_vars:n ~obj ~rows ~lb ~ub () : Simplex.result)
+    match Simplex.minimize lp with
+    | Simplex.Optimal _ -> ()
+    | _ -> Alcotest.fail "expected an optimal LP"
   in
   solve ();
-  let words = ref infinity in
-  for _ = 1 to 3 do
-    let before = Gc.minor_words () in
-    solve ();
-    words := Float.min !words (Gc.minor_words () -. before)
-  done;
-  if !words > 12_000. then Alcotest.failf "warm solve allocated %.0f minor words" !words
+  let words = Test_util.min_allocated_words solve in
+  if words > n + 8 then Alcotest.failf "warm solve allocated %d words" words
 
 let () =
   Alcotest.run "lp"

@@ -118,6 +118,28 @@ let test_budget_deadline () =
   Unix.sleepf 0.05;
   check_bool "expired" true (Budget.exhausted b)
 
+(* A deadline far past the int range of nanoseconds saturates instead
+   of wrapping into the past. *)
+let test_budget_far_deadlines () =
+  List.iter
+    (fun s ->
+      let b = Budget.seconds s in
+      check_bool (Printf.sprintf "seconds %g not exhausted" s) false (Budget.exhausted b);
+      check_bool (Printf.sprintf "seconds %g ticks" s) true (Budget.tick b))
+    [ 1e12; 1e300 ]
+
+(* HC probes its budget once per scan: the probe of a steps + deadline
+   pair reads the real clock unboxed and allocates nothing. *)
+let test_budget_probe_allocates_nothing () =
+  let b = Budget.combine (Budget.steps 1_000_000) (Budget.seconds 60.0) in
+  let words =
+    Test_util.min_allocated_words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Budget.exhausted b : bool)
+        done)
+  in
+  check "words for 1000 probes" 0 words
+
 (* Deque *)
 
 let test_deque_lifo_fifo () =
@@ -351,6 +373,9 @@ let () =
           Alcotest.test_case "combine used_steps" `Quick test_budget_combine_used_steps;
           Alcotest.test_case "charge without probing" `Quick test_budget_charge;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
+          Alcotest.test_case "far deadlines saturate" `Quick test_budget_far_deadlines;
+          Alcotest.test_case "probe allocates nothing" `Quick
+            test_budget_probe_allocates_nothing;
         ] );
       ( "deque",
         [
