@@ -10,12 +10,19 @@
    race by construction. Adjacency is read only through the
    zero-allocation iterators or the raw offsets/targets arrays, which
    keeps the hot loops on two contiguous int arrays per direction
-   instead of chasing a pointer per node. *)
+   instead of chasing a pointer per node.
+
+   Capacity rule: an array may be longer than what it holds (n + 1
+   offsets, m targets, n weights, order and rank entries), so a caller
+   can rebuild DAGs of varying size in one set of buffers
+   ([of_csr_buffers]). Every function here reads only those prefixes;
+   [m] is stored because [succ_tgt] no longer tells it. *)
 
 type t = {
   n : int;
-  succ_off : int array;  (* length n + 1 *)
-  succ_tgt : int array;  (* length num_edges, per-node segments sorted *)
+  m : int;
+  succ_off : int array;  (* n + 1 entries *)
+  succ_tgt : int array;  (* m entries, per-node segments sorted *)
   pred_off : int array;
   pred_tgt : int array;
   work : int array;
@@ -25,7 +32,7 @@ type t = {
 }
 
 let n g = g.n
-let num_edges g = Array.length g.succ_tgt
+let num_edges g = g.m
 
 let work g v = g.work.(v)
 let comm g v = g.comm.(v)
@@ -74,8 +81,15 @@ let exists_pred g v f =
 
 let for_all_pred g v f = not (exists_pred g v (fun w -> not (f w)))
 
-let total_work g = Array.fold_left ( + ) 0 g.work
-let total_comm g = Array.fold_left ( + ) 0 g.comm
+let sum_prefix a n =
+  let s = ref 0 in
+  for i = 0 to n - 1 do
+    s := !s + a.(i)
+  done;
+  !s
+
+let total_work g = sum_prefix g.work g.n
+let total_comm g = sum_prefix g.comm g.n
 
 let sources g =
   let acc = ref [] in
@@ -124,42 +138,46 @@ let ctz x =
   if !x land 0x3 = 0 then (k := !k + 2; x := !x lsr 2);
   if !x land 0x1 = 0 then !k + 1 else !k
 
-(* Add id [v] to the ready bitmap; returns the new bound [lo]. *)
-let push_ready bits summary lo v =
+(* Add id [v] to the ready bitmap, whose summary words start at
+   [sbase]; returns the new bound [lo]. *)
+let push_ready bits sbase lo v =
   let w = v / 62 in
   let s = w / 62 in
   bits.(w) <- bits.(w) lor (1 lsl (v - (62 * w)));
-  summary.(s) <- summary.(s) lor (1 lsl (w - (62 * s)));
+  bits.(sbase + s) <- bits.(sbase + s) lor (1 lsl (w - (62 * s)));
   if s < lo then s else lo
+
+let bitmap_words n = (n + 61) / 62
+let bits_length n = bitmap_words n + ((bitmap_words n + 61) / 62)
 
 (* Kahn's algorithm with a smallest-id-first discipline, so the order is
    deterministic and independent of edge insertion order. The ready set
-   is a two-level bitmap: bit b of [bits.(w)] holds id 62w + b, and bit
-   j of [summary.(s)] says [bits.(62s + j)] is non-zero (62 bits keep
-   every word non-negative). The minimum ready id is the lowest bit of
-   the lowest non-zero word; [lo] is a lower bound on the first non-zero
-   summary word. Each node enters the set once, and the set holds
-   exactly what a min-heap would hold at every step, so the pops come
-   in the same order. Returns [None] when the edges contain a directed
-   cycle, and the order with its rank array otherwise. *)
-let compute_topo ~n ~succ_off ~succ_tgt ~pred_off =
-  (* Remaining in-degrees; on success every entry is back to 0 and the
-     array is reused for the ranks. *)
-  let indeg = Array.make n 0 in
-  let words = (n + 61) / 62 in
-  let bits = Array.make words 0 and summary = Array.make ((words + 61) / 62) 0 in
+   is a two-level bitmap in [bits]: bit b of [bits.(w)] holds id 62w + b,
+   and bit j of the summary word [bits.(sbase + s)] says
+   [bits.(62s + j)] is non-zero (62 bits keep every word non-negative).
+   The minimum ready id is the lowest bit of the lowest non-zero word;
+   [lo] is a lower bound on the first non-zero summary word. Each node
+   enters the set once, and the set holds exactly what a min-heap would
+   hold at every step, so the pops come in the same order. Every id
+   pushed is popped, so [bits] is all zero again on return, as it must
+   be on entry. Writes the order into [order] and the ranks into [rank]
+   (which holds the remaining in-degrees meanwhile) and returns whether
+   the order covers all [n] nodes: [false] when the edges contain a
+   directed cycle. *)
+let topo_into ~n ~succ_off ~succ_tgt ~pred_off ~order ~rank ~bits =
+  let indeg = rank in
+  let sbase = bitmap_words n in
   let lo = ref 0 in
   for v = 0 to n - 1 do
     let d = pred_off.(v + 1) - pred_off.(v) in
     indeg.(v) <- d;
-    if d = 0 then lo := push_ready bits summary !lo v
+    if d = 0 then lo := push_ready bits sbase !lo v
   done;
-  let order = Array.make n 0 in
   let k = ref 0 in
-  let nsum = Array.length summary in
+  let nsum = bits_length n - sbase in
   while !lo < nsum do
     let s = !lo in
-    let sw = summary.(s) in
+    let sw = bits.(sbase + s) in
     if sw = 0 then incr lo
     else begin
       let w = (62 * s) + ctz sw in
@@ -167,25 +185,32 @@ let compute_topo ~n ~succ_off ~succ_tgt ~pred_off =
       let u = (62 * w) + ctz bw in
       let bw = bw land (bw - 1) in
       bits.(w) <- bw;
-      if bw = 0 then summary.(s) <- sw land (sw - 1);
+      if bw = 0 then bits.(sbase + s) <- sw land (sw - 1);
       order.(!k) <- u;
       incr k;
       for i = succ_off.(u) to succ_off.(u + 1) - 1 do
         let v = succ_tgt.(i) in
         let d = indeg.(v) - 1 in
         indeg.(v) <- d;
-        if d = 0 then lo := push_ready bits summary !lo v
+        if d = 0 then lo := push_ready bits sbase !lo v
       done
     end
   done;
-  if !k <> n then None
-  else begin
-    let rank = indeg in
+  !k = n
+  && begin
     for i = 0 to n - 1 do
       rank.(order.(i)) <- i
     done;
-    Some (order, rank)
+    true
   end
+
+(* [topo_into] on fresh arrays: [Some (order, rank)], or [None] on a
+   cycle. *)
+let compute_topo ~n ~succ_off ~succ_tgt ~pred_off =
+  let order = Array.make n 0 and rank = Array.make n 0 in
+  let bits = Array.make (bits_length n) 0 in
+  if topo_into ~n ~succ_off ~succ_tgt ~pred_off ~order ~rank ~bits then Some (order, rank)
+  else None
 
 (* In-place quicksort-with-insertion-cutoff of the CSR segment
    [lo, hi] of [a]. *)
@@ -233,9 +258,9 @@ let rec sort_segment a lo hi =
    counted into [pred_off.(v + 1)] and prefix-summed, [pred_off.(v)]
    walks from the start of v's segment to its end, which is where
    v + 1's starts; one shift then restores the starts. *)
-let pred_csr ~n ~succ_off ~succ_tgt =
+let pred_csr_into ~n ~succ_off ~succ_tgt ~pred_off ~pred_tgt =
   let m = succ_off.(n) in
-  let pred_off = Array.make (n + 1) 0 in
+  Array.fill pred_off 0 (n + 1) 0;
   for i = 0 to m - 1 do
     let v = Array.unsafe_get succ_tgt i + 1 in
     Array.unsafe_set pred_off v (Array.unsafe_get pred_off v + 1)
@@ -243,7 +268,6 @@ let pred_csr ~n ~succ_off ~succ_tgt =
   for v = 1 to n do
     pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
   done;
-  let pred_tgt = Array.make m 0 in
   for u = 0 to n - 1 do
     for i = succ_off.(u) to succ_off.(u + 1) - 1 do
       let v = Array.unsafe_get succ_tgt i in
@@ -255,7 +279,11 @@ let pred_csr ~n ~succ_off ~succ_tgt =
   for v = n downto 1 do
     pred_off.(v) <- pred_off.(v - 1)
   done;
-  pred_off.(0) <- 0;
+  pred_off.(0) <- 0
+
+let pred_csr ~n ~succ_off ~succ_tgt =
+  let pred_off = Array.make (n + 1) 0 and pred_tgt = Array.make succ_off.(n) 0 in
+  pred_csr_into ~n ~succ_off ~succ_tgt ~pred_off ~pred_tgt;
   (pred_off, pred_tgt)
 
 (* Build both CSR directions from the raw edges (src.(i), dst.(i)),
@@ -317,7 +345,8 @@ let build ~n ~src ~dst ~m ~work ~comm ~on_cycle =
   let succ_off, succ_tgt, pred_off, pred_tgt = build_csr ~n ~src ~dst ~m in
   match compute_topo ~n ~succ_off ~succ_tgt ~pred_off with
   | None -> on_cycle ()
-  | Some (topo, rank) -> { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
+  | Some (topo, rank) ->
+    { n; m = succ_off.(n); succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
 
 let arrays_of_list edges =
   let m = List.length edges in
@@ -371,7 +400,16 @@ let of_csr_unchecked ~n ~succ_off ~succ_tgt ~work ~comm =
   let pred_off, pred_tgt = pred_csr ~n ~succ_off ~succ_tgt in
   match compute_topo ~n ~succ_off ~succ_tgt ~pred_off with
   | None -> failwith "Dag: graph contains a directed cycle"
-  | Some (topo, rank) -> { n; succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
+  | Some (topo, rank) ->
+    { n; m = succ_off.(n); succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
+
+(* The buffer form: nothing is checked but acyclicity, and nothing is
+   allocated but the record. *)
+let of_csr_buffers ~n ~succ_off ~succ_tgt ~work ~comm ~pred_off ~pred_tgt ~topo ~rank ~bits =
+  pred_csr_into ~n ~succ_off ~succ_tgt ~pred_off ~pred_tgt;
+  if not (topo_into ~n ~succ_off ~succ_tgt ~pred_off ~order:topo ~rank ~bits) then
+    failwith "Dag: graph contains a directed cycle";
+  { n; m = succ_off.(n); succ_off; succ_tgt; pred_off; pred_tgt; work; comm; topo; rank }
 
 let is_acyclic_edges ~n edges =
   let src, dst, m = arrays_of_list edges in
@@ -384,13 +422,13 @@ let topological_rank g = g.rank
 
 let wavefronts g =
   let level = Array.make g.n 0 in
-  Array.iter
-    (fun v ->
-      for i = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
-        let u = g.pred_tgt.(i) in
-        if level.(u) + 1 > level.(v) then level.(v) <- level.(u) + 1
-      done)
-    g.topo;
+  for k = 0 to g.n - 1 do
+    let v = g.topo.(k) in
+    for i = g.pred_off.(v) to g.pred_off.(v + 1) - 1 do
+      let u = g.pred_tgt.(i) in
+      if level.(u) + 1 > level.(v) then level.(v) <- level.(u) + 1
+    done
+  done;
   level
 
 let num_wavefronts g =
@@ -428,9 +466,10 @@ let assign_paper_weights g =
     ~work:(fun v -> if in_degree g v = 0 then 1 else in_degree g v - 1)
     ~comm:(fun _ -> 1)
 
-(* The record (nine fields) plus each physically distinct array, as
+(* The record (ten fields) plus each physically distinct array, as
    [Obj.reachable_words] counts them: a header word and one word per
-   element. [arrays] are counted with the DAG's own, so a caller sizing
+   element, whole arrays included where they are longer than what the
+   DAG reads. [arrays] are counted with the DAG's own, so a caller sizing
    a value that holds this DAG beside arrays of its own shares each
    array, and the one empty-array atom, once. *)
 let heap_words ?(arrays = []) g =
@@ -443,20 +482,21 @@ let heap_words ?(arrays = []) g =
     | a :: rest when List.memq a seen -> count seen words rest
     | a :: rest -> count (a :: seen) (words + 1 + Array.length a) rest
   in
-  count [] 10 all
+  count [] 11 all
 
 (* The CSR form is already canonical — segments sorted and
    deduplicated, node ids dense — so hashing the raw arrays gives a
    structural content address: two DAGs hash equal iff they have the
    same node count, edge set and weights. [succ_off] is derivable from
    the segment lengths but is included anyway so a corrupt in-memory
-   value cannot alias a well-formed one. *)
+   value cannot alias a well-formed one. Only the prefixes the DAG
+   holds are hashed, so the value does not depend on buffer capacity. *)
 let structural_hash g =
   let h = Fnv.init in
   let h = Fnv.int h g.n in
-  let h = Fnv.int h (num_edges g) in
-  let h = Fnv.int_array h g.succ_off in
-  let h = Fnv.int_array h g.succ_tgt in
-  let h = Fnv.int_array h g.work in
-  Fnv.int_array h g.comm
+  let h = Fnv.int h g.m in
+  let h = Fnv.int_array_prefix h g.succ_off (g.n + 1) in
+  let h = Fnv.int_array_prefix h g.succ_tgt g.m in
+  let h = Fnv.int_array_prefix h g.work g.n in
+  Fnv.int_array_prefix h g.comm g.n
 

@@ -11,7 +11,8 @@
       [v] to one other processor (e.g. its size in bytes).
 
     Nodes are identified by dense integers [0 .. n-1]. The structure is
-    immutable once built.
+    immutable once built ({!of_csr_buffers} aside, whose DAG lives only
+    as long as its caller leaves the buffers alone).
 
     {b Representation.} Adjacency is stored flat in CSR form — one
     offsets array plus one targets array per direction, each node's
@@ -20,7 +21,13 @@
     built value therefore contains no mutable state at all and can be
     shared freely across domains. Adjacency is read only through the
     zero-allocation iterators ({!iter_succ} and friends) or the raw CSR
-    accessors; neighbours are always visited in ascending id order. *)
+    accessors; neighbours are always visited in ascending id order.
+
+    {b Capacity.} The arrays behind a DAG may be longer than what they
+    hold: [n + 1] offsets, {!num_edges} targets, and [n] weights,
+    order and rank entries. Every function of this module reads only
+    those prefixes, and a caller of the raw accessors must do the same
+    (DESIGN.md Section 5f). *)
 
 type t
 
@@ -55,8 +62,36 @@ val of_csr_unchecked :
     the caller must not mutate them afterwards.
     This is the allocation-lean path for {!Coarsen.quotient}, which
     produces sorted segments by construction and would otherwise pay a
-    tuple list plus a redundant sort per multilevel refinement
-    level. *)
+    tuple list plus a redundant sort. *)
+
+val of_csr_buffers :
+  n:int ->
+  succ_off:int array ->
+  succ_tgt:int array ->
+  work:int array ->
+  comm:int array ->
+  pred_off:int array ->
+  pred_tgt:int array ->
+  topo:int array ->
+  rank:int array ->
+  bits:int array ->
+  t
+(** {!of_csr_unchecked} over caller-owned buffers, for a caller that
+    builds DAGs of varying size in one set of arrays (the multilevel
+    level view, [Coarsen.view]). The first [n + 1] entries of
+    [succ_off] and the first [succ_off.(n)] of [succ_tgt] must be a
+    canonical successor CSR, and the first [n] of [work] and [comm]
+    valid weights; none of it is checked. The predecessor CSR, the
+    topological order and the ranks are written into the prefixes of
+    [pred_off], [pred_tgt], [topo] and [rank], which must be at least
+    [n + 1], [succ_off.(n)], [n] and [n] long. [bits] is scratch of at
+    least {!bits_length}[ n] entries, all zero, and is left all zero.
+    Allocates only the record. The DAG reads the buffers without owning
+    them: it is valid until the caller next writes to any of them. A
+    cycle raises [Failure "Dag: graph contains a directed cycle"]. *)
+
+val bits_length : int -> int
+(** The scratch length {!of_csr_buffers} needs for [n] nodes. *)
 
 (** {1 Basic accessors} *)
 
@@ -91,10 +126,11 @@ val exists_pred : t -> int -> (int -> bool) -> bool
 val for_all_pred : t -> int -> (int -> bool) -> bool
 
 val succ_offsets : t -> int array
-(** Length [n + 1]; [succ_offsets.(n)] = {!num_edges}. *)
+(** At least [n + 1] entries; [succ_offsets.(n)] = {!num_edges}. *)
 
 val succ_targets : t -> int array
-(** Length {!num_edges}; per-node segments sorted ascending. *)
+(** At least {!num_edges} entries; per-node segments sorted
+    ascending. *)
 
 val pred_offsets : t -> int array
 val pred_targets : t -> int array
@@ -116,10 +152,11 @@ val has_edge : t -> int -> int -> bool
 
 val topological_order : t -> int array
 (** A topological order of the nodes (Kahn's algorithm, smallest id
-    first, so the order is deterministic). *)
+    first, so the order is deterministic), in the first [n] entries. *)
 
 val topological_rank : t -> int array
-(** [rank.(v)] is the position of [v] in {!topological_order}. *)
+(** [rank.(v)] is the position of [v] in {!topological_order}, for
+    [v < n]. *)
 
 val wavefronts : t -> int array
 (** [wavefronts g] assigns each node its earliest level: sources are
@@ -155,7 +192,9 @@ val heap_words : ?arrays:int array list -> t -> int
 (** The heap words [Obj.reachable_words] counts for the DAG, from its
     array lengths alone: the record and each physically distinct array
     once. [arrays] (default none) are counted with it, each array that
-    is physically one of the DAG's or of each other only once. *)
+    is physically one of the DAG's or of each other only once. An
+    array longer than what the DAG holds counts at its full length,
+    as it does for [Obj.reachable_words]. *)
 
 (** {1 Well-formedness} *)
 

@@ -29,12 +29,12 @@ let solve ?(budget = Budget.unlimited ()) ?(cutoff = infinity) ?(max_nodes = 200
       incr nodes;
       ignore (Budget.tick budget : bool);
       match Ilp.lp_relaxation ~max_pivots ~fix model with
-      | Simplex.Infeasible -> ()
-      | Simplex.Unbounded ->
+      | Ilp.Infeasible -> ()
+      | Ilp.Unbounded ->
         (* A bounded-cost scheduling model is never unbounded; treat as a
            node we cannot reason about. *)
         complete := false
-      | Simplex.Iteration_limit ->
+      | Ilp.Iteration_limit ->
         (* No bound available. Branching blindly here would explore an
            unbounded subtree whose every node repeats the expensive
            failing LP, so give the subtree up instead; the result is
@@ -42,23 +42,26 @@ let solve ?(budget = Budget.unlimited ()) ?(cutoff = infinity) ?(max_nodes = 200
            its limits). *)
         incr lp_failures;
         complete := false
-      | Simplex.Optimal { obj; x } ->
+      | Ilp.Optimal obj ->
         if obj >= !incumbent_obj -. 1e-9 then ()
         else begin
-          (* Most fractional unfixed binary. *)
+          (* Most fractional unfixed binary, read from the relaxation's
+             scratch; the solution is copied out only for an incumbent,
+             before the next relaxation overwrites it. *)
           let branch_var = ref (-1) in
           let best_frac = ref int_tol in
-          Array.iter
-            (fun v ->
-              let f = Float.abs (x.(v) -. Float.round x.(v)) in
-              if f > !best_frac then begin
-                best_frac := f;
-                branch_var := v
-              end)
-            nbin_vars;
+          for k = 0 to Array.length nbin_vars - 1 do
+            let v = nbin_vars.(k) in
+            let xv = Ilp.relaxation_value model v in
+            let f = Float.abs (xv -. Float.round xv) in
+            if f > !best_frac then begin
+              best_frac := f;
+              branch_var := v
+            end
+          done;
           if !branch_var < 0 then begin
             (* Integral: record incumbent with binaries snapped exactly. *)
-            let sol = Array.copy x in
+            let sol = Array.init (Ilp.num_vars model) (Ilp.relaxation_value model) in
             Array.iter (fun v -> sol.(v) <- Float.round sol.(v)) nbin_vars;
             incumbent := Some sol;
             incumbent_obj := obj;
@@ -66,7 +69,7 @@ let solve ?(budget = Budget.unlimited ()) ?(cutoff = infinity) ?(max_nodes = 200
           end
           else begin
             let v = !branch_var in
-            let first = Float.round x.(v) in
+            let first = Float.round (Ilp.relaxation_value model v) in
             explore ((v, first) :: fix);
             explore ((v, 1.0 -. first) :: fix)
           end
@@ -106,8 +109,8 @@ let solve_exhaustive model =
           (nbin_vars.(i), if mask land (1 lsl i) <> 0 then 1.0 else 0.0))
     in
     match Ilp.lp_relaxation ~fix model with
-    | Simplex.Optimal { obj; x } when obj < !incumbent_obj -. 1e-9 ->
-      let sol = Array.copy x in
+    | Ilp.Optimal obj when obj < !incumbent_obj -. 1e-9 ->
+      let sol = Array.init (Ilp.num_vars model) (Ilp.relaxation_value model) in
       List.iter (fun (v, value) -> sol.(v) <- value) fix;
       incumbent := Some sol;
       incumbent_obj := obj

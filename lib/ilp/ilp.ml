@@ -4,11 +4,26 @@ type var = int
    to the CSR arrays of [lp] as it is added, the objective likewise, and
    [lp.lb]/[lp.ub] hold the variables' own bounds. Every array grows by
    doubling; only the prefixes the counts name are meaningful. *)
+(* Scratch for [lp_relaxation]: the bounds after fixing ([lb]/[ub]), the
+   dense index of every free variable ([dense], -1 for a fixed one), the
+   reduced LP handed to the simplex and its solution [x]. Per domain and
+   pooled like the simplex tableau (see [scratch_for] below). *)
+type scratch = {
+  mutable lb : float array;
+  mutable ub : float array;
+  mutable dense : int array;
+  mutable x : float array;
+  reduced : Simplex.lp;
+}
+
+(* [last] is the scratch of the model's latest relaxation, which
+   [relaxation_value] reads. *)
 type t = {
   lp : Simplex.lp;
   mutable names : string array;
   mutable binary : bool array;
   mutable nbin : int;
+  mutable last : scratch;
 }
 
 let empty_lp () =
@@ -27,7 +42,10 @@ let empty_lp () =
     row_rhs = [||];
   }
 
-let create () = { lp = empty_lp (); names = [||]; binary = [||]; nbin = 0 }
+let fresh_scratch () = { lb = [||]; ub = [||]; dense = [||]; x = [||]; reduced = empty_lp () }
+
+let create () =
+  { lp = empty_lp (); names = [||]; binary = [||]; nbin = 0; last = fresh_scratch () }
 
 (* [a] with room for [need] entries, its contents kept; [fill] is any
    value of the element type (it decides the float representation). *)
@@ -134,22 +152,10 @@ let constraints_satisfied ?(tol = 1e-6) t x =
   done;
   !ok
 
-(* Per-domain scratch for [lp_relaxation]: the bounds after fixing
-   ([lb]/[ub]), the dense index of every free variable ([dense], -1 for
-   a fixed one) and the reduced LP handed to the simplex. Pooled like
-   the simplex tableau: the arrays grow to the union of the models served
-   while that stays within [pool_cap] words; a model past it gets scratch
-   of its own. *)
-type scratch = {
-  mutable lb : float array;
-  mutable ub : float array;
-  mutable dense : int array;
-  reduced : Simplex.lp;
-}
-
+(* The per-domain scratch grows to the union of the models served
+   while that stays within [pool_cap] words; a model past it gets
+   scratch of its own. *)
 let pool_cap = 1 lsl 18
-
-let fresh_scratch () = { lb = [||]; ub = [||]; dense = [||]; reduced = empty_lp () }
 
 let scratch_key : scratch Domain.DLS.key = Domain.DLS.new_key fresh_scratch
 
@@ -160,6 +166,7 @@ let resize s ~vars ~rows ~nnz ~obj =
     s.lb <- Array.make vars 0.0;
     s.ub <- Array.make vars 0.0;
     s.dense <- Array.make vars 0;
+    s.x <- Array.make vars 0.0;
     r.lb <- Array.make vars 0.0;
     r.ub <- Array.make vars 0.0
   end;
@@ -177,7 +184,7 @@ let resize s ~vars ~rows ~nnz ~obj =
     r.obj_coef <- Array.make obj 0.0
   end
 
-let words ~vars ~rows ~nnz ~obj = (5 * vars) + (3 * rows) + 1 + (2 * nnz) + (2 * obj)
+let words ~vars ~rows ~nnz ~obj = (6 * vars) + (3 * rows) + 1 + (2 * nnz) + (2 * obj)
 
 let scratch_for t =
   let lp = t.lp in
@@ -209,10 +216,13 @@ let rec apply_fix n lb ub = function
     ub.(v) <- value;
     apply_fix n lb ub rest
 
+type relaxation = Optimal of float | Infeasible | Unbounded | Iteration_limit
+
 let lp_relaxation ?max_pivots ?(fix = []) t =
   let m = t.lp in
   let n = m.num_vars in
   let s = scratch_for t in
+  t.last <- s;
   let lb = s.lb and ub = s.ub and dense = s.dense and r = s.reduced in
   Array.blit m.lb 0 lb 0 n;
   Array.blit m.ub 0 ub 0 n;
@@ -268,7 +278,7 @@ let lp_relaxation ?max_pivots ?(fix = []) t =
     end
   done;
   r.num_rows <- !rows;
-  if !infeasible then Simplex.Infeasible
+  if !infeasible then Infeasible
   else begin
     let obj_const = ref 0.0 and k = ref 0 in
     for e = 0 to m.obj_len - 1 do
@@ -282,13 +292,17 @@ let lp_relaxation ?max_pivots ?(fix = []) t =
       end
     done;
     r.obj_len <- !k;
-    match Simplex.minimize ?max_pivots r with
-    | Simplex.Optimal { obj; x } ->
-      let full = Array.sub lb 0 n in
-      for j = 0 to n - 1 do
-        let d = dense.(j) in
-        if d >= 0 then full.(j) <- x.(d)
-      done;
-      Simplex.Optimal { obj = obj +. !obj_const; x = full }
-    | other -> other
+    match Simplex.minimize_into ?max_pivots r s.x with
+    | Simplex.Optimal { obj; _ } -> Optimal (obj +. !obj_const)
+    | Simplex.Infeasible -> Infeasible
+    | Simplex.Unbounded -> Unbounded
+    | Simplex.Iteration_limit -> Iteration_limit
   end
+
+(* A fixed variable's value is its clamped bound, a free one's the
+   reduced solution's entry. *)
+let relaxation_value t v =
+  let s = t.last in
+  if v < 0 || v >= t.lp.num_vars then invalid_arg "Ilp.relaxation_value: variable out of range";
+  let d = s.dense.(v) in
+  if d < 0 then s.lb.(v) else s.x.(d)

@@ -42,14 +42,17 @@ val constraints_satisfied : ?tol:float -> t -> float array -> bool
 
 (** {1 Solver access} *)
 
-val lp_relaxation :
-  ?max_pivots:int ->
-  ?fix:(var * float) list ->
-  t ->
-  Simplex.result
+type relaxation =
+  | Optimal of float  (** the optimal objective; see {!relaxation_value} *)
+  | Infeasible
+  | Unbounded
+  | Iteration_limit
+
+val lp_relaxation : ?max_pivots:int -> ?fix:(var * float) list -> t -> relaxation
 (** Solve the LP relaxation (binaries relaxed to [[0, 1]]), with the
     bounds of the variables in [fix] clamped to the given values (a
-    variable listed twice takes its last value).
+    variable listed twice takes its last value). On [Optimal], the
+    solution stays in the scratch, where {!relaxation_value} reads it.
 
     Variables whose bounds are then equal are eliminated first: their
     terms move into the row right-hand sides and the objective constant,
@@ -58,4 +61,13 @@ val lp_relaxation :
     each row's terms, in insertion order. It is written into per-domain
     scratch that grows to the union of the models served while that
     stays within 2^18 words (larger models get scratch of their own), so
-    a warm call allocates only its result. *)
+    a warm call allocates only its result, a few words, whatever the
+    model's size. *)
+
+val relaxation_value : t -> var -> float
+(** The variable's value in the solution of the model's latest
+    {!lp_relaxation}, which must have returned [Optimal]: its clamped
+    bound if [fix] fixed it, the simplex's value otherwise. Read from
+    the scratch behind the map of free variables, so it holds only
+    until the next {!lp_relaxation} on the calling domain, of any
+    model. *)

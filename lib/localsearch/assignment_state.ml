@@ -483,7 +483,7 @@ let init machine (sched : Schedule.t) =
 
 let of_assignment machine dag ~proc ~step =
   let n = Dag.n dag in
-  if Array.length proc <> n || Array.length step <> n then
+  if Array.length proc < n || Array.length step < n then
     invalid_arg "Assignment_state.of_assignment: assignment length mismatch";
   create machine dag ~num_steps:(steps_used n step) ~proc ~step
 
@@ -1330,14 +1330,18 @@ let apply_drop_replica st v q =
   Cost_table.refresh st.table
 
 let snapshot st =
-  if st.rep_total = 0 then Schedule.of_assignment st.dag ~proc:st.proc_ ~step:st.step_
+  (* [of_assignment] may have taken arrays longer than the DAG. *)
+  let n = Dag.n st.dag in
+  let exact a = if Array.length a = n then a else Array.sub a 0 n in
+  if st.rep_total = 0 then
+    Schedule.of_assignment st.dag ~proc:(exact st.proc_) ~step:(exact st.step_)
   else begin
     let replicas = ref [] in
     for v = 0 to Dag.n st.dag - 1 do
       List.iter (fun q -> replicas := (v, q, st.step_.(v)) :: !replicas) st.reps_.(v)
     done;
-    Schedule.of_assignment_replicated st.machine_ st.dag ~proc:st.proc_
-      ~step:st.step_ ~replicas:!replicas
+    Schedule.of_assignment_replicated st.machine_ st.dag ~proc:(exact st.proc_)
+      ~step:(exact st.step_) ~replicas:!replicas
   end
 
 let check_consistent st =

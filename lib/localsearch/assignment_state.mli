@@ -50,8 +50,11 @@ val of_assignment : Machine.t -> Dag.t -> proc:int array -> step:int array -> t
     hold its result. The number of supersteps is
     [Schedule.num_supersteps] of the assignment. The caller must not
     change the arrays while the state is live. Same pooling as
-    {!init}, which shares its builder. Raises [Invalid_argument] when
-    an array's length differs from the DAG's node count. *)
+    {!init}, which shares its builder. The arrays may be longer than
+    the DAG's node count, so a caller can keep one pair of buffers for
+    DAGs of varying size; only the first [n] entries are read and
+    written. Raises [Invalid_argument] when an array is shorter than
+    that. *)
 
 val release : t -> unit
 (** Return the state's backing arrays to the calling domain's pool for

@@ -234,7 +234,7 @@ let columns_of sense ~flip =
 
 (* Load the real objective, price out the basic columns and run phase
    2; [x] is read off the final basis. *)
-let phase2 tab lp ~max_pivots =
+let phase2 tab lp ~x ~max_pivots =
   let tc = tab.total_cols and z = tab.zrow and lb = lp.lb in
   Array.fill z 0 (tc + 1) 0.0;
   for e = 0 to lp.obj_len - 1 do
@@ -263,7 +263,7 @@ let phase2 tab lp ~max_pivots =
   | `Limit -> Iteration_limit
   | `Opt | `Run ->
     let n = lp.num_vars in
-    let x = Array.sub lb 0 n in
+    Array.blit lb 0 x 0 n;
     for i = 0 to tab.m - 1 do
       let b = tab.basis.(i) in
       if b < n then x.(b) <- lb.(b) +. tab.t.(i).(tc)
@@ -312,8 +312,9 @@ let phase1 tab ~max_pivots =
       None
     end
 
-let minimize ?max_pivots lp =
+let minimize_into ?max_pivots lp x =
   let n = lp.num_vars and lb = lp.lb and ub = lp.ub in
+  if Array.length x < n then invalid_arg "Simplex.minimize_into: short solution array";
   for j = 0 to n - 1 do
     if not (Float.is_finite lb.(j)) then
       invalid_arg "Simplex.minimize: lower bounds must be finite";
@@ -379,9 +380,11 @@ let minimize ?max_pivots lp =
     if tab.artificial.(j) then has_artificial := true
   done;
   let result =
-    if not !has_artificial then phase2 tab lp ~max_pivots
-    else match phase1 tab ~max_pivots with Some r -> r | None -> phase2 tab lp ~max_pivots
+    if not !has_artificial then phase2 tab lp ~x ~max_pivots
+    else match phase1 tab ~max_pivots with Some r -> r | None -> phase2 tab lp ~x ~max_pivots
   in
   Obs.Metrics.counter "lp.solves" 1;
   Obs.Metrics.counter "lp.pivots" tab.pivots;
   result
+
+let minimize ?max_pivots lp = minimize_into ?max_pivots lp (Array.make lp.num_vars 0.0)

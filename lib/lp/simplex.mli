@@ -71,3 +71,9 @@ val minimize : ?max_pivots:int -> lp -> result
     only reads [lp], and allocates nothing but its result while its
     tableau fits the pool. [max_pivots] defaults to a generous multiple
     of the problem size. *)
+
+val minimize_into : ?max_pivots:int -> lp -> float array -> result
+(** {!minimize} writing the solution into the first [num_vars] entries
+    of the given array, which an [Optimal] result returns as its [x]:
+    a caller that reuses one array from solve to solve allocates only
+    the result block. The same pivots as {!minimize}. *)

@@ -14,25 +14,29 @@ let default_config =
   }
 
 (* Project the per-representative assignment onto the current level of
-   the coarsening session, refine it with HC in place, and write the
-   result back into the per-representative arrays when a move was
-   applied. *)
-let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of =
-  let qdag, rep_of_id = Coarsen.quotient session in
+   the coarsening session (its view, in the session's buffers) through
+   the level buffers [proc]/[step], refine it with HC in place, and
+   write the result back into the per-representative arrays when a
+   move was applied. *)
+let refine_level ?budget ~refine_moves session machine ~proc_of ~step_of ~proc ~step =
+  let qdag, rep_of_id = Coarsen.view session in
   let nq = Dag.n qdag in
-  let proc = Array.init nq (fun i -> proc_of.(rep_of_id.(i))) in
-  let step = Array.init nq (fun i -> step_of.(rep_of_id.(i))) in
+  for i = 0 to nq - 1 do
+    let r = rep_of_id.(i) in
+    proc.(i) <- proc_of.(r);
+    step.(i) <- step_of.(r)
+  done;
   let stats =
     Hc.improve_assignment ?budget ~max_moves:refine_moves machine qdag ~proc ~step
   in
   Obs.Metrics.counter "multilevel.refine_passes" 1;
   Obs.Metrics.counter "multilevel.refine_moves_applied" stats.Hc.moves_applied;
   if stats.Hc.moves_applied > 0 then
-    Array.iteri
-      (fun i r ->
-        proc_of.(r) <- proc.(i);
-        step_of.(r) <- step.(i))
-      rep_of_id
+    for i = 0 to nq - 1 do
+      let r = rep_of_id.(i) in
+      proc_of.(r) <- proc.(i);
+      step_of.(r) <- step.(i)
+    done
 
 let target ~ratio n = max 2 (int_of_float (ratio *. float_of_int n))
 
@@ -40,19 +44,21 @@ let coarsening ~ratios dag =
   Obs.Metrics.with_span "coarsen" (fun () ->
       let n = Dag.n dag in
       let target = List.fold_left (fun acc ratio -> min acc (target ~ratio n)) n ratios in
-      let session = Coarsen.start dag in
+      let session = Coarsen.take dag in
       Coarsen.coarsen_to session ~target;
-      Coarsen.history session)
+      let history = Coarsen.history session in
+      Coarsen.release session;
+      history)
 
 let run_ratio ?budget ~contractions ~refine_interval ~refine_moves ~solver ~ratio machine
     dag =
   let n = Dag.n dag in
   let target = target ~ratio n in
-  let session = Coarsen.start dag in
-  let qdag, rep_of_id =
+  let session, (qdag, rep_of_id) =
     Obs.Metrics.with_span "coarsen" (fun () ->
+        let session = Coarsen.take dag in
         Coarsen.replay session contractions ~target;
-        Coarsen.quotient session)
+        (session, Coarsen.quotient session))
   in
   Obs.Metrics.counter "multilevel.runs" 1;
   Obs.Metrics.counter "multilevel.contractions" (Coarsen.num_contractions session);
@@ -80,8 +86,12 @@ let run_ratio ?budget ~contractions ~refine_interval ~refine_moves ~solver ~rati
          superstep count is fixed by the coarse solve: refinement moves
          within the existing range and compaction only happens at the
          very end. *)
-      if not (spent ()) then
+      let refining = not (spent ()) in
+      if refining then
         Assignment_state.prewarm machine dag ~num_steps:(Schedule.num_supersteps coarse);
+      (* Every level's assignment, in buffers sized for the finest. *)
+      let level = if refining then n else 0 in
+      let proc = Array.make level 0 and step = Array.make level 0 in
       let remaining = ref (Coarsen.num_contractions session) in
       let skipped = ref 0 in
       while !remaining > 0 do
@@ -95,7 +105,8 @@ let run_ratio ?budget ~contractions ~refine_interval ~refine_moves ~solver ~rati
         done;
         remaining := !remaining - chunk;
         if spent () then incr skipped
-        else refine_level ?budget ~refine_moves session machine ~proc_of ~step_of
+        else refine_level ?budget ~refine_moves session machine ~proc_of ~step_of ~proc ~step
       done;
       Obs.Metrics.counter "multilevel.refine_levels_skipped" !skipped);
+  Coarsen.release session;
   Schedule.compact (Schedule.of_assignment dag ~proc:proc_of ~step:step_of)

@@ -55,11 +55,13 @@ val run_ratio :
     caller owns ({!Pipeline.run_multilevel} runs one pass per ratio of
     its config and keeps the cheapest). [contractions] is a
     {!coarsening} of the same DAG to this ratio's target or a smaller
-    one; the pass rebuilds its level by {!Coarsen.replay} in a fresh
-    session, which by the prefix property is the level a coarsening to
-    this ratio's own target reaches. [budget] bounds the HC
+    one; the pass takes the domain's pooled session ({!Coarsen.take}),
+    rebuilds its level there by {!Coarsen.replay}, which by the prefix
+    property is the level a coarsening to this ratio's own target
+    reaches, and releases the session when it returns. [budget] bounds the HC
     refinement work across all levels; once it is spent, the remaining
     levels are only projected, with no quotient and no HC run, which
     gives the same schedule as refining them on a spent budget. Each
-    refinement runs {!Hc.improve_assignment} on the level's assignment
-    arrays in place. *)
+    refinement runs {!Hc.improve_assignment} in place on the level
+    view ({!Coarsen.view}) and on assignment buffers sized for the
+    finest level. *)

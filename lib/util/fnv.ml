@@ -35,11 +35,14 @@ let[@inline] int h v =
   done;
   !h
 
-let int_array h a =
+let int_array_prefix h a len =
+  if len < 0 || len > Array.length a then invalid_arg "Fnv.int_array_prefix: bad length";
   let h = ref h in
-  for i = 0 to Array.length a - 1 do
+  for i = 0 to len - 1 do
     h := int !h (Array.unsafe_get a i)
   done;
   !h
+
+let int_array h a = int_array_prefix h a (Array.length a)
 
 let to_hex h = Printf.sprintf "%016Lx" h

@@ -27,5 +27,10 @@ val string : t -> string -> t
 val int_array : t -> int array -> t
 (** Fold each element with {!int}, in index order. *)
 
+val int_array_prefix : t -> int array -> int -> t
+(** [int_array_prefix h a len] folds [a.(0)] .. [a.(len - 1)] with
+    {!int}, in index order: {!int_array} of the prefix, for arrays
+    that are longer than what they hold. *)
+
 val to_hex : t -> string
 (** 16 lowercase hex digits — the cache filename form. *)

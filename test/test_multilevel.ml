@@ -263,6 +263,161 @@ let prop_shared_coarsening_matches_reference =
                   ~ratio m dag))
         ratios)
 
+(* The contractability test searches only the window between u and v in
+   the session's topological order, repaired after every contraction and
+   rebuilt now and then. It must pick the contractions of the unbounded
+   search (test/coarsen_reference.ml) on random DAGs and on the exp and
+   spmv generators, from a fresh session and from a pooled one, and the
+   order must stay topological, also in a run resumed after a
+   replay. *)
+let arb_coarsen =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* kind = int_bound 2 in
+    let* size = int_range 2 40 in
+    let rng = Rng.create seed in
+    let dag =
+      match kind with
+      | 0 ->
+        Test_util.random_dag rng ~n:size ~edge_prob:(float_of_int (seed mod 4) *. 0.1)
+          ~max_w:5 ~max_c:4
+      | 1 -> Finegrained.exp (Sparse_matrix.random rng ~n:(4 + (size / 3)) ~q:0.2) ~k:3
+      | _ -> Finegrained.spmv (Sparse_matrix.random rng ~n:(4 + (size / 2)) ~q:0.2)
+    in
+    let* target = int_range 1 (max 1 (Dag.n dag)) in
+    return (dag, target))
+
+let prop_bounded_test_matches_unbounded =
+  Test_util.qtest ~count:150 "bounded contractability = unbounded search" arb_coarsen
+    (fun (dag, target) ->
+      let expected = Coarsen_reference.history dag ~target in
+      let fresh = Coarsen.start dag in
+      Coarsen.coarsen_to fresh ~target;
+      (* The order exists once coarsen_to has run a round. *)
+      if Dag.n dag > target then Coarsen.check_order fresh;
+      let pooled = Coarsen.take dag in
+      Coarsen.coarsen_to pooled ~target;
+      let pooled_history = Coarsen.history pooled in
+      Coarsen.release pooled;
+      (* A run resumed after a replay starts a new round, so it may
+         choose other contractions; its order must still be sound. *)
+      let resumed = Coarsen.start dag in
+      Coarsen.replay resumed expected ~target:(Dag.n dag - (List.length expected / 2));
+      let rounds = Coarsen.num_alive resumed > target in
+      Coarsen.coarsen_to resumed ~target;
+      if rounds then Coarsen.check_order resumed;
+      Coarsen.history fresh = expected && pooled_history = expected)
+
+(* The level view is the quotient, entry for entry over its n nodes and
+   m edges, at every step of a full uncoarsening. *)
+let prefix a len = Array.sub a 0 len
+
+let level_arrays (g, rep) =
+  let n = Dag.n g and m = Dag.num_edges g in
+  ( (n, m, prefix rep n, Array.init n (Dag.work g), Array.init n (Dag.comm g)),
+    ( prefix (Dag.succ_offsets g) (n + 1),
+      prefix (Dag.succ_targets g) m,
+      prefix (Dag.pred_offsets g) (n + 1),
+      prefix (Dag.pred_targets g) m ),
+    (prefix (Dag.topological_order g) n, prefix (Dag.topological_rank g) n) )
+
+let prop_view_matches_quotient =
+  Test_util.qtest ~count:60 "level view = quotient at every step" arb_coarsen
+    (fun (dag, target) ->
+      let session = Coarsen.take dag in
+      Coarsen.coarsen_to session ~target;
+      let same () =
+        level_arrays (Coarsen.view session) = level_arrays (Coarsen.quotient session)
+      in
+      let ok = ref (same ()) in
+      while Coarsen.undo_last session <> None do
+        ok := !ok && same ()
+      done;
+      Coarsen.release session;
+      !ok)
+
+(* A session last used on a larger DAG with other degrees, reset onto a
+   smaller one, behaves as a fresh start there: the same quotient after
+   the same coarsening, and the same undo sequence. *)
+let prop_reset_matches_start =
+  Test_util.qtest ~count:60 "reset after a larger DAG = start"
+    QCheck2.Gen.(pair arb_coarsen arb_coarsen)
+    (fun ((a, ta), (b, tb)) ->
+      let big, small, target = if Dag.n a >= Dag.n b then (a, b, tb) else (b, a, ta) in
+      let target = min target (Dag.n small) in
+      let reused = Coarsen.start big in
+      Coarsen.coarsen_to reused ~target:(max 1 (Dag.n big / 3));
+      ignore (Coarsen.undo_last reused : Coarsen.contraction option);
+      Coarsen.reset reused small;
+      let fresh = Coarsen.start small in
+      Coarsen.coarsen_to reused ~target;
+      Coarsen.coarsen_to fresh ~target;
+      level_arrays (Coarsen.quotient reused) = level_arrays (Coarsen.quotient fresh)
+      && undo_all reused = undo_all fresh)
+
+(* Warm, a reset and replay of the same DAG allocate nothing, and a
+   refinement pass over the level view (view, projection, the HC state
+   built in place) allocates the same few words at a coarse level as at
+   one with several times its nodes. The pass applies no move: HC's own
+   words per applied move are HC's, not the level's. *)
+let exp_dag seed n = Finegrained.exp (Sparse_matrix.random (Rng.create seed) ~n ~q:0.15) ~k:3
+
+let test_warm_reset_replay_allocates_nothing () =
+  let dag = exp_dag 5 40 in
+  let session = Coarsen.start dag in
+  let target = Dag.n dag / 5 in
+  Coarsen.coarsen_to session ~target;
+  let history = Coarsen.history session in
+  let rebuild () =
+    Coarsen.reset session dag;
+    Coarsen.replay session history ~target:(2 * target)
+  in
+  rebuild ();
+  check "warm reset + replay words" 0 (Test_util.min_allocated_words rebuild)
+
+let test_refine_pass_words_constant () =
+  let dag = exp_dag 9 60 in
+  let n = Dag.n dag in
+  let m = Machine.numa_tree ~p:4 ~g:3 ~l:5 ~delta:2 in
+  let session = Coarsen.start dag in
+  Coarsen.coarsen_to session ~target:(n / 10);
+  let qdag, rep_of_id = Coarsen.quotient session in
+  let coarse = Bspg.schedule m qdag in
+  let proc_of = Array.make n 0 and step_of = Array.make n 0 in
+  Array.iteri
+    (fun i r ->
+      proc_of.(r) <- coarse.Schedule.proc.(i);
+      step_of.(r) <- coarse.Schedule.step.(i))
+    rep_of_id;
+  let undo k =
+    for _ = 1 to k do
+      match Coarsen.undo_last session with
+      | Some { Coarsen.kept; removed } ->
+        proc_of.(removed) <- proc_of.(kept);
+        step_of.(removed) <- step_of.(kept)
+      | None -> ()
+    done
+  in
+  let proc = Array.make n 0 and step = Array.make n 0 in
+  Assignment_state.prewarm m dag ~num_steps:(Schedule.num_supersteps coarse);
+  let pass () =
+    let level, rep_of_id = Coarsen.view session in
+    for i = 0 to Dag.n level - 1 do
+      proc.(i) <- proc_of.(rep_of_id.(i));
+      step.(i) <- step_of.(rep_of_id.(i))
+    done;
+    ignore (Hc.improve_assignment ~max_moves:0 m level ~proc ~step : Hc.stats)
+  in
+  let words () =
+    pass ();
+    (Coarsen.num_alive session, Test_util.min_allocated_words pass)
+  in
+  let coarse_nodes, coarse_words = words () in
+  undo (Coarsen.num_contractions session * 3 / 4);
+  let fine_nodes, fine_words = words () in
+  check_bool "several times the nodes" true (fine_nodes >= 3 * coarse_nodes);
+  check "refine pass words, coarse vs fine level" coarse_words fine_words
+
 let () =
   Alcotest.run "multilevel"
     [
@@ -274,6 +429,10 @@ let () =
           Alcotest.test_case "owner tracking" `Quick test_owner_tracking;
           Alcotest.test_case "replay rejects a foreign history" `Quick
             test_replay_rejects_foreign_history;
+          Alcotest.test_case "warm reset + replay allocates nothing" `Quick
+            test_warm_reset_replay_allocates_nothing;
+          Alcotest.test_case "refine pass words independent of n" `Quick
+            test_refine_pass_words_constant;
         ] );
       ( "driver",
         [
@@ -289,5 +448,8 @@ let () =
           prop_refine_skip_matches_reference;
           prop_replay_matches_coarsen;
           prop_shared_coarsening_matches_reference;
+          prop_bounded_test_matches_unbounded;
+          prop_view_matches_quotient;
+          prop_reset_matches_start;
         ] );
     ]
