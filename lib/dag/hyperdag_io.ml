@@ -34,8 +34,8 @@ let write_file path g = Atomic_file.write path (fun oc -> write oc g)
    input before any allocation is sized by it; the second parses. Each
    pin and weight takes a line of its own, and every hyperedge has at
    least its source pin. *)
-let of_string ?(pos = 0) text =
-  let sc = Text_codec.scanner ~pos text in
+let of_string ?pos ?stop text =
+  let sc = Text_codec.scanner ?pos ?stop text in
   let what = "Hyperdag_io" in
   let ints = Array.make 3 0 in
   (match Text_codec.next_ints sc ~what ints with

@@ -53,10 +53,11 @@ val read_file : string -> Dag.t
 
 val to_string : Dag.t -> string
 
-val of_string : ?pos:int -> string -> Dag.t
-(** Parse the text from byte offset [pos] (default 0) on, in place: a
-    request document hands over its inline body without copying it.
-    Raises [Failure] as {!read} does. *)
+val of_string : ?pos:int -> ?stop:int -> string -> Dag.t
+(** Parse the bytes [\[pos, stop)] of the string (by default all of
+    it) in place, as {!Text_codec.scanner} bounds them: a request
+    document hands over its inline body without copying it. Raises
+    [Failure] as {!read} does. *)
 
 (** {1 Binary format} *)
 

@@ -18,17 +18,23 @@ type t = {
   is_dirty : bool array;
 }
 
-(* Scan one superstep row for its work and h-relation maxima. *)
-let scan_step t s =
-  let p = t.machine.Machine.p in
-  let work_row = t.work.(s) and send_row = t.send.(s) and recv_row = t.recv.(s) in
-  let wm = ref 0 and hm = ref 0 in
-  for q = 0 to p - 1 do
-    if work_row.(q) > !wm then wm := work_row.(q);
-    let h = max send_row.(q) recv_row.(q) in
-    if h > !hm then hm := h
+(* One superstep row's work and h-relation maxima, each returned alone:
+   a pair would be the only allocation of an accepted move, which
+   refreshes the supersteps it touched. *)
+let work_max_of t s =
+  let row = t.work.(s) and m = ref 0 in
+  for q = 0 to t.machine.Machine.p - 1 do
+    if row.(q) > !m then m := row.(q)
   done;
-  (!wm, !hm)
+  !m
+
+let comm_max_of t s =
+  let send_row = t.send.(s) and recv_row = t.recv.(s) and m = ref 0 in
+  for q = 0 to t.machine.Machine.p - 1 do
+    let h = max send_row.(q) recv_row.(q) in
+    if h > !m then m := h
+  done;
+  !m
 
 let create machine ~num_steps =
   let p = machine.Machine.p in
@@ -119,16 +125,19 @@ let add_recv t ~step ~proc delta =
   t.recv.(step).(proc) <- t.recv.(step).(proc) + delta;
   touch t step
 
+let refresh_step t s =
+  let wm = work_max_of t s and hm = comm_max_of t s in
+  let c = Bsp_cost.superstep_cost t.machine ~work_max:wm ~comm_max:hm in
+  t.work_max_.(s) <- wm;
+  t.comm_max_.(s) <- hm;
+  t.total <- t.total + c - t.step_cost_.(s);
+  t.step_cost_.(s) <- c
+
 let refresh t =
   for i = 0 to t.dirty_len - 1 do
     let s = t.dirty.(i) in
     t.is_dirty.(s) <- false;
-    let wm, hm = scan_step t s in
-    let c = Bsp_cost.superstep_cost t.machine ~work_max:wm ~comm_max:hm in
-    t.work_max_.(s) <- wm;
-    t.comm_max_.(s) <- hm;
-    t.total <- t.total + c - t.step_cost_.(s);
-    t.step_cost_.(s) <- c
+    refresh_step t s
   done;
   t.dirty_len <- 0
 
@@ -147,7 +156,7 @@ let assert_consistent t =
   if t.dirty_len <> 0 then failwith "Cost_table: refresh pending";
   let sum = ref 0 in
   for s = 0 to t.num_steps - 1 do
-    let wm, hm = scan_step t s in
+    let wm = work_max_of t s and hm = comm_max_of t s in
     let c = Bsp_cost.superstep_cost t.machine ~work_max:wm ~comm_max:hm in
     if c <> t.step_cost_.(s) then failwith "Cost_table: stale superstep cost";
     if wm <> t.work_max_.(s) then failwith "Cost_table: stale work maximum";

@@ -218,22 +218,38 @@ let search ~check ~budget ~max_moves machine dag st =
      superstep maxima changed), and the predecessors of nodes resident
      just after a touched superstep (their lazy events are pinned into
      its communication phase). *)
+  let pred_off = Dag.pred_offsets dag and pred_tgt = Dag.pred_targets dag in
+  let succ_off = Dag.succ_offsets dag and succ_tgt = Dag.succ_targets dag in
+  let enqueue_preds v =
+    for i = pred_off.(v) to pred_off.(v + 1) - 1 do
+      enqueue pred_tgt.(i)
+    done
+  in
+  let enqueue_succs v =
+    for i = succ_off.(v) to succ_off.(v + 1) - 1 do
+      enqueue succ_tgt.(i)
+    done
+  in
+  let enqueue_touched s =
+    enqueue_residents s;
+    if s > 0 then enqueue_residents (s - 1);
+    if s + 1 < num_steps then begin
+      let w = ref res_head.(s + 1) in
+      while !w >= 0 do
+        enqueue !w;
+        enqueue_preds !w;
+        w := res_next.(!w)
+      done
+    end
+  in
   let mark_after_move v =
     enqueue v;
-    Dag.iter_pred dag v enqueue;
-    Dag.iter_succ dag v enqueue;
-    Dag.iter_pred dag v (fun u -> Dag.iter_succ dag u enqueue);
-    Assignment_state.iter_last_touched_steps st (fun s ->
-        enqueue_residents s;
-        if s > 0 then enqueue_residents (s - 1);
-        if s + 1 < num_steps then begin
-          let w = ref res_head.(s + 1) in
-          while !w >= 0 do
-            enqueue !w;
-            Dag.iter_pred dag !w enqueue;
-            w := res_next.(!w)
-          done
-        end)
+    enqueue_preds v;
+    enqueue_succs v;
+    for i = pred_off.(v) to pred_off.(v + 1) - 1 do
+      enqueue_succs pred_tgt.(i)
+    done;
+    Assignment_state.iter_last_touched_steps st enqueue_touched
   in
   (* First-improvement scan of one node's neighbourhood: every
      processor, superstep within +-1 (Appendix A.3), in the same

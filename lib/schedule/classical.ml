@@ -1,12 +1,34 @@
 type t = { proc : int array; seq : int array }
 
+(* Nodes in execution order: [seq] is a permutation of 0 .. n-1, so
+   inverting it orders them without a sort. *)
+let order_of_seq seq =
+  let n = Array.length seq in
+  let order = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    let i = seq.(v) in
+    if i < 0 || i >= n || order.(i) >= 0 then
+      invalid_arg "Classical: seq is not a permutation of 0 .. n-1";
+    order.(i) <- v
+  done;
+  order
+
+(* Whether [v] has a predecessor on another processor that no superstep
+   holds yet ([step] is -1 until a node is cut into one). *)
+let blocked dag ~proc ~step v =
+  let off = Dag.pred_offsets dag and tgt = Dag.pred_targets dag in
+  let stop = off.(v + 1) in
+  let i = ref off.(v) in
+  while !i < stop && not (step.(tgt.(!i)) < 0 && proc.(tgt.(!i)) <> proc.(v)) do
+    incr i
+  done;
+  !i < stop
+
 let to_bsp dag { proc; seq } =
   let n = Dag.n dag in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare seq.(a) seq.(b)) order;
+  let order = order_of_seq seq in
   let step = Array.make n (-1) in
   let superstep = ref 0 in
-  let assigned = Array.make n false in
   let start = ref 0 in
   (* Invariant: order.(0 .. start-1) are assigned. Each round scans the
      unassigned suffix for the first node with an unassigned cross-
@@ -14,23 +36,12 @@ let to_bsp dag { proc; seq } =
      superstep. The earliest unassigned node never qualifies (all its
      predecessors are assigned), so every round makes progress. *)
   while !start < n do
-    let cut = ref n in
-    (try
-       for i = !start to n - 1 do
-         let v = order.(i) in
-         let blocked =
-           Dag.exists_pred dag v (fun u -> (not assigned.(u)) && proc.(u) <> proc.(v))
-         in
-         if blocked then begin
-           cut := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
+    let cut = ref !start in
+    while !cut < n && not (blocked dag ~proc ~step order.(!cut)) do
+      incr cut
+    done;
     for i = !start to !cut - 1 do
-      let v = order.(i) in
-      step.(v) <- !superstep;
-      assigned.(v) <- true
+      step.(order.(i)) <- !superstep
     done;
     start := !cut;
     incr superstep
@@ -39,8 +50,6 @@ let to_bsp dag { proc; seq } =
 
 let makespan dag { proc; seq } =
   let n = Dag.n dag in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare seq.(a) seq.(b)) order;
   let num_procs = 1 + Array.fold_left max (-1) proc in
   let proc_free = Array.make (max num_procs 1) 0 in
   let finish = Array.make n 0 in
@@ -50,5 +59,5 @@ let makespan dag { proc; seq } =
       let begin_time = max ready proc_free.(proc.(v)) in
       finish.(v) <- begin_time + Dag.work dag v;
       proc_free.(proc.(v)) <- finish.(v))
-    order;
+    (order_of_seq seq);
   Array.fold_left max 0 finish

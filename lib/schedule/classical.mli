@@ -13,11 +13,13 @@
     have smaller sequence numbers) and with each processor's local
     execution order. Simulators assign sequence numbers in event order,
     which sidesteps ties between zero-work nodes that a raw time stamp
-    could not break. *)
+    could not break. Both functions below order the nodes by inverting
+    the permutation, without a sort, and raise [Invalid_argument] when
+    [seq] is not a permutation of [0 .. n-1]. *)
 
 type t = {
   proc : int array;  (** node -> processor *)
-  seq : int array;  (** node -> global execution sequence index (unique) *)
+  seq : int array;  (** node -> global execution sequence index, a permutation of [0 .. n-1] *)
 }
 
 val to_bsp : Dag.t -> t -> Schedule.t

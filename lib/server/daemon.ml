@@ -318,21 +318,35 @@ let run ?(memo = Memo.create ()) cfg =
 
 let max_frame = 256 * 1024 * 1024
 
-let read_frame ic =
+(* The largest frame a stdio session's buffer grows to hold; a larger
+   frame is read into a buffer of its own, dropped with its request. *)
+let retained_frame = 4 * 1024 * 1024
+
+let header_byte ic =
+  try Char.code (input_char ic) with End_of_file -> failwith "Daemon: truncated frame header"
+
+(* The payload length from a frame header, or -1 at a clean EOF. *)
+let frame_length ic =
   match input_char ic with
-  | exception End_of_file -> None
+  | exception End_of_file -> -1
   | b0 ->
-    let rest =
-      try really_input_string ic 3
-      with End_of_file -> failwith "Daemon: truncated frame header"
-    in
-    let b i = if i = 0 then Char.code b0 else Char.code rest.[i - 1] in
-    let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+    let b1 = header_byte ic in
+    let b2 = header_byte ic in
+    let b3 = header_byte ic in
+    let len = (Char.code b0 lsl 24) lor (b1 lsl 16) lor (b2 lsl 8) lor b3 in
     if len > max_frame then
       failwith (Printf.sprintf "Daemon: frame length %d exceeds the %d limit" len max_frame);
-    (match really_input_string ic len with
-     | payload -> Some payload
-     | exception End_of_file -> failwith "Daemon: truncated frame payload")
+    len
+
+let truncated_payload () = failwith "Daemon: truncated frame payload"
+
+let read_frame ic =
+  match frame_length ic with
+  | -1 -> None
+  | len -> (
+    match really_input_string ic len with
+    | payload -> Some payload
+    | exception End_of_file -> truncated_payload ())
 
 let write_header oc len =
   if len > max_frame then failwith "Daemon: response exceeds the frame limit";
@@ -383,9 +397,27 @@ let run_stdio ?(memo = Memo.create ()) ~cache_dir ic oc =
     flush oc;
     Buffer.clear buf
   in
+  (* One frame buffer for the session, parsed in place
+     (Request.parse_any ~stop). Nothing that outlives the request may
+     alias it: the parser copies what it keeps and the memo copies a
+     body it stores. *)
+  let frame = ref (Bytes.create 65536) in
+  (* The bytes of the current payload: [!frame], or a one-off buffer. *)
+  let payload = ref !frame in
+  let read_payload () =
+    match frame_length ic with
+    | -1 -> -1
+    | len ->
+      let cap = Bytes.length !frame in
+      if len > cap && len <= retained_frame then
+        frame := Bytes.create (min retained_frame (max len (2 * cap)));
+      payload := if len <= Bytes.length !frame then !frame else Bytes.create len;
+      (try really_input ic !payload 0 len with End_of_file -> truncated_payload ());
+      len
+  in
   let rec loop () =
-    match read_frame ic with
-    | None -> ()
+    match read_payload () with
+    | -1 -> ()
     | exception Failure msg ->
       (* A truncated or oversized frame leaves no frame boundary to
          resynchronise on: answer it once and end the session. *)
@@ -394,16 +426,17 @@ let run_stdio ?(memo = Memo.create ()) ~cache_dir ic oc =
       let id = Printf.sprintf "stdio-%d" !count in
       Obs.Json.to_buffer_compact buf (error_reply ~id msg);
       send ()
-    | Some payload ->
+    | len ->
       incr count;
-      let fallback_id = Printf.sprintf "stdio-%d" !count in
+      let fallback_id = "stdio-" ^ string_of_int !count in
+      let text = Bytes.unsafe_to_string !payload in
       (* What runs after the reply is sent: a miss's store. It runs
          before the next frame is read, so a repeat of the key in that
          frame finds the entry. *)
       let pending =
         match
           Obs.Metrics.with_span "server:parse" (fun () ->
-              Request.parse_any ~memo ~id:fallback_id payload)
+              Request.parse_any ~memo ~stop:len ~id:fallback_id text)
         with
         | Request.Stats { Request.stats_id } ->
           Obs.Metrics.counter "server.stats_requests" 1;
@@ -430,6 +463,7 @@ let run_stdio ?(memo = Memo.create ()) ~cache_dir ic oc =
           Obs.Json.to_buffer_compact buf (error_reply ~id:fallback_id msg);
           None
       in
+      payload := !frame;
       send ();
       Option.iter store pending;
       memo_gauge memo;

@@ -120,13 +120,27 @@ val run : ?memo:Memo.t -> config -> unit
 val read_frame : in_channel -> string option
 val write_frame : out_channel -> string -> unit
 
+val retained_frame : int
+(** 4 MiB: the largest payload a {!run_stdio} session keeps a buffer
+    for. *)
+
 val run_stdio : ?memo:Memo.t -> cache_dir:string -> in_channel -> out_channel -> unit
 (** Serve frames from the input channel until EOF, answering on the
     output channel. [memo] is the session's table, a fresh
     {!Memo.create} [()] when absent; a caller passes one only to bound
     it by another budget or to inspect it. Requests are handled one at a time in arrival
     order (batching happens across the {!Par} pool only in the
-    directory queue). A miss is answered before it is stored: the reply
+    directory queue).
+
+    Each payload is read into one buffer the session owns and parsed
+    there in place ({!Request.parse_any} with [~stop]): a frame costs
+    no copy of its bytes, and a warm hit hashes and compares its inline
+    body where it lies ({!Memo.parse_body}). No string that aliases the
+    buffer outlives its request; the next frame overwrites it. The
+    buffer grows to fit a payload of up to {!retained_frame} bytes; a
+    larger payload is read into a buffer of its own, dropped once its
+    request is answered, so one huge request does not pin its size for
+    the rest of the session. A miss is answered before it is stored: the reply
     is sent, then the entry is written, then the next frame is read, so
     a repeat of the request in that frame is a hit. A request that
     fails to parse or that the engine rejects gets an error reply and

@@ -5,8 +5,7 @@
 let default_budget = 64 * 1024 * 1024
 
 type body = {
-  doc : string;  (* the whole request document, kept as it came *)
-  pos : int;  (* where the body starts in [doc] *)
+  text : string;  (* the body's bytes, copied out of the request *)
   dag : Dag.t;
   hash : Fnv.t;  (* [Dag.structural_hash dag] *)
   body_size : int;
@@ -55,11 +54,10 @@ let count name = Obs.Metrics.counter name 1
    order. *)
 external get64u : string -> int -> int64 = "%caml_string_get64u"
 
-(* A hash of [text] from [pos] on, in two interleaved lanes of eight
-   bytes so that the multiplications do not wait on each other. It only
-   picks the bucket: a body is found by comparing its bytes. *)
-let body_hash text pos =
-  let len = String.length text in
+(* A hash of the bytes [\[pos, len)] of [text], in two interleaved lanes
+   of eight bytes so that the multiplications do not wait on each other.
+   It only picks the bucket: a body is found by comparing its bytes. *)
+let body_hash text pos len =
   let h1 = ref (len - pos) and h2 = ref 0 and i = ref pos in
   while !i + 16 <= len do
     h1 := (!h1 lxor Int64.to_int (get64u text !i)) * 0x100000001b3;
@@ -72,15 +70,14 @@ let body_hash text pos =
   done;
   !h1 lxor (!h2 * 31)
 
-let same_body a apos b bpos =
-  let len = String.length a - apos in
-  len = String.length b - bpos
+(* Whether the stored body [a] equals the bytes [\[bpos, bstop)] of [b]. *)
+let same_body a b bpos bstop =
+  let len = String.length a in
+  len = bstop - bpos
   &&
   let rec go i =
-    if i + 8 <= len then (get64u a (apos + i) : int64) = get64u b (bpos + i) && go (i + 8)
-    else
-      i >= len
-      || (String.unsafe_get a (apos + i) = String.unsafe_get b (bpos + i) && go (i + 1))
+    if i + 8 <= len then (get64u a i : int64) = get64u b (bpos + i) && go (i + 8)
+    else i >= len || (String.unsafe_get a i = String.unsafe_get b (bpos + i) && go (i + 1))
   in
   go 0
 
@@ -123,12 +120,14 @@ let insert t item size =
     Queue.transfer keep t.order
   end
 
-let parse_body t text ~pos parse =
-  let h = body_hash text pos in
+(* The body is hashed and compared where it lies, so [text] may be a
+   view of a reused buffer; only a miss that is stored copies it. *)
+let parse_body t text ~pos ?(stop = String.length text) parse =
+  let h = body_hash text pos stop in
   let found =
     Mutex.protect t.lock (fun () ->
         Option.bind (Hashtbl.find_opt t.bodies h)
-          (List.find_opt (fun b -> same_body b.doc b.pos text pos)))
+          (List.find_opt (fun b -> same_body b.text text pos stop)))
   in
   match found with
   | Some b ->
@@ -137,9 +136,10 @@ let parse_body t text ~pos parse =
   | None ->
     count "server.memo_misses";
     let dag = parse () in
-    let body_size = String.length text + (8 * Dag.heap_words dag) in
+    let body_size = stop - pos + (8 * Dag.heap_words dag) in
     if body_size <= t.budget then begin
-      let b = { doc = text; pos; dag; hash = Dag.structural_hash dag; body_size } in
+      let text = String.sub text pos (stop - pos) in
+      let b = { text; dag; hash = Dag.structural_hash dag; body_size } in
       Mutex.protect t.lock (fun () ->
           Hashtbl.replace t.bodies h
             (b :: Option.value ~default:[] (Hashtbl.find_opt t.bodies h));

@@ -4,10 +4,11 @@
     so that a repeated request is answered from memory. It holds:
 
     - {b parsed bodies}: each inline [hyperdag] body that parsed, keyed
-      by its exact bytes, with its [Dag.t] and structural hash. The
-      body is found by hashing it in place and comparing it byte for
-      byte, so two bodies share an entry only when they are equal; it is
-      never copied.
+      by its exact bytes, with its [Dag.t] and structural hash. A body
+      is looked up by hashing it in place and comparing it byte for
+      byte, so two bodies share an entry only when they are equal; the
+      table keeps its own copy of a body it stores, made on that miss
+      alone, and never holds on to the caller's string.
     - {b warm cache entries}: each content address with its
       {!Cache.entry} and its schedule rendered for a reply, tagged with the
       {!Cache.ident} of the entry's files when it was read or written.
@@ -28,14 +29,17 @@ val create : ?budget:int -> unit -> t
     {!default_budget}). *)
 
 val bytes : t -> int
-(** The bytes the table holds now: each request document it keeps plus
-    the heap size of each DAG and entry, with no sharing deducted. At
-    most the budget. *)
+(** The bytes the table holds now: each body it keeps plus the heap
+    size of each DAG and entry, with no sharing deducted. At most the
+    budget. *)
 
-val parse_body : t -> string -> pos:int -> (unit -> Dag.t) -> Dag.t
-(** [parse_body t doc ~pos parse] is the DAG of the body that runs from
-    [pos] to the end of [doc]: the stored one if an equal body was
-    parsed before, otherwise [parse ()], stored if it returns. The hash
+val parse_body : t -> string -> pos:int -> ?stop:int -> (unit -> Dag.t) -> Dag.t
+(** [parse_body t doc ~pos ~stop parse] is the DAG of the body held in
+    the bytes [\[pos, stop)] of [doc] ([stop] defaults to its length):
+    the stored one if an equal body was parsed before, otherwise
+    [parse ()], stored with a copy of the body if it returns. A hit
+    reads the body in place and allocates nothing for it, so [doc] may
+    be a view of a buffer the caller reuses once this returns. The hash
     of the body is the only extra pass a miss pays. *)
 
 val structural_hash : t -> Dag.t -> Fnv.t

@@ -12,9 +12,9 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 let max_p = Machine.max_p
 
-let parse ?(base_dir = ".") ?memo ~id text =
+let parse ?(base_dir = ".") ?memo ?stop ~id text =
   let resolve p = if Filename.is_relative p then Filename.concat base_dir p else p in
-  let sc = Text_codec.scanner text in
+  let sc = Text_codec.scanner ?stop text in
   let id = ref id in
   let algorithm = ref "pipeline" in
   let seconds = ref 10.0 in
@@ -80,8 +80,8 @@ let parse ?(base_dir = ".") ?memo ~id text =
     | None, None -> fail "Request: missing dag (either a 'dag <path>' line or a 'hyperdag' section)"
     | Some path, None -> Hyperdag_io.read_file_auto (resolve path)
     | None, Some pos -> (
-      let parse () = Hyperdag_io.of_string ~pos text in
-      match memo with Some m -> Memo.parse_body m text ~pos parse | None -> parse ())
+      let parse () = Hyperdag_io.of_string ~pos ?stop text in
+      match memo with Some m -> Memo.parse_body m text ~pos ?stop parse | None -> parse ())
   in
   {
     id = !id;
@@ -101,8 +101,8 @@ type parsed = Schedule of t | Stats of stats_request
    precede it. Anything else is a scheduling request and goes through
    the full parser — so a malformed scheduling request still fails with
    the scheduling parser's message, not a confusing stats one. *)
-let parse_any ?base_dir ?memo ~id text =
-  let sc = Text_codec.scanner text in
+let parse_any ?base_dir ?memo ?stop ~id text =
+  let sc = Text_codec.scanner ?stop text in
   let rec scan id =
     if not (Text_codec.next_line sc) then None
     else
@@ -113,4 +113,4 @@ let parse_any ?base_dir ?memo ~id text =
   in
   match scan id with
   | Some stats_id -> Stats { stats_id }
-  | None -> Schedule (parse ?base_dir ?memo ~id text)
+  | None -> Schedule (parse ?base_dir ?memo ?stop ~id text)

@@ -42,14 +42,20 @@ val max_p : int
     a [p] line or a machine file above it is rejected before any matrix
     is built. *)
 
-val parse : ?base_dir:string -> ?memo:Memo.t -> id:string -> string -> t
+val parse :
+  ?base_dir:string -> ?memo:Memo.t -> ?stop:int -> id:string -> string -> t
 (** Parse a request document. [id] is the fallback identity (the queue
-    file name) used when the document has no [id] line. With [memo] (a
-    daemon session's table), an inline hyperDAG body goes through
-    {!Memo.parse_body}, so a body seen before is not parsed again; a
-    [dag <path>] file is always read. Raises [Failure] with a
-    descriptive message on malformed input, unreadable referenced
-    files, or a malformed embedded hyperDAG. *)
+    file name) used when the document has no [id] line. The document is
+    the string's first [stop] bytes (default: all of it), read in place
+    ({!Text_codec.scanner}): the stdio daemon passes the front of its
+    session buffer. The result holds no string that aliases the
+    document (header words are copied, and {!Memo.parse_body} copies a
+    body it keeps), so the caller may overwrite the bytes once this
+    returns. With [memo] (a daemon session's table), an inline hyperDAG
+    body goes through {!Memo.parse_body}, so a body seen before is not
+    parsed again; a [dag <path>] file is always read. Raises [Failure]
+    with a descriptive message on malformed input, unreadable
+    referenced files, or a malformed embedded hyperDAG. *)
 
 type stats_request = { stats_id : string }
 
@@ -67,7 +73,9 @@ type parsed = Schedule of t | Stats of stats_request
     It is answered with a live telemetry snapshot instead of a
     schedule; see {!Daemon}. *)
 
-val parse_any : ?base_dir:string -> ?memo:Memo.t -> id:string -> string -> parsed
-(** Like {!parse}, but recognises stats probes. Anything that is not a
+val parse_any :
+  ?base_dir:string -> ?memo:Memo.t -> ?stop:int -> id:string -> string -> parsed
+(** Like {!parse} (the same [stop] bound and no-alias rule), but
+    recognises stats probes. Anything that is not a
     stats probe is parsed as a scheduling request (with the scheduling
     parser's error messages). *)

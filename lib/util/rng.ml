@@ -1,21 +1,33 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes read and written with the unboxed 64-bit
+   primitives, so a draw's int64 arithmetic stays in registers; a
+   mutable [int64] field would box a fresh state on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t = { state = mix64 (next_int64 t) }
+let[@inline] next_int64 t =
+  let state = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 state;
+  mix64 state
+
+let split t = of_state (mix64 (next_int64 t))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

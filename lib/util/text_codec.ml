@@ -5,6 +5,7 @@
 
 type scanner = {
   text : string;
+  stop : int;  (* the text ends here; bytes from [stop] on are not read *)
   mutable pos : int;  (* start of the next unread line *)
   mutable first : int;  (* trimmed bounds [first, last) of the current line *)
   mutable last : int;
@@ -17,9 +18,11 @@ let is_sep c = c = ' ' || c = '\t' || c = '\r'
 (* The bytes [String.trim] strips (['\n'] never occurs inside a line). *)
 let is_blank c = is_sep c || c = '\012'
 
-let scanner ?(pos = 0) text =
-  if pos < 0 || pos > String.length text then invalid_arg "Text_codec.scanner: position";
-  { text; pos; first = pos; last = pos }
+let scanner ?(pos = 0) ?stop text =
+  let stop = Option.value ~default:(String.length text) stop in
+  if stop < 0 || stop > String.length text then invalid_arg "Text_codec.scanner: stop";
+  if pos < 0 || pos > stop then invalid_arg "Text_codec.scanner: position";
+  { text; stop; pos; first = pos; last = pos }
 
 let rec skip_blank s i stop =
   if i < stop && is_blank (String.unsafe_get s i) then skip_blank s (i + 1) stop else i
@@ -27,13 +30,16 @@ let rec skip_blank s i stop =
 let rec back_blank s a j =
   if j > a && is_blank (String.unsafe_get s (j - 1)) then back_blank s a (j - 1) else j
 
+let rec line_end s i stop =
+  if i < stop && String.unsafe_get s i <> '\n' then line_end s (i + 1) stop else i
+
 (* Move to the next line, significant or not, and trim it. *)
 let[@inline] raw_line t =
   let s = t.text in
-  let len = String.length s in
+  let len = t.stop in
   t.pos < len
   &&
-  let eol = try String.index_from s t.pos '\n' with Not_found -> len in
+  let eol = line_end s t.pos len in
   t.first <- skip_blank s t.pos eol;
   t.last <- back_blank s t.first eol;
   t.pos <- (if eol < len then eol + 1 else len);
@@ -49,7 +55,7 @@ let rec next_line t = raw_line t && (significant t || next_line t)
    its end, so [marker] is matched against the trimmed line. *)
 let count_lines ?(marker = "") t =
   let s = t.text in
-  let len = String.length s in
+  let len = t.stop in
   let k = String.length marker in
   let count = ref 0 and seen = ref false in
   let i = ref t.pos in
@@ -118,7 +124,7 @@ let line_ints t ~what buf =
    as there. *)
 let rec next_ints t ~what buf =
   let s = t.text in
-  let len = String.length s in
+  let len = t.stop in
   let start = t.pos in
   if start >= len then -1
   else begin

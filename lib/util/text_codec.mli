@@ -21,9 +21,12 @@
 
 type scanner
 
-val scanner : ?pos:int -> string -> scanner
-(** A scanner over the text from byte offset [pos] (default 0), placed
-    before its first line. *)
+val scanner : ?pos:int -> ?stop:int -> string -> scanner
+(** A scanner over the bytes [\[pos, stop)] of the string ([pos]
+    defaults to 0, [stop] to its length), placed before its first line.
+    The text ends at [stop] as if the string did: no byte from [stop]
+    on is read, so a caller can scan a frame held in the front of a
+    larger reused buffer. *)
 
 val next_line : scanner -> bool
 (** Advance to the next significant (non-blank, non-comment) line.
@@ -53,7 +56,8 @@ val line : scanner -> string
 (** The current line, trimmed. *)
 
 val position : scanner -> int
-(** The byte offset just past the current line and its ['\n']. *)
+(** The byte offset just past the current line and its ['\n'] (at most
+    the scanner's [stop]). *)
 
 val add_int : Buffer.t -> int -> unit
 (** Append the decimal form of an integer, exactly as [string_of_int]

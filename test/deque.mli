@@ -1,7 +1,9 @@
 (** A simple double-ended queue over a growable circular buffer.
 
-    Used by the Cilk work-stealing simulation: owners push and pop at the
-    top of their own deque while thieves steal from the bottom. *)
+    Used by the reference Cilk simulation (baselines_reference.ml):
+    owners push and pop at the top of their own deque while thieves
+    steal from the bottom. The library's Cilk keeps int stacks of its
+    own. *)
 
 type 'a t
 

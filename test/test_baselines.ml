@@ -90,6 +90,74 @@ let prop_baselines_valid =
       && Validity.is_valid m (Hdagg.schedule m dag)
       && Validity.is_valid m (Schedule.trivial dag))
 
+(* Differential checks against the first implementation
+   (baselines_reference.ml): the flat-array Cilk, HDagg and classical
+   conversion must give the same schedule text on tie-heavy DAGs. *)
+let text = Schedule_io.to_string
+
+let prop_cilk_matches_reference =
+  Test_util.qtest ~count:300 "cilk matches reference"
+    QCheck2.Gen.(pair Test_util.arb_tie_dag (pair Test_util.arb_diff_machine (int_bound 1000)))
+    (fun (dag, (m, seed)) ->
+      let p = m.Machine.p in
+      List.for_all
+        (fun seed ->
+          text (Cilk.schedule dag ~p ~seed)
+          = text (Baselines_reference.Cilk.schedule dag ~p ~seed))
+        [ seed; seed + 1; seed + 2 ])
+
+(* HDagg orders each wavefront by work one byte at a time, so the same
+   DAGs also run with their works scaled to three bytes. *)
+let prop_hdagg_matches_reference =
+  Test_util.qtest ~count:300 "hdagg matches reference"
+    QCheck2.Gen.(pair Test_util.arb_tie_dag Test_util.arb_diff_machine)
+    (fun (dag, m) ->
+      let scaled =
+        Dag.map_weights dag ~work:(fun v -> Dag.work dag v * 100_003) ~comm:(Dag.comm dag)
+      in
+      List.for_all
+        (fun (dag, aggregate) ->
+          text (Hdagg.schedule ~aggregate m dag)
+          = text (Baselines_reference.Hdagg.schedule ~aggregate m dag))
+        [ (dag, true); (dag, false); (scaled, true); (scaled, false) ])
+
+(* ETF and BL-EST reach BSP through the conversion alone. *)
+let prop_list_schedulers_match_reference =
+  Test_util.qtest ~count:300 "etf and bl-est conversion matches reference"
+    QCheck2.Gen.(pair Test_util.arb_tie_dag Test_util.arb_diff_machine)
+    (fun (dag, m) ->
+      List.for_all
+        (fun variant ->
+          let cl = List_scheduler.run variant m dag in
+          text (Classical.to_bsp dag cl) = text (Baselines_reference.Classical.to_bsp dag cl))
+        [ List_scheduler.Bl_est; List_scheduler.Etf ])
+
+(* Allocation on spmv-1500 (generator seed 7) at p = 8, the size of the
+   serve benchmark's inputs, as the least of a few warm calls: a fixed
+   number of words per node, the returned schedule (about 11,000)
+   included. Cilk reads about 20,900 words on its 1,524 nodes and HDagg
+   24,600 (the first implementation: 74,000 and 90,800). *)
+let alloc_dag =
+  lazy
+    (Finegrained.generate_sized (Rng.create 7) ~family:Finegrained.Spmv
+       ~shape:Finegrained.Wide ~target:1500)
+
+let check_alloc name ~per_node run =
+  let dag = Lazy.force alloc_dag in
+  let n = Dag.n dag in
+  let words = Test_util.min_allocated_words (fun () -> ignore (run dag : Schedule.t)) in
+  check_bool
+    (Printf.sprintf "%s allocates %d words on %d nodes, bound %d per node" name words n
+       per_node)
+    true (words <= per_node * n)
+
+let test_cilk_alloc () =
+  check_alloc "Cilk.schedule" ~per_node:16 (fun dag -> Cilk.schedule dag ~p:8 ~seed:1)
+
+let test_hdagg_alloc () =
+  let m = Machine.uniform ~p:8 ~g:3 ~l:5 in
+  check_alloc "Hdagg.schedule" ~per_node:19 (fun dag -> Hdagg.schedule m dag)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -114,4 +182,15 @@ let () =
             test_hdagg_aggregation_never_worse;
         ] );
       ("property", [ prop_baselines_valid ]);
+      ( "reference",
+        [
+          prop_cilk_matches_reference;
+          prop_hdagg_matches_reference;
+          prop_list_schedulers_match_reference;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "Cilk.schedule words linear in n" `Quick test_cilk_alloc;
+          Alcotest.test_case "Hdagg.schedule words linear in n" `Quick test_hdagg_alloc;
+        ] );
     ]

@@ -87,39 +87,10 @@ let prop_bspg_sane_cost =
 
 (* Differential check of the incremental BSPg against the first,
    quadratic implementation (bspg_reference.ml): the schedule text must
-   be identical. Zero work and comm weights and per-node fan-out
-   probabilities from 0 to 0.6 make equal float scores, and so the
-   tie-breaks, common. *)
-let arb_tie_dag =
-  QCheck2.Gen.(
-    let* seed = int_bound 1_000_000 in
-    let* n = int_range 1 150 in
-    let rng = Rng.create seed in
-    let fanouts = [| 0.0; 0.02; 0.1; 0.3; 0.6 |] in
-    let edges = ref [] in
-    for u = 0 to n - 1 do
-      let prob = fanouts.(Rng.int rng (Array.length fanouts)) in
-      for v = u + 1 to n - 1 do
-        if Rng.bernoulli rng prob then edges := (u, v) :: !edges
-      done
-    done;
-    let work = Array.init n (fun _ -> Rng.int rng 5) in
-    let comm = Array.init n (fun _ -> Rng.int rng 4) in
-    return (Dag.of_edges ~n ~edges:!edges ~work ~comm))
-
-let arb_diff_machine =
-  QCheck2.Gen.(
-    let* numa = bool in
-    if numa then
-      let* delta = int_range 1 4 in
-      return (Machine.numa_tree ~p:8 ~g:2 ~l:3 ~delta)
-    else
-      let* p = oneofl [ 1; 2; 3; 5; 8; 16 ] in
-      return (Machine.uniform ~p ~g:2 ~l:3))
-
+   be identical on tie-heavy DAGs (Test_util.arb_tie_dag). *)
 let prop_bspg_matches_reference =
   Test_util.qtest ~count:400 "bspg matches reference"
-    QCheck2.Gen.(pair arb_tie_dag arb_diff_machine)
+    QCheck2.Gen.(pair Test_util.arb_tie_dag Test_util.arb_diff_machine)
     (fun (dag, m) ->
       Schedule_io.to_string (Bspg.schedule m dag)
       = Schedule_io.to_string (Bspg_reference.schedule m dag))
@@ -150,7 +121,7 @@ let arb_deep_dag =
 
 let prop_source_matches_reference =
   Test_util.qtest ~count:400 "source matches reference"
-    QCheck2.Gen.(pair (oneof [ arb_tie_dag; arb_deep_dag ]) arb_diff_machine)
+    QCheck2.Gen.(pair (oneof [ Test_util.arb_tie_dag; arb_deep_dag ]) Test_util.arb_diff_machine)
     (fun (dag, m) ->
       Schedule_io.to_string (Source_heuristic.schedule m dag)
       = Schedule_io.to_string (Source_reference.schedule m dag))

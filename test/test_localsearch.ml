@@ -338,6 +338,38 @@ let test_warm_hc_allocation () =
   let small = words 600 and large = words 6000 in
   check (Printf.sprintf "600 nodes read %d words, 6000 nodes %d" small large) small large
 
+(* An accepted move allocates nothing either: re-enqueueing its
+   neighbourhood walks the CSR arrays and the touched supersteps through
+   closures built once per search, and refreshing a superstep's maxima
+   builds no pair. From a random processor per node and one superstep
+   per node (valid: every edge points to a later superstep), HC applies
+   hundreds of moves, and the run reads the words of a run capped at
+   none. Closures per move read about 20 words a move. *)
+let test_hc_move_allocation () =
+  let m = Machine.uniform ~p:8 ~g:1 ~l:0 in
+  let dag =
+    Finegrained.generate_sized (Rng.create 16) ~family:Finegrained.Exp
+      ~shape:Finegrained.Wide ~target:400
+  in
+  let n = Dag.n dag in
+  let rng = Rng.create 1 in
+  let proc0 = Array.init n (fun _ -> Rng.int rng 8) and step0 = Dag.topological_rank dag in
+  let proc = Array.copy proc0 and step = Array.copy step0 in
+  let moves = ref 0 in
+  let words max_moves =
+    let run () =
+      Array.blit proc0 0 proc 0 n;
+      Array.blit step0 0 step 0 n;
+      moves := (Hc.improve_assignment ?max_moves m dag ~proc ~step).Hc.moves_applied
+    in
+    run ();
+    Test_util.min_allocated_words run
+  in
+  let none = words (Some 0) in
+  let all = words None in
+  check_bool (Printf.sprintf "%d moves applied" !moves) true (!moves >= 100);
+  check (Printf.sprintf "0 moves read %d words, %d moves %d" none !moves all) none all
+
 (* Hccs.required_pairs reads its pairs off Schedule.lazy_comm; the
    reference derives them from a first-need pass of its own. They must
    agree on lazy schedules and on schedules whose events were moved
@@ -589,6 +621,7 @@ let () =
           Alcotest.test_case "replication guards" `Quick test_replication_guards;
           Alcotest.test_case "pooled init allocation" `Quick test_pooled_init_allocation;
           Alcotest.test_case "warm hc allocation" `Quick test_warm_hc_allocation;
+          Alcotest.test_case "hc moves allocate nothing" `Quick test_hc_move_allocation;
         ] );
       ( "property",
         [

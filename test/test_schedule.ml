@@ -278,7 +278,15 @@ let test_classical_conversion () =
   let cl2 = { Classical.proc = [| 0; 0; 0 |]; seq = [| 0; 1; 2 |] } in
   let s2 = Classical.to_bsp dag cl2 in
   check "single superstep" 1 (Schedule.num_supersteps s2);
-  check "makespan" 3 (Classical.makespan dag cl2)
+  check "makespan" 3 (Classical.makespan dag cl2);
+  (* The order is [seq] inverted, so [seq] must be a permutation. *)
+  List.iter
+    (fun seq ->
+      check_bool "not a permutation" true
+        (match Classical.to_bsp dag { cl2 with Classical.seq } with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+    [ [| 0; 0; 2 |]; [| 0; 1; 3 |]; [| -1; 1; 2 |] ]
 
 let test_render_summary () =
   let s = example () in

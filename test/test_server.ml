@@ -1157,9 +1157,138 @@ let test_stdio_store_failure () =
           check "stores timed" 2
             (int_field "count" (field "server.store_seconds" (field "histograms" stats)))))
 
+(* ------------------------------------------------------------------ *)
+(* The stdio session buffer.                                            *)
+
+(* Serve [frames] in one in-process stdio session (input and output
+   files [name].in/.out in [dir]) and return the replies. *)
+let stdio_replies ?memo ~cache_dir dir name frames =
+  let inp = Filename.concat dir (name ^ ".in") and out = Filename.concat dir (name ^ ".out") in
+  Out_channel.with_open_bin inp (fun oc -> List.iter (Server.Daemon.write_frame oc) frames);
+  In_channel.with_open_bin inp (fun ic ->
+      Out_channel.with_open_bin out (fun oc -> Server.Daemon.run_stdio ?memo ~cache_dir ic oc));
+  In_channel.with_open_bin out (fun ic ->
+      let rec go acc =
+        match Server.Daemon.read_frame ic with
+        | Some f -> go (Obs.Json.of_string f :: acc)
+        | None -> List.rev acc
+      in
+      go [])
+
+(* A warm hit reads its ~40 KB frame into the session buffer and finds
+   its body in the memo there, so it allocates no copy of it: a session
+   of one miss and 2k hits reads k hits' worth of words more than one of
+   one miss and k hits, at most 2,000 a hit (a copy of the frame alone
+   is about 5,000). Each session gets a fresh cache, so both begin with
+   the same miss. *)
+let test_stdio_hit_allocation () =
+  with_tmp_dir "stdio-hit-words" (fun dir ->
+      Obs.Metrics.install (Obs.Metrics.create ());
+      let dag =
+        Finegrained.generate_sized (Rng.create 1) ~family:Finegrained.Spmv
+          ~shape:Finegrained.Wide ~target:1500
+      in
+      let req = "algorithm bspg\np 4\ng 2\nl 5\nhyperdag\n" ^ Hyperdag_io.to_string dag in
+      check_bool "a ~40 KB frame" true (String.length req > 35_000);
+      let sessions = ref 0 in
+      let words hits =
+        let inp = Filename.concat dir (Printf.sprintf "hits%d.in" hits) in
+        let out = Filename.concat dir "hits.out" in
+        Out_channel.with_open_bin inp (fun oc ->
+            for _ = 0 to hits do
+              Server.Daemon.write_frame oc req
+            done);
+        let session () =
+          incr sessions;
+          let cache_dir = Filename.concat dir (Printf.sprintf "cache%d" !sessions) in
+          In_channel.with_open_bin inp (fun ic ->
+              Out_channel.with_open_bin out (fun oc -> Server.Daemon.run_stdio ~cache_dir ic oc))
+        in
+        let words = Test_util.min_allocated_words ~repeats:3 session in
+        let labels =
+          In_channel.with_open_bin out (fun ic ->
+              List.init (hits + 1) (fun _ ->
+                  str_field "cache" (Obs.Json.of_string (Option.get (Server.Daemon.read_frame ic)))))
+        in
+        check_bool "one miss, then hits" true (labels = "miss" :: List.init hits (fun _ -> "hit"));
+        words
+      in
+      let k = 20 in
+      let per_hit = (words (2 * k) - words k) / k in
+      check_bool (Printf.sprintf "a warm hit allocates %d words" per_hit) true (per_hit <= 2_000))
+
+(* A frame shorter than the one before it leaves that one's bytes in
+   the buffer past its end: it must be parsed and memoised as itself.
+   Its reply equals the one a fresh session gives it, its repeat is a
+   hit, and once a longer frame has overwritten the buffer again the
+   memo still holds its body (a lookup of it does not parse). *)
+let test_stdio_shorter_frame_after_longer () =
+  with_tmp_dir "stdio-shorter" (fun dir ->
+      let long_dag =
+        Finegrained.generate_sized (Rng.create 1) ~family:Finegrained.Spmv
+          ~shape:Finegrained.Wide ~target:300
+      in
+      let short_dag = memo_dag () in
+      let long_req = memo_request long_dag and short_req = memo_request short_dag in
+      check_bool "shorter" true (String.length short_req < String.length long_req);
+      let memo = Server.Memo.create () in
+      let cache_dir = Filename.concat dir "cache" in
+      let replies =
+        stdio_replies ~memo ~cache_dir dir "session" [ long_req; short_req; short_req; long_req ]
+      in
+      let alone =
+        stdio_replies ~cache_dir:(Filename.concat dir "cache-alone") dir "alone" [ short_req ]
+      in
+      match (replies, alone) with
+      | [ r_long; r_short; r_again; r_long_again ], [ r_alone ] ->
+        check_str "the longer frame misses" "miss" (str_field "cache" r_long);
+        check_str "and hits again" "hit" (str_field "cache" r_long_again);
+        check_str "the shorter frame misses" "miss" (str_field "cache" r_short);
+        check_str "its own key" (str_field "key" r_alone) (str_field "key" r_short);
+        check_str "its own schedule" (str_field "schedule" r_alone) (str_field "schedule" r_short);
+        check_str "its repeat hits" "hit" (str_field "cache" r_again);
+        let pos = String.length short_req - String.length (Hyperdag_io.to_string short_dag) in
+        ignore
+          (Server.Memo.parse_body memo short_req ~pos (fun () ->
+               Alcotest.fail "the shorter body was not memoised")
+            : Dag.t)
+      | _ -> Alcotest.fail "expected four replies and one")
+
+(* A frame above the retained size is read into a buffer of its own and
+   served like any other; the session buffer then serves the next
+   frame. The huge frame is a small request whose body starts with a
+   comment line of [retained_frame] bytes: the same DAG, so the same
+   key and schedule. *)
+let test_stdio_frame_above_retained () =
+  with_tmp_dir "stdio-huge" (fun dir ->
+      let dag = memo_dag () in
+      let req = memo_request dag in
+      let pad = "% " ^ String.make Server.Daemon.retained_frame 'x' ^ "\n" in
+      let huge = memo_request ~comment:pad dag in
+      check_bool "above the retained size" true (String.length huge > Server.Daemon.retained_frame);
+      let replies =
+        stdio_replies ~cache_dir:(Filename.concat dir "cache") dir "session" [ req; huge; req ]
+      in
+      let alone =
+        stdio_replies ~cache_dir:(Filename.concat dir "cache-alone") dir "alone" [ huge ]
+      in
+      match (replies, alone) with
+      | [ r1; r_huge; r3 ], [ r_alone ] ->
+        check_str "miss" "miss" (str_field "cache" r1);
+        check_str "the huge frame hits" "hit" (str_field "cache" r_huge);
+        check_str "then the small one" "hit" (str_field "cache" r3);
+        check_str "alone, the huge frame misses" "miss" (str_field "cache" r_alone);
+        List.iter
+          (fun r ->
+            check_str "same key" (str_field "key" r1) (str_field "key" r);
+            check_str "same schedule" (str_field "schedule" r1) (str_field "schedule" r))
+          [ r_huge; r3; r_alone ]
+      | _ -> Alcotest.fail "expected three replies and one")
+
 (* The table's sizes come from array lengths; they equal what
    [Obj.reachable_words] counts for bodies and for entries with and
-   without communication events and replicas. *)
+   without communication events and replicas. A body counts its own
+   bytes, the copy the table keeps, not the request's header. *)
 let test_memo_sizes () =
   let words x = Obj.reachable_words (Obj.repr x) in
   let dag = memo_dag () in
@@ -1176,7 +1305,7 @@ let test_memo_sizes () =
   let doc = header ^ Hyperdag_io.to_string dag in
   let pos = String.length header in
   let d = Server.Memo.parse_body memo doc ~pos (fun () -> Hyperdag_io.of_string ~pos doc) in
-  check "body bytes" (String.length doc + (8 * words d)) (Server.Memo.bytes memo);
+  check "body bytes" (String.length doc - pos + (8 * words d)) (Server.Memo.bytes memo);
   let chain = Test_util.chain 2 in
   let plain = Schedule.trivial dag in
   let with_comm = Schedule.with_lazy_comm (Bspg.schedule small_machine dag) in
@@ -1554,6 +1683,11 @@ let () =
             test_daemon_flight_spans;
           Alcotest.test_case "stdio trace keeps stdout to frames" `Quick
             test_stdio_trace_keeps_frames;
+          Alcotest.test_case "stdio warm hit copies no frame" `Quick test_stdio_hit_allocation;
+          Alcotest.test_case "stdio shorter frame after a longer one" `Quick
+            test_stdio_shorter_frame_after_longer;
+          Alcotest.test_case "stdio frame above the retained size" `Quick
+            test_stdio_frame_above_retained;
         ] );
       ( "memo",
         [

@@ -48,6 +48,39 @@ let arb_machine ?(max_p = 8) () =
       return (Machine.numa_tree ~p ~g ~l ~delta)
     else return (Machine.uniform ~p ~g ~l))
 
+(* Tie-heavy DAGs for the differential checks against the reference
+   implementations: 1-150 nodes, zero work and comm weights allowed and
+   per-node fan-out probabilities from 0 to 0.6, so equal scores, and
+   so the tie-breaks, are common. *)
+let arb_tie_dag =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* n = int_range 1 150 in
+    let rng = Rng.create seed in
+    let fanouts = [| 0.0; 0.02; 0.1; 0.3; 0.6 |] in
+    let edges = ref [] in
+    for u = 0 to n - 1 do
+      let prob = fanouts.(Rng.int rng (Array.length fanouts)) in
+      for v = u + 1 to n - 1 do
+        if Rng.bernoulli rng prob then edges := (u, v) :: !edges
+      done
+    done;
+    let work = Array.init n (fun _ -> Rng.int rng 5) in
+    let comm = Array.init n (fun _ -> Rng.int rng 4) in
+    return (Dag.of_edges ~n ~edges:!edges ~work ~comm))
+
+(* The machines of those checks: p in {1, 2, 3, 5, 8, 16}, or an
+   8-processor NUMA tree. *)
+let arb_diff_machine =
+  QCheck2.Gen.(
+    let* numa = bool in
+    if numa then
+      let* delta = int_range 1 4 in
+      return (Machine.numa_tree ~p:8 ~g:2 ~l:3 ~delta)
+    else
+      let* p = oneofl [ 1; 2; 3; 5; 8; 16 ] in
+      return (Machine.uniform ~p ~g:2 ~l:3))
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)

@@ -34,6 +34,35 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* The streams of seeds 0, 1 and 42 as the boxed-state generator drew
+   them: four ints, a float, a coin, and the first int of a split
+   child. Every generated benchmark input depends on them. *)
+let test_rng_pinned () =
+  List.iter
+    (fun (seed, ints, f, b, child) ->
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) "ints" ints (List.init 4 (fun _ -> Rng.int r 1_000_000_000));
+      Alcotest.(check (float 0.0)) "float" f (Rng.float r 1.0);
+      check_bool "bool" b (Rng.bool r);
+      check "split" child (Rng.int (Rng.split r) 1_000_000_000))
+    [
+      (0, [ 164651883; 548588925; 867886419; 195135611 ], 0x1.b39896a51a87p-4, false, 686667812);
+      (1, [ 11350492; 646166673; 714211881; 694418251 ], 0x1.9dd1794f3e0b4p-3, false, 413054671);
+      (42, [ 540076570; 828047797; 118319285; 520321091 ], 0x1.f62d40dca5d82p-1, true, 32972668);
+    ]
+
+(* A draw keeps the state unboxed: 1000 draws allocate nothing (a boxed
+   int64 state reads 6 words a draw). *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 3 in
+  let draws () =
+    for _ = 1 to 1000 do
+      ignore (Rng.int r 10 : int);
+      ignore (Rng.bool r : bool)
+    done
+  in
+  check "words" 0 (Test_util.min_allocated_words draws)
+
 let test_rng_bernoulli_extremes () =
   let rng = Rng.create 1 in
   for _ = 1 to 50 do
@@ -362,6 +391,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
+          Alcotest.test_case "first values pinned" `Quick test_rng_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "budget",
         [
