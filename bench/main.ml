@@ -926,16 +926,19 @@ let localsearch () =
       (Printf.sprintf
          "replication failed to strictly improve the NUMA broadcast instance (%d vs %d)"
          rep_cost st_plain.Hc.final_cost);
-  (* The full pipeline with the replication stage on, once per jobs
-     count of the sweep: deterministic limits, so costs must be equal. *)
-  let rep_limits = { ml_limits with Pipeline.replicate = true } in
+  (* The full pipeline, then the replication post-pass as
+     [Engine.schedule] runs it (one HC stage's budget, kept only when
+     strictly cheaper), once per jobs count of the sweep: deterministic
+     limits, so costs must be equal. *)
   let rep_pipe_costs =
     List.map
       (fun j ->
         ( j,
           Par.with_jobs j (fun () ->
-              Bsp_cost.total rep_machine
-                (fst (Pipeline.run ~limits:rep_limits rep_machine rep_dag))) ))
+              let plain = fst (Pipeline.run ~limits:ml_limits rep_machine rep_dag) in
+              let budget = Pipeline.stage_budget ml_limits ml_limits.Pipeline.hc_evals in
+              let cand = Hc.replicate_schedule ~budget rep_machine plain in
+              min (Bsp_cost.total rep_machine plain) (Bsp_cost.total rep_machine cand)) ))
       par_sweep_jobs
   in
   let rep_pipe_cost = snd (List.hd rep_pipe_costs) in

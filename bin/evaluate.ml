@@ -6,20 +6,26 @@
 
 open Cmdliner
 
+(* Input the files or the parameters cannot describe (a malformed or
+   unreadable file, p above Machine.max_p, a NUMA p not a power of two)
+   is a usage error, not an internal one. *)
+let usage_error_on f =
+  try f ()
+  with Invalid_argument msg | Failure msg | Sys_error msg ->
+    Printf.eprintf "evaluate: %s\n%!" msg;
+    exit Cmd.Exit.cli_error
+
 let run dag_file schedule_file p g l delta verbose =
-  let dag = Hyperdag_io.read_file dag_file in
-  let machine =
-    (* Parameters no machine fits (p above Machine.max_p, a NUMA p not
-       a power of two) are a usage error, not an internal one. *)
-    try
-      match delta with
-      | None -> Machine.uniform ~p ~g ~l
-      | Some delta -> Machine.numa_tree ~p ~g ~l ~delta
-    with Invalid_argument msg ->
-      Printf.eprintf "evaluate: %s\n%!" msg;
-      exit Cmd.Exit.cli_error
+  let machine, schedule =
+    usage_error_on (fun () ->
+        let dag = Hyperdag_io.read_file_auto dag_file in
+        let machine =
+          match delta with
+          | None -> Machine.uniform ~p ~g ~l
+          | Some delta -> Machine.numa_tree ~p ~g ~l ~delta
+        in
+        (machine, Schedule_io.read_file dag schedule_file))
   in
-  let schedule = Schedule_io.read_file dag schedule_file in
   match Validity.check machine schedule with
   | Error errs ->
     Printf.printf "INVALID schedule (%d violations):\n" (List.length errs);
@@ -38,7 +44,7 @@ let run dag_file schedule_file p g l delta verbose =
         b.Bsp_cost.supersteps
 
 let dag_file =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"DAG" ~doc:"HyperDAG input file.")
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"DAG" ~doc:"HyperDAG input file (text or binary, auto-detected).")
 
 let schedule_file =
   Arg.(

@@ -36,20 +36,23 @@ let run input p g l delta machine_file algorithm seconds output seed quiet show 
   if trace then Option.iter install_trace registry;
   let dag, machine =
     Obs.Metrics.with_span "cli:parse" (fun () ->
-        ( Hyperdag_io.read_file_auto input,
-          (* A machine the parameters or the file cannot describe (p
-             above Machine.max_p, a NUMA p not a power of two) is a
-             usage error, not an internal one. *)
-          try
+        (* Input the files or the parameters cannot describe (a
+           malformed or unreadable file, p above Machine.max_p, a NUMA p
+           not a power of two) is a usage error, not an internal one. *)
+        try
+          let dag = Hyperdag_io.read_file_auto input in
+          let machine =
             match machine_file with
             | Some path -> Machine_io.read_file path
             | None ->
               (match delta with
                | None -> Machine.uniform ~p ~g ~l
                | Some delta -> Machine.numa_tree ~p ~g ~l ~delta)
-          with Invalid_argument msg | Failure msg ->
-            Printf.eprintf "scheduler: %s\n%!" msg;
-            exit Cmd.Exit.cli_error ))
+          in
+          (dag, machine)
+        with Invalid_argument msg | Failure msg | Sys_error msg ->
+          Printf.eprintf "scheduler: %s\n%!" msg;
+          exit Cmd.Exit.cli_error)
   in
   let schedule =
     Server.Engine.schedule ~seconds ~seed ~replicate ~algorithm machine dag

@@ -21,7 +21,7 @@ let () =
     (Dag.num_edges dag);
 
   (* 2. Read it back — this is exactly what the scheduler CLI does. *)
-  let dag = Hyperdag_io.read_file dag_path in
+  let dag = Hyperdag_io.read_file_auto dag_path in
 
   (* 3. Schedule on a NUMA machine and persist the schedule. *)
   let machine = Machine.numa_tree ~p:8 ~g:2 ~l:5 ~delta:2 in

@@ -13,7 +13,6 @@ type limits = {
   use_ilp_init : bool;
   stage_seconds : float option;
   hc_check : bool;
-  replicate : bool;
   hc_shards : int;
 }
 
@@ -33,7 +32,6 @@ let thorough_limits =
     use_ilp_init = true;
     stage_seconds = Some 30.0;
     hc_check = false;
-    replicate = false;
     hc_shards = 1;
   }
 
@@ -231,25 +229,6 @@ let run_stages ?(extra_inits = []) ~limits ~coarse machine dag =
       best := cs_sched;
       best_cost := cs_report.Ilp_schedulers.cost_after
     end
-  end;
-  (* Node replication as the last improvement stage (DESIGN.md §5g):
-     every earlier stage reasons about single placements, so replicas are
-     grafted onto the finished schedule and kept only when they beat it.
-     [replicate_schedule] re-lazifies the communication schedule, which
-     can lose a hand-optimised event placement — hence the comparison
-     rather than unconditional adoption. *)
-  if limits.replicate then begin
-    let rep_budget = stage_budget limits limits.hc_evals in
-    let rep_sched =
-      Obs.Metrics.with_span ~budget:rep_budget "replicate" (fun () ->
-          Hc.replicate_schedule ~check:limits.hc_check ~budget:rep_budget machine !best)
-    in
-    if cost machine rep_sched < !best_cost then begin
-      best := rep_sched;
-      best_cost := cost machine rep_sched
-    end;
-    Obs.Metrics.series_point "pipeline.best_cost" ~label:"replicate"
-      (float_of_int !best_cost)
   end;
   Obs.Metrics.series_point "pipeline.best_cost" ~label:"final"
     (float_of_int !best_cost);

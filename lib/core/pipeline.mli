@@ -40,11 +40,6 @@ type limits = {
       (** run HC with its delta-vs-apply cross-validation assertions
           (see {!Hc.improve}); off in {!thorough_limits}, so rejected
           candidate moves stay read-only *)
-  replicate : bool;
-      (** run {!Hc.replicate_schedule} as a final stage and keep its
-          result when strictly cheaper (DESIGN.md Section 5g); off in
-          {!thorough_limits}, so baseline costs stay bit-identical. The
-          CLI's [--replicate] flag turns it on. *)
   hc_shards : int;
       (** must be [1], as in {!thorough_limits}. The library reads it
           nowhere; it is kept only for the benchmark mirror
@@ -66,6 +61,12 @@ val thorough_limits : limits
     from (they replace [stage_seconds] with a share of the run's
     [--seconds]). Every other caller spells out its overrides from
     it. *)
+
+val stage_budget : limits -> int -> Budget.t
+(** A fresh budget for one stage: [evals] steps, combined with
+    [stage_seconds] of wall clock from now when that is set. The
+    replication post-pass ([Engine.schedule]) takes
+    [stage_budget limits limits.hc_evals]. *)
 
 type stage_costs = {
   best_init_name : string;

@@ -26,8 +26,7 @@ let to_string g =
   to_buffer buf g;
   Buffer.contents buf
 
-let write oc g = output_string oc (to_string g)
-let write_file path g = Atomic_file.write path (fun oc -> write oc g)
+let write_file path g = Atomic_file.write path (fun oc -> output_string oc (to_string g))
 
 (* Two passes over the text, both in place: the first counts the
    significant lines, so every declared count is checked against the
@@ -83,19 +82,10 @@ let of_string ?pos ?stop text =
   try Dag.of_edge_arrays ~n:num_n ~src ~dst ~m:!m ~work ~comm
   with Invalid_argument msg -> failwith ("Hyperdag_io: " ^ msg)
 
-let read ic = of_string (In_channel.input_all ic)
-
-let read_file path = In_channel.with_open_bin path read
-
 (* ------------------------------------------------------------------ *)
-(* Binary format (DESIGN.md Section 5h).
-
-   The text path above slurps the whole file and scans it in place; the
-   binary format below is both compact (LEB128 varints,
-   gap-coded adjacency) and streamed — the reader decodes out of a
-   fixed 64 KiB window and never materialises the file, the writer
-   flushes its buffer at the same granularity. Layout, after the 6-byte
-   magic "BHDG1\n":
+(* Binary format (DESIGN.md Section 5h): compact (LEB128 varints,
+   gap-coded adjacency) and decoded in place, like the text. Layout,
+   after the 6-byte magic "BHDG1\n":
 
      varint n, varint m
      n varints   work weights
@@ -130,21 +120,17 @@ let add_varint buf v =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
-(* One encoder serves both the streaming channel writer (flush drains
-   the buffer once it passes the window size) and the in-memory string
-   form (flush is a no-op). *)
-let encode_binary buf ~flush g =
+let to_binary_string g =
   let n = Dag.n g in
+  let buf = Buffer.create 4096 in
   Buffer.add_string buf binary_magic;
   add_varint buf n;
   add_varint buf (Dag.num_edges g);
   for v = 0 to n - 1 do
-    add_varint buf (Dag.work g v);
-    flush ()
+    add_varint buf (Dag.work g v)
   done;
   for v = 0 to n - 1 do
-    add_varint buf (Dag.comm g v);
-    flush ()
+    add_varint buf (Dag.comm g v)
   done;
   let off = Dag.succ_offsets g and tgt = Dag.succ_targets g in
   for v = 0 to n - 1 do
@@ -154,150 +140,77 @@ let encode_binary buf ~flush g =
       let t = tgt.(i) in
       if !prev < 0 then add_varint buf t else add_varint buf (t - !prev - 1);
       prev := t
-    done;
-    flush ()
-  done
-
-let write_binary oc g =
-  let buf = Buffer.create 65536 in
-  let flush () =
-    if Buffer.length buf >= 65536 then begin
-      Buffer.output_buffer oc buf;
-      Buffer.clear buf
-    end
-  in
-  encode_binary buf ~flush g;
-  Buffer.output_buffer oc buf
-
-let to_binary_string g =
-  let buf = Buffer.create 4096 in
-  encode_binary buf ~flush:ignore g;
-  Buffer.contents buf
-
-let write_binary_file path g = Atomic_file.write path (fun oc -> write_binary oc g)
-
-(* A pull-based byte source: channels refill a fixed window, strings
-   are consumed in place. [next] returns the next byte or -1 at end of
-   input. *)
-type source = { next : unit -> int }
-
-let source_of_channel ic =
-  let cap = 65536 in
-  let buf = Bytes.create cap in
-  let pos = ref 0 and len = ref 0 in
-  let next () =
-    if !pos >= !len then begin
-      len := input ic buf 0 cap;
-      pos := 0
-    end;
-    if !len = 0 then -1
-    else begin
-      let b = Char.code (Bytes.get buf !pos) in
-      incr pos;
-      b
-    end
-  in
-  { next }
-
-let source_of_string s =
-  let pos = ref 0 in
-  let next () =
-    if !pos >= String.length s then -1
-    else begin
-      let b = Char.code s.[!pos] in
-      incr pos;
-      b
-    end
-  in
-  { next }
-
-let read_varint src what =
-  let rec go shift acc =
-    if shift > 62 then fail "Hyperdag_io (binary): %s: varint overflow" what;
-    match src.next () with
-    | -1 -> fail "Hyperdag_io (binary): truncated input while reading %s" what
-    | b ->
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-(* [count] untrusted varints. The array starts small and doubles as
-   values arrive, so a huge declared count with little input behind it
-   allocates in proportion to the bytes actually read (each varint takes
-   at least one). *)
-let read_varints src what count =
-  let a = ref (Array.make (min count 4096) 0) in
-  for i = 0 to count - 1 do
-    if i = Array.length !a then begin
-      let grown = Array.make (min count (2 * i)) 0 in
-      Array.blit !a 0 grown 0 i;
-      a := grown
-    end;
-    !a.(i) <- read_varint src what
-  done;
-  !a
-
-let check_magic src =
-  String.iter
-    (fun c ->
-      match src.next () with
-      | b when b = Char.code c -> ()
-      | -1 -> failwith "Hyperdag_io (binary): truncated magic"
-      | _ -> failwith "Hyperdag_io (binary): bad magic (not a binary hyperDAG)")
-    binary_magic
-
-(* [magic_consumed] lets the format-sniffing reader hand over a source
-   whose first 6 bytes were already read and matched. *)
-let decode_binary ?(magic_consumed = false) src =
-  if not magic_consumed then check_magic src;
-  let n = read_varint src "node count" in
-  let m = read_varint src "edge count" in
-  if n < 0 then fail "Hyperdag_io (binary): negative node count";
-  let work = read_varints src "work weight" n in
-  let comm = read_varints src "comm weight" n in
-  let edges = ref [] in
-  let total = ref 0 in
-  for v = 0 to n - 1 do
-    let d = read_varint src "out-degree" in
-    total := !total + d;
-    if !total > m then
-      fail "Hyperdag_io (binary): adjacency lists exceed the declared %d edges" m;
-    let prev = ref (-1) in
-    for _ = 1 to d do
-      let enc = read_varint src "successor" in
-      let t = if !prev < 0 then enc else !prev + 1 + enc in
-      if t >= n then fail "Hyperdag_io (binary): successor %d out of range" t;
-      edges := (v, t) :: !edges;
-      prev := t
     done
   done;
-  if !total <> m then
-    fail "Hyperdag_io (binary): %d successors listed but header declares %d edges"
-      !total m;
-  if src.next () <> -1 then fail "Hyperdag_io (binary): trailing bytes after the DAG";
-  try Dag.of_edges ~n ~edges:!edges ~work ~comm
+  Buffer.contents buf
+
+let write_binary_file path g =
+  Atomic_file.write path (fun oc -> output_string oc (to_binary_string g))
+
+(* The varint at byte [i]; [cur] is left after it. A value has at most
+   63 bits, so it is never negative: the ninth byte may carry six. *)
+let rec varint_at s cur what i shift acc =
+  if i >= String.length s then fail "Hyperdag_io (binary): truncated input while reading %s" what;
+  let b = Char.code (String.unsafe_get s i) in
+  if shift = 56 && b >= 0x40 then fail "Hyperdag_io (binary): %s: varint overflow" what;
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then begin
+    cur := i + 1;
+    acc
+  end
+  else varint_at s cur what (i + 1) (shift + 7) acc
+
+(* Every varint takes at least one byte, and the weights, out-degrees
+   and successors need 3n + m of them: counts the bytes left cannot
+   hold are refused before any array is sized by them, so every array
+   is allocated at its exact size and in proportion to the input. *)
+let of_binary_string s =
+  if not (String.starts_with ~prefix:binary_magic s) then
+    if String.starts_with ~prefix:s binary_magic then
+      failwith "Hyperdag_io (binary): truncated magic"
+    else failwith "Hyperdag_io (binary): bad magic (not a binary hyperDAG)";
+  let cur = ref (String.length binary_magic) in
+  let varint what = varint_at s cur what !cur 0 0 in
+  let n = varint "node count" in
+  let m = varint "edge count" in
+  let left = String.length s - !cur in
+  if n > left / 3 || m > left - (3 * n) then
+    fail "Hyperdag_io (binary): %d nodes and %d edges declared over %d bytes" n m left;
+  let work = Array.make n 0 in
+  for v = 0 to n - 1 do
+    work.(v) <- varint "work weight"
+  done;
+  let comm = Array.make n 0 in
+  for v = 0 to n - 1 do
+    comm.(v) <- varint "comm weight"
+  done;
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let e = ref 0 in
+  for v = 0 to n - 1 do
+    let d = varint "out-degree" in
+    if d > m - !e then
+      fail "Hyperdag_io (binary): adjacency lists exceed the declared %d edges" m;
+    (* the smallest id the next successor may take *)
+    let base = ref 0 in
+    for _ = 1 to d do
+      let gap = varint "successor" in
+      if gap >= n - !base then fail "Hyperdag_io (binary): successor of %d out of range" v;
+      src.(!e) <- v;
+      dst.(!e) <- !base + gap;
+      incr e;
+      base := !base + gap + 1
+    done
+  done;
+  if !e <> m then
+    fail "Hyperdag_io (binary): %d successors listed but header declares %d edges" !e m;
+  if !cur <> String.length s then fail "Hyperdag_io (binary): trailing bytes after the DAG";
+  try Dag.of_edge_arrays ~n ~src ~dst ~m ~work ~comm
   with Invalid_argument msg -> failwith ("Hyperdag_io (binary): " ^ msg)
 
-let read_binary ic = decode_binary (source_of_channel ic)
-let of_binary_string s = decode_binary (source_of_string s)
-let read_binary_file path = In_channel.with_open_bin path read_binary
-
-(* Format sniffing: a binary file starts with the magic, a text file
-   starts with '%' or a digit. At most the magic's six bytes are read
-   before the decision, straight from the channel: the binary decoder
-   then streams the rest, and the text parser gets the rest in one
-   [In_channel.input_all]. *)
-let read_auto ic =
-  let k = String.length binary_magic in
-  let head = Bytes.create k in
-  let rec fill got =
-    if got = k then got
-    else match input ic head got (k - got) with 0 -> got | r -> fill (got + r)
-  in
-  let got = fill 0 in
-  if got = k && Bytes.to_string head = binary_magic then
-    decode_binary ~magic_consumed:true (source_of_channel ic)
-  else of_string (Bytes.sub_string head 0 got ^ In_channel.input_all ic)
-
-let read_file_auto path = In_channel.with_open_bin path read_auto
+(* One read of the whole file; the magic decides the parser, and both
+   parse the string in place. A text file starts with '%' or a digit,
+   never with the magic. *)
+let read_file_auto path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  if String.starts_with ~prefix:binary_magic text then of_binary_string text
+  else of_string text

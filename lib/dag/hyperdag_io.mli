@@ -28,61 +28,56 @@
     the work weights, the comm weights, and per node its out-degree
     followed by its successors — first one absolute, the rest gap-coded
     against the previous (the canonical CSR segments are sorted
-    strictly ascending, so gaps are non-negative and small). The binary
-    reader and writer are streaming: both work through a fixed 64 KiB
-    window instead of materialising the file, and the reader rejects
-    truncated input, count mismatches, out-of-range ids and trailing
-    bytes with a descriptive [Failure].
+    strictly ascending, so gaps are non-negative and small).
+
+    A file is read once, whole, by {!read_file_auto}, and either form
+    is parsed in place in that string; both parsers end in
+    {!Dag.of_edge_arrays}, so the two forms of one DAG give the same
+    DAG and structural hash. Declared counts are checked against the
+    input before any array is sized by them, so allocation is
+    proportional to the input, and malformed input raises [Failure]
+    with a descriptive message.
 
     All file access is binary-mode and all file writes are atomic
     ({!Atomic_file}), so round-trips are byte-exact on every platform
     and a killed writer never leaves a torn file. *)
 
-val write : out_channel -> Dag.t -> unit
-(** Serialise a DAG in hyperDAG format. One hyperedge per node with at
-    least one successor. *)
-
 val write_file : string -> Dag.t -> unit
-(** Atomic: temp file + rename, see {!Atomic_file.write}. *)
-
-val read : in_channel -> Dag.t
-(** Parse a hyperDAG file; raises [Failure] with a descriptive message on
-    malformed input (bad counts, out-of-range pins, cyclic structure). *)
-
-val read_file : string -> Dag.t
+(** Serialise a DAG in hyperDAG text format, one hyperedge per node
+    with at least one successor. Atomic: temp file + rename, see
+    {!Atomic_file.write}. *)
 
 val to_string : Dag.t -> string
+(** The text {!write_file} writes. *)
 
 val of_string : ?pos:int -> ?stop:int -> string -> Dag.t
-(** Parse the bytes [\[pos, stop)] of the string (by default all of
-    it) in place, as {!Text_codec.scanner} bounds them: a request
-    document hands over its inline body without copying it. Raises
-    [Failure] as {!read} does. *)
+(** Parse the text in bytes [\[pos, stop)] of the string (by default
+    all of it) in place, as {!Text_codec.scanner} bounds them: a
+    request document hands over its inline body without copying it.
+    Raises [Failure] with a descriptive message on malformed input
+    (bad counts, out-of-range pins, cyclic structure). *)
 
 (** {1 Binary format} *)
 
 val binary_magic : string
 (** ["BHDG1\n"] — the first six bytes of every binary hyperDAG. *)
 
-val write_binary : out_channel -> Dag.t -> unit
 val write_binary_file : string -> Dag.t -> unit
+(** Atomic, as {!write_file}. *)
 
-val read_binary : in_channel -> Dag.t
-(** Streaming decode; raises [Failure] on bad magic, truncation,
-    declared-count mismatches, out-of-range successors or trailing
-    bytes. *)
-
-val read_binary_file : string -> Dag.t
 val to_binary_string : Dag.t -> string
+(** The bytes {!write_binary_file} writes. *)
+
 val of_binary_string : string -> Dag.t
+(** Decode in place; raises [Failure] on bad magic, truncation,
+    varint overflow, declared counts the input cannot hold or does not
+    match, out-of-range successors or trailing bytes. *)
 
-(** {1 Format sniffing} *)
-
-val read_auto : in_channel -> Dag.t
-(** Read either format: input starting with {!binary_magic} is decoded
-    as binary (still streaming), anything else is parsed as text. *)
+(** {1 Reading files} *)
 
 val read_file_auto : string -> Dag.t
-(** The reader the CLI and the serve daemon use, so [.hdag] and
-    [.bhdag] instances are interchangeable everywhere a DAG file is
-    accepted. *)
+(** The one file reader: input starting with {!binary_magic} is decoded
+    as binary, anything else is parsed as text, so [.hdag] and [.bhdag]
+    instances are interchangeable everywhere a DAG file is accepted.
+    Raises [Failure] on malformed input and [Sys_error] when the file
+    cannot be read. *)

@@ -88,8 +88,12 @@ let is_uniform m =
   done;
   !ok
 
+(* An int comparison, not the polymorphic [max]: at p = 1024 this scans
+   a million entries for every request's cost bound. *)
 let max_lambda m =
-  Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 m.lambda
+  Array.fold_left
+    (fun acc row -> Array.fold_left (fun acc (x : int) -> if x > acc then x else acc) acc row)
+    0 m.lambda
 
 let pp fmt m =
   Format.fprintf fmt "machine{p=%d; g=%d; l=%d; %s}" m.p m.g m.l

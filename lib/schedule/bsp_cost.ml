@@ -93,8 +93,7 @@ let cost_bound machine dag =
   let add a b = if a > max_int - b then raise Overflow else a + b in
   let mul a b = if a <> 0 && b > max_int / a then raise Overflow else a * b in
   let p = machine.Machine.p in
-  let lambda_max = ref 0 in
-  Array.iter (Array.iter (fun x -> if x > !lambda_max then lambda_max := x)) machine.Machine.lambda;
+  let lambda_max = Machine.max_lambda machine in
   try
     let w = ref 0 and c = ref 0 in
     for v = 0 to Dag.n dag - 1 do
@@ -104,7 +103,7 @@ let cost_bound machine dag =
       c := !c + cv
     done;
     let work = mul p !w in
-    let comm = mul machine.Machine.g (mul (mul (p - 1) !lambda_max) !c) in
+    let comm = mul machine.Machine.g (mul (mul (p - 1) lambda_max) !c) in
     let latency = mul machine.Machine.l (max 1 (Dag.n dag)) in
     Some (add (add work comm) latency)
   with Overflow -> None

@@ -26,9 +26,9 @@
     ...
     v}
 
-    {!to_string}/{!write} emit v1 for replica-free schedules (so outputs
+    {!to_string}/{!write_file} emit v1 for replica-free schedules (so outputs
     of replication-free workflows stay byte-identical) and v2 as soon as
-    at least one replica exists. {!of_string}/{!read} accept both;
+    at least one replica exists. {!of_string}/{!read_file} accept both;
     version detection keys on the marker comment.
 
     The DAG itself is not stored; reading requires the DAG the schedule
@@ -36,17 +36,15 @@
     trailing non-comment lines beyond the counts declared in the header
     is rejected ([Failure]) rather than silently ignored. *)
 
-val write : out_channel -> Schedule.t -> unit
 val write_file : string -> Schedule.t -> unit
-
-val read : Dag.t -> in_channel -> Schedule.t
-(** Raises [Failure] with a descriptive message on malformed input,
-    including trailing garbage after the declared line counts. *)
+(** Atomic: temp file + rename, see {!Atomic_file.write}. *)
 
 val read_file : Dag.t -> string -> Schedule.t
+(** {!of_string} on the whole file, read at once. Raises [Failure] on
+    malformed input and [Sys_error] when the file cannot be read. *)
 
 val to_string : Schedule.t -> string
-(** The schedule's text, as {!write} writes it. *)
+(** The schedule's text, as {!write_file} writes it. *)
 
 val to_buffer : Buffer.t -> eol:string -> Schedule.t -> unit
 (** Append the text {!to_string} returns, with every line ended by [eol]
@@ -55,3 +53,5 @@ val to_buffer : Buffer.t -> eol:string -> Schedule.t -> unit
     straight into a reply buffer. *)
 
 val of_string : Dag.t -> string -> Schedule.t
+(** Raises [Failure] with a descriptive message on malformed input,
+    including trailing garbage after the declared line counts. *)

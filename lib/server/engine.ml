@@ -59,13 +59,8 @@ let schedule ?warm ~seconds ~seed ~replicate ~algorithm machine dag =
     Obs.Metrics.with_span ("scheduler:" ^ algorithm) (fun () ->
         match algorithm with
         | "pipeline" ->
-          (* the pipeline runs replication as its own final stage *)
           let limits =
-            {
-              limits with
-              Pipeline.replicate;
-              use_ilp_init = Pipeline.ilp_init_pays machine dag;
-            }
+            { limits with Pipeline.use_ilp_init = Pipeline.ilp_init_pays machine dag }
           in
           (match warm with
            | None -> fst (Pipeline.run ~limits machine dag)
@@ -80,14 +75,17 @@ let schedule ?warm ~seconds ~seed ~replicate ~algorithm machine dag =
         | "trivial" -> Schedule.trivial dag
         | _ -> assert false)
   in
-  (* For every algorithm but the pipeline, replication is grafted on as
-     a post-pass and kept only when strictly cheaper (replication
-     re-lazifies the communication schedule, so it is not
-     unconditionally better). *)
-  if replicate && algorithm <> "pipeline" then begin
+  (* Node replication (DESIGN.md Section 5g), the one post-pass for
+     every algorithm, on the budget of one HC stage. Every algorithm
+     reasons about single placements, so replicas are grafted onto its
+     finished schedule; replication re-lazifies the communication
+     schedule, which can lose an optimised event placement, so the
+     replicated schedule is kept only when strictly cheaper. *)
+  if replicate then begin
+    let budget = Pipeline.stage_budget limits limits.Pipeline.hc_evals in
     let cand =
-      Obs.Metrics.with_span "scheduler:replicate" (fun () ->
-          Hc.replicate_schedule machine base)
+      Obs.Metrics.with_span ~budget "scheduler:replicate" (fun () ->
+          Hc.replicate_schedule ~budget machine base)
     in
     if Bsp_cost.total machine cand < Bsp_cost.total machine base then cand else base
   end

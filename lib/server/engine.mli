@@ -27,8 +27,10 @@ val schedule :
     across pipeline stages exactly as the CLI always did). [warm]
     seeds the base pipeline with an existing schedule
     ({!Pipeline.run_warm}); it is ignored by every other algorithm.
-    With [replicate] set, non-pipeline algorithms get the replication
-    post-pass, kept only when strictly cheaper. The top-level pipeline
+    With [replicate] set, every algorithm's schedule gets the
+    replication post-pass ({!Hc.replicate_schedule} on the budget of one
+    HC stage: [hc_evals] steps and the stage share of [seconds]), kept
+    only when strictly cheaper. The top-level pipeline
     runs ILPinit only where {!Pipeline.ilp_init_pays}; multilevel's
     coarse solves always run it. Raises [Failure] on an unknown
     algorithm name, on a [seconds] that is not finite and positive, and

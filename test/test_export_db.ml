@@ -13,7 +13,7 @@ let test_write_dataset () =
   (* Every written file parses back to the same DAG. *)
   List.iter2
     (fun inst path ->
-      let dag = Hyperdag_io.read_file path in
+      let dag = Hyperdag_io.read_file_auto path in
       check "same n" (Dag.n inst.Datasets.dag) (Dag.n dag);
       check "same edges" (Dag.num_edges inst.Datasets.dag) (Dag.num_edges dag))
     ds.Datasets.instances files;

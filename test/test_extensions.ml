@@ -40,6 +40,25 @@ let test_machine_io_errors () =
   check_bool "p mismatch" true (fails "p 3\nlambda\n0 1\n1 0\n");
   check_bool "nonzero diagonal" true (fails "lambda\n1 1\n1 0\n")
 
+(* Random bytes and one-byte mutations of valid machine files: the
+   parser only ever raises [Failure], and allocates in proportion to its
+   input. *)
+let prop_machine_io_fuzz =
+  let valid =
+    QCheck2.Gen.(
+      oneof
+        [
+          map Machine_io.to_string (Test_util.arb_machine ());
+          (let* p = int_range 1 8 and* g = int_range 0 4 and* l = int_range 0 6
+           and* delta = int_range 0 4 in
+           let tree = if delta = 0 then "" else Printf.sprintf "numa-tree %d\n" delta in
+           return (Printf.sprintf "p %d\ng %d\nl %d\n%s" p g l tree));
+        ])
+  in
+  Test_util.qtest ~count:1000 "hostile input: only Failure, allocation O(input)"
+    (Test_util.arb_hostile valid)
+    (Test_util.decodes_within ~words_per_byte:16 Machine_io.of_string)
+
 let () =
   Alcotest.run "extensions"
     [
@@ -49,5 +68,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_machine_io_roundtrip;
           Alcotest.test_case "presets" `Quick test_machine_io_presets;
           Alcotest.test_case "errors" `Quick test_machine_io_errors;
+          prop_machine_io_fuzz;
         ] );
     ]

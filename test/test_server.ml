@@ -36,7 +36,7 @@ let fails f =
 (* Binary hyperDAG format.                                             *)
 
 (* Text -> binary -> text must be the identity: the binary decoder ends
-   in Dag.of_edges exactly like the text parser, so the canonical CSR —
+   in Dag.of_edge_arrays exactly like the text parser, so the canonical CSR —
    and hence the canonical text rendering — survives unchanged. *)
 let prop_binary_roundtrip =
   Test_util.qtest ~count:200 "binary round-trip preserves the canonical text form"
@@ -56,16 +56,17 @@ let test_binary_file_roundtrip () =
       let g = Test_util.diamond () in
       let path = Filename.concat dir "d.bhdag" in
       Hyperdag_io.write_binary_file path g;
-      let g2 = Hyperdag_io.read_binary_file path in
-      check_str "file round-trip" (Hyperdag_io.to_string g) (Hyperdag_io.to_string g2);
-      (* the auto reader sniffs the magic ... *)
-      let g3 = Hyperdag_io.read_file_auto path in
-      check_str "auto reads binary" (Hyperdag_io.to_string g) (Hyperdag_io.to_string g3);
+      (* the one reader sniffs the magic ... *)
+      let g2 = Hyperdag_io.read_file_auto path in
+      check_str "auto reads binary" (Hyperdag_io.to_string g) (Hyperdag_io.to_string g2);
       (* ... and still reads text *)
       let tpath = Filename.concat dir "d.hdag" in
       Hyperdag_io.write_file tpath g;
-      let g4 = Hyperdag_io.read_file_auto tpath in
-      check_str "auto reads text" (Hyperdag_io.to_string g) (Hyperdag_io.to_string g4))
+      let g3 = Hyperdag_io.read_file_auto tpath in
+      check_str "auto reads text" (Hyperdag_io.to_string g) (Hyperdag_io.to_string g3);
+      check_bool "one structural hash" true
+        (Dag.structural_hash g2 = Dag.structural_hash g3
+        && Dag.structural_hash g2 = Dag.structural_hash g))
 
 (* Every strict prefix of a valid encoding must be rejected loudly —
    never silently decoded to a smaller DAG. *)
@@ -79,6 +80,16 @@ let prop_binary_truncation =
         then ok := false
       done;
       !ok)
+
+(* Random bytes and one-byte mutations of valid encodings: the decoder
+   only ever raises [Failure], and its allocation is bounded by the
+   input, since every declared count is checked against the bytes left
+   before an array is sized by it. *)
+let prop_binary_fuzz =
+  Test_util.qtest ~count:1000 "hostile input: only Failure, allocation O(input)"
+    (Test_util.arb_hostile ~prefix:Hyperdag_io.binary_magic
+       (QCheck2.Gen.map Hyperdag_io.to_binary_string (Test_util.arb_dag ~max_n:24 ())))
+    (Test_util.decodes_within ~words_per_byte:8 Hyperdag_io.of_binary_string)
 
 let test_binary_garbage () =
   check_bool "bad magic" true
@@ -323,6 +334,35 @@ let test_engine_rejects_bad_seconds () =
         (fails (fun () ->
              Server.Engine.handle ~cache_dir { req with Server.Request.seconds = infinity })))
 
+(* Replication is one post-pass for every algorithm: the replicated
+   answer is the plain one followed by [Hc.replicate_schedule], the
+   cheaper of the two kept. On this NUMA broadcast the pipeline's
+   replicas pay. *)
+let test_engine_replicate_post_pass () =
+  let machine = Machine.numa_tree ~p:8 ~g:1 ~l:5 ~delta:4 in
+  let dag =
+    Dag.of_edges ~n:9
+      ~edges:(List.init 8 (fun q -> (0, q + 1)))
+      ~work:(Array.init 9 (fun v -> if v = 0 then 1 else 300))
+      ~comm:(Array.init 9 (fun v -> if v = 0 then 8 else 1))
+  in
+  List.iter
+    (fun algorithm ->
+      let run replicate =
+        Server.Engine.schedule ~seconds:600.0 ~seed:1 ~replicate ~algorithm machine dag
+      in
+      let plain = run false in
+      let cand = Hc.replicate_schedule machine plain in
+      let expected =
+        if Bsp_cost.total machine cand < Bsp_cost.total machine plain then cand else plain
+      in
+      let replicated = run true in
+      check_str (algorithm ^ ": plain, then the post-pass") (sched_bytes expected)
+        (sched_bytes replicated);
+      if algorithm = "pipeline" then
+        check_bool "pipeline: replicas kept" true (Schedule.has_replicas replicated))
+    [ "pipeline"; "bspg" ]
+
 (* Golden pipeline outputs above ILPinit's 600-node limit, at p=4 and at
    p=8: the [Schedule_io.to_string] digests are those of the pipeline
    that still ran ILPinit there, whose candidate tied and so lost. *)
@@ -485,14 +525,14 @@ let test_request_machine_file_p_limit () =
         [ ("uniform.machine", "p 3000\ng 1\nl 5\n");
           ("tree.machine", "p 3000\ng 1\nl 5\nnuma-tree 2\n") ])
 
+let cli_bin name =
+  Filename.concat (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name ("bin/" ^ name ^ ".exe"))
+
 (* The CLIs share the limit: [-p 3000] (uniform or NUMA) and a machine
    file asking for 3000 processors are usage errors naming 1024, with
    nothing on stdout, not an uncaught exception. *)
 let test_cli_p_limit () =
-  let bin name =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat Filename.parent_dir_name ("bin/" ^ name ^ ".exe"))
-  in
   with_tmp_dir "cli-limit" (fun dir ->
       let file = Filename.concat dir in
       Hyperdag_io.write_file (file "d.hdag") (Test_util.diamond ());
@@ -502,7 +542,7 @@ let test_cli_p_limit () =
       List.iter
         (fun (what, exe, args) ->
           let cmd =
-            Filename.quote_command (bin exe) ~stdout:(file "stdout") ~stderr:(file "stderr")
+            Filename.quote_command (cli_bin exe) ~stdout:(file "stdout") ~stderr:(file "stderr")
               args
           in
           check (what ^ ": usage error exit") 124 (Sys.command cmd);
@@ -521,6 +561,74 @@ let test_cli_p_limit () =
             "scheduler",
             [ file "d.hdag"; "--machine"; file "big.machine"; "-q" ] );
           ("evaluate -p", "evaluate", [ file "d.hdag"; file "d.schedule"; "-p"; "3000" ]);
+        ])
+
+(* [evaluate] reads DAG files through the one reader: the text and the
+   binary form of one instance give the same line. *)
+let test_cli_evaluate_binary () =
+  with_tmp_dir "cli-binary" (fun dir ->
+      let file = Filename.concat dir in
+      let dag =
+        Finegrained.generate_sized (Rng.create 7) ~family:Finegrained.Spmv
+          ~shape:Finegrained.Wide ~target:200
+      in
+      Hyperdag_io.write_file (file "a.hdag") dag;
+      Hyperdag_io.write_binary_file (file "a.bhdag") dag;
+      let machine = [ "-p"; "4"; "-g"; "2"; "-l"; "3" ] in
+      let schedule =
+        Filename.quote_command (cli_bin "scheduler") ~stdout:(file "cost")
+          ([ file "a.bhdag"; "-a"; "bspg"; "-q"; "-o"; file "a.schedule" ] @ machine)
+      in
+      check "scheduler exit code" 0 (Sys.command schedule);
+      let evaluate input =
+        let cmd =
+          Filename.quote_command (cli_bin "evaluate") ~stdout:(file "out")
+            ([ file input; file "a.schedule" ] @ machine)
+        in
+        check (input ^ ": evaluate exit code") 0 (Sys.command cmd);
+        In_channel.with_open_bin (file "out") In_channel.input_all
+      in
+      let text = evaluate "a.hdag" in
+      check_bool "a valid schedule" true (Test_util.contains_substring text "valid schedule");
+      check_str "binary reads as text" text (evaluate "a.bhdag"))
+
+(* A file that cannot be read or parsed is a usage error: one line
+   naming the program on stderr, nothing on stdout, exit 124 -- not an
+   uncaught exception. *)
+let test_cli_malformed_input () =
+  with_tmp_dir "cli-malformed" (fun dir ->
+      let file = Filename.concat dir in
+      let write name text = Out_channel.with_open_bin (file name) (fun oc -> output_string oc text) in
+      Hyperdag_io.write_file (file "d.hdag") (Test_util.diamond ());
+      Schedule_io.write_file (file "d.schedule") (Schedule.trivial (Test_util.diamond ()));
+      write "garbage.hdag" "not a hyperDAG\n";
+      write "garbage.bhdag" (Hyperdag_io.binary_magic ^ "\xff");
+      write "garbage.schedule" "4 0\n0 0 0\n";
+      write "garbage.machine" "p four\n";
+      Unix.mkdir (file "a-directory") 0o755;
+      List.iter
+        (fun (what, exe, args) ->
+          let cmd =
+            Filename.quote_command (cli_bin exe) ~stdout:(file "stdout") ~stderr:(file "stderr")
+              args
+          in
+          check (what ^ ": usage error exit") 124 (Sys.command cmd);
+          check_str (what ^ ": nothing on stdout") ""
+            (In_channel.with_open_bin (file "stdout") In_channel.input_all);
+          let err = In_channel.with_open_bin (file "stderr") In_channel.input_all in
+          check_bool (what ^ ": one line naming the program") true
+            (String.starts_with ~prefix:(exe ^ ": ") err
+            && String.index_opt err '\n' = Some (String.length err - 1)))
+        [
+          ("scheduler: text DAG", "scheduler", [ file "garbage.hdag"; "-q" ]);
+          ("scheduler: binary DAG", "scheduler", [ file "garbage.bhdag"; "-q" ]);
+          ("scheduler: unreadable DAG", "scheduler", [ file "a-directory"; "-q" ]);
+          ( "scheduler: machine file",
+            "scheduler",
+            [ file "d.hdag"; "--machine"; file "garbage.machine"; "-q" ] );
+          ("evaluate: DAG", "evaluate", [ file "garbage.bhdag"; file "d.schedule" ]);
+          ("evaluate: schedule", "evaluate", [ file "d.hdag"; file "garbage.schedule" ]);
+          ("evaluate: unreadable schedule", "evaluate", [ file "d.hdag"; file "a-directory" ]);
         ])
 
 (* Differential: the scanner-based request parser against the
@@ -1504,10 +1612,6 @@ let test_memo_queue_jobs () =
       ("f", "coalesced"); ("g", "miss"); ("h", "error");
     ]
 
-let scheduler_exe () =
-  Filename.concat (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name "bin/scheduler.exe")
-
 (* [serve --stdio --trace] logs its span summaries to stderr: on stdout
    they would break the framing. *)
 let test_stdio_trace_keeps_frames () =
@@ -1516,7 +1620,7 @@ let test_stdio_trace_keeps_frames () =
       Out_channel.with_open_bin (file "in") (fun oc ->
           Server.Daemon.write_frame oc (memo_request (memo_dag ())));
       let cmd =
-        Filename.quote_command (scheduler_exe ()) ~stdin:(file "in") ~stdout:(file "out")
+        Filename.quote_command (cli_bin "scheduler") ~stdin:(file "in") ~stdout:(file "out")
           ~stderr:(file "err")
           [ "serve"; "--stdio"; "--trace"; "--cache"; file "cache" ]
       in
@@ -1584,7 +1688,7 @@ let test_cost_overflow_refused () =
       let file = Filename.concat dir in
       Hyperdag_io.write_file (file "huge.hdag") (huge_work_dag ());
       let cmd =
-        Filename.quote_command (scheduler_exe ()) ~stdout:(file "stdout") ~stderr:(file "stderr")
+        Filename.quote_command (cli_bin "scheduler") ~stdout:(file "stdout") ~stderr:(file "stderr")
           [ file "huge.hdag"; "-a"; "bspg"; "-p"; "2"; "-q" ]
       in
       check_bool "non-zero exit" true (Sys.command cmd <> 0);
@@ -1602,6 +1706,7 @@ let () =
           Alcotest.test_case "file round-trip and sniffing" `Quick
             test_binary_file_roundtrip;
           prop_binary_truncation;
+          prop_binary_fuzz;
           Alcotest.test_case "garbage rejected" `Quick test_binary_garbage;
           Alcotest.test_case "huge declared node count rejected" `Quick
             test_binary_huge_node_count;
@@ -1636,6 +1741,8 @@ let () =
             test_engine_rejects_bad_seconds;
           Alcotest.test_case "pipeline above the ILPinit limit pinned" `Quick
             test_engine_pipeline_golden;
+          Alcotest.test_case "replication is one post-pass" `Quick
+            test_engine_replicate_post_pass;
           Alcotest.test_case "multilevel coarse solves keep ILPinit" `Quick
             test_engine_multilevel_keeps_ilp_init;
           Alcotest.test_case "cache keys pinned" `Quick test_cache_key_golden;
@@ -1652,6 +1759,10 @@ let () =
             test_request_machine_file_p_limit;
           Alcotest.test_case "CLI p above the limit is a usage error" `Quick
             test_cli_p_limit;
+          Alcotest.test_case "evaluate reads text and binary DAGs alike" `Quick
+            test_cli_evaluate_binary;
+          Alcotest.test_case "CLI malformed input file is a usage error" `Quick
+            test_cli_malformed_input;
           prop_request_oracle;
         ] );
       ( "framing",

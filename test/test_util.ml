@@ -130,3 +130,33 @@ let min_allocated_words ?(repeats = 5) f =
   in
   let own = measure (fun () -> ()) in
   int_of_float (measure f -. own)
+
+(* Hostile input for a decoder: random byte strings, the same behind
+   [prefix] (so they get past a magic check), and encodings drawn from
+   [valid] with one byte replaced. *)
+let arb_hostile ?(prefix = "") valid =
+  QCheck2.Gen.(
+    let random_bytes = string_size ~gen:char (int_bound 64) in
+    oneof
+      [
+        random_bytes;
+        map (fun s -> prefix ^ s) random_bytes;
+        (let* s = valid in
+         if s = "" then return s
+         else
+           let* i = int_bound (String.length s - 1) in
+           let* c = char in
+           let b = Bytes.of_string s in
+           Bytes.set b i c;
+           return (Bytes.to_string b));
+      ])
+
+(* The contract of a decoder of input from outside the process:
+   [decode] returns or raises [Failure], nothing else, and allocates at
+   most [words_per_byte] words per input byte, with 32 bytes' worth of
+   slack for an error message. *)
+let decodes_within ~words_per_byte decode s =
+  let run () = match decode s with _ -> () | exception Failure _ -> () in
+  match run () with
+  | () -> min_allocated_words ~repeats:3 run <= words_per_byte * (String.length s + 32)
+  | exception _ -> false
